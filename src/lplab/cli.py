@@ -29,12 +29,7 @@ from . import __version__
 from .config import Constants, load_constants
 from .errors import LplabError
 from .logdomain import LogValue
-from .montecarlo import (
-    default_samples,
-    mc_negative_moment,
-    mc_norm_stats,
-    mc_truncated_stats,
-)
+from .montecarlo import default_samples, mc_grid_stats
 from .orderstats import chernoff_bound, orderstat_cdf_exact
 from .gaussian import quantile, quantile_approx, quantile_tail, upper_quantile
 from .subspaces import transition_sweep
@@ -115,16 +110,23 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _parse_p_list(text: str) -> list[float]:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        values.append(math.inf if token in ("inf", "oo") else float(token))
+def _parse_list(text: str, convert, what: str) -> list:
+    """Comma-separated values; a malformed or empty list is a usage error."""
+    try:
+        values = [convert(token.strip()) for token in text.split(",") if token.strip()]
+    except ValueError:
+        raise LplabError(f"malformed {what} list: {text!r}") from None
     if not values:
-        raise LplabError("empty p list")
+        raise LplabError(f"empty {what} list")
     return values
+
+
+def _p_value(token: str) -> float:
+    return math.inf if token in ("inf", "oo") else float(token)
+
+
+def _parse_p_list(text: str) -> list[float]:
+    return _parse_list(text, _p_value, "p")
 
 
 def _p_grid(args: argparse.Namespace, constants: Constants) -> list[float]:
@@ -220,11 +222,26 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
         "log10_reference",
         "ratio",
     ]
-    samples = args.samples if args.samples else default_samples(args.n)
-    rows: list[dict[str, object]] = []
+    samples = args.samples if args.samples is not None else default_samples(args.n)
     p_values = _parse_p_list(args.p) if args.p else [2.0]
-    for p in p_values:
-        estimate = mc_norm_stats(args.n, p, samples, args.seed, args.streams, constants)
+    negative = None
+    if args.negative:
+        negative = _parse_list(args.negative, float, "--negative")
+        if len(negative) != 2:
+            raise LplabError(f"--negative takes q,L, got {args.negative!r}")
+    stats = mc_grid_stats(
+        args.n,
+        p_values,
+        samples,
+        args.seed,
+        args.streams,
+        constants,
+        T=args.truncate,
+        negative=negative,
+    )
+    rows: list[dict[str, object]] = []
+    for index, p in enumerate(p_values):
+        estimate = stats.norms[index]
         reference = None
         ratio = None
         log10_ref = None
@@ -252,9 +269,7 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
             }
         )
         if args.truncate is not None:
-            capped, gap_sq = mc_truncated_stats(
-                args.n, p, args.truncate, samples, args.seed, args.streams, constants
-            )
+            capped, gap_sq = stats.truncated[index]
             rows.append(
                 {
                     "kind": "truncated_norm",
@@ -285,12 +300,10 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
                     "stderr_variance": gap_sq.stderr_variance,
                 }
             )
-    if args.negative:
-        q, L = (float(tok) for tok in args.negative.split(","))
+    if negative is not None:
+        q, L = negative
         T = args.truncate if args.truncate is not None else math.inf
-        estimate = mc_negative_moment(
-            args.n, q, L, T, samples, args.seed, args.streams, constants
-        )
+        estimate = stats.negative
         bound = negative_moment_bound(args.n, q, L, constants)
         rows.append(
             {
@@ -326,7 +339,7 @@ def cmd_orderstats(args: argparse.Namespace, constants: Constants) -> int:
         "log10_chernoff",
     ]
     rows = []
-    for i in (int(tok) for tok in args.i.split(",")):
+    for i in _parse_list(args.i, int, "--i"):
         exact = orderstat_cdf_exact(args.n, i, args.beta)
         row: dict[str, object] = {
             "n": args.n,
@@ -345,7 +358,7 @@ def cmd_orderstats(args: argparse.Namespace, constants: Constants) -> int:
 
 
 def cmd_checks(args: argparse.Namespace, constants: Constants) -> int:
-    n_values = [int(tok) for tok in args.n.split(",")]
+    n_values = _parse_list(args.n, int, "--n")
     p_values = None if args.p_grid == "auto" else _parse_p_list(args.p_grid)
     report = lemma_checks(n_values, p_values, constants)
     columns = ["n", "p", "check", "passed", "detail"]
@@ -371,7 +384,7 @@ def cmd_checks(args: argparse.Namespace, constants: Constants) -> int:
 
 
 def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
-    deltas = [float(tok) for tok in args.delta.split(",")]
+    deltas = _parse_list(args.delta, float, "--delta")
     rows_out = []
     sweep = transition_sweep(
         args.n,

@@ -16,11 +16,25 @@ which the order-statistic tests rely on.
 Accumulation tracks central moments up to order four so that variance
 estimates carry honest standard errors (variance of the sample variance
 needs the fourth moment).
+
+One sampling loop serves every estimator.  `_stream_blocks` yields the
+blocks of each stream in order: the stream's quota split into chunks of
+`_chunk_rows` rows (pairs of vectors for the lower identity).
+`_reduce_rows` turns a block into per-row statistics, walking it in row
+tiles of about 2^16 doubles: a tile's |x|, row peaks and max-scaled
+copy (and their capped forms min(|x|, T)) are built once and serve
+every norm and log power sum asked for, so `mc_grid_stats` estimates a
+whole grid of p, caps and a negative moment from one generation of the
+draws.  The tile height cannot change a bit of the output: each value
+is a reduction over one row alone, written into a full-chunk vector,
+and every accumulator still sees one batch per chunk, with the same
+chunk boundaries and merge tree as a single-estimator call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,11 +199,17 @@ def _chunk_rows(n: int, constants: Constants) -> int:
     return rows
 
 
-def _validate_mc_args(samples: int, streams: int) -> None:
+def _validate_mc_args(n: int, samples: int, streams: int, constants: Constants) -> int:
+    """Check the sampling budget and return the chunk height in rows."""
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
     if streams < 1:
         raise DomainError(f"need streams >= 1, got {streams}")
+    chunk = _chunk_rows(n, constants)
+    # an empty stream would still build a generator and an accumulator
+    if streams > samples:
+        raise DomainError(f"need streams <= samples, got {streams} > {samples}")
+    return chunk
 
 
 def default_samples(n: int) -> int:
@@ -197,47 +217,188 @@ def default_samples(n: int) -> int:
     return 100_000 if n <= 10_000 else 10_000
 
 
-def _log_row_power_sums(block: np.ndarray, p: float) -> np.ndarray:
-    """log sum_i |x_i|^p per row, max-factored; -inf for zero rows."""
-    magnitudes = np.abs(block)
-    peaks = magnitudes.max(axis=1)
+def _stream_blocks(
+    n: int, samples: int, seed: int, streams: int, chunk: int, paired: bool = False
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (stream_index, block) for every chunk of every stream, in order.
+
+    Stream s draws its quota of samples in chunks of at most `chunk` rows.
+    With paired=True a sample is a pair of vectors: a chunk of r samples
+    is one (2r, n) block whose first r rows pair with its last r.
+    """
+    width = 2 if paired else 1
+    step = max(chunk // width, 1)
+    for index in range(streams):
+        gen = RngStream(seed, index).generator()
+        remaining = _stream_quota(samples, streams, index)
+        while remaining > 0:
+            rows = min(step, remaining)
+            yield index, gaussian_draws(gen, (width * rows, n))
+            remaining -= rows
+
+
+def _fold_streams(
+    blocks: Iterator[tuple[int, np.ndarray]],
+    statistics: Callable[[np.ndarray], list[np.ndarray]],
+    count: int,
+    streams: int,
+) -> list[MomentAccumulator]:
+    """Moments of `count` per-row statistics, merged per stream, then pairwise.
+
+    statistics(block) returns `count` arrays of per-row values; each
+    becomes one batch merged into its stream's accumulator.
+    """
+    per_stream = [[MomentAccumulator.empty()] * streams for _ in range(count)]
+    for index, block in blocks:
+        for accs, values in zip(per_stream, statistics(block), strict=True):
+            accs[index] = accs[index].merge(MomentAccumulator.from_batch(values))
+    return [merge_pairwise(accs) for accs in per_stream]
+
+
+# doubles per reducer tile: about 64 rows at n = 1000, one row from n = 65536
+_TILE_ELEMS = 1 << 16
+
+
+def _max_factored(
+    magnitudes: np.ndarray, peaks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(peaks, log of the peaks, magnitudes / peaks), zero rows scaled by 1."""
     safe = np.where(peaks > 0.0, peaks, 1.0)
-    sums = ((magnitudes / safe[:, None]) ** p).sum(axis=1)
-    return np.where(
-        peaks > 0.0, p * np.log(safe) + np.log(sums), -np.inf
-    )
+    return peaks, np.log(safe), magnitudes / safe[:, None]
 
 
-def _row_norms(block: np.ndarray, p: float) -> np.ndarray:
-    if math.isinf(p):
-        return np.abs(block).max(axis=1)
-    return np.exp(_log_row_power_sums(block, p) / p)
+def _reduce_rows(
+    block: np.ndarray, requests: list[tuple[float, bool, bool]], T: float
+) -> np.ndarray:
+    """Per-row statistics of a block, one output row per request.
+
+    A request (p, capped, log) asks, for each row x, for the lp norm of
+    a (log false; p = inf allowed) or for log sum_i a_i^p, max-factored
+    and -inf for a zero row (log true), where a = min(|x|, T) if capped
+    and a = |x| otherwise.  The block is walked in tiles of about
+    _TILE_ELEMS doubles; each tile's magnitudes, row peaks and scaled
+    copy are built once and serve every request.
+    """
+    rows, n = block.shape
+    out = np.empty((len(requests), rows))
+    tile = max(1, _TILE_ELEMS // max(n, 1))
+    kinds = {capped for _, capped, _ in requests}
+    for start in range(0, rows, tile):
+        part = slice(start, start + tile)
+        magnitudes = np.abs(block[part])
+        peaks = magnitudes.max(axis=1)
+        factored = {}
+        if False in kinds:
+            factored[False] = _max_factored(magnitudes, peaks)
+        if True in kinds:
+            # the peak of min(|x|, T) is min(peak, T), exactly
+            factored[True] = _max_factored(np.minimum(magnitudes, T), np.minimum(peaks, T))
+        for k, (p, capped, log) in enumerate(requests):
+            row_peaks, log_peaks, scaled = factored[capped]
+            if math.isinf(p) and not log:
+                out[k, part] = row_peaks
+                continue
+            sums = (scaled**p).sum(axis=1)
+            log_sums = np.where(row_peaks > 0.0, p * log_peaks + np.log(sums), -np.inf)
+            out[k, part] = log_sums if log else np.exp(log_sums / p)
+    return out
 
 
-def _accumulate_norms(
+@dataclass(frozen=True, slots=True)
+class MCGridStats:
+    """Every estimate of one fused pass, in request order.
+
+    norms[k] is the mc_norm_stats estimate at p_values[k]; truncated[k]
+    is the (f_T, gap^2) pair of mc_truncated_stats at the same p, empty
+    without a cap; negative is the mc_negative_moment estimate or None.
+    """
+
+    norms: tuple[MCEstimate, ...]
+    truncated: tuple[tuple[MCEstimate, MCEstimate], ...]
+    negative: MCEstimate | None
+
+
+def _check_cap(T: float) -> None:
+    if not T > 0.0:
+        raise DomainError(f"need T > 0, got {T}")
+
+
+def mc_grid_stats(
     n: int,
-    p: float,
+    p_values: Sequence[float],
     samples: int,
     seed: int,
-    streams: int,
-    constants: Constants,
-    transform,
-) -> list[MomentAccumulator]:
-    """Shared chunked driver: transform(block) -> per-row statistic array(s)."""
-    chunk = _chunk_rows(n, constants)
-    per_stream: list[MomentAccumulator] = []
-    for index in range(streams):
-        quota = _stream_quota(samples, streams, index)
-        gen = RngStream(seed, index).generator()
-        acc = MomentAccumulator.empty()
-        remaining = quota
-        while remaining > 0:
-            rows = min(chunk, remaining)
-            block = gaussian_draws(gen, (rows, n))
-            acc = acc.merge(MomentAccumulator.from_batch(transform(block)))
-            remaining -= rows
-        per_stream.append(acc)
-    return per_stream
+    streams: int = 4,
+    constants: Constants = DEFAULT_CONSTANTS,
+    T: float | None = None,
+    negative: tuple[float, float] | None = None,
+) -> MCGridStats:
+    """Norm, truncation and negative-moment statistics from one set of draws.
+
+    Field for field equal to mc_norm_stats at each p, plus
+    mc_truncated_stats(p, T) at each p when T is given, plus
+    mc_negative_moment(q, L, T, or inf without T) when negative = (q, L),
+    all with the same seed and streams; but every stream is drawn once
+    and every block reduced once.
+    """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    p_values = list(p_values)
+    for p in p_values:
+        if not (math.isinf(p) or p >= 1.0):
+            raise DomainError(f"need p >= 1 or inf, got {p}")
+    if T is not None:
+        _check_cap(T)
+    if negative is not None:
+        q, L = negative
+        if q < 1.0:
+            raise DomainError(f"need q >= 1, got {q}")
+        if L < 0.0:
+            raise DomainError(f"need L >= 0, got {L}")
+        if q * L > constants.negative_moment_K * math.log(max(n, 2)):
+            raise DomainError(
+                f"need q*L <= {constants.negative_moment_K} log n, got {q * L}"
+            )
+    if not p_values and negative is None:
+        raise DomainError("need a p value or a negative moment to estimate")
+    chunk = _validate_mc_args(n, samples, streams, constants)
+    cap = math.inf if T is None else T
+    capped = not math.isinf(cap)
+    width = len(p_values)
+    requests = [(p, False, False) for p in p_values]
+    if capped:
+        requests += [(p, True, False) for p in p_values]
+    if negative is not None:
+        requests.append((q, capped, True))
+
+    def statistics(block: np.ndarray) -> list[np.ndarray]:
+        reduced = _reduce_rows(block, requests, cap)
+        norms = reduced[:width]
+        values = list(norms)
+        if T is not None:
+            capped_norms = reduced[width : 2 * width] if capped else norms
+            for norm, capped_norm in zip(norms, capped_norms):
+                gaps = norm - capped_norm
+                values += [capped_norm, gaps * gaps]
+        if negative is not None:
+            values.append(np.exp(-L * reduced[-1]))
+        return values
+
+    count = width * (3 if T is not None else 1) + (negative is not None)
+    blocks = _stream_blocks(n, samples, seed, streams, chunk)
+    estimates = [
+        _estimate(acc, seed, streams)
+        for acc in _fold_streams(blocks, statistics, count, streams)
+    ]
+    truncated = ()
+    if T is not None:
+        pairs = estimates[width : 3 * width]
+        truncated = tuple(zip(pairs[0::2], pairs[1::2]))
+    return MCGridStats(
+        norms=tuple(estimates[:width]),
+        truncated=truncated,
+        negative=estimates[-1] if negative is not None else None,
+    )
 
 
 def mc_norm_stats(
@@ -249,15 +410,7 @@ def mc_norm_stats(
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> MCEstimate:
     """Estimate mean and variance of ||G||_p over `samples` fresh vectors."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not (math.isinf(p) or p >= 1.0):
-        raise DomainError(f"need p >= 1 or inf, got {p}")
-    _validate_mc_args(samples, streams)
-    per_stream = _accumulate_norms(
-        n, p, samples, seed, streams, constants, lambda block: _row_norms(block, p)
-    )
-    return _estimate(merge_pairwise(per_stream), seed, streams)
+    return mc_grid_stats(n, [p], samples, seed, streams, constants).norms[0]
 
 
 def mc_truncated_stats(
@@ -275,40 +428,7 @@ def mc_truncated_stats(
     second estimate is of (||G||_p - f_T(G))^2 on the same draws, the
     variance cost of the truncation.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not (math.isinf(p) or p >= 1.0):
-        raise DomainError(f"need p >= 1 or inf, got {p}")
-    if not T > 0.0:
-        raise DomainError(f"need T > 0, got {T}")
-    _validate_mc_args(samples, streams)
-    chunk = _chunk_rows(n, constants)
-    norm_accs: list[MomentAccumulator] = []
-    gap_accs: list[MomentAccumulator] = []
-    for index in range(streams):
-        quota = _stream_quota(samples, streams, index)
-        gen = RngStream(seed, index).generator()
-        acc_f = MomentAccumulator.empty()
-        acc_gap = MomentAccumulator.empty()
-        remaining = quota
-        while remaining > 0:
-            rows = min(chunk, remaining)
-            block = gaussian_draws(gen, (rows, n))
-            norms = _row_norms(block, p)
-            if math.isinf(T):
-                capped = norms
-            else:
-                capped = _row_norms(np.minimum(np.abs(block), T), p)
-            gaps = norms - capped
-            acc_f = acc_f.merge(MomentAccumulator.from_batch(capped))
-            acc_gap = acc_gap.merge(MomentAccumulator.from_batch(gaps * gaps))
-            remaining -= rows
-        norm_accs.append(acc_f)
-        gap_accs.append(acc_gap)
-    return (
-        _estimate(merge_pairwise(norm_accs), seed, streams),
-        _estimate(merge_pairwise(gap_accs), seed, streams),
-    )
+    return mc_grid_stats(n, [p], samples, seed, streams, constants, T=T).truncated[0]
 
 
 def mc_negative_moment(
@@ -327,27 +447,9 @@ def mc_negative_moment(
     power sum, so large q stays finite.  Precondition q L <= K log n
     keeps the target moment bounded away from underflow.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if q < 1.0:
-        raise DomainError(f"need q >= 1, got {q}")
-    if L < 0.0:
-        raise DomainError(f"need L >= 0, got {L}")
-    if q * L > constants.negative_moment_K * math.log(max(n, 2)):
-        raise DomainError(
-            f"need q*L <= {constants.negative_moment_K} log n, got {q * L}"
-        )
-    if not T > 0.0:
-        raise DomainError(f"need T > 0, got {T}")
-    _validate_mc_args(samples, streams)
-
-    def values(block: np.ndarray) -> np.ndarray:
-        capped = block if math.isinf(T) else np.minimum(np.abs(block), T)
-        log_sums = _log_row_power_sums(capped, q)
-        return np.exp(-L * log_sums)
-
-    per_stream = _accumulate_norms(n, q, samples, seed, streams, constants, values)
-    return _estimate(merge_pairwise(per_stream), seed, streams)
+    return mc_grid_stats(
+        n, [], samples, seed, streams, constants, T=T, negative=(q, L)
+    ).negative
 
 
 def mc_lower_identity(
@@ -368,40 +470,26 @@ def mc_lower_identity(
         raise DomainError(f"need n >= 1, got {n}")
     if not p >= 1.0 or math.isinf(p):
         raise DomainError(f"need finite p >= 1, got {p}")
-    _validate_mc_args(samples, streams)
+    chunk = _validate_mc_args(n, samples, streams, constants)
     log_prefactor = math.log(n) - math.log(2.0) - 2.0 * math.log(p)
 
-    def values(block: np.ndarray) -> np.ndarray:
+    def statistics(block: np.ndarray) -> list[np.ndarray]:
+        # rows [0, r) are the G of each pair, rows [r, 2r) the H
         rows = block.shape[0] // 2
-        g = block[:rows]
-        h = block[rows : 2 * rows]
         with np.errstate(divide="ignore"):
-            la = p * np.log(np.abs(g[:, 0]))
-            lb = p * np.log(np.abs(h[:, 0]))
+            la = p * np.log(np.abs(block[:rows, 0]))
+            lb = p * np.log(np.abs(block[rows:, 0]))
         hi = np.maximum(la, lb)
         lo = np.minimum(la, lb)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_diff = np.where(lo == hi, -np.inf, hi + np.log1p(-np.exp(lo - hi)))
-        log_ss = np.logaddexp(
-            _log_row_power_sums(g, p), _log_row_power_sums(h, p)
-        )
-        return np.exp(log_prefactor + 2.0 * log_diff + (2.0 / p - 2.0) * log_ss)
+        log_sums = _reduce_rows(block, [(p, False, True)], math.inf)[0]
+        log_ss = np.logaddexp(log_sums[:rows], log_sums[rows:])
+        return [np.exp(log_prefactor + 2.0 * log_diff + (2.0 / p - 2.0) * log_ss)]
 
-    # each sample consumes a pair of vectors: draw 2x rows per chunk
-    chunk = _chunk_rows(n, constants)
-    per_stream: list[MomentAccumulator] = []
-    for index in range(streams):
-        quota = _stream_quota(samples, streams, index)
-        gen = RngStream(seed, index).generator()
-        acc = MomentAccumulator.empty()
-        remaining = quota
-        while remaining > 0:
-            rows = min(max(chunk // 2, 1), remaining)
-            block = gaussian_draws(gen, (2 * rows, n))
-            acc = acc.merge(MomentAccumulator.from_batch(values(block)))
-            remaining -= rows
-        per_stream.append(acc)
-    return _estimate(merge_pairwise(per_stream), seed, streams)
+    blocks = _stream_blocks(n, samples, seed, streams, chunk, paired=True)
+    (acc,) = _fold_streams(blocks, statistics, 1, streams)
+    return _estimate(acc, seed, streams)
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,32 +541,21 @@ def mc_small_ball(
         raise DomainError(f"need tau in (0, 1/2), got {tau}")
     if q < 1.0:
         raise DomainError(f"need q >= 1, got {q}")
-    if not T > 0.0:
-        raise DomainError(f"need T > 0, got {T}")
-    _validate_mc_args(samples, streams)
+    _check_cap(T)
+    chunk = _validate_mc_args(n, samples, streams, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q).log
-    chunk = _chunk_rows(n, constants)
+    request = [(q, not math.isinf(T), True)]
     successes = 0
-    total = 0
-    for index in range(streams):
-        quota = _stream_quota(samples, streams, index)
-        gen = RngStream(seed, index).generator()
-        remaining = quota
-        while remaining > 0:
-            rows = min(chunk, remaining)
-            block = gaussian_draws(gen, (rows, n))
-            capped = block if math.isinf(T) else np.minimum(np.abs(block), T)
-            log_sums = _log_row_power_sums(capped, q)
-            successes += int((log_sums <= log_threshold).sum())
-            total += rows
-            remaining -= rows
-    low, high = wilson_interval(successes, total)
+    for _, block in _stream_blocks(n, samples, seed, streams, chunk):
+        log_sums = _reduce_rows(block, request, T)[0]
+        successes += int((log_sums <= log_threshold).sum())
+    low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(
-        probability=successes / total,
+        probability=successes / samples,
         wilson_low=low,
         wilson_high=high,
         successes=successes,
-        samples=total,
+        samples=samples,
         log_threshold=log_threshold,
         seed=seed,
         streams=streams,

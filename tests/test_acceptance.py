@@ -15,21 +15,18 @@ from scipy.special import gammaln
 
 from lplab import (
     DEFAULT_CONSTANTS,
-    MomentAccumulator,
-    RngStream,
     abs_moment,
     abs_tail_log,
     auto_p_grid,
     chernoff_bound,
     classify,
-    gaussian_draws,
     half_max_window,
     incomplete_integral,
     lemma_checks,
+    mc_grid_stats,
     mc_negative_moment,
     mc_norm_stats,
     mc_truncated_stats,
-    merge_pairwise,
     mills_bounds,
     negative_moment_bound,
     orderstat_cdf_exact,
@@ -46,36 +43,9 @@ from lplab.cli import main as cli_main
 
 def mc_variances(n: int, p_values: list[float], samples: int, seed: int,
                  streams: int = 4) -> dict[float, float]:
-    """Sample variances of ||G||_p for several p over one shared set of draws.
-
-    Generating the Gaussian blocks once and feeding every p's accumulator
-    from them cuts the sweep cost from ~30 generations to one.
-    """
-    accs: dict[float, list[MomentAccumulator]] = {p: [] for p in p_values}
-    chunk = max(1, min((1 << 21) // n, 8192))
-    for index in range(streams):
-        quota = samples // streams + (1 if index < samples % streams else 0)
-        gen = RngStream(seed, index).generator()
-        per_p = {p: MomentAccumulator.empty() for p in p_values}
-        remaining = quota
-        while remaining > 0:
-            rows = min(chunk, remaining)
-            mag = np.abs(gaussian_draws(gen, (rows, n)))
-            maxima = mag.max(axis=1)
-            for p in p_values:
-                if math.isinf(p):
-                    norms = maxima
-                else:
-                    norms = (mag**p).sum(axis=1) ** (1.0 / p)
-                per_p[p] = per_p[p].merge(MomentAccumulator.from_batch(norms))
-            remaining -= rows
-        for p in p_values:
-            accs[p].append(per_p[p])
-    out = {}
-    for p in p_values:
-        acc = merge_pairwise(accs[p])
-        out[p] = acc.m2 / (acc.count - 1)
-    return out
+    """Sample variances of ||G||_p for several p over one shared set of draws."""
+    stats = mc_grid_stats(n, p_values, samples, seed, streams)
+    return {p: estimate.variance for p, estimate in zip(p_values, stats.norms)}
 
 
 class TestExactOracles:

@@ -161,6 +161,19 @@ class TestMcCommand:
         assert neg[0]["T"] == "inf"
         assert float(neg[0]["ratio"]) > 0.0
 
+    def test_zero_samples_is_usage_error(self, capsys):
+        # only an absent --samples means the default budget
+        code, out, err = run_cli(capsys, ["mc", "--n", "5", "--samples", "0"])
+        assert code == 2 and out == ""
+        assert "samples" in err
+
+    def test_more_streams_than_samples_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["mc", "--n", "5", "--samples", "100", "--streams", "101"]
+        )
+        assert code == 2 and out == ""
+        assert "streams" in err
+
 
 class TestOrderstatsCommand:
     def test_exact_and_chernoff_columns(self, capsys):
@@ -245,6 +258,24 @@ class TestDvoretzkyCommand:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--n", "5", "--p", "abc", "--samples", "100"],
+            ["mc", "--n", "5", "--p", "2", "--samples", "100", "--negative", "1"],
+            ["mc", "--n", "5", "--p", "2", "--samples", "100", "--negative", "1,x"],
+            ["orderstats", "--n", "100", "--beta", "0.3", "--i", "x"],
+            ["dvoretzky", "--n", "30", "--delta", "a", "--trials", "1"],
+            ["checks", "--n", "abc"],
+            ["predict", "--n", "100", "--p", ","],
+        ],
+    )
+    def test_malformed_list_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
         code, out, _ = run_cli(

@@ -161,7 +161,7 @@ class TestNormStats:
         # one chunk row at n = 10^6 is 8 MB; a 1 MiB guard must refuse
         # before anything is allocated
         tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="memory guard"):
             mc_norm_stats(10**6, 2.0, 2, seed=0, constants=tiny)
 
     def test_default_samples_schedule(self):

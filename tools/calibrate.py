@@ -14,18 +14,13 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from lplab import (
     DEFAULT_CONSTANTS,
-    MomentAccumulator,
-    RngStream,
     auto_p_grid,
     classify,
-    gaussian_draws,
+    mc_grid_stats,
     mc_negative_moment,
     mc_truncated_stats,
-    merge_pairwise,
     negative_moment_bound,
     predict_variance,
     tail_term,
@@ -35,38 +30,13 @@ from lplab import (
 
 
 def sweep_ratios(n: int, samples: int, seed: int, streams: int = 4):
-    """Variance/prediction ratio on the auto p-grid with shared draws.
-
-    One pass of Gaussian blocks feeds accumulators for every p at once,
-    so the grid costs one generation instead of thirty.
-    """
+    """Variance/prediction ratio on the auto p-grid, every p from one set of draws."""
     grid = auto_p_grid(n)
-    accs = {p: [] for p in grid}
-    chunk = max(1, min((1 << 21) // n, 8192))
-    for index in range(streams):
-        quota = samples // streams + (1 if index < samples % streams else 0)
-        gen = RngStream(seed, index).generator()
-        per_p = {p: MomentAccumulator.empty() for p in grid}
-        remaining = quota
-        while remaining > 0:
-            rows = min(chunk, remaining)
-            mag = np.abs(gaussian_draws(gen, (rows, n)))
-            maxima = mag.max(axis=1)
-            for p in grid:
-                if math.isinf(p):
-                    norms = maxima
-                else:
-                    norms = (mag**p).sum(axis=1) ** (1.0 / p)
-                per_p[p] = per_p[p].merge(MomentAccumulator.from_batch(norms))
-            remaining -= rows
-        for p in grid:
-            accs[p].append(per_p[p])
+    stats = mc_grid_stats(n, grid, samples, seed, streams)
     out = []
-    for p in grid:
-        acc = merge_pairwise(accs[p])
-        variance = acc.m2 / (acc.count - 1)
+    for p, estimate in zip(grid, stats.norms):
         predicted, point = predict_variance(n, p)
-        out.append((p, point.regime, variance / predicted.to_float()))
+        out.append((p, point.regime, estimate.variance / predicted.to_float()))
     return out
 
 
