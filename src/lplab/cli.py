@@ -31,7 +31,7 @@ from .errors import LplabError
 from .logdomain import LogValue
 from .montecarlo import default_samples, mc_grid_stats
 from .orderstats import chernoff_bound, orderstat_cdf_exact
-from .gaussian import quantile, quantile_approx, quantile_tail, upper_quantile
+from .gaussian import quantile, quantile_approx, quantile_tail
 from .subspaces import transition_sweep
 from .variance import (
     auto_p_grid,
@@ -44,7 +44,7 @@ from .variance import (
     upper_envelope,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _LOG10_E = math.log10(math.e)
 
@@ -146,7 +146,7 @@ def cmd_quantile(args: argparse.Namespace, constants: Constants) -> int:
         rows.append({"alpha": args.alpha, "xi": xi, "xi_approx": None, "gap": None})
     elif args.n is not None:
         i = args.i
-        xi = quantile_tail(i / args.n) if i > 1 else upper_quantile(args.n)
+        xi = quantile_tail(i / args.n)
         try:
             approx = quantile_approx(args.n, i)
             gap = xi - approx
@@ -229,6 +229,8 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
         negative = _parse_list(args.negative, float, "--negative")
         if len(negative) != 2:
             raise LplabError(f"--negative takes q,L, got {args.negative!r}")
+        # refuse an out-of-domain bound before spending the samples
+        bound = negative_moment_bound(args.n, *negative, constants)
     stats = mc_grid_stats(
         args.n,
         p_values,
@@ -304,7 +306,6 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
         q, L = negative
         T = args.truncate if args.truncate is not None else math.inf
         estimate = stats.negative
-        bound = negative_moment_bound(args.n, q, L, constants)
         rows.append(
             {
                 "kind": "negative_moment",

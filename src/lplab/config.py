@@ -36,12 +36,6 @@ class Constants:
     # operations refuse to extrapolate below it
     n_min: int = 100
 
-    # |exact upper quantile - two-term expansion| * sqrt(log(n/i)) <= K
-    quantile_check_K: float = 1.0
-    # window for tail(t) * (t+1) / [sqrt(2/pi) e^{-t^2/2}] over the n-grid
-    tail_ratio_lo: float = 1.0
-    tail_ratio_hi: float = 1.5
-
     # quadrature / closed-form-scale containment for truncated moments,
     # measured over q in [1, 600], a in [1, 30]
     moment_bracket_lo: float = 0.1
@@ -90,7 +84,6 @@ class Constants:
         if self.n_min < 2:
             raise ConfigError("n_min must be at least 2")
         for lo_name, hi_name in (
-            ("tail_ratio_lo", "tail_ratio_hi"),
             ("moment_bracket_lo", "moment_bracket_hi"),
             ("mc_ratio_lo", "mc_ratio_hi"),
             ("mexpm_lo", "mexpm_hi"),
@@ -103,7 +96,6 @@ class Constants:
                     f"require 0 < {lo_name} <= {hi_name} and finite, got {lo}, {hi}"
                 )
         for name in (
-            "quantile_check_K",
             "dev_initial_c",
             "dev_initial_C",
             "dev_intermediate_c",

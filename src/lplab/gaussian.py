@@ -4,8 +4,10 @@ Everything downstream is built on four primitives: the CDF of |g|, its
 upper tail with full relative precision far into the tail, the inverse of
 both (quantiles), and absolute moments.  The tail is the delicate one:
 quantiles of order 1 - 1/n are needed for n up to 1e8 and beyond, and the
-deviation tests probe tails of size e^{-800}, so the tail is evaluated in
-two branches and exposed on the log scale.
+deviation tests probe tails of size e^{-800}, so tail and quantile both
+work on the log scale, through scipy's log_ndtr and its inverse
+ndtri_exp.  The quantile takes arrays, so a sum over n quantiles is one
+call.
 
 Also hosts the overflow-safe lp norm used by every sampler.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import DomainError
 from .logdomain import BoundBracket, LogValue, ZERO
@@ -22,9 +25,7 @@ from .logdomain import BoundBracket, LogValue, ZERO
 SQRT_2 = math.sqrt(2.0)
 # log sqrt(2/pi), the normalizing constant of the |g| density
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
-# erfc branch holds full relative precision well past here; the asymptotic
-# series takes over long before double underflow at t ~ 38.6
-_TAIL_SERIES_CUTOFF = 30.0
+_LOG_2 = math.log(2.0)
 
 
 def _require_real(name: str, value: float) -> float:
@@ -50,31 +51,19 @@ def log_abs_density(t: float) -> float:
 
 
 def abs_tail_log(t: float) -> float:
-    """log P{|g| >= t}, accurate in relative terms for all t >= 0.
+    """log P{|g| >= t} = log 2 + log Phi(-t), for t >= 0.
 
-    Below the cutoff the complementary error function is exact enough;
-    beyond it the classical alternating asymptotic expansion
-    sqrt(2/pi)·e^{-t²/2}/t · (1 - 1/t² + 3/t⁴ - ...) converges to full
-    double precision, with truncation error below the first omitted term.
+    scipy's log_ndtr keeps full relative precision into the far tail
+    (on t in [1, 1000] it agrees with 50-digit mpmath to 5e-16 relative)
+    and gives exactly 0.0 at t = 0 and -inf at t = inf.  For t < 1,
+    where the log is close to 0, the contract is absolute: the error
+    stays below 7e-16, while the relative error grows as t -> 0
+    (1.5e-13 near t = 1e-3).
     """
     t = _require_real("t", t)
     if t < 0.0:
         raise DomainError("abs_tail_log requires t >= 0")
-    if t == 0.0:
-        return 0.0
-    if math.isinf(t):
-        return -math.inf
-    if t <= _TAIL_SERIES_CUTOFF:
-        return math.log(math.erfc(t / SQRT_2))
-    inv_t2 = 1.0 / (t * t)
-    term = 1.0
-    total = 1.0
-    for k in range(1, 60):
-        term *= -(2 * k - 1) * inv_t2
-        total += term
-        if abs(term) < 1e-18 * total:
-            break
-    return _LOG_SQRT_2_OVER_PI - 0.5 * t * t - math.log(t) + math.log(total)
+    return _LOG_2 + float(log_ndtr(-t))
 
 
 def abs_tail(t: float) -> LogValue:
@@ -82,44 +71,26 @@ def abs_tail(t: float) -> LogValue:
     return LogValue(abs_tail_log(t))
 
 
-def quantile_tail(tail: float) -> float:
+def quantile_tail(tail: float | np.ndarray) -> float | np.ndarray:
     """The t >= 0 with P{|g| >= t} = tail, for tail in (0, 1].
 
     Parameterizing by the tail instead of the CDF value keeps full
     precision for quantiles of order 1 - 1/n: the caller knows 1/n
-    exactly, while 1 - 1/n rounds.  Safeguarded Newton on the log-tail,
-    which is smooth, monotone, and has derivative -density/tail.
+    exactly, while 1 - 1/n rounds.  Evaluated as -ndtri_exp(log(tail/2))
+    on the log scale, so tails down to the smallest double are fine.
+    Over tails 1e-300..1/2 it agrees with 40-digit mpmath to 4e-16
+    relative; above 1/2 the error grows with the condition number
+    tail / (2 phi(t) t), which is about 9 at tail 0.9 and 1/(1 - tail)
+    near 1.  Takes a float or an array: a float returns a float, an
+    array an array of the same shape, elementwise the same bits.
     """
-    tail = _require_real("tail", tail)
-    if not 0.0 < tail <= 1.0:
+    x = np.asarray(tail, dtype=float)
+    # one test rejects NaN together with the out-of-range values
+    if not ((x > 0.0) & (x <= 1.0)).all():
         raise DomainError("quantile_tail requires tail in (0, 1]")
-    if tail == 1.0:
-        return 0.0
-    target = math.log(tail)
-    lo, hi = 0.0, 10.0
-    while abs_tail_log(hi) > target:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:  # pragma: no cover - tail would be below e^{-5e11}
-            raise DomainError("tail too small to bracket")
-    t = min(max(math.sqrt(2.0 * max(-target, 0.5)), lo), hi)
-    for _ in range(80):
-        h = abs_tail_log(t) - target
-        if h > 0.0:
-            lo = t
-        else:
-            hi = t
-        if abs(h) <= 1e-13:
-            break
-        slope = -math.exp(log_abs_density(t) - abs_tail_log(t))
-        step = h / slope
-        t_new = t - step
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-15 * (1.0 + t):
-            t = t_new
-            break
-        t = t_new
-    return t
+    # 0.0 - (...) turns the -0.0 of tail = 1 into +0.0
+    t = 0.0 - ndtri_exp(np.log(x) - _LOG_2)
+    return float(t) if x.ndim == 0 else t
 
 
 def quantile(alpha: float) -> float:
@@ -149,8 +120,7 @@ def quantile_approx(n: int, i: int) -> float:
 
     Returns sqrt(2·log(n/i)) - (log log(n/i)) / (2·sqrt(2·log(n/i))).
     Valid when log(n/i) > 1; the discrepancy against the exact quantile
-    is of order 1/sqrt(log(n/i)) and is checked against a configured
-    constant by callers.
+    is of order 1/sqrt(log(n/i)).
     """
     n = int(n)
     i = int(i)
@@ -172,7 +142,7 @@ def mills_bounds(t: float) -> BoundBracket:
     t = _require_real("t", t)
     if t <= 0.0:
         raise DomainError("mills_bounds requires t > 0")
-    common = _LOG_SQRT_2_OVER_PI - 0.5 * t * t
+    common = log_abs_density(t)
     upper = LogValue(common - math.log(t))
     if t <= 1.0:
         lower = ZERO

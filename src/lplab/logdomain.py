@@ -46,10 +46,6 @@ class LogValue:
             raise DomainError("cannot represent +inf as a LogValue")
         return cls(math.log(value))
 
-    @classmethod
-    def from_log(cls, log: float) -> "LogValue":
-        return cls(log)
-
     @property
     def is_zero(self) -> bool:
         return self.log == -math.inf

@@ -345,7 +345,7 @@ def mc_grid_stats(
         raise DomainError(f"need n >= 1, got {n}")
     p_values = list(p_values)
     for p in p_values:
-        if not (math.isinf(p) or p >= 1.0):
+        if not p >= 1.0:
             raise DomainError(f"need p >= 1 or inf, got {p}")
     if T is not None:
         _check_cap(T)

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
 from .gaussian import quantile_tail
-from .logdomain import LogValue, log_sum_exp
+from .logdomain import LogValue
 
 
 def _validate_n_i(n: int, i: int) -> None:
@@ -40,18 +41,15 @@ def orderstat_cdf_exact(n: int, i: int, beta: float) -> LogValue:
     _validate_n_i(n, i)
     if not 0.0 < beta < 1.0:
         raise DomainError(f"need beta in (0, 1), got {beta}")
-    log_beta = math.log(beta)
-    log_comp = math.log1p(-beta)
-    log_terms = []
-    for j in range(i):
-        log_terms.append(
-            math.lgamma(n + 1)
-            - math.lgamma(j + 1)
-            - math.lgamma(n - j + 1)
-            + j * log_beta
-            + (n - j) * log_comp
-        )
-    return LogValue(min(log_sum_exp(log_terms), 0.0))
+    j = np.arange(i)
+    log_terms = (
+        gammaln(n + 1)
+        - gammaln(j + 1)
+        - gammaln(n - j + 1)
+        + j * math.log(beta)
+        + (n - j) * math.log1p(-beta)
+    )
+    return LogValue(min(float(logsumexp(log_terms)), 0.0))
 
 
 def chernoff_bound(n: int, i: int, beta: float) -> LogValue:
@@ -139,4 +137,4 @@ def sample_top_orderstats(n: int, k_top: int, rng: np.random.Generator) -> np.nd
     partial = np.cumsum(exponentials / denominators)
     # tail probability of the j-th top coordinate: 1 - exp(-S_j)
     tails = -np.expm1(-partial)
-    return np.array([quantile_tail(t) for t in tails])
+    return quantile_tail(tails)

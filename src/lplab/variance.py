@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
@@ -265,16 +266,13 @@ def small_ball_bound(
 
 
 def quantile_power_sum(n: int, q: float) -> LogValue:
-    """sum_{i=1}^{n} xi_{1-i/n}^q computed term by term (the i = n term is 0)."""
+    """sum_{i=1}^{n} xi_{1-i/n}^q in one array pass (the i = n term is 0)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if q <= 0.0:
         raise DomainError(f"need q > 0, got {q}")
-    logs = []
-    for i in range(1, n):
-        xi_i = quantile_tail(i / n)
-        logs.append(q * math.log(xi_i))
-    return LogValue(log_sum_exp(logs))
+    xi = quantile_tail(np.arange(1, n) / n)
+    return LogValue(float(logsumexp(q * np.log(xi))))
 
 
 def negative_moment_bound(

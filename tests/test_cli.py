@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+import lplab.cli
 from lplab import (
     DEFAULT_CONSTANTS,
     dump_constants,
@@ -64,6 +65,13 @@ class TestQuantileCommand:
         assert "version" in header
         for field in dataclasses.fields(DEFAULT_CONSTANTS):
             assert f"constants.{field.name}" in header
+
+    @pytest.mark.parametrize("i", ["0", "-3"])
+    def test_nonpositive_i_exits_two(self, capsys, i):
+        code, out, err = run_cli(capsys, ["quantile", "--n", "1000", "--i", i])
+        assert code == 2
+        assert out == ""
+        assert "tail in (0, 1]" in err
 
     def test_needs_alpha_or_n(self, capsys):
         code, _, err = run_cli(capsys, ["quantile"])
@@ -160,6 +168,16 @@ class TestMcCommand:
         assert float(neg[0]["L"]) == 1.0
         assert neg[0]["T"] == "inf"
         assert float(neg[0]["ratio"]) > 0.0
+
+    def test_negative_bound_refused_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the bound was checked")
+
+        monkeypatch.setattr(lplab.cli, "mc_grid_stats", no_sampling)
+        code, out, err = run_cli(capsys, ["mc", "--n", "50", "--negative", "2,1"])
+        assert code == 2
+        assert out == ""
+        assert "need n >= 100" in err
 
     def test_zero_samples_is_usage_error(self, capsys):
         # only an absent --samples means the default budget
@@ -313,5 +331,6 @@ class TestPlumbing:
         )
         payload = json.loads(out)
         assert set(payload) == {"config", "rows", "schema_version"}
+        assert payload["schema_version"] == 2
         assert payload["rows"][0]["regime"] == "LOW"
         assert "constants.n_min" in payload["config"]

@@ -78,8 +78,8 @@ class TestAbsTail:
         assert abs_tail(0.0).to_float() == 1.0
 
     def test_branches_agree_near_switch(self):
-        # the implementation changes evaluation strategy in the deep tail;
-        # both sides of the switch must track 30-digit erfc
+        # around t = 30 erfc itself nears double underflow (t ~ 38.6);
+        # the log-scale tail must keep tracking 30-digit erfc through it
         mp.mp.dps = 30
         for t in np.linspace(25.0, 35.0, 41):
             ref = float(mp.log(mp.erfc(mp.mpf(float(t)) / mp.sqrt(2))))
@@ -126,6 +126,42 @@ class TestQuantiles:
             quantile_tail(-0.1)
         with pytest.raises(DomainError):
             quantile_tail(1.5)
+        for bad in (0.0, math.nan, np.array([0.5, math.nan]), np.array([0.5, 0.0])):
+            with pytest.raises(DomainError):
+                quantile_tail(bad)
+
+    def test_quantile_tail_against_mpmath(self):
+        # 40-digit root of log erfc(t/sqrt 2) = log tail.  1e-15 relative,
+        # times the condition number tail/(2 phi(t) t) where it exceeds 1:
+        # near tail = 1 the rounding of the input alone costs that much
+        mp.mp.dps = 40
+        tails = np.concatenate([10.0 ** np.linspace(-300.0, 0.0, 121), [0.61, 0.9, 0.99]])
+        for tail in tails:
+            t = quantile_tail(float(tail))
+            if tail == 1.0:
+                assert t == 0.0
+                continue
+            log_tail = mp.log(mp.mpf(float(tail)))
+            ref = mp.findroot(lambda x: mp.log(mp.erfc(x / mp.sqrt(2))) - log_tail, mp.mpf(t))
+            cond = float(mp.mpf(float(tail)) / (2 * mp.npdf(ref) * ref))
+            assert abs(t - float(ref)) <= 1e-15 * max(cond, 1.0) * float(ref), tail
+
+    def test_quantile_tail_array_equals_scalar_loop(self):
+        tails = np.concatenate(
+            [10.0 ** np.linspace(-300.0, 0.0, 257), np.random.default_rng(3).random(256)]
+        )
+        expected = np.array([quantile_tail(float(t)) for t in tails])
+        got = quantile_tail(tails)
+        assert isinstance(got, np.ndarray) and got.shape == tails.shape
+        assert np.array_equal(got, expected)
+        square = quantile_tail(tails[:512].reshape(16, 32))
+        assert np.array_equal(square, expected[:512].reshape(16, 32))
+
+    def test_quantile_tail_scalar_is_float(self):
+        assert type(quantile_tail(0.25)) is float
+        assert type(quantile_tail(np.float64(0.25))) is float
+        zero = quantile_tail(1.0)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
     def test_approx_expansion_value(self):
         assert quantile_approx(10**4, 1) == pytest.approx(4.033269196414206, rel=1e-12)

@@ -7,6 +7,12 @@ boundaries and reduces every row by itself, so it must reproduce them
 bit for bit, whatever the tile height and whatever else is estimated
 from the same draws.  The inputs cross chunk boundaries (n = 3000 gives
 699-row chunks, 349 pairs for the lower identity) and tile boundaries.
+
+The small-ball log_threshold fields and the negative-moment reference
+columns of the stdout golden come from the |g| quantile, not from the
+draws.  They were re-pinned when the quantile moved to scipy, each one
+closer to a 40-digit mpmath value than before; the stdout hash also
+covers the echoed constants, three fewer since schema version 2.
 """
 
 import dataclasses
@@ -83,19 +89,19 @@ GOLDEN = [
     ),
     (
         lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2),
-        ('0.0', '0.0', '0.0023951611922532253', '0', '1600', '7.08735004023971', '5', '2'),
+        ('0.0', '0.0', '0.0023951611922532253', '0', '1600', '7.087350040239698', '5', '2'),
     ),
     (
         lambda: mc_small_ball(4, 2.0, 0.45, math.inf, 3000, 2, 3),
-        ('0.06266666666666666', '0.054540801402863825', '0.07191109828222125', '188', '3000', '-0.16735764789159446', '2', '3'),
+        ('0.06266666666666666', '0.054540801402863825', '0.07191109828222125', '188', '3000', '-0.16735764789162488', '2', '3'),
     ),
     (
         lambda: mc_small_ball(4, 3.0, 0.45, 1.0, 3000, 2, 3),
-        ('0.10933333333333334', '0.09866229125278743', '0.12100358255126727', '328', '3000', '-0.1771447814808237', '2', '3'),
+        ('0.10933333333333334', '0.09866229125278743', '0.12100358255126727', '328', '3000', '-0.17714478148085866', '2', '3'),
     ),
     (
         lambda: mc_small_ball(50, 3.0, 0.3, 1.5, 2000, 8, 3),
-        ('0.0', '0.0', '0.001917047281252934', '0', '2000', '2.9980189877823955', '8', '3'),
+        ('0.0', '0.0', '0.001917047281252934', '0', '2000', '2.998018987782384', '8', '3'),
     ),
 ]
 
@@ -105,7 +111,7 @@ MC_ARGV = [
     "mc", "--n", "100", "--p", "2,7,inf", "--truncate", "2",
     "--negative", "2,1", "--samples", "2000", "--seed", "9",
 ]
-MC_STDOUT_SHA256 = "f4443242f764c322639cc6e5c158c205dfc906db91b68c1e504beb58dfc8cf09"
+MC_STDOUT_SHA256 = "297449c6f3ede99b6fc49b5671cc8ede2ae74b8f4689f9205e3d820dfd197480"
 
 
 def fields(estimate):
@@ -167,6 +173,8 @@ class TestGrid:
             mc_grid_stats(20, [], 500, 1)
         with pytest.raises(DomainError):
             mc_grid_stats(20, [2.0, 0.5], 500, 1)
+        with pytest.raises(DomainError):
+            mc_grid_stats(20, [2.0, -math.inf], 500, 1)
         with pytest.raises(DomainError):
             mc_grid_stats(20, [2.0], 500, 1, T=0.0)
         with pytest.raises(DomainError):

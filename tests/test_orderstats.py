@@ -46,6 +46,22 @@ class TestExactCdf:
                 float(ref), rel=1e-12
             )
 
+    def test_matches_lgamma_loop(self):
+        # the term-by-term sum the array form replaced, at the benchmark's
+        # largest order statistic
+        n, i, beta = 10**6, 5000, 0.01
+        log_terms = [
+            math.lgamma(n + 1)
+            - math.lgamma(j + 1)
+            - math.lgamma(n - j + 1)
+            + j * math.log(beta)
+            + (n - j) * math.log1p(-beta)
+            for j in range(i)
+        ]
+        top = max(log_terms)
+        expected = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
+        assert orderstat_cdf_exact(n, i, beta).log == pytest.approx(expected, rel=1e-12)
+
     def test_deep_tail_stays_in_log_domain(self):
         # (1-beta)^n far below float underflow
         got = orderstat_cdf_exact(10**6, 1, 0.5)
