@@ -28,8 +28,7 @@ import sys
 from . import __version__
 from .config import Constants, load_constants
 from .errors import LplabError
-from .logdomain import LogValue
-from .montecarlo import default_samples, mc_grid_stats
+from .montecarlo import MCEstimate, default_samples, mc_grid_stats
 from .orderstats import chernoff_bound, orderstat_cdf_exact
 from .gaussian import quantile, quantile_approx, quantile_tail
 from .subspaces import transition_sweep
@@ -44,9 +43,7 @@ from .variance import (
     upper_envelope,
 )
 
-SCHEMA_VERSION = 2
-
-_LOG10_E = math.log10(math.e)
+SCHEMA_VERSION = 3
 
 
 def _fmt(value) -> str:
@@ -57,10 +54,6 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def _log10(lv: LogValue) -> float:
-    return lv.log10
 
 
 def _config_map(args: argparse.Namespace, constants: Constants) -> dict[str, object]:
@@ -189,11 +182,11 @@ def cmd_predict(args: argparse.Namespace, constants: Constants) -> int:
                 "p": p,
                 "regime": point.regime,
                 "predicted": value.to_float(),
-                "log10_predicted": _log10(value),
+                "log10_predicted": value.log10,
                 "lower_env": low.to_float(),
-                "log10_lower_env": _log10(low),
+                "log10_lower_env": low.log10,
                 "upper_env": high.to_float(),
-                "log10_upper_env": _log10(high),
+                "log10_upper_env": high.log10,
                 "M": m_level.to_float(),
                 "p1": point.p1,
                 "p2": point.p2,
@@ -201,6 +194,20 @@ def cmd_predict(args: argparse.Namespace, constants: Constants) -> int:
         )
     _emit(args, constants, columns, rows)
     return 0
+
+
+def _estimate_fields(args: argparse.Namespace, estimate: MCEstimate) -> dict[str, object]:
+    """The columns every `mc` row shares: run settings and the estimate."""
+    return {
+        "n": args.n,
+        "samples": estimate.samples,
+        "seed": args.seed,
+        "streams": args.streams,
+        "mean": estimate.mean,
+        "variance": estimate.variance,
+        "stderr_mean": estimate.stderr_mean,
+        "stderr_variance": estimate.stderr_variance,
+    }
 
 
 def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
@@ -250,79 +257,37 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
         if args.n >= constants.n_min:
             predicted, _ = predict_variance(args.n, p, constants)
             reference = predicted.to_float()
-            log10_ref = _log10(predicted)
+            log10_ref = predicted.log10
             if not predicted.is_zero:
                 ratio = estimate.variance / predicted.to_float()
         rows.append(
             {
                 "kind": "norm",
-                "n": args.n,
                 "p": p,
-                "samples": estimate.samples,
-                "seed": args.seed,
-                "streams": args.streams,
-                "mean": estimate.mean,
-                "variance": estimate.variance,
-                "stderr_mean": estimate.stderr_mean,
-                "stderr_variance": estimate.stderr_variance,
+                **_estimate_fields(args, estimate),
                 "reference": reference,
                 "log10_reference": log10_ref,
                 "ratio": ratio,
             }
         )
         if args.truncate is not None:
-            capped, gap_sq = stats.truncated[index]
-            rows.append(
-                {
-                    "kind": "truncated_norm",
-                    "n": args.n,
-                    "p": p,
-                    "T": args.truncate,
-                    "samples": capped.samples,
-                    "seed": args.seed,
-                    "streams": args.streams,
-                    "mean": capped.mean,
-                    "variance": capped.variance,
-                    "stderr_mean": capped.stderr_mean,
-                    "stderr_variance": capped.stderr_variance,
-                }
-            )
-            rows.append(
-                {
-                    "kind": "gap_squared",
-                    "n": args.n,
-                    "p": p,
-                    "T": args.truncate,
-                    "samples": gap_sq.samples,
-                    "seed": args.seed,
-                    "streams": args.streams,
-                    "mean": gap_sq.mean,
-                    "variance": gap_sq.variance,
-                    "stderr_mean": gap_sq.stderr_mean,
-                    "stderr_variance": gap_sq.stderr_variance,
-                }
-            )
+            kinds = ("truncated_norm", "gap_squared")
+            for kind, part in zip(kinds, stats.truncated[index], strict=True):
+                rows.append(
+                    {"kind": kind, "p": p, "T": args.truncate, **_estimate_fields(args, part)}
+                )
     if negative is not None:
         q, L = negative
-        T = args.truncate if args.truncate is not None else math.inf
-        estimate = stats.negative
         rows.append(
             {
                 "kind": "negative_moment",
-                "n": args.n,
                 "q": q,
                 "L": L,
-                "T": T,
-                "samples": estimate.samples,
-                "seed": args.seed,
-                "streams": args.streams,
-                "mean": estimate.mean,
-                "variance": estimate.variance,
-                "stderr_mean": estimate.stderr_mean,
-                "stderr_variance": estimate.stderr_variance,
+                "T": args.truncate if args.truncate is not None else math.inf,
+                **_estimate_fields(args, stats.negative),
                 "reference": bound.to_float(),
-                "log10_reference": _log10(bound),
-                "ratio": estimate.mean / bound.to_float() if not bound.is_zero else None,
+                "log10_reference": bound.log10,
+                "ratio": stats.negative.mean / bound.to_float() if not bound.is_zero else None,
             }
         )
     _emit(args, constants, columns, rows)
@@ -347,12 +312,12 @@ def cmd_orderstats(args: argparse.Namespace, constants: Constants) -> int:
             "i": i,
             "beta": args.beta,
             "exact": exact.to_float(),
-            "log10_exact": _log10(exact),
+            "log10_exact": exact.log10,
         }
         if i <= args.beta * args.n:
             bound = chernoff_bound(args.n, i, args.beta)
             row["chernoff"] = bound.to_float()
-            row["log10_chernoff"] = _log10(bound)
+            row["log10_chernoff"] = bound.log10
         rows.append(row)
     _emit(args, constants, columns, rows)
     return 0

@@ -63,8 +63,6 @@ class Constants:
     # lower envelope floor c/log n, active for p >= floor_threshold_C * log n
     envelope_floor_c: float = 0.25
     floor_threshold_C: float = 3.0
-    # smallest p for which the cubic-in-p lower formula is meaningful
-    lower_validity_C: float = 8.0
 
     # containment windows for the closed-form lemma scale checks
     mexpm_lo: float = 0.5
@@ -106,7 +104,6 @@ class Constants:
             "envelope_cap_C",
             "envelope_floor_c",
             "floor_threshold_C",
-            "lower_validity_C",
             "tails_gap_c",
             "neg_moment_v",
         ):

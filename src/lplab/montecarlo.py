@@ -20,15 +20,17 @@ needs the fourth moment).
 One sampling loop serves every estimator.  `_stream_blocks` yields the
 blocks of each stream in order: the stream's quota split into chunks of
 `_chunk_rows` rows (pairs of vectors for the lower identity).
-`_reduce_rows` turns a block into per-row statistics, walking it in row
-tiles of about 2^16 doubles: a tile's |x|, row peaks and max-scaled
-copy (and their capped forms min(|x|, T)) are built once and serve
-every norm and log power sum asked for, so `mc_grid_stats` estimates a
-whole grid of p, caps and a negative moment from one generation of the
-draws.  The tile height cannot change a bit of the output: each value
-is a reduction over one row alone, written into a full-chunk vector,
-and every accumulator still sees one batch per chunk, with the same
-chunk boundaries and merge tree as a single-estimator call.
+The row reducer `gaussian._reduce_rows`, which also serves
+`lp_norm_rows` and so the random sections, turns a block into per-row
+statistics, walking it in row tiles of about 2^16 doubles: a tile's
+|x|, row peaks and max-scaled copy (and their capped forms
+min(|x|, T)) are built once and serve every norm and log power sum
+asked for, so `mc_grid_stats` estimates a whole grid of p, caps and a
+negative moment from one generation of the draws.  The tile height
+cannot change a bit of the output: each value is a reduction over one
+row alone, written into a full-chunk vector, and every accumulator
+still sees one batch per chunk, with the same chunk boundaries and
+merge tree as a single-estimator call.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
+from .gaussian import _reduce_rows
 from .logdomain import LogValue
 from .variance import quantile_power_sum
 
 _U53 = float(1 << 53)
+# doubles per sample chunk; net evaluation blocks use the same budget
+_CHUNK_ELEMS = 1 << 21
 # z for the 95% Wilson interval
 _WILSON_Z = 1.959963984540054
 
@@ -191,7 +196,7 @@ def _stream_quota(samples: int, streams: int, index: int) -> int:
 
 
 def _chunk_rows(n: int, constants: Constants) -> int:
-    rows = max(1, min((1 << 21) // max(n, 1), 8192))
+    rows = max(1, min(_CHUNK_ELEMS // max(n, 1), 8192))
     if rows * n * 8 > constants.memory_guard_bytes:
         raise DomainError(
             f"a single sample chunk ({rows}x{n} doubles) exceeds the memory guard"
@@ -253,55 +258,6 @@ def _fold_streams(
         for accs, values in zip(per_stream, statistics(block), strict=True):
             accs[index] = accs[index].merge(MomentAccumulator.from_batch(values))
     return [merge_pairwise(accs) for accs in per_stream]
-
-
-# doubles per reducer tile: about 64 rows at n = 1000, one row from n = 65536
-_TILE_ELEMS = 1 << 16
-
-
-def _max_factored(
-    magnitudes: np.ndarray, peaks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(peaks, log of the peaks, magnitudes / peaks), zero rows scaled by 1."""
-    safe = np.where(peaks > 0.0, peaks, 1.0)
-    return peaks, np.log(safe), magnitudes / safe[:, None]
-
-
-def _reduce_rows(
-    block: np.ndarray, requests: list[tuple[float, bool, bool]], T: float
-) -> np.ndarray:
-    """Per-row statistics of a block, one output row per request.
-
-    A request (p, capped, log) asks, for each row x, for the lp norm of
-    a (log false; p = inf allowed) or for log sum_i a_i^p, max-factored
-    and -inf for a zero row (log true), where a = min(|x|, T) if capped
-    and a = |x| otherwise.  The block is walked in tiles of about
-    _TILE_ELEMS doubles; each tile's magnitudes, row peaks and scaled
-    copy are built once and serve every request.
-    """
-    rows, n = block.shape
-    out = np.empty((len(requests), rows))
-    tile = max(1, _TILE_ELEMS // max(n, 1))
-    kinds = {capped for _, capped, _ in requests}
-    for start in range(0, rows, tile):
-        part = slice(start, start + tile)
-        magnitudes = np.abs(block[part])
-        peaks = magnitudes.max(axis=1)
-        factored = {}
-        if False in kinds:
-            factored[False] = _max_factored(magnitudes, peaks)
-        if True in kinds:
-            # the peak of min(|x|, T) is min(peak, T), exactly
-            factored[True] = _max_factored(np.minimum(magnitudes, T), np.minimum(peaks, T))
-        for k, (p, capped, log) in enumerate(requests):
-            row_peaks, log_peaks, scaled = factored[capped]
-            if math.isinf(p) and not log:
-                out[k, part] = row_peaks
-                continue
-            sums = (scaled**p).sum(axis=1)
-            log_sums = np.where(row_peaks > 0.0, p * log_peaks + np.log(sums), -np.inf)
-            out[k, part] = log_sums if log else np.exp(log_sums / p)
-    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,6 +23,7 @@ from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
 from .gaussian import quantile_tail
 from .logdomain import LogValue
+from .montecarlo import _uniforms
 
 
 def _validate_n_i(n: int, i: int) -> None:
@@ -129,10 +130,7 @@ def sample_top_orderstats(n: int, k_top: int, rng: np.random.Generator) -> np.nd
     """
     if not 1 <= k_top <= n:
         raise DomainError(f"need 1 <= k_top <= n, got k_top={k_top}, n={n}")
-    # uniforms from raw 53-bit integers: open interval, reproducible bits
-    raw = rng.integers(0, 1 << 53, size=k_top, dtype=np.uint64)
-    uniforms = (raw.astype(np.float64) + 0.5) / float(1 << 53)
-    exponentials = -np.log(uniforms)
+    exponentials = -np.log(_uniforms(rng, (k_top,)))
     denominators = n - np.arange(k_top, dtype=np.float64)
     partial = np.cumsum(exponentials / denominators)
     # tail probability of the j-th top coordinate: 1 - exp(-S_j)

@@ -31,10 +31,9 @@ import numpy as np
 
 from .errors import DomainError
 from .gaussian import lp_norm_rows
-from .montecarlo import RngStream, gaussian_draws, wilson_interval
+from .montecarlo import _CHUNK_ELEMS, RngStream, gaussian_draws, wilson_interval
 
 _ORTHO_TOL = 1e-10
-_EVAL_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,8 +204,10 @@ def _net_extremes(
 ) -> tuple[float, float]:
     sup_value = -math.inf
     inf_value = math.inf
-    for start in range(0, points.shape[0], _EVAL_BLOCK_ROWS):
-        block = points[start : start + _EVAL_BLOCK_ROWS]
+    # ambient blocks of at most one Monte Carlo chunk of doubles
+    step = max(1, _CHUNK_ELEMS // basis.n)
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step]
         ambient = block @ basis.columns.T
         values = lp_norm_rows(ambient, p)
         sup_value = max(sup_value, float(values.max()))

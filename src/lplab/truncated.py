@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
+from .config import DEFAULT_CONSTANTS
 from .errors import DomainError, NumericalError
-from .gaussian import abs_moment, abs_tail_log
+from .gaussian import _LOG_SQRT_2_OVER_PI, abs_moment, abs_tail_log
 from .logdomain import BoundBracket, LogValue
 
-_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 # e-folds below the peak at which the integrand is clipped
 _CLIP_EFOLDS = 60.0
 _QUAD_REL_TOL = 1e-12
@@ -210,8 +210,6 @@ def moment_bracket(
     constants config; the quadrature value must land inside the bracket.
     """
     if factors is None:
-        from .config import DEFAULT_CONSTANTS
-
         factors = (
             DEFAULT_CONSTANTS.moment_bracket_lo,
             DEFAULT_CONSTANTS.moment_bracket_hi,

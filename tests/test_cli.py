@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -118,6 +119,28 @@ class TestMcCommand:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+    # stdout of two small sweeps, one per net construction (k = 2
+    # half-circle grid, k = 3 rings); apart from the dropped
+    # lower_validity_C header line, the same bytes as before sections
+    # moved onto the Monte Carlo row reducer
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
+                "765f5eed2f27d138a19d8507d637cd7e20be421768f0677d5f48866e2a9a1321",
+            ),
+            (
+                "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
+                "ca75b77fa043845b1ab7171054b82bec02a832fe2e24f9281e491a4fdda6a888",
+            ),
+        ],
+    )
+    def test_stdout_golden(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_csv_and_json_agree(self, capsys):
         argv = ["mc", "--n", "5", "--p", "2", "--samples", "400"]
@@ -274,6 +297,28 @@ class TestDvoretzkyCommand:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
+    # stdout of two small sweeps, one per net construction (k = 2
+    # half-circle grid, k = 3 rings); apart from the dropped
+    # lower_validity_C header line, the same bytes as before sections
+    # moved onto the Monte Carlo row reducer
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
+                "765f5eed2f27d138a19d8507d637cd7e20be421768f0677d5f48866e2a9a1321",
+            ),
+            (
+                "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
+                "ca75b77fa043845b1ab7171054b82bec02a832fe2e24f9281e491a4fdda6a888",
+            ),
+        ],
+    )
+    def test_stdout_golden(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestPlumbing:
     @pytest.mark.parametrize(
@@ -331,6 +376,6 @@ class TestPlumbing:
         )
         payload = json.loads(out)
         assert set(payload) == {"config", "rows", "schema_version"}
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["rows"][0]["regime"] == "LOW"
         assert "constants.n_min" in payload["config"]

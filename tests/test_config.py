@@ -1,6 +1,8 @@
 """Constants configuration: parsing, validation, fixture integrity."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,25 @@ def test_dump_is_sorted_and_complete():
     keys = [l.split("=")[0].strip() for l in lines]
     assert keys == sorted(keys)
     assert len(keys) == len(dataclasses.fields(Constants))
+
+
+def test_every_constant_is_read():
+    # a constant that no code, tool or test names is never checked, yet
+    # it is echoed in every CLI header; config.py, the fixture and this
+    # file name every field by construction
+    root = Path(__file__).resolve().parent.parent
+    texts = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tools", "tests")
+        for path in (root / folder).rglob("*.py")
+        if path.name not in ("config.py", "test_config.py")
+    ]
+    unread = [
+        field.name
+        for field in dataclasses.fields(Constants)
+        if not any(re.search(rf"\b{field.name}\b", text) for text in texts)
+    ]
+    assert unread == []
 
 
 def test_comments_and_blanks_ignored():

@@ -245,15 +245,47 @@ class TestLpNorm:
         x = [1e-220, 1e-220]
         assert lp_norm(x, 3.0) == pytest.approx(1e-220 * 2 ** (1 / 3.0), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_vector(self):
         assert lp_norm([0.0, 0.0], 2.5) == 0.0
+        assert lp_norm_rows(np.zeros((2, 3)), 2.5).tolist() == [0.0, 0.0]
 
+    def test_nan_propagates(self):
+        # a NaN coordinate must not read as a zero row
+        assert math.isnan(lp_norm([math.nan, 1.0], 2.0))
+        assert math.isnan(lp_norm_rows(np.array([[1.0, 2.0], [1.0, math.nan]]), 7.5)[1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_matches_scalar(self):
-        rows = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -0.25]])
-        for p in (1.0, 2.0, 7.5, math.inf):
+        # lp_norm and lp_norm_rows are one reducer, so both are held to
+        # 50-digit mpmath; the max-factored log form costs about
+        # |log max| ulp, hence the tolerance grows with the row's scale
+        rng = np.random.default_rng(3)
+        rows = np.array(
+            [
+                np.zeros(6),
+                [1.0, -2.0, 3.0, 0.5, 0.0, -0.25],
+                rng.standard_normal(6),
+                1e200 * rng.standard_normal(6),
+                1e-200 * rng.standard_normal(6),
+                [1e200, -1e200, 3e199, 0.0, 1e-200, 2.0],
+            ]
+        )
+        for p in (1.0, 2.0, 7.5, 400.0, math.inf):
             got = lp_norm_rows(rows, p)
-            want = [lp_norm(list(r), p) for r in rows]
-            assert got == pytest.approx(want, rel=1e-12)
+            with mp.workdps(50):
+                for row, value in zip(rows, got):
+                    assert lp_norm(row, p) == value
+                    magnitudes = [abs(mp.mpf(float(v))) for v in row]
+                    if math.isinf(p):
+                        want = max(magnitudes)
+                    else:
+                        want = mp.fsum(m**p for m in magnitudes) ** (1 / mp.mpf(p))
+                    if want == 0:
+                        assert value == 0.0
+                        continue
+                    scale = 1.0 + abs(math.log(float(max(magnitudes))))
+                    assert abs(mp.mpf(value) - want) <= 4 * 2.0**-52 * scale * want
 
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import lplab.subspaces
 from lplab import (
     RngStream,
     SubspaceBasis,
     distortion,
+    lp_norm_rows,
     random_subspace,
     sphere_net,
     sphericity_experiment,
@@ -174,6 +176,28 @@ class TestDistortion:
     def test_p_validation(self):
         with pytest.raises(DomainError):
             distortion(_haar_basis(5, 2, seed=0), 0.5, 0.1)
+
+    def test_ambient_blocks_within_chunk_budget(self, monkeypatch):
+        # the net's image in R^n is evaluated in blocks of at most one
+        # Monte Carlo chunk (2^21 doubles), so large n cannot allocate
+        # points x n at once
+        shapes = []
+
+        def recording(rows, p):
+            shapes.append(rows.shape)
+            return lp_norm_rows(rows, p)
+
+        monkeypatch.setattr(lplab.subspaces, "lp_norm_rows", recording)
+        n = 100_000
+        b = _haar_basis(n, 2, seed=2)
+        r = distortion(b, 10.0, 0.05)
+        points, _ = sphere_net(2, 0.05)
+        assert len(shapes) > 1
+        assert all(rows * cols <= 1 << 21 for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == points.shape[0]
+        whole = lp_norm_rows(points @ b.columns.T, 10.0)
+        assert r.sup_ratio == pytest.approx(whole.max(), rel=1e-14)
+        assert r.inf_ratio == pytest.approx(whole.min(), rel=1e-14)
 
 
 class TestSphericityExperiment:
