@@ -361,6 +361,7 @@ def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
         args.seed,
         epsilon_sub=args.eps,
         epsilon_super_w=args.eps_w,
+        constants=constants,
     )
     for row in sweep:
         result = row.result

@@ -19,16 +19,24 @@ larger k falls back to random directions and is labeled uncertified.
 The phase experiments count a trial as success only when the certified
 upper bound on distortion clears the target, count it as failure only
 when the net itself (honest sphere points) already exceeds the target,
-and report everything in between as ambiguous.
+and report everything in between as ambiguous.  Each trial evaluates
+its subspace on a ladder of nets, resolution doubling down from the
+coarsest below 1 to the requested one, and stops at the first rung
+that settles it.  A coarse rung's certificate and net values bound the
+true distortion just as the finest net's do, so no trial swaps between
+success and failure against the single requested net; only trials that
+net leaves ambiguous can change, and only by settling.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
 from .gaussian import lp_norm_rows
 from .montecarlo import _CHUNK_ELEMS, RngStream, gaussian_draws, wilson_interval
@@ -88,10 +96,10 @@ def random_subspace(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
-def _ring_product(k: int, colat_lo: float, colat_hi: float, chord: float) -> np.ndarray:
-    """Colatitude rings over [colat_lo, colat_hi] with full-sphere fibers.
+def _rings(colat_lo: float, colat_hi: float, chord: float):
+    """Yield (colatitude, fiber chord) of each ring over [colat_lo, colat_hi].
 
-    Writing x = (cos phi, sin phi * u) with u on S^{k-2}, the chordal
+    On S^{k-1}, writing x = (cos phi, sin phi * u) with u on S^{k-2}, the chordal
     distance to a ring point y = (cos theta, sin theta * v) satisfies the
     exact identity
 
@@ -106,7 +114,6 @@ def _ring_product(k: int, colat_lo: float, colat_hi: float, chord: float) -> np.
     span = colat_hi - colat_lo
     ring_count = max(1, math.ceil(span / step))
     step = span / ring_count
-    blocks = []
     for r in range(ring_count):
         theta = colat_lo + (r + 0.5) * step
         lo, hi = theta - 0.5 * step, theta + 0.5 * step
@@ -116,15 +123,30 @@ def _ring_product(k: int, colat_lo: float, colat_hi: float, chord: float) -> np.
             sin_sup = max(math.sin(lo), math.sin(hi))
         weight = sin_sup * math.sin(theta)
         if weight <= 0.0:
-            fiber_chord = 2.0
+            yield theta, 2.0
         else:
-            fiber_chord = min(2.0, component / math.sqrt(weight))
+            yield theta, min(2.0, component / math.sqrt(weight))
+
+
+def _ring_product(k: int, colat_lo: float, colat_hi: float, chord: float) -> np.ndarray:
+    """Colatitude rings over [colat_lo, colat_hi] with full-sphere fibers."""
+    blocks = []
+    for r, (theta, fiber_chord) in enumerate(_rings(colat_lo, colat_hi, chord)):
         fiber = _fiber_net(k - 1, fiber_chord, r)
         block = np.empty((fiber.shape[0], k))
         block[:, 0] = math.cos(theta)
         block[:, 1:] = math.sin(theta) * fiber
         blocks.append(block)
     return np.concatenate(blocks, axis=0)
+
+
+def _circle_count(chord: float) -> int:
+    return max(1, math.ceil(math.pi / (2.0 * math.asin(chord / 2.0))))
+
+
+def _half_circle_count(resolution: float) -> int:
+    # angular spacing pi/N; worst offset pi/(2N); chord 2 sin(pi/(4N))
+    return max(2, math.ceil(math.pi / (4.0 * math.asin(resolution / 2.0))))
 
 
 def _fiber_net(k: int, chord: float, stagger: int = 0) -> np.ndarray:
@@ -136,7 +158,7 @@ def _fiber_net(k: int, chord: float, stagger: int = 0) -> np.ndarray:
     if k == 1:
         return np.array([[1.0], [-1.0]])
     if k == 2:
-        count = max(1, math.ceil(math.pi / (2.0 * math.asin(chord / 2.0))))
+        count = _circle_count(chord)
         angles = 2.0 * math.pi * np.arange(count) / count + stagger * _GOLDEN_ANGLE
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return _ring_product(k, 0.0, math.pi, chord)
@@ -157,14 +179,41 @@ def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
     if k == 1:
         return np.array([[1.0]]), 0.0
     if k == 2:
-        # angular spacing pi/N; worst offset pi/(2N); chord 2 sin(pi/(4N))
-        count = max(2, math.ceil(math.pi / (4.0 * math.asin(resolution / 2.0))))
+        count = _half_circle_count(resolution)
         angles = (np.arange(count) + 0.5) * math.pi / count
         points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return points, 2.0 * math.sin(math.pi / (4.0 * count))
     if k in (3, 4):
         return _ring_product(k, 0.0, 0.5 * math.pi, resolution), resolution
     raise DomainError(f"certified nets are implemented for k <= 4, got k={k}")
+
+
+def _fiber_sizes(k: int, chord: float):
+    """Yield the point count of each block `_fiber_net(k, chord)` builds."""
+    if chord >= 2.0:
+        yield 1
+    elif k == 1:
+        yield 2
+    elif k == 2:
+        yield _circle_count(chord)
+    else:
+        for _, fiber_chord in _rings(0.0, math.pi, chord):
+            yield from _fiber_sizes(k - 1, fiber_chord)
+
+
+def _net_sizes(k: int, resolution: float):
+    """Yield the point count of each block of `sphere_net(k, resolution)`.
+
+    Counts follow the builder ring by ring without allocating points, so
+    a caller can stop as soon as a running total is too large.
+    """
+    if k == 1:
+        yield 1
+    elif k == 2:
+        yield _half_circle_count(resolution)
+    else:
+        for _, fiber_chord in _rings(0.0, 0.5 * math.pi, resolution):
+            yield from _fiber_sizes(k - 1, fiber_chord)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,6 +346,35 @@ class SphericityResult:
     seed: int
 
 
+def _check_section_request(
+    n: int, k: int, net_resolution: float, constants: Constants
+) -> None:
+    """Refuse a request whose basis or finest net exceeds the memory guard."""
+    if not 1 <= k <= min(n, 4):
+        raise DomainError(
+            f"certified sections need 1 <= k <= min(n, 4), got k={k}, n={n}"
+        )
+    if not 0.0 < net_resolution < 1.0:
+        raise DomainError(f"need resolution in (0, 1), got {net_resolution}")
+    guard = constants.memory_guard_bytes
+    if n * k * 8 > guard:
+        raise DomainError(
+            f"a {n}x{k} basis exceeds the memory guard ({guard} bytes)"
+        )
+    limit = guard // (8 * k)
+    # a cap of chordal radius r meets a great circle in an arc of angle
+    # at most 4 asin(r/2), so any net of S^{k-1}, k >= 2, up to sign has
+    # at least pi / (4 asin(r/2)) points; this refuses resolutions far
+    # too fine in one step, before the ring-by-ring count
+    hopeless = k >= 2 and math.pi > limit * 4.0 * math.asin(net_resolution / 2.0)
+    sizes = itertools.accumulate(_net_sizes(k, net_resolution))
+    if hopeless or any(total > limit for total in sizes):
+        raise DomainError(
+            f"the k={k} net at resolution {net_resolution} exceeds the memory"
+            f" guard ({guard} bytes)"
+        )
+
+
 def sphericity_experiment(
     n: int,
     k: int,
@@ -305,27 +383,46 @@ def sphericity_experiment(
     trials: int,
     net_resolution: float,
     seed: int,
+    constants: Constants = DEFAULT_CONSTANTS,
 ) -> SphericityResult:
     """Fraction of random k-subspaces that are (1+epsilon)-round in p-norm.
 
     Trial t draws its subspace from stream (seed, t), so the experiment
     is reproducible and embarrassingly parallel; counting is conservative
     per the distortion certification rules.
+
+    Each trial walks the resolutions net_resolution * 2^j < 1 from coarse
+    to fine and stops at the first one that settles it: success when the
+    certified upper bound clears 1 + epsilon, failure when the net
+    distortion exceeds it.  Every rung's bounds hold for the true
+    distortion, so no trial can swap between success and failure
+    relative to a single net at net_resolution; a trial that net leaves
+    ambiguous may settle on a coarser rung, and one still open at the
+    finest rung is judged on exactly that net.  k, the resolution and
+    the sizes of the basis and the finest net are checked against
+    constants.memory_guard_bytes before any basis is drawn.
     """
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DomainError(f"need epsilon > 0, got {epsilon}")
+    _check_section_request(n, k, net_resolution, constants)
     target = 1.0 + epsilon
+    ladder = [net_resolution]
+    while 2.0 * ladder[-1] < 1.0:
+        ladder.append(2.0 * ladder[-1])
     successes = failures = ambiguous = 0
     for trial in range(trials):
         rng = RngStream(seed, trial).generator()
         basis = random_subspace(n, k, rng)
-        result = distortion(basis, p, net_resolution)
-        if result.certified_upper <= target:
-            successes += 1
-        elif result.distortion > target:
-            failures += 1
+        for level in reversed(ladder):
+            result = distortion(basis, p, level)
+            if result.certified_upper <= target:
+                successes += 1
+                break
+            if result.distortion > target:
+                failures += 1
+                break
         else:
             ambiguous += 1
     low, high = wilson_interval(successes, trials)
@@ -365,6 +462,7 @@ def transition_sweep(
     seed: int,
     epsilon_sub: float = 0.1,
     epsilon_super_w: float = 0.5,
+    constants: Constants = DEFAULT_CONSTANTS,
 ) -> list[SweepRow]:
     """Phase scan around p = 2 log n.
 
@@ -373,30 +471,32 @@ def transition_sweep(
     at epsilon = w / log n.  delta = 0 evaluates the critical point
     itself and is flagged in_window: inside the transition window no
     direction is asserted.  Seeds are offset per row so rows stay
-    independent yet reproducible.
+    independent yet reproducible.  The whole delta grid is checked before
+    any row runs.
     """
+    for delta in delta_grid:
+        if not 0.0 <= delta < 2.0:
+            raise DomainError(f"need delta in [0, 2), got {delta}")
     log_n = math.log(n)
     rows: list[SweepRow] = []
     for row_index, delta in enumerate(sorted(delta_grid)):
-        if delta < 0.0 or delta >= 2.0:
-            raise DomainError(f"need delta in [0, 2), got {delta}")
         row_seed = seed + 1000 * row_index
         if delta == 0.0:
             p_mid = 2.0 * log_n
             result = sphericity_experiment(
-                n, k, p_mid, epsilon_sub, trials, net_resolution, row_seed
+                n, k, p_mid, epsilon_sub, trials, net_resolution, row_seed, constants
             )
             rows.append(SweepRow(delta, "window", p_mid, epsilon_sub, result, True))
             continue
         p_sub = (2.0 - delta) * log_n
         result_sub = sphericity_experiment(
-            n, k, p_sub, epsilon_sub, trials, net_resolution, row_seed
+            n, k, p_sub, epsilon_sub, trials, net_resolution, row_seed, constants
         )
         rows.append(SweepRow(delta, "sub", p_sub, epsilon_sub, result_sub, False))
         p_super = (2.0 + delta) * log_n
         eps_super = epsilon_super_w / log_n
         result_super = sphericity_experiment(
-            n, k, p_super, eps_super, trials, net_resolution, row_seed + 500
+            n, k, p_super, eps_super, trials, net_resolution, row_seed + 500, constants
         )
         rows.append(SweepRow(delta, "super", p_super, eps_super, result_super, False))
     return rows

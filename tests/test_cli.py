@@ -10,6 +10,7 @@ import math
 import pytest
 
 import lplab.cli
+import lplab.subspaces
 from lplab import (
     DEFAULT_CONSTANTS,
     dump_constants,
@@ -119,28 +120,6 @@ class TestMcCommand:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
-
-    # stdout of two small sweeps, one per net construction (k = 2
-    # half-circle grid, k = 3 rings); apart from the dropped
-    # lower_validity_C header line, the same bytes as before sections
-    # moved onto the Monte Carlo row reducer
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
-                "765f5eed2f27d138a19d8507d637cd7e20be421768f0677d5f48866e2a9a1321",
-            ),
-            (
-                "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
-                "ca75b77fa043845b1ab7171054b82bec02a832fe2e24f9281e491a4fdda6a888",
-            ),
-        ],
-    )
-    def test_stdout_golden(self, capsys, argv, digest):
-        code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_csv_and_json_agree(self, capsys):
         argv = ["mc", "--n", "5", "--p", "2", "--samples", "400"]
@@ -297,10 +276,12 @@ class TestDvoretzkyCommand:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
-    # stdout of two small sweeps, one per net construction (k = 2
+    # stdout of small sweeps, one per net construction (k = 2
     # half-circle grid, k = 3 rings); apart from the dropped
-    # lower_validity_C header line, the same bytes as before sections
-    # moved onto the Monte Carlo row reducer
+    # lower_validity_C header line, the first two are the same bytes as
+    # before sections moved onto the Monte Carlo row reducer; the third
+    # is the benchmark's k = 3 op, pinned before trials stopped at the
+    # first settled net resolution
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -312,12 +293,46 @@ class TestDvoretzkyCommand:
                 "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
                 "ca75b77fa043845b1ab7171054b82bec02a832fe2e24f9281e491a4fdda6a888",
             ),
+            (
+                "--n 2000 --k 3 --net-resolution 0.05 --delta 0.5 --trials 2 --seed 0",
+                "026818dece8f77360b19449013d2cfd690142c7c52f72159a6a813c23c5a474b",
+            ),
         ],
     )
     def test_stdout_golden(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the default resolution 0.004 gives 109,668,622 points at k = 4
+            ("--n 100 --k 4", "memory guard"),
+            ("--n 100 --k 5", "k <= min(n, 4)"),
+            ("--n 100 --net-resolution 1.5", "resolution in (0, 1)"),
+        ],
+    )
+    def test_request_refused_before_any_basis(self, capsys, monkeypatch, argv, message):
+        def no_basis(*args):
+            raise AssertionError("a basis was drawn before the request was checked")
+
+        monkeypatch.setattr(lplab.subspaces, "random_subspace", no_basis)
+        code, out, err = run_cli(capsys, ["dvoretzky", *argv.split()])
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("deltas", ["0.5,2.5", "0.5,nan"])
+    def test_delta_grid_refused_before_any_row(self, capsys, monkeypatch, deltas):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran before the delta grid was checked")
+
+        monkeypatch.setattr(lplab.subspaces, "sphericity_experiment", no_rows)
+        code, out, err = run_cli(
+            capsys, ["dvoretzky", "--n", "10000", "--delta", deltas, "--trials", "40"]
+        )
+        assert code == 2 and out == ""
+        assert "need delta in [0, 2)" in err
 
 
 class TestPlumbing:

@@ -1,5 +1,6 @@
 """Random subspaces, certified sphere nets, and distortion experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import lplab.subspaces
 from lplab import (
+    DEFAULT_CONSTANTS,
     RngStream,
     SubspaceBasis,
     distortion,
@@ -98,6 +100,13 @@ class TestSphereNet:
         coarse, _ = sphere_net(3, 0.4)
         fine, _ = sphere_net(3, 0.1)
         assert len(fine) > 4 * len(coarse)
+
+    @pytest.mark.parametrize(
+        "k,res", [(1, 0.5), (2, 0.004), (2, 0.3), (3, 0.05), (3, 0.4), (4, 0.1)]
+    )
+    def test_counted_size_matches_builder(self, k, res):
+        points, _ = sphere_net(k, res)
+        assert sum(lplab.subspaces._net_sizes(k, res)) == points.shape[0]
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -232,6 +241,96 @@ class TestSphericityExperiment:
             sphericity_experiment(10, 2, 3.0, 0.1, 0, net_resolution=0.1, seed=0)
         with pytest.raises(DomainError):
             sphericity_experiment(10, 2, 3.0, 0.0, 5, net_resolution=0.1, seed=0)
+        with pytest.raises(DomainError):
+            sphericity_experiment(10, 2, 3.0, math.nan, 5, net_resolution=0.1, seed=0)
+
+    def test_ladder_never_swaps_verdicts(self):
+        # one-trial verdicts against a single net at the requested
+        # resolution on the same basis: a settled reference must be
+        # matched, an ambiguous one may settle either way
+        n = 30
+        log_n = math.log(n)
+        cases = [(2, 0.004, 1.5, 0.3), (2, 0.004, 2.5, 0.3),
+                 (3, 0.05, 1.5, 0.5), (3, 0.05, 2.5, 0.3)]
+        seen = set()
+        for k, res, factor, eps in cases:
+            p = factor * log_n
+            for seed in range(40):
+                basis = _haar_basis(n, k, seed)
+                ref = distortion(basis, p, res)
+                if ref.certified_upper <= 1.0 + eps:
+                    expected = (1, 0, 0)
+                elif ref.distortion > 1.0 + eps:
+                    expected = (0, 1, 0)
+                else:
+                    expected = None
+                r = sphericity_experiment(n, k, p, eps, 1, res, seed)
+                got = (r.successes, r.failures, r.ambiguous)
+                if expected is not None:
+                    assert got == expected, (k, res, factor, eps, seed)
+                seen.add(expected)
+        assert {(1, 0, 0), (0, 1, 0), None} <= seen
+
+    @pytest.mark.parametrize(
+        "n,p,eps,res,verdict",
+        [
+            (50, 2.0, 0.1, 0.02, (1, 0, 0)),
+            (50, math.inf, 0.01, 0.02, (0, 1, 0)),
+            (50, 2.0, 0.1, 0.35, (0, 0, 1)),
+        ],
+    )
+    def test_ladder_coarse_to_fine_first_settled(self, monkeypatch, n, p, eps, res, verdict):
+        calls = []
+
+        def recording(basis, p, level):
+            result = distortion(basis, p, level)
+            calls.append((level, result))
+            return result
+
+        monkeypatch.setattr(lplab.subspaces, "distortion", recording)
+        r = sphericity_experiment(n, 2, p, eps, 1, net_resolution=res, seed=3)
+        assert (r.successes, r.failures, r.ambiguous) == verdict
+        ladder = [res * 2.0**j for j in range(10) if res * 2.0**j < 1.0][::-1]
+        levels = [level for level, _ in calls]
+        assert levels == ladder[: len(levels)]
+        target = 1.0 + eps
+        settled = [
+            result.certified_upper <= target or result.distortion > target
+            for _, result in calls
+        ]
+        if verdict == (0, 0, 1):
+            assert levels[-1] == res and not any(settled)
+        else:
+            assert settled == [False] * (len(calls) - 1) + [True]
+
+    def test_request_checked_before_any_basis(self, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("a basis was drawn before the request was checked")
+
+        monkeypatch.setattr(lplab.subspaces, "random_subspace", no_basis)
+        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
+        # k = 3 at resolution 0.008 is 49,358 points, 1,184,592 bytes;
+        # a 50,000 x 3 basis is 1,200,000 bytes; the last two are refused
+        # by the lower bound on net size, without a ring-by-ring count
+        for n, k, res in [(100, 3, 0.008), (50_000, 3, 0.1), (100, 3, 1e-300),
+                          (100, 2, 5e-324)]:
+            with pytest.raises(DomainError, match="memory guard"):
+                sphericity_experiment(n, k, 5.0, 0.1, 2, res, seed=0, constants=tiny)
+        for n, k, res in [(10, 5, 0.1), (3, 4, 0.1), (10, 0, 0.1), (10, 2, 0.0),
+                          (10, 2, 1.0), (10, 2, math.nan)]:
+            with pytest.raises(DomainError):
+                sphericity_experiment(n, k, 5.0, 0.1, 2, res, seed=0)
+
+    @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
+    def test_guard_admits_net_at_its_size(self, k, res):
+        points, _ = sphere_net(k, res)
+        size = points.shape[0] * k * 8
+        exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
+        r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=exact)
+        assert r.trials == 1
+        short = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size - 1)
+        with pytest.raises(DomainError, match="memory guard"):
+            sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=short)
 
 
 class TestTransitionSweep:
@@ -265,3 +364,5 @@ class TestTransitionSweep:
             transition_sweep(30, 2, [-0.1], trials=2, net_resolution=0.1, seed=0)
         with pytest.raises(DomainError):
             transition_sweep(30, 2, [2.0], trials=2, net_resolution=0.1, seed=0)
+        with pytest.raises(DomainError):
+            transition_sweep(30, 2, [0.5, math.nan], trials=2, net_resolution=0.1, seed=0)
