@@ -17,9 +17,24 @@ Accumulation tracks central moments up to order four so that variance
 estimates carry honest standard errors (variance of the sample variance
 needs the fourth moment).
 
-One sampling loop serves every estimator.  `_stream_blocks` yields the
-blocks of each stream in order: the stream's quota split into chunks of
-`_chunk_rows` rows (pairs of vectors for the lower identity).
+One sampling loop serves every estimator.  `_fold_streams` runs each
+stream as one task on a thread pool of min(usable cores, streams)
+workers (fewer if the memory guard admits fewer blocks in flight); a
+task draws its quota in chunks of `_chunk_rows` rows (pairs of vectors
+for the lower identity) and folds them, in chunk order, into that
+stream's own state.  The main thread then merges the per-stream
+moment accumulators along the fixed pairwise tree, or sums the counts.
+Philox is counter-based, so a stream's draws do not depend on which
+thread runs it or when, and the reproducibility contract above holds
+for any worker count.
+
+Each task allocates one float64 buffer for its largest chunk and draws
+every chunk into it: the 53-bit integers are generated a fill tile at a
+time and converted in place, and ndtri runs in place.  A fresh block
+per chunk would be freed into the allocating thread's malloc arena,
+where glibc keeps it, so per-chunk blocks on several threads raise the
+peak resident size by about a block per thread per arena.
+
 The row reducer `gaussian._reduce_rows`, which also serves
 `lp_norm_rows` and so the random sections, turns a block into per-row
 statistics, walking it in row tiles of about 2^16 doubles: a tile's
@@ -36,8 +51,11 @@ merge tree as a single-estimator call.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 from scipy.special import ndtri
@@ -51,6 +69,12 @@ from .variance import quantile_power_sum
 _U53 = float(1 << 53)
 # doubles per sample chunk; net evaluation blocks use the same budget
 _CHUNK_ELEMS = 1 << 21
+# 53-bit integers drawn per fill tile: a 512 KiB temporary
+_FILL_ELEMS = 1 << 16
+# workers never outnumber the cores this process may run on
+_USABLE_CORES = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 # z for the 95% Wilson interval
 _WILSON_Z = 1.959963984540054
 
@@ -74,14 +98,36 @@ class RngStream:
         )
 
 
-def _uniforms(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Open-interval (0,1) uniforms built from raw 53-bit integers."""
-    raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    return (raw.astype(np.float64) + 0.5) / _U53
+def _uniforms(
+    gen: np.random.Generator, shape: tuple[int, ...], buffer: np.ndarray | None = None
+) -> np.ndarray:
+    """Open-interval (0,1) uniforms built from raw 53-bit integers.
+
+    The uniforms fill the leading elements of `buffer` (a float64 array
+    with at least prod(shape) elements; a new one if None) and come back
+    as a view of the given shape.  The integers are drawn a tile of
+    _FILL_ELEMS at a time, so no array of the full shape but the result
+    is ever alive.  Each integer uses one 64-bit Philox output, so the
+    tiles draw the same stream as one call of the full size.
+    """
+    size = math.prod(shape)
+    if buffer is None:
+        buffer = np.empty(size)
+    flat = buffer.reshape(-1)[:size]
+    for start in range(0, size, _FILL_ELEMS):
+        tile = flat[start : start + _FILL_ELEMS]
+        tile[...] = gen.integers(0, 1 << 53, size=tile.size, dtype=np.uint64)
+        tile += 0.5
+        tile /= _U53
+    return flat.reshape(shape)
 
 
-def gaussian_draws(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    return ndtri(_uniforms(gen, shape))
+def gaussian_draws(
+    gen: np.random.Generator, shape: tuple[int, ...], buffer: np.ndarray | None = None
+) -> np.ndarray:
+    """Standard Gaussians ndtri(u) of `_uniforms`, computed in place in `buffer`."""
+    draws = _uniforms(gen, shape, buffer)
+    return ndtri(draws, out=draws)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,42 +268,81 @@ def default_samples(n: int) -> int:
     return 100_000 if n <= 10_000 else 10_000
 
 
-def _stream_blocks(
-    n: int, samples: int, seed: int, streams: int, chunk: int, paired: bool = False
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (stream_index, block) for every chunk of every stream, in order.
-
-    Stream s draws its quota of samples in chunks of at most `chunk` rows.
-    With paired=True a sample is a pair of vectors: a chunk of r samples
-    is one (2r, n) block whose first r rows pair with its last r.
-    """
-    width = 2 if paired else 1
-    step = max(chunk // width, 1)
-    for index in range(streams):
-        gen = RngStream(seed, index).generator()
-        remaining = _stream_quota(samples, streams, index)
-        while remaining > 0:
-            rows = min(step, remaining)
-            yield index, gaussian_draws(gen, (width * rows, n))
-            remaining -= rows
+State = TypeVar("State")
 
 
 def _fold_streams(
-    blocks: Iterator[tuple[int, np.ndarray]],
+    fold: Callable[[State, np.ndarray], State],
+    initial: State,
+    n: int,
+    samples: int,
+    seed: int,
+    streams: int,
+    chunk: int,
+    constants: Constants,
+    paired: bool = False,
+) -> list[State]:
+    """Fold each stream's blocks into a state of its own; states by stream.
+
+    Stream s starts from `initial` and applies state = fold(state, block)
+    to its quota drawn in chunks of at most `chunk` rows, in order, all
+    drawn into one buffer that the stream reuses (fold must not keep a
+    block).  With paired=True a sample is a pair of vectors: a chunk of
+    r samples is one (2r, n) block whose first r rows pair with its last
+    r.  Each stream is one task on a pool of min(usable cores, streams)
+    threads, capped so that the memory guard admits every block in
+    flight.
+    """
+    width = 2 if paired else 1
+    step = max(chunk // width, 1)
+    block_elems = width * min(step, _stream_quota(samples, streams, 0)) * n
+    workers = min(
+        _USABLE_CORES, streams, max(1, constants.memory_guard_bytes // (8 * block_elems))
+    )
+
+    def run(index: int) -> State:
+        gen = RngStream(seed, index).generator()
+        buffer = np.empty(block_elems)
+        state = initial
+        remaining = _stream_quota(samples, streams, index)
+        while remaining > 0:
+            rows = min(step, remaining)
+            state = fold(state, gaussian_draws(gen, (width * rows, n), buffer))
+            remaining -= rows
+        return state
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(streams)))
+
+
+def _stream_moments(
     statistics: Callable[[np.ndarray], list[np.ndarray]],
     count: int,
+    n: int,
+    samples: int,
+    seed: int,
     streams: int,
+    chunk: int,
+    constants: Constants,
+    paired: bool = False,
 ) -> list[MomentAccumulator]:
     """Moments of `count` per-row statistics, merged per stream, then pairwise.
 
     statistics(block) returns `count` arrays of per-row values; each
     becomes one batch merged into its stream's accumulator.
     """
-    per_stream = [[MomentAccumulator.empty()] * streams for _ in range(count)]
-    for index, block in blocks:
-        for accs, values in zip(per_stream, statistics(block), strict=True):
-            accs[index] = accs[index].merge(MomentAccumulator.from_batch(values))
-    return [merge_pairwise(accs) for accs in per_stream]
+
+    def fold(accs: list[MomentAccumulator], block: np.ndarray) -> list[MomentAccumulator]:
+        return [
+            acc.merge(MomentAccumulator.from_batch(values))
+            for acc, values in zip(accs, statistics(block), strict=True)
+        ]
+
+    per_stream = _fold_streams(
+        fold, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
+        constants, paired,
+    )
+    return [merge_pairwise(list(accs)) for accs in zip(*per_stream)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,11 +426,10 @@ def mc_grid_stats(
         return values
 
     count = width * (3 if T is not None else 1) + (negative is not None)
-    blocks = _stream_blocks(n, samples, seed, streams, chunk)
-    estimates = [
-        _estimate(acc, seed, streams)
-        for acc in _fold_streams(blocks, statistics, count, streams)
-    ]
+    accumulators = _stream_moments(
+        statistics, count, n, samples, seed, streams, chunk, constants
+    )
+    estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
     if T is not None:
         pairs = estimates[width : 3 * width]
@@ -443,8 +527,9 @@ def mc_lower_identity(
         log_ss = np.logaddexp(log_sums[:rows], log_sums[rows:])
         return [np.exp(log_prefactor + 2.0 * log_diff + (2.0 / p - 2.0) * log_ss)]
 
-    blocks = _stream_blocks(n, samples, seed, streams, chunk, paired=True)
-    (acc,) = _fold_streams(blocks, statistics, 1, streams)
+    (acc,) = _stream_moments(
+        statistics, 1, n, samples, seed, streams, chunk, constants, paired=True
+    )
     return _estimate(acc, seed, streams)
 
 
@@ -501,10 +586,12 @@ def mc_small_ball(
     chunk = _validate_mc_args(n, samples, streams, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q).log
     request = [(q, not math.isinf(T), True)]
-    successes = 0
-    for _, block in _stream_blocks(n, samples, seed, streams, chunk):
+
+    def fold(successes: int, block: np.ndarray) -> int:
         log_sums = _reduce_rows(block, request, T)[0]
-        successes += int((log_sums <= log_threshold).sum())
+        return successes + int((log_sums <= log_threshold).sum())
+
+    successes = sum(_fold_streams(fold, 0, n, samples, seed, streams, chunk, constants))
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(
         probability=successes / samples,

@@ -270,6 +270,7 @@ def distortion(
     net_resolution: float,
     allow_uncertified: bool = False,
     rng: np.random.Generator | None = None,
+    constants: Constants = DEFAULT_CONSTANTS,
 ) -> DistortionResult:
     """sup/inf of the p-norm over the basis's unit sphere, net-certified.
 
@@ -277,6 +278,8 @@ def distortion(
     certified_rel_error whenever the Lipschitz bracket closes.  Larger k
     requires allow_uncertified=True and an rng for random directions;
     the estimate is then a pure lower bound (certified_rel_error = inf).
+    Its max(1000, 4 / net_resolution^2) directions of k doubles must fit
+    constants.memory_guard_bytes.
     """
     if not (math.isinf(p) or p >= 1.0):
         raise DomainError(f"need p >= 1 or inf, got {p}")
@@ -307,7 +310,16 @@ def distortion(
         )
     if rng is None:
         raise DomainError("uncertified mode needs an rng for random directions")
+    # sphere_net checks the resolution on the certified path
+    if not 0.0 < net_resolution < 1.0:
+        raise DomainError(f"need resolution in (0, 1), got {net_resolution}")
     count = max(1000, int(4.0 / (net_resolution * net_resolution)))
+    guard = constants.memory_guard_bytes
+    if count * basis.k * 8 > guard:
+        raise DomainError(
+            f"{count} random directions in R^{basis.k} exceed the memory guard"
+            f" ({guard} bytes)"
+        )
     directions = gaussian_draws(rng, (count, basis.k))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     sup_net, inf_net = _net_extremes(basis, p, directions)
@@ -346,10 +358,33 @@ class SphericityResult:
     seed: int
 
 
+def _ladder(net_resolution: float) -> list[float]:
+    """The resolutions net_resolution * 2^j < 1, finest first."""
+    ladder = [net_resolution]
+    while 2.0 * ladder[-1] < 1.0:
+        ladder.append(2.0 * ladder[-1])
+    return ladder
+
+
+def _net_fits(k: int, resolution: float, limit: int) -> bool:
+    """Whether sphere_net(k, resolution) has at most `limit` points."""
+    # a cap of chordal radius r meets a great circle in an arc of angle
+    # at most 4 asin(r/2), so any net of S^{k-1}, k >= 2, up to sign has
+    # at least pi / (4 asin(r/2)) points; this refuses resolutions far
+    # too fine in one step, before the ring-by-ring count
+    if k >= 2 and math.pi > limit * 4.0 * math.asin(resolution / 2.0):
+        return False
+    return all(total <= limit for total in itertools.accumulate(_net_sizes(k, resolution)))
+
+
 def _check_section_request(
     n: int, k: int, net_resolution: float, constants: Constants
 ) -> None:
-    """Refuse a request whose basis or finest net exceeds the memory guard."""
+    """Refuse a request whose basis or finest net exceeds the memory guard.
+
+    A refused net names the finest resolution of the ladder whose net
+    fits.
+    """
     if not 1 <= k <= min(n, 4):
         raise DomainError(
             f"certified sections need 1 <= k <= min(n, 4), got k={k}, n={n}"
@@ -362,17 +397,15 @@ def _check_section_request(
             f"a {n}x{k} basis exceeds the memory guard ({guard} bytes)"
         )
     limit = guard // (8 * k)
-    # a cap of chordal radius r meets a great circle in an arc of angle
-    # at most 4 asin(r/2), so any net of S^{k-1}, k >= 2, up to sign has
-    # at least pi / (4 asin(r/2)) points; this refuses resolutions far
-    # too fine in one step, before the ring-by-ring count
-    hopeless = k >= 2 and math.pi > limit * 4.0 * math.asin(net_resolution / 2.0)
-    sizes = itertools.accumulate(_net_sizes(k, net_resolution))
-    if hopeless or any(total > limit for total in sizes):
-        raise DomainError(
-            f"the k={k} net at resolution {net_resolution} exceeds the memory"
-            f" guard ({guard} bytes)"
-        )
+    if _net_fits(k, net_resolution, limit):
+        return
+    # the coarsest rung, in [1/2, 1), has at most 112 points and the
+    # guard is at least 1 MiB, so some coarser rung fits
+    fitting = next(level for level in _ladder(net_resolution)[1:] if _net_fits(k, level, limit))
+    raise DomainError(
+        f"the k={k} net at resolution {net_resolution} exceeds the memory"
+        f" guard ({guard} bytes); the finest resolution that fits is {fitting!r}"
+    )
 
 
 def sphericity_experiment(
@@ -408,9 +441,7 @@ def sphericity_experiment(
         raise DomainError(f"need epsilon > 0, got {epsilon}")
     _check_section_request(n, k, net_resolution, constants)
     target = 1.0 + epsilon
-    ladder = [net_resolution]
-    while 2.0 * ladder[-1] < 1.0:
-        ladder.append(2.0 * ladder[-1])
+    ladder = _ladder(net_resolution)
     successes = failures = ambiguous = 0
     for trial in range(trials):
         rng = RngStream(seed, trial).generator()

@@ -309,6 +309,10 @@ class TestDvoretzkyCommand:
         [
             # the default resolution 0.004 gives 109,668,622 points at k = 4
             ("--n 100 --k 4", "memory guard"),
+            (
+                "--n 10000 --k 4 --delta 0.5 --trials 2",
+                "memory guard (2147483648 bytes); the finest resolution that fits is 0.008",
+            ),
             ("--n 100 --k 5", "k <= min(n, 4)"),
             ("--n 100 --net-resolution 1.5", "resolution in (0, 1)"),
         ],

@@ -4,8 +4,8 @@ The golden values are the repr of every field of each estimator as
 computed by the earlier per-estimator chunk loops (one generation and
 one reduction per estimator call).  The fused engine keeps the chunk
 boundaries and reduces every row by itself, so it must reproduce them
-bit for bit, whatever the tile height and whatever else is estimated
-from the same draws.  The inputs cross chunk boundaries (n = 3000 gives
+bit for bit, whatever the tile height, the number of worker threads
+and whatever else is estimated from the same draws.  The inputs cross chunk boundaries (n = 3000 gives
 699-row chunks, 349 pairs for the lower identity) and tile boundaries.
 
 The small-ball log_threshold fields and the negative-moment reference
@@ -16,14 +16,18 @@ covers the echoed constants, three fewer since schema version 2 and
 one fewer (lower_validity_C) since schema version 3.
 """
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import sys
 
 import pytest
 
 import lplab.gaussian
+import lplab.montecarlo
 from lplab import (
+    DEFAULT_CONSTANTS,
     mc_grid_stats,
     mc_lower_identity,
     mc_negative_moment,
@@ -142,6 +146,66 @@ def test_mc_stdout_golden(capsys):
     assert main(MC_ARGV) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == MC_STDOUT_SHA256
+
+
+class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool that records the worker count each estimator asks for."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(lplab.montecarlo, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool.sizes
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_goldens_at_any_worker_count(self, monkeypatch, capsys, pool_sizes, cores):
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        # switch threads often, so streams interleave at fine grain
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for call, expected in GOLDEN:
+                assert reprs(call()) == expected
+            assert main(MC_ARGV) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == MC_STDOUT_SHA256
+        # each golden runs with 2, 3 or 4 streams
+        assert max(pool_sizes) == cores
+
+    def test_guard_admitting_one_block_runs_one_worker(self, monkeypatch, pool_sizes):
+        # n = 3000 draws 699-row blocks of 16,776,000 bytes
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
+        block = 699 * 3000 * 8
+        one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * block - 1)
+        estimate = mc_norm_stats(3000, 12.0, 1600, 5, 2, constants=one)
+        assert reprs(estimate) == GOLDEN[3][1]
+        two = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * block)
+        assert mc_norm_stats(3000, 12.0, 1600, 5, 2, constants=two) == estimate
+        assert pool_sizes == [1, 2]
+
+    def test_threads_bounded_by_cores_and_streams(self, monkeypatch, capsys, pool_sizes):
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
+        argv = ["mc", "--n", "20", "--p", "2", "--samples", "64", "--seed", "1"]
+        assert main([*argv, "--streams", "64"]) == 0
+        assert main([*argv, "--streams", "2"]) == 0
+        assert pool_sizes == [3, 2]
+
+    def test_domain_error_in_a_worker_exits_two(self, capsys):
+        # the seed is first checked where a worker keys its stream
+        argv = ["mc", "--n", "10", "--p", "2", "--samples", "10", "--seed", str(2**64)]
+        assert main(argv) == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
 
 
 class TestGrid:

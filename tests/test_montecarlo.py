@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,14 +39,45 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_draws_are_inverse_cdf_of_lattice_uniforms(self):
-        # the pipeline is: 53-bit integers -> (k + 1/2)/2^53 -> ndtri
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([21, 3], dtype=np.uint64))
-        )
-        raw = gen.integers(0, 1 << 53, size=(4, 5), dtype=np.uint64)
-        manual = ndtri((raw.astype(np.float64) + 0.5) / float(1 << 53))
-        lib = gaussian_draws(RngStream(21, 3).generator(), (4, 5))
-        assert np.array_equal(manual, lib)
+        # the pipeline is: 53-bit integers -> (k + 1/2)/2^53 -> ndtri;
+        # 150,000 draws span three fill tiles, the last one partial
+        for shape in [(4, 5), (3, 50_000)]:
+            gen = np.random.Generator(
+                np.random.Philox(key=np.array([21, 3], dtype=np.uint64))
+            )
+            raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+            manual = ndtri((raw.astype(np.float64) + 0.5) / float(1 << 53))
+            lib = gaussian_draws(RngStream(21, 3).generator(), shape)
+            assert np.array_equal(manual, lib)
+
+    def test_reused_buffer_with_short_last_chunk(self):
+        # chunks of 3, 3 and 1 rows drawn into one 3-row buffer continue
+        # the stream exactly as one call for all 7 rows
+        n = 40_000
+        whole = gaussian_draws(RngStream(21, 3).generator(), (7, n))
+        gen = RngStream(21, 3).generator()
+        buffer = np.empty(3 * n)
+        rows = []
+        for height in (3, 3, 1):
+            block = gaussian_draws(gen, (height, n), buffer)
+            assert block.shape == (height, n)
+            assert np.shares_memory(block, buffer)
+            rows.append(block.copy())
+        assert np.array_equal(np.concatenate(rows), whole)
+
+    def test_draw_allocates_one_block(self):
+        # one 20 x 10^5 block is 16 MB; integer tiles add 512 KiB at a time
+        shape = (20, 100_000)
+        # a first call settles lazy state, so the traced one counts only its arrays
+        gaussian_draws(RngStream(5, 0).generator(), (10,))
+        tracemalloc.start()
+        try:
+            draws = gaussian_draws(RngStream(5, 0).generator(), shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.shape == shape
+        assert peak <= draws.nbytes + 4 * 8 * (1 << 16)
 
     def test_key_validation(self):
         with pytest.raises(DomainError):

@@ -186,6 +186,24 @@ class TestDistortion:
         with pytest.raises(DomainError):
             distortion(_haar_basis(5, 2, seed=0), 0.5, 0.1)
 
+    def test_uncertified_request_checked_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("directions were drawn before the request was checked")
+
+        b = _haar_basis(20, 5, seed=3)
+        rng = RngStream(4, 0).generator()
+        monkeypatch.setattr(lplab.subspaces, "gaussian_draws", no_draws)
+        for res in [0.0, -1.0, 1.0, math.nan]:
+            with pytest.raises(DomainError, match="resolution in"):
+                distortion(b, 3.0, res, allow_uncertified=True, rng=rng)
+        # 4 * 10^12 directions of 5 doubles
+        with pytest.raises(DomainError, match="memory guard"):
+            distortion(b, 3.0, 1e-6, allow_uncertified=True, rng=rng)
+        # 40,000 directions of 5 doubles are 1,600,000 bytes
+        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
+        with pytest.raises(DomainError, match="memory guard"):
+            distortion(b, 3.0, 0.01, allow_uncertified=True, rng=rng, constants=tiny)
+
     def test_ambient_blocks_within_chunk_budget(self, monkeypatch):
         # the net's image in R^n is evaluated in blocks of at most one
         # Monte Carlo chunk (2^21 doubles), so large n cannot allocate
@@ -320,6 +338,19 @@ class TestSphericityExperiment:
                           (10, 2, 1.0), (10, 2, math.nan)]:
             with pytest.raises(DomainError):
                 sphericity_experiment(n, k, 5.0, 0.1, 2, res, seed=0)
+
+    @pytest.mark.parametrize("k,res", [(2, 1e-6), (3, 0.002), (4, 0.004)])
+    def test_refusal_names_finest_fitting_resolution(self, k, res):
+        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
+        with pytest.raises(DomainError, match="memory guard") as refused:
+            sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=tiny)
+        fitting = float(str(refused.value).rsplit(" ", 1)[-1])
+        # a rung of the ladder res * 2^j, the finest whose net fits
+        assert fitting in [res * 2.0**j for j in range(1, 30)]
+        assert sphere_net(k, fitting)[0].shape[0] * k * 8 <= 1_048_576
+        assert sphere_net(k, fitting / 2)[0].shape[0] * k * 8 > 1_048_576
+        r = sphericity_experiment(10, k, 5.0, 0.1, 1, fitting, seed=0, constants=tiny)
+        assert r.trials == 1
 
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
