@@ -182,16 +182,34 @@ def _validate_p(p: float) -> float:
 _TILE_ELEMS = 1 << 16
 
 
+def _tile_rows(n: int) -> int:
+    """Rows of n doubles per reducer tile."""
+    return max(1, _TILE_ELEMS // max(n, 1))
+
+
+def _workspace_elems(rows: int, n: int, requests: list[tuple[float, bool, bool]]) -> int:
+    """Doubles of a `_reduce_rows` workspace for blocks of at most rows x n.
+
+    One tile per kind of magnitude asked for (plain, capped) and one for
+    the powers.
+    """
+    kinds = len({capped for _, capped, _ in requests})
+    return (kinds + 1) * min(_tile_rows(n), rows) * n
+
+
 def _max_factored(
-    magnitudes: np.ndarray, peaks: np.ndarray
+    magnitudes: np.ndarray, peaks: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(peaks, log of the peaks, magnitudes / peaks), zero rows scaled by 1."""
+    """(peaks, log of the peaks, magnitudes / peaks into out), zero rows scaled by 1."""
     safe = np.where(peaks > 0.0, peaks, 1.0)
-    return peaks, np.log(safe), magnitudes / safe[:, None]
+    return peaks, np.log(safe), np.divide(magnitudes, safe[:, None], out=out)
 
 
 def _reduce_rows(
-    block: np.ndarray, requests: list[tuple[float, bool, bool]], T: float
+    block: np.ndarray,
+    requests: list[tuple[float, bool, bool]],
+    T: float,
+    workspace: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row statistics of a block, one output row per request.
 
@@ -201,32 +219,46 @@ def _reduce_rows(
     and a = |x| otherwise.  The block is walked in tiles of about
     _TILE_ELEMS doubles; each tile's magnitudes, row peaks and scaled
     copy are built once and serve every request.
+
+    |x|, the scaled copies, min(., T) and the powers are written with
+    out= into `workspace`, a float64 array of at least
+    `_workspace_elems(rows, n, requests)` elements (one is allocated for
+    the call if None), so a tile makes no temporary of its size.  A
+    caller that reduces many blocks passes the same workspace to each.
     """
     rows, n = block.shape
     out = np.empty((len(requests), rows))
-    tile = max(1, _TILE_ELEMS // max(n, 1))
+    tile = _tile_rows(n)
     kinds = {capped for _, capped, _ in requests}
+    size = min(tile, rows) * n
+    if workspace is None:
+        workspace = np.empty(_workspace_elems(rows, n, requests))
+    slots = [workspace[j * size : (j + 1) * size] for j in range(len(kinds) + 1)]
     for start in range(0, rows, tile):
-        part = slice(start, start + tile)
-        magnitudes = np.abs(block[part])
+        part = block[start : start + tile]
+        powers, *scaled = (slot[: part.size].reshape(part.shape) for slot in slots)
+        # |x| goes into the last slot: the plain kind is divided out of
+        # it into the other one before the capped kind caps it in place
+        magnitudes = np.abs(part, out=scaled[-1])
         peaks = magnitudes.max(axis=1)
         factored = {}
         if False in kinds:
-            factored[False] = _max_factored(magnitudes, peaks)
+            factored[False] = _max_factored(magnitudes, peaks, scaled[0])
         if True in kinds:
             # the peak of min(|x|, T) is min(peak, T), exactly
-            factored[True] = _max_factored(np.minimum(magnitudes, T), np.minimum(peaks, T))
+            capped = np.minimum(magnitudes, T, out=scaled[-1])
+            factored[True] = _max_factored(capped, np.minimum(peaks, T), scaled[-1])
         for k, (p, capped, log) in enumerate(requests):
-            row_peaks, log_peaks, scaled = factored[capped]
+            row_peaks, log_peaks, ratios = factored[capped]
             if math.isinf(p) and not log:
-                out[k, part] = row_peaks
+                out[k, start : start + tile] = row_peaks
                 continue
-            sums = (scaled**p).sum(axis=1)
+            sums = np.power(ratios, p, out=powers).sum(axis=1)
             # a zero row has sums 0; np.where discards its log, while a
             # NaN row keeps its NaN
             with np.errstate(divide="ignore"):
                 log_sums = np.where(row_peaks == 0.0, -np.inf, p * log_peaks + np.log(sums))
-            out[k, part] = log_sums if log else np.exp(log_sums / p)
+            out[k, start : start + tile] = log_sums if log else np.exp(log_sums / p)
     return out
 
 

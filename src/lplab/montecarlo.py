@@ -17,35 +17,39 @@ Accumulation tracks central moments up to order four so that variance
 estimates carry honest standard errors (variance of the sample variance
 needs the fourth moment).
 
-One sampling loop serves every estimator.  `_fold_streams` runs each
-stream as one task on a thread pool of min(usable cores, streams)
-workers (fewer if the memory guard admits fewer blocks in flight); a
-task draws its quota in chunks of `_chunk_rows` rows (pairs of vectors
-for the lower identity) and folds them, in chunk order, into that
-stream's own state.  The main thread then merges the per-stream
-moment accumulators along the fixed pairwise tree, or sums the counts.
+One sampling loop serves every estimator.  `_fold_streams` deals the
+streams round-robin to a thread pool of min(usable cores, streams)
+workers (fewer if the memory guard admits fewer blocks in flight), one
+task per worker however many streams there are (`_strided_shares`,
+which also runs the trials of the random sections).  A worker runs its
+streams one after another; each draws its quota in chunks of
+`_chunk_rows` rows (pairs of vectors for the lower identity) and folds
+them, in chunk order, into that stream's own state.  The main thread
+then puts the states back in stream order and merges the moment
+accumulators along the fixed pairwise tree, or sums the counts.
 Philox is counter-based, so a stream's draws do not depend on which
 thread runs it or when, and the reproducibility contract above holds
 for any worker count.
 
-Each task allocates one float64 buffer for its largest chunk and draws
-every chunk into it: the 53-bit integers are generated a fill tile at a
-time and converted in place, and ndtri runs in place.  A fresh block
-per chunk would be freed into the allocating thread's malloc arena,
-where glibc keeps it, so per-chunk blocks on several threads raise the
-peak resident size by about a block per thread per arena.
+Each worker allocates one float64 buffer for its largest chunk and one
+reducer workspace, and draws and reduces every chunk of its streams in
+them: the 53-bit integers are generated a fill tile at a time and
+converted in place, ndtri runs in place, and the reducer writes each
+tile's intermediates into the workspace.  A fresh block per chunk would
+be freed into the allocating thread's malloc arena, where glibc keeps
+it, so per-chunk blocks on several threads raise the peak resident size
+by about a block per thread per arena.
 
-The row reducer `gaussian._reduce_rows`, which also serves
-`lp_norm_rows` and so the random sections, turns a block into per-row
-statistics, walking it in row tiles of about 2^16 doubles: a tile's
-|x|, row peaks and max-scaled copy (and their capped forms
-min(|x|, T)) are built once and serve every norm and log power sum
-asked for, so `mc_grid_stats` estimates a whole grid of p, caps and a
-negative moment from one generation of the draws.  The tile height
-cannot change a bit of the output: each value is a reduction over one
-row alone, written into a full-chunk vector, and every accumulator
-still sees one batch per chunk, with the same chunk boundaries and
-merge tree as a single-estimator call.
+The row reducer `gaussian._reduce_rows`, which also serves the random
+sections, turns a block into per-row statistics, walking it in row
+tiles of about 2^16 doubles: a tile's |x|, row peaks and max-scaled
+copy (and their capped forms min(|x|, T)) are built once and serve
+every norm and log power sum asked for, so `mc_grid_stats` estimates
+a whole grid of p, caps and a negative moment from one generation of
+the draws.  The tile height cannot change a bit of the output: each
+value is a reduction over one row alone, written into a full-chunk
+vector, and every accumulator still sees one batch per chunk, with the
+same chunk boundaries and merge tree as a single-estimator call.
 """
 
 from __future__ import annotations
@@ -62,12 +66,12 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows
+from .gaussian import _reduce_rows, _workspace_elems
 from .logdomain import LogValue
 from .variance import quantile_power_sum
 
 _U53 = float(1 << 53)
-# doubles per sample chunk; net evaluation blocks use the same budget
+# doubles per sample chunk
 _CHUNK_ELEMS = 1 << 21
 # 53-bit integers drawn per fill tile: a 512 KiB temporary
 _FILL_ELEMS = 1 << 16
@@ -269,10 +273,24 @@ def default_samples(n: int) -> int:
 
 
 State = TypeVar("State")
+Share = TypeVar("Share")
+
+
+def _strided_shares(share: Callable[[range], Share], count: int, limit: int) -> list[Share]:
+    """share(range(w, count, W)) for each worker w < W, on a pool of W threads.
+
+    W = min(usable cores, count, limit).  Items are dealt round-robin,
+    one task per worker, so W tasks are submitted however large count
+    is; the results come back in worker order, and item i is the
+    (i // W)-th of share i % W.
+    """
+    workers = min(_USABLE_CORES, count, limit)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(share, [range(w, count, workers) for w in range(workers)]))
 
 
 def _fold_streams(
-    fold: Callable[[State, np.ndarray], State],
+    fold: Callable[[State, np.ndarray, np.ndarray], State],
     initial: State,
     n: int,
     samples: int,
@@ -280,43 +298,49 @@ def _fold_streams(
     streams: int,
     chunk: int,
     constants: Constants,
+    requests: list[tuple[float, bool, bool]],
     paired: bool = False,
 ) -> list[State]:
     """Fold each stream's blocks into a state of its own; states by stream.
 
-    Stream s starts from `initial` and applies state = fold(state, block)
-    to its quota drawn in chunks of at most `chunk` rows, in order, all
-    drawn into one buffer that the stream reuses (fold must not keep a
-    block).  With paired=True a sample is a pair of vectors: a chunk of
-    r samples is one (2r, n) block whose first r rows pair with its last
-    r.  Each stream is one task on a pool of min(usable cores, streams)
-    threads, capped so that the memory guard admits every block in
-    flight.
+    Stream s starts from `initial` and applies
+    state = fold(state, block, workspace) to its quota drawn in chunks
+    of at most `chunk` rows, in order (fold must keep neither array).
+    With paired=True a sample is a pair of vectors: a chunk of r samples
+    is one (2r, n) block whose first r rows pair with its last r.  The
+    streams are dealt to `_strided_shares` workers, capped so that the
+    memory guard admits every block in flight; a worker draws all its
+    blocks into one buffer and passes fold one `_reduce_rows` workspace
+    for `requests`.
     """
     width = 2 if paired else 1
     step = max(chunk // width, 1)
-    block_elems = width * min(step, _stream_quota(samples, streams, 0)) * n
-    workers = min(
-        _USABLE_CORES, streams, max(1, constants.memory_guard_bytes // (8 * block_elems))
-    )
+    block_rows = width * min(step, _stream_quota(samples, streams, 0))
+    limit = max(1, constants.memory_guard_bytes // (8 * block_rows * n))
 
-    def run(index: int) -> State:
-        gen = RngStream(seed, index).generator()
-        buffer = np.empty(block_elems)
-        state = initial
-        remaining = _stream_quota(samples, streams, index)
-        while remaining > 0:
-            rows = min(step, remaining)
-            state = fold(state, gaussian_draws(gen, (width * rows, n), buffer))
-            remaining -= rows
-        return state
+    def share(indices: range) -> list[State]:
+        buffer = np.empty(block_rows * n)
+        workspace = np.empty(_workspace_elems(block_rows, n, requests))
+        states = []
+        for index in indices:
+            gen = RngStream(seed, index).generator()
+            state = initial
+            remaining = _stream_quota(samples, streams, index)
+            while remaining > 0:
+                rows = min(step, remaining)
+                block = gaussian_draws(gen, (width * rows, n), buffer)
+                state = fold(state, block, workspace)
+                remaining -= rows
+            states.append(state)
+        return states
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(streams)))
+    shares = _strided_shares(share, streams, limit)
+    workers = len(shares)
+    return [shares[s % workers][s // workers] for s in range(streams)]
 
 
 def _stream_moments(
-    statistics: Callable[[np.ndarray], list[np.ndarray]],
+    statistics: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
     count: int,
     n: int,
     samples: int,
@@ -324,23 +348,27 @@ def _stream_moments(
     streams: int,
     chunk: int,
     constants: Constants,
+    requests: list[tuple[float, bool, bool]],
     paired: bool = False,
 ) -> list[MomentAccumulator]:
     """Moments of `count` per-row statistics, merged per stream, then pairwise.
 
-    statistics(block) returns `count` arrays of per-row values; each
-    becomes one batch merged into its stream's accumulator.
+    statistics(block, workspace) returns `count` arrays of per-row
+    values, reducing the block for `requests` in the workspace; each
+    array becomes one batch merged into its stream's accumulator.
     """
 
-    def fold(accs: list[MomentAccumulator], block: np.ndarray) -> list[MomentAccumulator]:
+    def fold(
+        accs: list[MomentAccumulator], block: np.ndarray, workspace: np.ndarray
+    ) -> list[MomentAccumulator]:
         return [
             acc.merge(MomentAccumulator.from_batch(values))
-            for acc, values in zip(accs, statistics(block), strict=True)
+            for acc, values in zip(accs, statistics(block, workspace), strict=True)
         ]
 
     per_stream = _fold_streams(
         fold, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
-        constants, paired,
+        constants, requests, paired,
     )
     return [merge_pairwise(list(accs)) for accs in zip(*per_stream)]
 
@@ -412,8 +440,8 @@ def mc_grid_stats(
     if negative is not None:
         requests.append((q, capped, True))
 
-    def statistics(block: np.ndarray) -> list[np.ndarray]:
-        reduced = _reduce_rows(block, requests, cap)
+    def statistics(block: np.ndarray, workspace: np.ndarray) -> list[np.ndarray]:
+        reduced = _reduce_rows(block, requests, cap, workspace)
         norms = reduced[:width]
         values = list(norms)
         if T is not None:
@@ -427,7 +455,7 @@ def mc_grid_stats(
 
     count = width * (3 if T is not None else 1) + (negative is not None)
     accumulators = _stream_moments(
-        statistics, count, n, samples, seed, streams, chunk, constants
+        statistics, count, n, samples, seed, streams, chunk, constants, requests
     )
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
@@ -512,8 +540,9 @@ def mc_lower_identity(
         raise DomainError(f"need finite p >= 1, got {p}")
     chunk = _validate_mc_args(n, samples, streams, constants)
     log_prefactor = math.log(n) - math.log(2.0) - 2.0 * math.log(p)
+    request = [(p, False, True)]
 
-    def statistics(block: np.ndarray) -> list[np.ndarray]:
+    def statistics(block: np.ndarray, workspace: np.ndarray) -> list[np.ndarray]:
         # rows [0, r) are the G of each pair, rows [r, 2r) the H
         rows = block.shape[0] // 2
         with np.errstate(divide="ignore"):
@@ -523,12 +552,12 @@ def mc_lower_identity(
         lo = np.minimum(la, lb)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_diff = np.where(lo == hi, -np.inf, hi + np.log1p(-np.exp(lo - hi)))
-        log_sums = _reduce_rows(block, [(p, False, True)], math.inf)[0]
+        log_sums = _reduce_rows(block, request, math.inf, workspace)[0]
         log_ss = np.logaddexp(log_sums[:rows], log_sums[rows:])
         return [np.exp(log_prefactor + 2.0 * log_diff + (2.0 / p - 2.0) * log_ss)]
 
     (acc,) = _stream_moments(
-        statistics, 1, n, samples, seed, streams, chunk, constants, paired=True
+        statistics, 1, n, samples, seed, streams, chunk, constants, request, paired=True
     )
     return _estimate(acc, seed, streams)
 
@@ -587,11 +616,13 @@ def mc_small_ball(
     log_threshold = math.log(tau) + quantile_power_sum(n, q).log
     request = [(q, not math.isinf(T), True)]
 
-    def fold(successes: int, block: np.ndarray) -> int:
-        log_sums = _reduce_rows(block, request, T)[0]
+    def fold(successes: int, block: np.ndarray, workspace: np.ndarray) -> int:
+        log_sums = _reduce_rows(block, request, T, workspace)[0]
         return successes + int((log_sums <= log_threshold).sum())
 
-    successes = sum(_fold_streams(fold, 0, n, samples, seed, streams, chunk, constants))
+    successes = sum(
+        _fold_streams(fold, 0, n, samples, seed, streams, chunk, constants, request)
+    )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(
         probability=successes / samples,

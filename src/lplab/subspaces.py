@@ -26,6 +26,14 @@ that settles it.  A coarse rung's certificate and net values bound the
 true distortion just as the finest net's do, so no trial swaps between
 success and failure against the single requested net; only trials that
 net leaves ambiguous can change, and only by settling.
+
+Trials run on the thread pool of the Monte Carlo engine, dealt
+round-robin, one task per worker; each trial keys its own stream, so
+the counts do not depend on the worker count.  A net is evaluated a
+reducer tile of points at a time: the tile's image under B is written
+into one reused buffer and reduced there by the lp reducer in one
+workspace, so an evaluation holds a few tiles of doubles whatever the
+net size and n, and sup and inf are taken once over the whole net.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import lp_norm_rows
-from .montecarlo import _CHUNK_ELEMS, RngStream, gaussian_draws, wilson_interval
+from .gaussian import _reduce_rows, _tile_rows, _workspace_elems
+from .montecarlo import RngStream, _strided_shares, gaussian_draws, wilson_interval
 
 _ORTHO_TOL = 1e-10
 
@@ -251,17 +259,24 @@ class DistortionResult:
 def _net_extremes(
     basis: SubspaceBasis, p: float, points: np.ndarray
 ) -> tuple[float, float]:
-    sup_value = -math.inf
-    inf_value = math.inf
-    # ambient blocks of at most one Monte Carlo chunk of doubles
-    step = max(1, _CHUNK_ELEMS // basis.n)
-    for start in range(0, points.shape[0], step):
-        block = points[start : start + step]
-        ambient = block @ basis.columns.T
-        values = lp_norm_rows(ambient, p)
-        sup_value = max(sup_value, float(values.max()))
-        inf_value = min(inf_value, float(values.min()))
-    return sup_value, inf_value
+    """Max and min of ||Bx||_p over the rows x of points.
+
+    The images of one reducer tile of points at a time are written into
+    one buffer and reduced there, in one workspace, so the evaluation
+    holds a few tiles of doubles whatever the net size and n.
+    """
+    n = basis.n
+    request = [(p, False, False)]
+    tile = min(_tile_rows(n), points.shape[0])
+    workspace = np.empty(tile * n + _workspace_elems(tile, n, request))
+    images, scratch = workspace[: tile * n], workspace[tile * n :]
+    values = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], tile):
+        part = points[start : start + tile]
+        image = images[: part.shape[0] * n].reshape(-1, n)
+        np.matmul(part, basis.columns.T, out=image)
+        values[start : start + tile] = _reduce_rows(image, request, math.inf, scratch)[0]
+    return float(values.max()), float(values.min())
 
 
 def distortion(
@@ -366,23 +381,28 @@ def _ladder(net_resolution: float) -> list[float]:
     return ladder
 
 
-def _net_fits(k: int, resolution: float, limit: int) -> bool:
-    """Whether sphere_net(k, resolution) has at most `limit` points."""
+def _net_size(k: int, resolution: float, limit: int) -> int | None:
+    """The point count of sphere_net(k, resolution), None if above `limit`."""
     # a cap of chordal radius r meets a great circle in an arc of angle
     # at most 4 asin(r/2), so any net of S^{k-1}, k >= 2, up to sign has
     # at least pi / (4 asin(r/2)) points; this refuses resolutions far
     # too fine in one step, before the ring-by-ring count
     if k >= 2 and math.pi > limit * 4.0 * math.asin(resolution / 2.0):
-        return False
-    return all(total <= limit for total in itertools.accumulate(_net_sizes(k, resolution)))
+        return None
+    total = 0
+    for total in itertools.accumulate(_net_sizes(k, resolution)):
+        if total > limit:
+            return None
+    return total
 
 
 def _check_section_request(
     n: int, k: int, net_resolution: float, constants: Constants
-) -> None:
-    """Refuse a request whose basis or finest net exceeds the memory guard.
+) -> int:
+    """The finest net's point count, if its basis and net fit the memory guard.
 
-    A refused net names the finest resolution of the ladder whose net
+    A request whose basis or finest net exceeds the guard is refused; a
+    refused net names the finest resolution of the ladder whose net
     fits.
     """
     if not 1 <= k <= min(n, 4):
@@ -397,11 +417,14 @@ def _check_section_request(
             f"a {n}x{k} basis exceeds the memory guard ({guard} bytes)"
         )
     limit = guard // (8 * k)
-    if _net_fits(k, net_resolution, limit):
-        return
+    points = _net_size(k, net_resolution, limit)
+    if points is not None:
+        return points
     # the coarsest rung, in [1/2, 1), has at most 112 points and the
     # guard is at least 1 MiB, so some coarser rung fits
-    fitting = next(level for level in _ladder(net_resolution)[1:] if _net_fits(k, level, limit))
+    fitting = next(
+        level for level in _ladder(net_resolution)[1:] if _net_size(k, level, limit) is not None
+    )
     raise DomainError(
         f"the k={k} net at resolution {net_resolution} exceeds the memory"
         f" guard ({guard} bytes); the finest resolution that fits is {fitting!r}"
@@ -422,7 +445,11 @@ def sphericity_experiment(
 
     Trial t draws its subspace from stream (seed, t), so the experiment
     is reproducible and embarrassingly parallel; counting is conservative
-    per the distortion certification rules.
+    per the distortion certification rules.  The trials are dealt
+    round-robin to a pool of min(usable cores, trials) threads (fewer if
+    the memory guard admits fewer bases and finest nets at once), each
+    returning its three counts; the sums do not depend on the worker
+    count.
 
     Each trial walks the resolutions net_resolution * 2^j < 1 from coarse
     to fine and stops at the first one that settles it: success when the
@@ -439,23 +466,32 @@ def sphericity_experiment(
         raise DomainError(f"need trials >= 1, got {trials}")
     if not epsilon > 0.0:
         raise DomainError(f"need epsilon > 0, got {epsilon}")
-    _check_section_request(n, k, net_resolution, constants)
+    points = _check_section_request(n, k, net_resolution, constants)
     target = 1.0 + epsilon
     ladder = _ladder(net_resolution)
-    successes = failures = ambiguous = 0
-    for trial in range(trials):
-        rng = RngStream(seed, trial).generator()
-        basis = random_subspace(n, k, rng)
-        for level in reversed(ladder):
-            result = distortion(basis, p, level)
-            if result.certified_upper <= target:
-                successes += 1
-                break
-            if result.distortion > target:
-                failures += 1
-                break
-        else:
-            ambiguous += 1
+
+    def share(indices: range) -> tuple[int, int, int]:
+        successes = failures = ambiguous = 0
+        for trial in indices:
+            rng = RngStream(seed, trial).generator()
+            basis = random_subspace(n, k, rng)
+            for level in reversed(ladder):
+                result = distortion(basis, p, level)
+                if result.certified_upper <= target:
+                    successes += 1
+                    break
+                if result.distortion > target:
+                    failures += 1
+                    break
+            else:
+                ambiguous += 1
+        return successes, failures, ambiguous
+
+    # a worker holds one basis and at most the finest net
+    limit = max(1, constants.memory_guard_bytes // (8 * k * (n + points)))
+    successes, failures, ambiguous = (
+        sum(counts) for counts in zip(*_strided_shares(share, trials, limit))
+    )
     low, high = wilson_interval(successes, trials)
     return SphericityResult(
         n=n,

@@ -10,6 +10,7 @@ import math
 import pytest
 
 import lplab.cli
+import lplab.montecarlo
 import lplab.subspaces
 from lplab import (
     DEFAULT_CONSTANTS,
@@ -20,6 +21,27 @@ from lplab import (
     upper_quantile,
 )
 from lplab.cli import main
+
+
+# stdout of small sweeps, one per net construction (k = 2 half-circle
+# grid, k = 3 rings); apart from the dropped lower_validity_C header
+# line, the first two are the same bytes as before sections moved onto
+# the Monte Carlo row reducer; the third is the benchmark's k = 3 op,
+# pinned before trials stopped at the first settled net resolution
+DVORETZKY_GOLDENS = [
+    (
+        "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
+        "765f5eed2f27d138a19d8507d637cd7e20be421768f0677d5f48866e2a9a1321",
+    ),
+    (
+        "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
+        "ca75b77fa043845b1ab7171054b82bec02a832fe2e24f9281e491a4fdda6a888",
+    ),
+    (
+        "--n 2000 --k 3 --net-resolution 0.05 --delta 0.5 --trials 2 --seed 0",
+        "026818dece8f77360b19449013d2cfd690142c7c52f72159a6a813c23c5a474b",
+    ),
+]
 
 
 def run_cli(capsys, argv):
@@ -276,33 +298,26 @@ class TestDvoretzkyCommand:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
-    # stdout of small sweeps, one per net construction (k = 2
-    # half-circle grid, k = 3 rings); apart from the dropped
-    # lower_validity_C header line, the first two are the same bytes as
-    # before sections moved onto the Monte Carlo row reducer; the third
-    # is the benchmark's k = 3 op, pinned before trials stopped at the
-    # first settled net resolution
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
-                "765f5eed2f27d138a19d8507d637cd7e20be421768f0677d5f48866e2a9a1321",
-            ),
-            (
-                "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
-                "ca75b77fa043845b1ab7171054b82bec02a832fe2e24f9281e491a4fdda6a888",
-            ),
-            (
-                "--n 2000 --k 3 --net-resolution 0.05 --delta 0.5 --trials 2 --seed 0",
-                "026818dece8f77360b19449013d2cfd690142c7c52f72159a6a813c23c5a474b",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, digest", DVORETZKY_GOLDENS)
     def test_stdout_golden(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_stdout_golden_at_any_worker_count(
+        self, capsys, monkeypatch, pools, fine_switching, cores
+    ):
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        for argv, digest in DVORETZKY_GOLDENS:
+            code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # one pool per sweep row, one task per worker; the 6-trial rows
+        # use every core, the 2-trial rows at most two
+        assert pools.tasks == pools.sizes
+        assert max(pools.sizes) == cores
+        assert pools.sizes[-1] == min(cores, 2)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -5,6 +5,7 @@ direct quadrature) and are frozen here as literals.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +25,7 @@ from lplab import (
     upper_quantile,
 )
 from lplab.errors import DomainError
-from lplab.gaussian import log_abs_density
+from lplab.gaussian import _TILE_ELEMS, _reduce_rows, _workspace_elems, log_abs_density
 
 
 class TestAbsCdf:
@@ -290,6 +291,24 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
             lp_norm([1.0], 0.5)
+
+    def test_workspace_serves_every_tile(self):
+        # 300 rows of 3000 are 15 tiles of 21 rows; with a workspace the
+        # reducer allocates its output and per-row vectors, no tile
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((300, 3000))
+        requests = [(2.0, False, False), (12.0, True, False), (math.inf, False, False),
+                    (3.0, True, True)]
+        expected = _reduce_rows(block, requests, 1.5)
+        workspace = np.full(_workspace_elems(300, 3000, requests), np.nan)
+        tracemalloc.start()
+        try:
+            got = _reduce_rows(block, requests, 1.5, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == expected.tobytes()
+        assert peak < 8 * _TILE_ELEMS // 4
 
 
 def test_log_abs_density():

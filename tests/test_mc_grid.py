@@ -16,7 +16,6 @@ covers the echoed constants, three fewer since schema version 2 and
 one fewer (lower_validity_C) since schema version 3.
 """
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -148,23 +147,6 @@ def test_mc_stdout_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MC_STDOUT_SHA256
 
 
-class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-    """A thread pool that records the worker count each estimator asks for."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(lplab.montecarlo, "ThreadPoolExecutor", RecordingPool)
-    return RecordingPool.sizes
-
-
 class TestWorkers:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_goldens_at_any_worker_count(self, monkeypatch, capsys, pool_sizes, cores):
@@ -200,6 +182,18 @@ class TestWorkers:
         assert main([*argv, "--streams", "64"]) == 0
         assert main([*argv, "--streams", "2"]) == 0
         assert pool_sizes == [3, 2]
+
+    def test_one_task_per_worker(self, monkeypatch, capsys, pools):
+        # 3000 streams on 3 workers are 3 tasks of 1000 streams each, with
+        # the stdout of one worker running all 3000 in one task
+        argv = ["mc", "--n", "2", "--p", "2", "--samples", "6000", "--streams", "3000"]
+        outs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert pools.sizes == pools.tasks == [1, 3]
 
     def test_domain_error_in_a_worker_exits_two(self, capsys):
         # the seed is first checked where a worker keys its stream

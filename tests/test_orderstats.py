@@ -62,6 +62,22 @@ class TestExactCdf:
         expected = top + math.log(math.fsum(math.exp(v - top) for v in log_terms))
         assert orderstat_cdf_exact(n, i, beta).log == pytest.approx(expected, rel=1e-12)
 
+    def test_log_cdf_against_mpmath_at_large_n(self):
+        # the log-ratio sum keeps the log CDF within 1e-10 absolute where
+        # differences of lgamma values at n = 10^6 lost about 1e-9
+        n, beta = 10**6, 0.01
+        with mp.workdps(50):
+            b = mp.mpf(beta)
+            term = (1 - b) ** n
+            total = term
+            for i in range(1, 5001):
+                if i in (100, 1000, 5000):
+                    got = orderstat_cdf_exact(n, i, beta).log
+                    assert abs(mp.mpf(got) - mp.log(total)) <= 1e-10, i
+                # the next binomial term, C(n, i) b^i (1 - b)^(n - i)
+                term *= mp.mpf(n - i + 1) / i * b / (1 - b)
+                total += term
+
     def test_deep_tail_stays_in_log_domain(self):
         # (1-beta)^n far below float underflow
         got = orderstat_cdf_exact(10**6, 1, 0.5)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lplab.montecarlo
 import lplab.subspaces
 from lplab import (
     DEFAULT_CONSTANTS,
@@ -19,6 +21,7 @@ from lplab import (
     transition_sweep,
 )
 from lplab.errors import DomainError
+from lplab.gaussian import _reduce_rows
 
 
 def _haar_basis(n, k, seed, stream=0):
@@ -204,27 +207,41 @@ class TestDistortion:
         with pytest.raises(DomainError, match="memory guard"):
             distortion(b, 3.0, 0.01, allow_uncertified=True, rng=rng, constants=tiny)
 
-    def test_ambient_blocks_within_chunk_budget(self, monkeypatch):
-        # the net's image in R^n is evaluated in blocks of at most one
-        # Monte Carlo chunk (2^21 doubles), so large n cannot allocate
-        # points x n at once
+    def test_ambient_blocks_within_tile_budget(self, monkeypatch):
+        # the net's image in R^n is evaluated a reducer tile at a time
+        # (2^16 doubles, or one row when n is larger), so large n cannot
+        # allocate points x n at once
         shapes = []
 
-        def recording(rows, p):
-            shapes.append(rows.shape)
-            return lp_norm_rows(rows, p)
+        def recording(block, requests, T, workspace=None):
+            shapes.append(block.shape)
+            return _reduce_rows(block, requests, T, workspace)
 
-        monkeypatch.setattr(lplab.subspaces, "lp_norm_rows", recording)
+        monkeypatch.setattr(lplab.subspaces, "_reduce_rows", recording)
         n = 100_000
         b = _haar_basis(n, 2, seed=2)
         r = distortion(b, 10.0, 0.05)
         points, _ = sphere_net(2, 0.05)
-        assert len(shapes) > 1
-        assert all(rows * cols <= 1 << 21 for rows, cols in shapes)
-        assert sum(rows for rows, _ in shapes) == points.shape[0]
+        assert len(shapes) == points.shape[0]
+        assert all(shape == (1, n) for shape in shapes)
         whole = lp_norm_rows(points @ b.columns.T, 10.0)
         assert r.sup_ratio == pytest.approx(whole.max(), rel=1e-14)
         assert r.inf_ratio == pytest.approx(whole.min(), rel=1e-14)
+        shapes.clear()
+        distortion(_haar_basis(10_000, 2, seed=2), 10.0, 0.05)
+        assert {rows for rows, _ in shapes} == {6, points.shape[0] % 6}
+
+    def test_evaluation_memory_is_a_few_tiles(self):
+        # one distortion call at n = 10^5 holds the image of one point
+        # and a workspace of two more rows; the 393-point net is 6 KiB
+        b = _haar_basis(100_000, 2, seed=1)
+        tracemalloc.start()
+        try:
+            distortion(b, 10.0, 0.004)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 100_000 * 8
 
 
 class TestSphericityExperiment:
@@ -351,6 +368,30 @@ class TestSphericityExperiment:
         assert sphere_net(k, fitting / 2)[0].shape[0] * k * 8 > 1_048_576
         r = sphericity_experiment(10, k, 5.0, 0.1, 1, fitting, seed=0, constants=tiny)
         assert r.trials == 1
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_trials_dealt_to_workers(self, monkeypatch, pools, fine_switching, cores):
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        r = sphericity_experiment(40, 2, 6.0, 0.2, 50, net_resolution=0.02, seed=4)
+        # the counts of the trials run one after another in one thread
+        assert (r.successes, r.failures, r.ambiguous) == (19, 26, 5)
+        # 50 trials, one task per worker
+        assert pools.sizes == pools.tasks == [cores]
+
+    def test_guard_caps_workers(self, monkeypatch, pools):
+        # a worker holds a 30,000 x 3 basis and the finest net: 24 bytes
+        # per basis row and per net point
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
+        n, res = 30_000, 0.1
+        held = 24 * (n + sphere_net(3, res)[0].shape[0])
+        results = []
+        for guard in (2 * held - 1, 2 * held, 3 * held):
+            constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+            results.append(
+                sphericity_experiment(n, 3, 20.0, 0.1, 4, res, seed=1, constants=constants)
+            )
+        assert results[0] == results[1] == results[2]
+        assert pools.sizes == [1, 2, 3]
 
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
