@@ -17,16 +17,19 @@ Accumulation tracks central moments up to order four so that variance
 estimates carry honest standard errors (variance of the sample variance
 needs the fourth moment).
 
-One sampling loop serves every estimator.  `_fold_streams` deals the
-streams round-robin to a thread pool of min(usable cores, streams)
-workers (fewer if the memory guard admits fewer blocks in flight), one
-task per worker however many streams there are (`_strided_shares`,
-which also runs the trials of the random sections).  A worker runs its
-streams one after another; each draws its quota in chunks of
-`_chunk_rows` rows (pairs of vectors for the lower identity) and folds
-them, in chunk order, into that stream's own state.  The main thread
-then puts the states back in stream order and merges the moment
-accumulators along the fixed pairwise tree, or sums the counts.
+One sampling loop serves every estimator.  `_fold_streams` cuts the
+streams into runs of 2^j consecutive streams and deals the runs
+round-robin to a thread pool of min(usable cores, streams) workers
+(fewer if the memory guard admits fewer blocks in flight), one task per
+worker however many streams there are (`_strided_shares`, which also
+runs the trials of the random sections).  A worker runs its streams one
+after another; each draws its quota in chunks of `_chunk_rows` rows
+(pairs of vectors for the lower identity) and folds them, in chunk
+order, into that stream's own state, which the worker merges into its
+run as the fixed pairwise tree would, so a worker holds a few states
+however many streams it runs.  A run starts at a multiple of its
+length, so it is a subtree of that tree; the main thread merges the
+run states, in run order, along the same tree, or sums the counts.
 Philox is counter-based, so a stream's draws do not depend on which
 thread runs it or when, and the reproducibility contract above holds
 for any worker count.
@@ -55,8 +58,9 @@ same chunk boundaries and merge tree as a single-estimator call.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TypeVar
@@ -289,8 +293,29 @@ def _strided_shares(share: Callable[[range], Share], count: int, limit: int) -> 
         return list(pool.map(share, [range(w, count, workers) for w in range(workers)]))
 
 
+def _merge_run(states: Iterable[State], merge: Callable[[State, State], State]) -> State:
+    """The states merged along `merge_pairwise`'s tree, holding O(log count) of them.
+
+    Each state is merged with the pending one of equal size on its left,
+    as the tree's levels pair neighbours; the leftover blocks, largest
+    first, merge from the right, as the tree carries an odd tail.
+    """
+    pending: list[tuple[int, State]] = []
+    for state in states:
+        size = 1
+        while pending and pending[-1][0] == size:
+            state = merge(pending.pop()[1], state)
+            size *= 2
+        pending.append((size, state))
+    state = pending.pop()[1]
+    while pending:
+        state = merge(pending.pop()[1], state)
+    return state
+
+
 def _fold_streams(
     fold: Callable[[State, np.ndarray, np.ndarray], State],
+    merge: Callable[[State, State], State],
     initial: State,
     n: int,
     samples: int,
@@ -301,28 +326,35 @@ def _fold_streams(
     requests: list[tuple[float, bool, bool]],
     paired: bool = False,
 ) -> list[State]:
-    """Fold each stream's blocks into a state of its own; states by stream.
+    """Fold each stream's blocks into a state, merged per run of streams.
 
     Stream s starts from `initial` and applies
     state = fold(state, block, workspace) to its quota drawn in chunks
     of at most `chunk` rows, in order (fold must keep neither array).
     With paired=True a sample is a pair of vectors: a chunk of r samples
-    is one (2r, n) block whose first r rows pair with its last r.  The
-    streams are dealt to `_strided_shares` workers, capped so that the
-    memory guard admits every block in flight; a worker draws all its
-    blocks into one buffer and passes fold one `_reduce_rows` workspace
-    for `requests`.
+    is one (2r, n) block whose first r rows pair with its last r.
+
+    The streams are cut into runs of 2^j consecutive streams, 2^j the
+    largest power of two at most streams / W for W workers, and the runs
+    are dealt to `_strided_shares` workers, capped so that the memory
+    guard admits every block in flight.  A worker merges each run's
+    states as it folds them (`_merge_run`): a run starts at a multiple of
+    its length, so it is an exact subtree of `merge_pairwise`'s tree
+    over all streams (the last run, if short, is that tree's node over
+    the tail), and `merge_pairwise` over the returned run states, in run
+    order, gives the bits of `merge_pairwise` over the stream states.  A
+    worker draws all its blocks into one buffer and passes fold one
+    `_reduce_rows` workspace for `requests`.
     """
     width = 2 if paired else 1
     step = max(chunk // width, 1)
     block_rows = width * min(step, _stream_quota(samples, streams, 0))
     limit = max(1, constants.memory_guard_bytes // (8 * block_rows * n))
+    run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
+    runs = -(-streams // run)
 
-    def share(indices: range) -> list[State]:
-        buffer = np.empty(block_rows * n)
-        workspace = np.empty(_workspace_elems(block_rows, n, requests))
-        states = []
-        for index in indices:
+    def run_states(r: int, buffer: np.ndarray, workspace: np.ndarray) -> Iterator[State]:
+        for index in range(r * run, min(r * run + run, streams)):
             gen = RngStream(seed, index).generator()
             state = initial
             remaining = _stream_quota(samples, streams, index)
@@ -331,12 +363,16 @@ def _fold_streams(
                 block = gaussian_draws(gen, (width * rows, n), buffer)
                 state = fold(state, block, workspace)
                 remaining -= rows
-            states.append(state)
-        return states
+            yield state
 
-    shares = _strided_shares(share, streams, limit)
+    def share(indices: range) -> list[State]:
+        buffer = np.empty(block_rows * n)
+        workspace = np.empty(_workspace_elems(block_rows, n, requests))
+        return [_merge_run(run_states(r, buffer, workspace), merge) for r in indices]
+
+    shares = _strided_shares(share, runs, limit)
     workers = len(shares)
-    return [shares[s % workers][s // workers] for s in range(streams)]
+    return [shares[r % workers][r // workers] for r in range(runs)]
 
 
 def _stream_moments(
@@ -366,11 +402,16 @@ def _stream_moments(
             for acc, values in zip(accs, statistics(block, workspace), strict=True)
         ]
 
-    per_stream = _fold_streams(
-        fold, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
+    def merge(
+        left: list[MomentAccumulator], right: list[MomentAccumulator]
+    ) -> list[MomentAccumulator]:
+        return [a.merge(b) for a, b in zip(left, right, strict=True)]
+
+    per_run = _fold_streams(
+        fold, merge, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
         constants, requests, paired,
     )
-    return [merge_pairwise(list(accs)) for accs in zip(*per_stream)]
+    return [merge_pairwise(list(accs)) for accs in zip(*per_run)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -621,7 +662,7 @@ def mc_small_ball(
         return successes + int((log_sums <= log_threshold).sum())
 
     successes = sum(
-        _fold_streams(fold, 0, n, samples, seed, streams, chunk, constants, request)
+        _fold_streams(fold, operator.add, 0, n, samples, seed, streams, chunk, constants, request)
     )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(

@@ -23,15 +23,15 @@ from lplab import (
 from lplab.cli import main
 
 
-# stdout of small sweeps, one per net construction (k = 2 half-circle
-# grid, k = 3 rings); apart from the dropped lower_validity_C header
-# line, the first two are the same bytes as before sections moved onto
-# the Monte Carlo row reducer; the third is the benchmark's k = 3 op,
-# pinned before trials stopped at the first settled net resolution
+# stdout of small sweeps at k = 2 and k = 3; the first was re-pinned when
+# trials became a branch and bound over cells, which settled one of its
+# ambiguous window trials (0/4/2 -> 1/4/1 successes/failures/ambiguous);
+# the other two are the bytes of the uniform-net ladder before it, the
+# third being the benchmark's k = 3 op
 DVORETZKY_GOLDENS = [
     (
         "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
-        "765f5eed2f27d138a19d8507d637cd7e20be421768f0677d5f48866e2a9a1321",
+        "1b23209d3b411f6098b3f56e0cb5cb61e2dd24f1b2cc0bd4b473617e106c2eba",
     ),
     (
         "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
@@ -322,7 +322,8 @@ class TestDvoretzkyCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # the default resolution 0.004 gives 109,668,622 points at k = 4
+            # at k = 4 the default resolution 0.004 gives 297,160,653 cells
+            # of 64 bytes, 0.008 gives 29,414,157
             ("--n 100 --k 4", "memory guard"),
             (
                 "--n 10000 --k 4 --delta 0.5 --trials 2",

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -27,12 +28,15 @@ import lplab.gaussian
 import lplab.montecarlo
 from lplab import (
     DEFAULT_CONSTANTS,
+    RngStream,
+    gaussian_draws,
     mc_grid_stats,
     mc_lower_identity,
     mc_negative_moment,
     mc_norm_stats,
     mc_small_ball,
     mc_truncated_stats,
+    merge_pairwise,
 )
 from lplab.cli import main
 from lplab.errors import DomainError
@@ -194,6 +198,48 @@ class TestWorkers:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert pools.sizes == pools.tasks == [1, 3]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_runs_are_subtrees_of_the_merge_tree(self, monkeypatch, cores):
+        # a state that records how it was merged: the run states returned
+        # by the workers, merged pairwise, must build the very tree that
+        # merge_pairwise builds over the streams one by one
+        class Tree:
+            def __init__(self, shape):
+                self.shape = shape
+
+            def merge(self, other):
+                return Tree((self.shape, other.shape))
+
+        def fold(state, block, workspace):
+            return Tree(float(block[0, 0]))
+
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        request = [(2.0, False, False)]
+        for streams in [*range(1, 19), 31, 32, 33, 100]:
+            leaves = [
+                Tree(float(gaussian_draws(RngStream(4, s).generator(), (1, 2))[0, 0]))
+                for s in range(streams)
+            ]
+            runs = lplab.montecarlo._fold_streams(
+                fold, Tree.merge, None, 2, streams, 4, streams, 8, DEFAULT_CONSTANTS, request
+            )
+            assert len(runs) <= 2 * cores
+            assert merge_pairwise(runs).shape == merge_pairwise(leaves).shape
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_held_states_do_not_grow_with_streams(self, monkeypatch, cores):
+        # workers merge their runs of streams as they fold them, so 2000
+        # streams of one sample each hold a few states per worker rather
+        # than one per stream (about 470 bytes each, 940 KB in all)
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        tracemalloc.start()
+        try:
+            mc_norm_stats(2, 2.0, 2000, 0, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200_000
 
     def test_domain_error_in_a_worker_exits_two(self, capsys):
         # the seed is first checked where a worker keys its stream

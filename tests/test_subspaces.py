@@ -1,6 +1,7 @@
 """Random subspaces, certified sphere nets, and distortion experiments."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from lplab import (
 )
 from lplab.errors import DomainError
 from lplab.gaussian import _reduce_rows
+from lplab.subspaces import _cell_geometry, _cell_points, _leaf_count, _root_cell, _round, _trisect
 
 
 def _haar_basis(n, k, seed, stream=0):
@@ -207,6 +209,30 @@ class TestDistortion:
         with pytest.raises(DomainError, match="memory guard"):
             distortion(b, 3.0, 0.01, allow_uncertified=True, rng=rng, constants=tiny)
 
+    def test_certified_net_checked_before_building(self, monkeypatch):
+        def no_net(*args):
+            raise AssertionError("the net was built before its size was checked")
+
+        b = _haar_basis(20, 3, seed=3)
+        monkeypatch.setattr(lplab.subspaces, "sphere_net", no_net)
+        for res in [0.0, -1.0, 1.0, math.nan]:
+            with pytest.raises(DomainError, match="resolution in"):
+                distortion(b, 3.0, res)
+        # 314,198,321 points of 3 doubles, 7.0 GiB, against the 2 GiB default
+        with pytest.raises(DomainError, match="resolution 0.0001 exceeds the memory guard"):
+            distortion(b, 3.0, 1e-4)
+        # 49,358 points of 3 doubles are 1,184,592 bytes
+        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
+        with pytest.raises(DomainError, match="resolution 0.008 exceeds the memory guard"):
+            distortion(b, 3.0, 0.008, constants=tiny)
+        monkeypatch.undo()
+        size = sphere_net(3, 0.008)[0].shape[0] * 3 * 8
+        exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
+        assert distortion(b, 3.0, 0.008, constants=exact) == distortion(b, 3.0, 0.008)
+        short = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size - 1)
+        with pytest.raises(DomainError, match="memory guard"):
+            distortion(b, 3.0, 0.008, constants=short)
+
     def test_ambient_blocks_within_tile_budget(self, monkeypatch):
         # the net's image in R^n is evaluated a reducer tile at a time
         # (2^16 doubles, or one row when n is larger), so large n cannot
@@ -242,6 +268,61 @@ class TestDistortion:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 100_000 * 8
+
+
+def _full_tree_leaves(k, res):
+    """Leaves of the cell tree split everywhere down to res, every cell kept apart."""
+    centers, halves = _root_cell(k)
+    leaves = 0
+    while len(centers):
+        radii, axis = _cell_geometry(centers, halves)
+        split = radii > res
+        leaves += int((~split).sum())
+        thirds, lower, upper = _trisect(centers[split], halves[split], axis[split])
+        centers = np.concatenate([centers[split], lower, upper])
+        halves = np.concatenate([thirds, thirds, thirds])
+    return leaves
+
+
+class TestCellTree:
+    @pytest.mark.parametrize("k,depth", [(2, 6), (3, 5), (4, 4)])
+    def test_cells_within_radius_and_children_cover_parent(self, k, depth):
+        gen = np.random.default_rng(k)
+        centers, halves = _root_cell(k)
+        corners = np.array(list(itertools.product([-1.0, 1.0], repeat=k - 1)))
+        for _ in range(depth):
+            radii, axis = _cell_geometry(centers, halves)
+            # points of each cell: its corners and 40 uniform in its angle box
+            unit = np.concatenate([np.broadcast_to(corners, (len(centers), *corners.shape)),
+                                   gen.uniform(-1.0, 1.0, (len(centers), 40, k - 1))], axis=1)
+            angles = centers[:, None, :] + halves[:, None, :] * unit
+            points = _cell_points(angles.reshape(-1, k - 1)).reshape(*angles.shape[:2], k)
+            assert np.abs(np.linalg.norm(points, axis=2) - 1.0).max() < 1e-12
+            gaps = np.linalg.norm(points - _cell_points(centers)[:, None, :], axis=2)
+            assert (gaps <= radii[:, None] + 1e-12).all()
+            thirds, lower, upper = _trisect(centers, halves, axis)
+            # the middle third keeps the center; the thirds' boxes cover the parent's
+            inside = [
+                (np.abs(angles - c[:, None, :]) <= thirds[:, None, :] * (1 + 1e-12)).all(axis=2)
+                for c in (centers, lower, upper)
+            ]
+            assert (inside[0] | inside[1] | inside[2]).all()
+            assert (_cell_geometry(centers, thirds)[0] < radii).all()
+            centers = np.concatenate([centers, lower, upper])
+            halves = np.concatenate([thirds, thirds, thirds])
+        # the cells cover the whole sphere up to sign
+        radii, _ = _cell_geometry(centers, halves)
+        probes = gen.normal(size=(3000, k))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        dots = np.abs(probes @ _cell_points(centers).T)
+        gaps = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots)) - radii
+        assert gaps.min(axis=1).max() <= 1e-12
+
+    @pytest.mark.parametrize("k,res", [(1, 0.5), (2, 0.01), (3, 0.1), (4, 0.3), (4, 0.35)])
+    def test_leaf_count_matches_full_tree(self, k, res):
+        leaves = _full_tree_leaves(k, res)
+        assert _leaf_count(k, res, leaves) == leaves
+        assert _leaf_count(k, res, leaves - 1) is None
 
 
 class TestSphericityExperiment:
@@ -312,31 +393,65 @@ class TestSphericityExperiment:
             (50, 2.0, 0.1, 0.02, (1, 0, 0)),
             (50, math.inf, 0.01, 0.02, (0, 1, 0)),
             (50, 2.0, 0.1, 0.35, (0, 0, 1)),
+            # 17 of 27 cells block in the fourth round
+            (50, 6.0, 0.3, 0.004, (1, 0, 0)),
+            # the last cells' radius 0.174 lies between res / 2 and res
+            (50, 2.0, 0.1, 0.2, (0, 0, 1)),
         ],
     )
-    def test_ladder_coarse_to_fine_first_settled(self, monkeypatch, n, p, eps, res, verdict):
-        calls = []
+    def test_rounds_split_only_blocking_cells(self, monkeypatch, n, p, eps, res, verdict):
+        rounds = []
 
-        def recording(basis, p, level):
-            result = distortion(basis, p, level)
-            calls.append((level, result))
+        def recording(values, radii, target, resolution):
+            result = _round(values, radii, target, resolution)
+            rounds.append((values.copy(), radii.copy(), result))
             return result
 
-        monkeypatch.setattr(lplab.subspaces, "distortion", recording)
+        monkeypatch.setattr(lplab.subspaces, "_round", recording)
         r = sphericity_experiment(n, 2, p, eps, 1, net_resolution=res, seed=3)
         assert (r.successes, r.failures, r.ambiguous) == verdict
-        ladder = [res * 2.0**j for j in range(10) if res * 2.0**j < 1.0][::-1]
-        levels = [level for level, _ in calls]
-        assert levels == ladder[: len(levels)]
+        # the settling round is the last
+        verdicts = [result[0] for _, _, result in rounds]
+        assert verdicts == [None] * (len(rounds) - 1) + [verdict.index(1)]
         target = 1.0 + eps
-        settled = [
-            result.certified_upper <= target or result.distortion > target
-            for _, result in calls
-        ]
-        if verdict == (0, 0, 1):
-            assert levels[-1] == res and not any(settled)
-        else:
-            assert settled == [False] * (len(calls) - 1) + [True]
+        for index, (values, radii, (_, split)) in enumerate(rounds):
+            assert values.size <= _leaf_count(2, res, 1 << 40)
+            with np.errstate(divide="ignore"):
+                upper = np.where(radii < 1.0, values / (1.0 - radii), math.inf)
+            sup = upper.max()
+            lower = values - radii * sup
+            blocking = (upper > target * lower.min()) | (lower < sup / target)
+            if index + 1 == len(rounds) and verdict != (0, 0, 1):
+                assert split.size == 0
+                continue
+            # short of a verdict, the cells attaining the bounds S and I block
+            assert blocking[upper.argmax()] and blocking[lower.argmin()]
+            if index + 1 == len(rounds):
+                assert split.size == 0 and (radii[blocking] <= res).all()
+                continue
+            # exactly the blocking cells above the resolution split, and a
+            # split keeps its middle third's value in place and adds two cells
+            assert np.array_equal(split, np.flatnonzero(blocking & (radii > res)))
+            following = rounds[index + 1][0]
+            assert following.size == values.size + 2 * split.size
+            assert np.array_equal(following[: values.size], values)
+
+    def test_fine_k3_trials_settle_on_few_cells(self, monkeypatch):
+        # the uniform net of S^2 at resolution 0.004 has 196,994 points and
+        # the tree refined everywhere to it 386,433 leaves
+        settled = []
+
+        def recording(values, radii, target, resolution):
+            result = _round(values, radii, target, resolution)
+            if result[0] is not None:
+                settled.append(values.size)
+            return result
+
+        monkeypatch.setattr(lplab.subspaces, "_round", recording)
+        n = 10_000
+        r = sphericity_experiment(n, 3, 1.5 * math.log(n), 0.2, 3, 0.004, seed=0)
+        assert r.ambiguous == 0 and len(settled) == 3
+        assert max(settled) < 10_000
 
     def test_request_checked_before_any_basis(self, monkeypatch):
         def no_basis(*args):
@@ -344,13 +459,16 @@ class TestSphericityExperiment:
 
         monkeypatch.setattr(lplab.subspaces, "random_subspace", no_basis)
         tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
-        # k = 3 at resolution 0.008 is 49,358 points, 1,184,592 bytes;
-        # a 50,000 x 3 basis is 1,200,000 bytes; the last two are refused
-        # by the lower bound on net size, without a ring-by-ring count
+        # k = 3 at resolution 0.008 is 126,711 cells of 48 bytes;
+        # a 50,000 x 3 basis is 1,200,000 bytes; the next two are refused
+        # by the lower bound on the cell count, without counting level by
+        # level; a 43,690 x 3 basis leaves 16 bytes, less than one cell
         for n, k, res in [(100, 3, 0.008), (50_000, 3, 0.1), (100, 3, 1e-300),
-                          (100, 2, 5e-324)]:
+                          (100, 2, 5e-324), (43_690, 3, 0.5)]:
             with pytest.raises(DomainError, match="memory guard"):
                 sphericity_experiment(n, k, 5.0, 0.1, 2, res, seed=0, constants=tiny)
+        with pytest.raises(DomainError, match="the finest resolution that fits is none below 1"):
+            sphericity_experiment(43_690, 3, 5.0, 0.1, 2, 0.5, seed=0, constants=tiny)
         for n, k, res in [(10, 5, 0.1), (3, 4, 0.1), (10, 0, 0.1), (10, 2, 0.0),
                           (10, 2, 1.0), (10, 2, math.nan)]:
             with pytest.raises(DomainError):
@@ -362,10 +480,11 @@ class TestSphericityExperiment:
         with pytest.raises(DomainError, match="memory guard") as refused:
             sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=tiny)
         fitting = float(str(refused.value).rsplit(" ", 1)[-1])
-        # a rung of the ladder res * 2^j, the finest whose net fits
+        # the finest res * 2^j whose cells fit beside the basis: per cell,
+        # k - 1 center angles, k - 1 half-widths, a value and a radius
         assert fitting in [res * 2.0**j for j in range(1, 30)]
-        assert sphere_net(k, fitting)[0].shape[0] * k * 8 <= 1_048_576
-        assert sphere_net(k, fitting / 2)[0].shape[0] * k * 8 > 1_048_576
+        held = [8 * k * (10 + 2 * _leaf_count(k, r, 1 << 40)) for r in (fitting, fitting / 2)]
+        assert held[0] <= 1_048_576 < held[1]
         r = sphericity_experiment(10, k, 5.0, 0.1, 1, fitting, seed=0, constants=tiny)
         assert r.trials == 1
 
@@ -379,11 +498,12 @@ class TestSphericityExperiment:
         assert pools.sizes == pools.tasks == [cores]
 
     def test_guard_caps_workers(self, monkeypatch, pools):
-        # a worker holds a 30,000 x 3 basis and the finest net: 24 bytes
-        # per basis row and per net point
+        # a worker holds a 30,000 x 3 basis and the leaves of the cell tree
+        # refined everywhere to the resolution: 24 bytes per basis row and
+        # 48 per cell
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
         n, res = 30_000, 0.1
-        held = 24 * (n + sphere_net(3, res)[0].shape[0])
+        held = 24 * (n + 2 * _full_tree_leaves(3, res))
         results = []
         for guard in (2 * held - 1, 2 * held, 3 * held):
             constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
@@ -395,8 +515,8 @@ class TestSphericityExperiment:
 
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
-        points, _ = sphere_net(k, res)
-        size = points.shape[0] * k * 8
+        # the cells a trial can hold and a 10 x k basis, 8k (10 + 2 cells) bytes
+        size = 8 * k * (10 + 2 * _leaf_count(k, res, 1 << 40))
         exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
         r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=exact)
         assert r.trials == 1
