@@ -196,18 +196,13 @@ class MomentAccumulator:
 
 
 def merge_pairwise(accumulators: list[MomentAccumulator]) -> MomentAccumulator:
-    """Reduce stream accumulators along a fixed binary tree (by index)."""
+    """Reduce stream accumulators along a fixed binary tree (by index, `_merge_run`).
+
+    Any states with a merge method reduce along the same tree.
+    """
     if not accumulators:
         return MomentAccumulator.empty()
-    level = list(accumulators)
-    while len(level) > 1:
-        merged = []
-        for j in range(0, len(level) - 1, 2):
-            merged.append(level[j].merge(level[j + 1]))
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
+    return _merge_run(accumulators, lambda left, right: left.merge(right))
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,11 +289,12 @@ def _strided_shares(share: Callable[[range], Share], count: int, limit: int) -> 
 
 
 def _merge_run(states: Iterable[State], merge: Callable[[State, State], State]) -> State:
-    """The states merged along `merge_pairwise`'s tree, holding O(log count) of them.
+    """The states merged along a fixed binary tree by index, holding O(log count) of them.
 
-    Each state is merged with the pending one of equal size on its left,
-    as the tree's levels pair neighbours; the leftover blocks, largest
-    first, merge from the right, as the tree carries an odd tail.
+    The tree pairs neighbours level by level and carries an odd tail up
+    a level.  Each state is merged with the pending one of equal size on
+    its left, as a level pairs neighbours; the leftover blocks, largest
+    first, merge from the right, as the carried tails do.
     """
     pending: list[tuple[int, State]] = []
     for state in states:

@@ -3,38 +3,36 @@
 A uniform random k-dimensional subspace of R^n is spanned by k i.i.d.
 Gaussian vectors; on its Euclidean sphere the ratio r(x) = ||Bx||_p
 (with B an orthonormal basis, so ||Bx||_2 = 1) measures how far the
-section of the p-ball is from round.  We evaluate r over a deterministic
-net of the k-sphere and certify two-sided bounds on sup r / inf r from
-the net's covering radius: r is (sup r)-Lipschitz along chords, so
-
-    sup_true <= sup_net / (1 - rho),
-    inf_true >= inf_net - rho * sup_true.
-
-Everything that claims "certified" uses only these inequalities with
-the construction's guaranteed covering radius rho; nothing is inferred
-from sampling density.  Certified enumeration is limited to k <= 4,
-which is exactly the regime where the sphere-net size stays tractable;
-larger k falls back to random directions and is labeled uncertified.
-
-The phase experiments run a branch and bound (Piyavskii 1972; Shubert
-1972) over a tree of cells of the sphere: boxes in the spherical
-coordinates of the nets, each with a guaranteed covering radius rho_c
-about its center point.  The same inequalities, cell by cell, give
+section of the p-ball is from round.  Two-sided bounds on sup r / inf r
+come from a tree of cells of the sphere up to sign: boxes in
+hyperspherical coordinates, each with a guaranteed covering radius
+rho_c about its center point.  r is (sup r)-Lipschitz along chords,
+so over cells that cover the sphere
 
     sup_true <= S = max_c r(c) / (1 - rho_c),
-    inf_true >= I = min_c r(c) - rho_c * S,
+    inf_true >= I = min_c r(c) - rho_c * S.
 
-so a trial counts as success only when this certified bound S / I
-clears the target, as failure only when the values at cell centers
-(honest sphere points) already exceed it, and as ambiguous when
-neither holds and no cell that blocks a verdict is coarser than the
-requested resolution.  Each round evaluates only the centers of new
-cells and trisects only the cells that block a verdict, so a trial
-evaluates far fewer points than a uniform net of the finest radius it
-reaches.  Every round's bounds hold for the true distortion, so no
-trial swaps between success and failure against a single net at the
-requested resolution; only trials that net leaves ambiguous can
-change, and only by settling.
+Everything that claims "certified" uses only these inequalities with
+the construction's guaranteed covering radii; nothing is inferred
+from sampling density.  Certified bounds are limited to k <= 4;
+larger k falls back to random directions and is labeled uncertified.
+
+Every certified result is a branch and bound (Piyavskii 1972; Shubert
+1972) over the tree, from the whole antipodal domain down (`_trial`):
+a round evaluates r only at the centers of new cells, and a stopping
+rule either ends the run or names the cells to trisect, never one at
+or below the requested resolution.  `distortion` splits the cells
+whose bounds could still move sup r or inf r past the center values
+found (`_extremes`).  The phase experiments count a trial as success
+only when S / I clears the target, as failure only when the values at
+cell centers (honest sphere points) already exceed it, and as
+ambiguous when neither holds and no cell that blocks a verdict is
+coarser than the requested resolution (`_round`).  Every round's
+bounds hold for the true distortion, so no trial swaps between
+success and failure against `distortion` at the requested resolution;
+only trials it leaves ambiguous can change, and only by settling.
+`sphere_net` returns the centers of the tree refined everywhere to a
+resolution, whose leaves also bound the cells any run can hold.
 
 Trials run on the thread pool of the Monte Carlo engine, dealt
 round-robin, one task per worker; each trial keys its own stream, so
@@ -42,16 +40,16 @@ the counts do not depend on the worker count.  Points are evaluated a
 reducer tile at a time (`_point_values`): the tile's image under B is
 written into one reused buffer and reduced there by the lp reducer in
 one workspace, so an evaluation holds a few tiles of doubles whatever
-the number of points and n.  A net's sup and inf are taken once over
-all its values; a trial's cells live in arrays its worker allocates
-once, with room for the most cells a trial can hold.
+the number of points and n.  A run's cells live in arrays allocated
+once per worker, with room for the most cells a run can hold.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -61,6 +59,8 @@ from .gaussian import _reduce_rows, _tile_rows, _workspace_elems
 from .montecarlo import RngStream, _strided_shares, gaussian_draws, wilson_interval
 
 _ORTHO_TOL = 1e-10
+
+Result = TypeVar("Result")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,9 +112,6 @@ def random_subspace(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
     return SubspaceBasis(n, k, columns)
 
 
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
 def _slab_weight(theta, half):
     """The fiber weight of the colatitude slab |phi - theta| <= half.
 
@@ -134,116 +131,6 @@ def _slab_weight(theta, half):
     return sin_sup * np.sin(theta)
 
 
-def _rings(colat_lo: float, colat_hi: float, chord: float):
-    """Yield (colatitude, fiber chord) of each ring over [colat_lo, colat_hi].
-
-    By the identity of `_slab_weight`, spacing rings at chord(step/2) <=
-    chord/sqrt(2) and covering each fiber to chordal radius
-    chord/sqrt(2 * weight) of the ring's slab yields covering radius <=
-    chord.
-    """
-    component = chord / math.sqrt(2.0)
-    step = 4.0 * math.asin(component / 2.0)
-    span = colat_hi - colat_lo
-    ring_count = max(1, math.ceil(span / step))
-    step = span / ring_count
-    for r in range(ring_count):
-        theta = colat_lo + (r + 0.5) * step
-        weight = float(_slab_weight(theta, 0.5 * step))
-        if weight <= 0.0:
-            yield theta, 2.0
-        else:
-            yield theta, min(2.0, component / math.sqrt(weight))
-
-
-def _ring_product(k: int, colat_lo: float, colat_hi: float, chord: float) -> np.ndarray:
-    """Colatitude rings over [colat_lo, colat_hi] with full-sphere fibers."""
-    blocks = []
-    for r, (theta, fiber_chord) in enumerate(_rings(colat_lo, colat_hi, chord)):
-        fiber = _fiber_net(k - 1, fiber_chord, r)
-        block = np.empty((fiber.shape[0], k))
-        block[:, 0] = math.cos(theta)
-        block[:, 1:] = math.sin(theta) * fiber
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
-
-
-def _circle_count(chord: float) -> int:
-    return max(1, math.ceil(math.pi / (2.0 * math.asin(chord / 2.0))))
-
-
-def _half_circle_count(resolution: float) -> int:
-    # angular spacing pi/N; worst offset pi/(2N); chord 2 sin(pi/(4N))
-    return max(2, math.ceil(math.pi / (4.0 * math.asin(resolution / 2.0))))
-
-
-def _fiber_net(k: int, chord: float, stagger: int = 0) -> np.ndarray:
-    """Full net of S^{k-1} with true chordal covering radius <= chord."""
-    if chord >= 2.0:
-        point = np.zeros((1, k))
-        point[0, 0] = 1.0
-        return point
-    if k == 1:
-        return np.array([[1.0], [-1.0]])
-    if k == 2:
-        count = _circle_count(chord)
-        angles = 2.0 * math.pi * np.arange(count) / count + stagger * _GOLDEN_ANGLE
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return _ring_product(k, 0.0, math.pi, chord)
-
-
-def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
-    """Deterministic net of S^{k-1} up to antipodal symmetry.
-
-    Returns (points, rho) where every unit vector x has some net point y
-    with min(|x - y|_2, |x + y|_2) <= rho <= resolution.  k = 2 uses a
-    half-circle grid; k = 3, 4 use colatitude rings over [0, pi/2] with
-    full-sphere fibers (the antipode of a lower-hemisphere point lands in
-    the covered upper hemisphere).  The returned rho is the construction's
-    guaranteed covering radius, not an empirical one.
-    """
-    if not 0.0 < resolution < 1.0:
-        raise DomainError(f"need resolution in (0, 1), got {resolution}")
-    if k == 1:
-        return np.array([[1.0]]), 0.0
-    if k == 2:
-        count = _half_circle_count(resolution)
-        angles = (np.arange(count) + 0.5) * math.pi / count
-        points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        return points, 2.0 * math.sin(math.pi / (4.0 * count))
-    if k in (3, 4):
-        return _ring_product(k, 0.0, 0.5 * math.pi, resolution), resolution
-    raise DomainError(f"certified nets are implemented for k <= 4, got k={k}")
-
-
-def _fiber_sizes(k: int, chord: float):
-    """Yield the point count of each block `_fiber_net(k, chord)` builds."""
-    if chord >= 2.0:
-        yield 1
-    elif k == 1:
-        yield 2
-    elif k == 2:
-        yield _circle_count(chord)
-    else:
-        for _, fiber_chord in _rings(0.0, math.pi, chord):
-            yield from _fiber_sizes(k - 1, fiber_chord)
-
-
-def _net_sizes(k: int, resolution: float):
-    """Yield the point count of each block of `sphere_net(k, resolution)`.
-
-    Counts follow the builder ring by ring without allocating points, so
-    a caller can stop as soon as a running total is too large.
-    """
-    if k == 1:
-        yield 1
-    elif k == 2:
-        yield _half_circle_count(resolution)
-    else:
-        for _, fiber_chord in _rings(0.0, 0.5 * math.pi, resolution):
-            yield from _fiber_sizes(k - 1, fiber_chord)
-
-
 def _beyond_any_net(k: int, resolution: float, limit: int) -> bool:
     """Whether every net of S^{k-1} up to sign at this resolution has more than `limit` points.
 
@@ -255,26 +142,20 @@ def _beyond_any_net(k: int, resolution: float, limit: int) -> bool:
     return k >= 2 and math.pi > limit * 4.0 * math.asin(resolution / 2.0)
 
 
-def _net_size(k: int, resolution: float, limit: int) -> int | None:
-    """The point count of sphere_net(k, resolution), None if above `limit`."""
-    if _beyond_any_net(k, resolution, limit):
-        return None
-    total = 0
-    for total in itertools.accumulate(_net_sizes(k, resolution)):
-        if total > limit:
-            return None
-    return total
-
-
 @dataclass(frozen=True, slots=True)
 class DistortionResult:
-    """Net extremes of r(x) = ||Bx||_p with certification metadata.
+    """Extremes of r(x) = ||Bx||_p with certification metadata.
 
     sup_ratio and inf_ratio are exact values of r at sphere points, so
     distortion = sup/inf is always a valid lower bound for the true
-    distortion.  certified_rel_error bounds the relative amount by which
-    the true distortion can exceed it (inf when not certifiable at this
-    resolution); certified marks whether the run used an exhaustive net.
+    distortion.  certified marks a result of the cell tree (k <= 4):
+    certified_rel_error then bounds the relative amount by which the
+    true distortion can exceed it (inf when the lower bound I is not
+    positive), and net_resolution is the largest radius among the final
+    cells that could still move sup or inf (0.0 at k = 1, where one
+    point is the whole sphere up to sign).  An uncertified result comes
+    from random directions, with certified_rel_error = inf and the
+    requested resolution.
     """
 
     sup_ratio: float
@@ -327,15 +208,6 @@ def _point_values(
     return out
 
 
-def _net_extremes(
-    basis: SubspaceBasis, p: float, points: np.ndarray
-) -> tuple[float, float]:
-    """Max and min of ||Bx||_p over the rows x of points."""
-    workspace = _evaluation_workspace(basis.n, points.shape[0], p)
-    values = _point_values(basis, p, points, workspace, np.empty(points.shape[0]))
-    return float(values.max()), float(values.min())
-
-
 def distortion(
     basis: SubspaceBasis,
     p: float,
@@ -346,10 +218,14 @@ def distortion(
 ) -> DistortionResult:
     """sup/inf of the p-norm over the basis's unit sphere, net-certified.
 
-    For k <= 4 the net is exhaustive and the result carries a finite
-    certified_rel_error whenever the Lipschitz bracket closes; its points
-    of k doubles must fit constants.memory_guard_bytes, which is checked
-    by counting them before the net is built.  Larger k requires
+    For k <= 4 the result is certified: a branch and bound over the cell
+    tree trisects every cell whose bounds could still move sup or inf
+    past the center values found, down to radius net_resolution
+    (`_extremes`), and certified_rel_error = (S / I) / (sup / inf) - 1
+    follows from the final cells, or inf when I <= 0.  The basis and the
+    most cells a run can hold are checked against
+    constants.memory_guard_bytes before any cell is evaluated
+    (`_check_section_request`).  Larger k requires
     allow_uncertified=True and an rng for random directions; the
     estimate is then a pure lower bound (certified_rel_error = inf).
     Its max(1000, 4 / net_resolution^2) directions of k doubles must fit
@@ -359,30 +235,22 @@ def distortion(
         raise DomainError(f"need p >= 1 or inf, got {p}")
     if not 0.0 < net_resolution < 1.0:
         raise DomainError(f"need resolution in (0, 1), got {net_resolution}")
-    guard = constants.memory_guard_bytes
     if basis.k <= 4:
-        if _net_size(basis.k, net_resolution, guard // (8 * basis.k)) is None:
-            raise DomainError(
-                f"the k={basis.k} net at resolution {net_resolution} exceeds the memory"
-                f" guard ({guard} bytes)"
-            )
-        points, rho = sphere_net(basis.k, net_resolution)
-        sup_net, inf_net = _net_extremes(basis, p, points)
-        if rho == 0.0:
-            rel_error = 0.0
-        else:
-            sup_upper = sup_net / (1.0 - rho)
-            inf_lower = inf_net - rho * sup_upper
-            if inf_lower <= 0.0:
-                rel_error = math.inf
-            else:
-                rel_error = (sup_upper / inf_lower) / (sup_net / inf_net) - 1.0
+        leaves = _check_section_request(basis.n, basis.k, net_resolution, constants)
+        sup, inf, sup_upper, inf_lower, rho = _trial(
+            basis,
+            p,
+            lambda values, radii: _extremes(values, radii, net_resolution),
+            *_trial_arrays(basis.n, basis.k, p, leaves),
+        )
         return DistortionResult(
-            sup_ratio=sup_net,
-            inf_ratio=inf_net,
-            distortion=sup_net / inf_net,
+            sup_ratio=sup,
+            inf_ratio=inf,
+            distortion=sup / inf,
             net_resolution=rho,
-            certified_rel_error=rel_error,
+            certified_rel_error=(
+                (sup_upper / inf_lower) / (sup / inf) - 1.0 if inf_lower > 0.0 else math.inf
+            ),
             certified=True,
         )
     if not allow_uncertified:
@@ -393,6 +261,7 @@ def distortion(
     if rng is None:
         raise DomainError("uncertified mode needs an rng for random directions")
     count = max(1000, int(4.0 / (net_resolution * net_resolution)))
+    guard = constants.memory_guard_bytes
     if count * basis.k * 8 > guard:
         raise DomainError(
             f"{count} random directions in R^{basis.k} exceed the memory guard"
@@ -400,11 +269,13 @@ def distortion(
         )
     directions = gaussian_draws(rng, (count, basis.k))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    sup_net, inf_net = _net_extremes(basis, p, directions)
+    workspace = _evaluation_workspace(basis.n, count, p)
+    values = _point_values(basis, p, directions, workspace, np.empty(count))
+    sup, inf = float(values.max()), float(values.min())
     return DistortionResult(
-        sup_ratio=sup_net,
-        inf_ratio=inf_net,
-        distortion=sup_net / inf_net,
+        sup_ratio=sup,
+        inf_ratio=inf,
+        distortion=sup / inf,
         net_resolution=net_resolution,
         certified_rel_error=math.inf,
         certified=False,
@@ -453,7 +324,7 @@ def _cell_geometry(centers: np.ndarray, halves: np.ndarray) -> tuple[np.ndarray,
 
     A cell of S^{k-1} up to sign is a box of k - 1 angles, each an
     interval given by its center and half-width: the colatitudes (the
-    first in [0, pi/2], the antipodal domain of `sphere_net`, the others
+    first in [0, pi/2], which covers the sphere up to sign, the others
     in [0, pi]) and last the azimuth ([0, pi] for k = 2, [0, 2 pi]
     above).  Its center point has the center angles as hyperspherical
     coordinates (`_cell_points`).  The identity of `_slab_weight`,
@@ -507,7 +378,7 @@ def _leaf_count(k: int, resolution: float, limit: int) -> int | None:
     """Leaves of the cell tree trisected until each radius is <= resolution.
 
     None when they are more than `limit`.  The tree splits every cell of
-    radius above the resolution as `_trial` does, so a trial's live cells,
+    radius above the resolution as `_trial` does, so a run's live cells,
     a partition of the sphere by nodes of this tree, are never more than
     its leaves.  No radius depends on an azimuth center, so the three
     thirds of an azimuth split have equal subtrees and are counted as
@@ -534,6 +405,45 @@ def _leaf_count(k: int, resolution: float, limit: int) -> int | None:
         centers = np.concatenate([centers, lower[polar], upper[polar]])
         halves = np.concatenate([halves, halves[polar], halves[polar]])
     return leaves
+
+
+def _full_tree(k: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Center angles and radii of the leaves of the tree refined everywhere to the resolution."""
+    centers, halves = _root_cell(k)
+    leaves = []
+    while len(centers):
+        radii, axis = _cell_geometry(centers, halves)
+        split = radii > resolution
+        leaves.append((centers[~split], radii[~split]))
+        thirds, lower, upper = _trisect(centers[split], halves[split], axis[split])
+        centers = np.concatenate([centers[split], lower, upper])
+        halves = np.concatenate([thirds, thirds, thirds])
+    return tuple(np.concatenate(parts) for parts in zip(*leaves))
+
+
+def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
+    """Deterministic net of S^{k-1} up to antipodal symmetry.
+
+    Returns (points, rho) where every unit vector x has some net point y
+    with min(|x - y|_2, |x + y|_2) <= rho <= resolution: the center
+    points of the leaves of the cell tree trisected everywhere until
+    each radius is at most the resolution, and the largest leaf radius.
+    rho is the construction's guaranteed covering radius, not an
+    empirical one.  The leaves are counted before any is built; their
+    center angles, radii and points, 8 (3k - 1) bytes each, must fit
+    DEFAULT_CONSTANTS.memory_guard_bytes.
+    """
+    if not 1 <= k <= 4:
+        raise DomainError(f"certified nets are implemented for 1 <= k <= 4, got k={k}")
+    if not 0.0 < resolution < 1.0:
+        raise DomainError(f"need resolution in (0, 1), got {resolution}")
+    guard = DEFAULT_CONSTANTS.memory_guard_bytes
+    if _leaf_count(k, resolution, guard // (8 * (3 * k - 1))) is None:
+        raise DomainError(
+            f"the k={k} net at resolution {resolution} exceeds the memory guard ({guard} bytes)"
+        )
+    centers, radii = _full_tree(k, resolution)
+    return _cell_points(centers), float(radii.max())
 
 
 def _held_bytes(n: int, k: int, cells: int) -> int:
@@ -577,6 +487,35 @@ def _check_section_request(
     )
 
 
+def _bounds(values: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Each cell's bounds r(c) / (1 - rho_c) and r(c) - rho_c S, and S their max."""
+    with np.errstate(divide="ignore"):
+        upper = np.where(radii < 1.0, values / (1.0 - radii), math.inf)
+    sup = upper.max()
+    return upper, sup, values - radii * sup
+
+
+def _extremes(
+    values: np.ndarray, radii: np.ndarray, resolution: float
+) -> tuple[tuple[float, ...] | None, np.ndarray]:
+    """The stopping rule of `distortion` on the live cells' center values and radii.
+
+    A cell blocks while it could hold a value above the largest center
+    value, r(c) / (1 - rho_c) > max r(c), or below the least,
+    r(c) - rho_c S < min r(c).  Returns None with the blocking cells of
+    radius above the resolution, to split, or, when there are none,
+    (max r(c), min r(c), S, I, the largest radius of a blocking cell)
+    with no cells; that radius is 0.0 when no cell blocks (k = 1).
+    """
+    upper, sup, lower = _bounds(values, radii)
+    blocking = (upper > values.max()) | (lower < values.min())
+    split = np.flatnonzero(blocking & (radii > resolution))
+    if split.size:
+        return None, split
+    rho = radii[blocking].max(initial=0.0)
+    return tuple(map(float, (values.max(), values.min(), sup, lower.min(), rho))), split
+
+
 def _round(
     values: np.ndarray, radii: np.ndarray, target: float, resolution: float
 ) -> tuple[int | None, np.ndarray]:
@@ -596,10 +535,7 @@ def _round(
       block), and the trial is ambiguous when none can be.
     """
     no_cells = np.empty(0, dtype=np.intp)
-    with np.errstate(divide="ignore"):
-        upper = np.where(radii < 1.0, values / (1.0 - radii), math.inf)
-    sup = upper.max()
-    lower = values - radii * sup
+    upper, sup, lower = _bounds(values, radii)
     inf = lower.min()
     if inf > 0.0 and sup <= target * inf:
         return 0, no_cells
@@ -610,20 +546,31 @@ def _round(
     return (None, split) if split.size else (2, no_cells)
 
 
+def _trial_arrays(
+    n: int, k: int, p: float, leaves: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """A worker's cell arrays with room for `leaves` cells, and its evaluation workspace."""
+    cells = (
+        np.empty((leaves, k - 1)), np.empty((leaves, k - 1)), np.empty(leaves), np.empty(leaves)
+    )
+    return cells, _evaluation_workspace(n, _tile_rows(n), p)
+
+
 def _trial(
     basis: SubspaceBasis,
     p: float,
-    target: float,
-    resolution: float,
+    rule: Callable[[np.ndarray, np.ndarray], tuple[Result | None, np.ndarray]],
     cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     workspace: np.ndarray,
-) -> int:
-    """The verdict's index in (success, failure, ambiguous) for one basis.
+) -> Result:
+    """Branch and bound over the cell tree of one basis until `rule` returns a result.
 
-    `cells` are the worker's arrays of center angles, half-widths, values
-    and radii, with room for the tree's leaves; the live cells are their
-    first m rows.  A split cell's middle third stays in its row with its
-    value, and the other two are appended and evaluated.
+    rule(values, radii) takes the live cells' center values and radii
+    and returns a result, or None with the indices of the cells to
+    split.  `cells` and `workspace` are from `_trial_arrays`, with room
+    for the tree's leaves; the live cells are the first m rows.  A split
+    cell's middle third stays in its row with its value, and the other
+    two are appended and evaluated.
     """
     centers, halves, values, radii = cells
     centers[:1], halves[:1] = _root_cell(basis.k)
@@ -631,9 +578,9 @@ def _trial(
     _point_values(basis, p, _cell_points(centers[:1]), workspace, values[:1])
     live = 1
     while True:
-        verdict, split = _round(values[:live], radii[:live], target, resolution)
-        if verdict is not None:
-            return verdict
+        result, split = rule(values[:live], radii[:live])
+        if result is not None:
+            return result
         new = slice(live, live + 2 * split.size)
         axis = _cell_geometry(centers[split], halves[split])[1]
         thirds, lower, upper = _trisect(centers[split], halves[split], axis)
@@ -688,16 +635,16 @@ def sphericity_experiment(
     leaves = _check_section_request(n, k, net_resolution, constants)
     target = 1.0 + epsilon
 
+    def verdict(values: np.ndarray, radii: np.ndarray) -> tuple[int | None, np.ndarray]:
+        return _round(values, radii, target, net_resolution)
+
     def share(indices: range) -> list[int]:
         counts = [0, 0, 0]
-        cells = (
-            np.empty((leaves, k - 1)), np.empty((leaves, k - 1)), np.empty(leaves), np.empty(leaves)
-        )
-        workspace = _evaluation_workspace(n, _tile_rows(n), p)
+        cells, workspace = _trial_arrays(n, k, p, leaves)
         for trial in indices:
             rng = RngStream(seed, trial).generator()
             basis = random_subspace(n, k, rng)
-            counts[_trial(basis, p, target, net_resolution, cells, workspace)] += 1
+            counts[_trial(basis, p, verdict, cells, workspace)] += 1
         return counts
 
     limit = max(1, constants.memory_guard_bytes // _held_bytes(n, k, leaves))

@@ -140,6 +140,20 @@ class TestMomentAccumulator:
     def test_pairwise_empty_list(self):
         assert merge_pairwise([]) == MomentAccumulator.empty()
 
+    def test_pairwise_merge_is_the_level_tree(self):
+        # reference: pair neighbours level by level, carrying an odd tail;
+        # another tree would change the last bits of the merged moments
+        def levels(states):
+            while len(states) > 1:
+                merged = [a.merge(b) for a, b in zip(states[::2], states[1::2])]
+                states = merged + states[2 * len(merged) :]
+            return states[0]
+
+        xs = np.random.default_rng(5).normal(size=(299, 3))
+        parts = [MomentAccumulator.from_batch(row) for row in xs]
+        for count in range(1, 300):
+            assert merge_pairwise(parts[:count]) == levels(parts[:count])
+
 
 class TestNormStats:
     def test_bit_reproducible(self):

@@ -23,7 +23,15 @@ from lplab import (
 )
 from lplab.errors import DomainError
 from lplab.gaussian import _reduce_rows
-from lplab.subspaces import _cell_geometry, _cell_points, _leaf_count, _root_cell, _round, _trisect
+from lplab.subspaces import (
+    _cell_geometry,
+    _cell_points,
+    _leaf_count,
+    _point_values,
+    _root_cell,
+    _round,
+    _trisect,
+)
 
 
 def _haar_basis(n, k, seed, stream=0):
@@ -106,16 +114,35 @@ class TestSphereNet:
         fine, _ = sphere_net(3, 0.1)
         assert len(fine) > 4 * len(coarse)
 
-    @pytest.mark.parametrize(
-        "k,res", [(1, 0.5), (2, 0.004), (2, 0.3), (3, 0.05), (3, 0.4), (4, 0.1)]
-    )
-    def test_counted_size_matches_builder(self, k, res):
-        points, _ = sphere_net(k, res)
-        assert sum(lplab.subspaces._net_sizes(k, res)) == points.shape[0]
+    def test_oversized_net_refused_before_building(self, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("the tree was built before its leaves were counted")
+
+        monkeypatch.setattr(lplab.subspaces, "_full_tree", no_tree)
+        # k = 3 at 1e-5 is 70,436,441,133 leaves of 64 bytes and k = 4 at
+        # 0.004 297,160,653 of 88 bytes, against the 2 GiB default; 1e-300
+        # is refused by the lower bound on any net, without counting
+        for k, res in [(3, 1e-5), (4, 0.004), (2, 1e-300)]:
+            with pytest.raises(DomainError, match=f"resolution {res} exceeds the memory guard"):
+                sphere_net(k, res)
+        monkeypatch.undo()
+        # a leaf holds k - 1 center angles, a radius and a point of k
+        # doubles: 21,639 leaves of 88 bytes at k = 4 and 0.1
+        size = 88 * sphere_net(4, 0.1)[0].shape[0]
+        for guard, fits in [(size, True), (size - 1, False)]:
+            constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+            monkeypatch.setattr(lplab.subspaces, "DEFAULT_CONSTANTS", constants)
+            if fits:
+                assert sphere_net(4, 0.1)[0].shape == (21_639, 4)
+            else:
+                with pytest.raises(DomainError, match="memory guard"):
+                    sphere_net(4, 0.1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             sphere_net(5, 0.1)
+        with pytest.raises(DomainError):
+            sphere_net(0, 0.1)
         with pytest.raises(DomainError):
             sphere_net(2, 0.0)
         with pytest.raises(DomainError):
@@ -210,23 +237,24 @@ class TestDistortion:
             distortion(b, 3.0, 0.01, allow_uncertified=True, rng=rng, constants=tiny)
 
     def test_certified_net_checked_before_building(self, monkeypatch):
-        def no_net(*args):
-            raise AssertionError("the net was built before its size was checked")
+        def no_cells(*args):
+            raise AssertionError("a cell was evaluated before the request was checked")
 
         b = _haar_basis(20, 3, seed=3)
-        monkeypatch.setattr(lplab.subspaces, "sphere_net", no_net)
+        monkeypatch.setattr(lplab.subspaces, "_point_values", no_cells)
         for res in [0.0, -1.0, 1.0, math.nan]:
             with pytest.raises(DomainError, match="resolution in"):
                 distortion(b, 3.0, res)
-        # 314,198,321 points of 3 doubles, 7.0 GiB, against the 2 GiB default
-        with pytest.raises(DomainError, match="resolution 0.0001 exceeds the memory guard"):
+        # 824,790,897 cells of 48 bytes, 36.9 GiB, against the 2 GiB default
+        with pytest.raises(DomainError, match="resolution 0.0001 and a 20x3 basis exceed"):
             distortion(b, 3.0, 1e-4)
-        # 49,358 points of 3 doubles are 1,184,592 bytes
+        # 126,711 cells of 48 bytes are 6,082,128 bytes
         tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
-        with pytest.raises(DomainError, match="resolution 0.008 exceeds the memory guard"):
+        with pytest.raises(DomainError, match="resolution 0.008 and a 20x3 basis exceed"):
             distortion(b, 3.0, 0.008, constants=tiny)
         monkeypatch.undo()
-        size = sphere_net(3, 0.008)[0].shape[0] * 3 * 8
+        # the basis and the cells a run can hold, 8k (n + 2 cells) bytes
+        size = 8 * 3 * (20 + 2 * sphere_net(3, 0.008)[0].shape[0])
         exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
         assert distortion(b, 3.0, 0.008, constants=exact) == distortion(b, 3.0, 0.008)
         short = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size - 1)
@@ -234,20 +262,25 @@ class TestDistortion:
             distortion(b, 3.0, 0.008, constants=short)
 
     def test_ambient_blocks_within_tile_budget(self, monkeypatch):
-        # the net's image in R^n is evaluated a reducer tile at a time
-        # (2^16 doubles, or one row when n is larger), so large n cannot
-        # allocate points x n at once
-        shapes = []
+        # the cell centers' images in R^n are evaluated a reducer tile at a
+        # time (2^16 doubles, or one row when n is larger), so large n
+        # cannot allocate points x n at once
+        shapes, centers = [], []
 
         def recording(block, requests, T, workspace=None):
             shapes.append(block.shape)
             return _reduce_rows(block, requests, T, workspace)
 
+        def recording_points(angles):
+            centers.append(_cell_points(angles))
+            return centers[-1]
+
         monkeypatch.setattr(lplab.subspaces, "_reduce_rows", recording)
+        monkeypatch.setattr(lplab.subspaces, "_cell_points", recording_points)
         n = 100_000
         b = _haar_basis(n, 2, seed=2)
         r = distortion(b, 10.0, 0.05)
-        points, _ = sphere_net(2, 0.05)
+        points = np.concatenate(centers)
         assert len(shapes) == points.shape[0]
         assert all(shape == (1, n) for shape in shapes)
         whole = lp_norm_rows(points @ b.columns.T, 10.0)
@@ -255,11 +288,11 @@ class TestDistortion:
         assert r.inf_ratio == pytest.approx(whole.min(), rel=1e-14)
         shapes.clear()
         distortion(_haar_basis(10_000, 2, seed=2), 10.0, 0.05)
-        assert {rows for rows, _ in shapes} == {6, points.shape[0] % 6}
+        assert max(rows for rows, _ in shapes) == 6
 
     def test_evaluation_memory_is_a_few_tiles(self):
         # one distortion call at n = 10^5 holds the image of one point
-        # and a workspace of two more rows; the 393-point net is 6 KiB
+        # and a workspace of two more rows; the 729 cells are 23 KiB
         b = _haar_basis(100_000, 2, seed=1)
         tracemalloc.start()
         try:
@@ -269,19 +302,33 @@ class TestDistortion:
             tracemalloc.stop()
         assert peak <= 4 * 100_000 * 8
 
+    def test_fine_k3_bracket_on_few_cells(self, monkeypatch):
+        # at k = 3 and 0.004 the tree refined everywhere has 386,433 leaves
+        # and the uniform ring net had 196,994 points; 12 bases took 11,777
+        # to 41,755 cells, this one 32,871; k = 4 runs at 0.1, since 0.004
+        # is refused by the memory guard
+        evaluated = []
 
-def _full_tree_leaves(k, res):
-    """Leaves of the cell tree split everywhere down to res, every cell kept apart."""
-    centers, halves = _root_cell(k)
-    leaves = 0
-    while len(centers):
-        radii, axis = _cell_geometry(centers, halves)
-        split = radii > res
-        leaves += int((~split).sum())
-        thirds, lower, upper = _trisect(centers[split], halves[split], axis[split])
-        centers = np.concatenate([centers[split], lower, upper])
-        halves = np.concatenate([thirds, thirds, thirds])
-    return leaves
+        def counting(basis, p, points, workspace, out):
+            evaluated.append(points.shape[0])
+            return _point_values(basis, p, points, workspace, out)
+
+        monkeypatch.setattr(lplab.subspaces, "_point_values", counting)
+        n = 10_000
+        p = 1.5 * math.log(n)
+        gen = np.random.default_rng(8)
+        for k, res in [(2, 0.004), (3, 0.004), (4, 0.1)]:
+            basis = _haar_basis(n, k, seed=k)
+            evaluated.clear()
+            r = distortion(basis, p, res)
+            if k == 3:
+                assert sum(evaluated) < 50_000
+            assert r.certified and 0.0 < r.net_resolution <= res
+            directions = gen.normal(size=(2000, k))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            sampled = lp_norm_rows(directions @ basis.columns.T, p)
+            assert r.distortion <= r.certified_upper
+            assert sampled.max() / sampled.min() <= r.certified_upper
 
 
 class TestCellTree:
@@ -318,9 +365,14 @@ class TestCellTree:
         gaps = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots)) - radii
         assert gaps.min(axis=1).max() <= 1e-12
 
-    @pytest.mark.parametrize("k,res", [(1, 0.5), (2, 0.01), (3, 0.1), (4, 0.3), (4, 0.35)])
+    @pytest.mark.parametrize(
+        "k,res",
+        [(1, 0.5), (2, 0.004), (2, 0.01), (2, 0.3), (3, 0.05), (3, 0.1), (3, 0.4), (4, 0.1),
+         (4, 0.3), (4, 0.35)],
+    )
     def test_leaf_count_matches_full_tree(self, k, res):
-        leaves = _full_tree_leaves(k, res)
+        # sphere_net builds every leaf of the tree, siblings kept apart
+        leaves = sphere_net(k, res)[0].shape[0]
         assert _leaf_count(k, res, leaves) == leaves
         assert _leaf_count(k, res, leaves - 1) is None
 
@@ -437,7 +489,7 @@ class TestSphericityExperiment:
             assert np.array_equal(following[: values.size], values)
 
     def test_fine_k3_trials_settle_on_few_cells(self, monkeypatch):
-        # the uniform net of S^2 at resolution 0.004 has 196,994 points and
+        # the uniform ring net of S^2 at resolution 0.004 had 196,994 points and
         # the tree refined everywhere to it 386,433 leaves
         settled = []
 
@@ -503,7 +555,7 @@ class TestSphericityExperiment:
         # 48 per cell
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
         n, res = 30_000, 0.1
-        held = 24 * (n + 2 * _full_tree_leaves(3, res))
+        held = 24 * (n + 2 * sphere_net(3, res)[0].shape[0])
         results = []
         for guard in (2 * held - 1, 2 * held, 3 * held):
             constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
