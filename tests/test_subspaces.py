@@ -84,6 +84,13 @@ class TestRandomSubspace:
             random_subspace(5, 0, gen)
 
 
+def _check_leaf_count(k, res):
+    # sphere_net builds every leaf of the tree, siblings kept apart
+    leaves = sphere_net(k, res)[0].shape[0]
+    assert _leaf_count(k, res, leaves) == leaves
+    assert _leaf_count(k, res, leaves - 1) is None
+
+
 class TestSphereNet:
     @pytest.mark.parametrize(
         "k,res", [(2, 0.3), (2, 0.05), (3, 0.15), (3, 0.4), (4, 0.35)]
@@ -113,6 +120,12 @@ class TestSphereNet:
         coarse, _ = sphere_net(3, 0.4)
         fine, _ = sphere_net(3, 0.1)
         assert len(fine) > 4 * len(coarse)
+
+    @pytest.mark.parametrize(
+        "k,res", [(1, 0.5), (2, 0.004), (2, 0.3), (3, 0.05), (3, 0.4), (4, 0.1)]
+    )
+    def test_counted_size_matches_builder(self, k, res):
+        _check_leaf_count(k, res)
 
     def test_oversized_net_refused_before_building(self, monkeypatch):
         def no_tree(*args):
@@ -365,16 +378,9 @@ class TestCellTree:
         gaps = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots)) - radii
         assert gaps.min(axis=1).max() <= 1e-12
 
-    @pytest.mark.parametrize(
-        "k,res",
-        [(1, 0.5), (2, 0.004), (2, 0.01), (2, 0.3), (3, 0.05), (3, 0.1), (3, 0.4), (4, 0.1),
-         (4, 0.3), (4, 0.35)],
-    )
+    @pytest.mark.parametrize("k,res", [(1, 0.5), (2, 0.01), (3, 0.1), (4, 0.3), (4, 0.35)])
     def test_leaf_count_matches_full_tree(self, k, res):
-        # sphere_net builds every leaf of the tree, siblings kept apart
-        leaves = sphere_net(k, res)[0].shape[0]
-        assert _leaf_count(k, res, leaves) == leaves
-        assert _leaf_count(k, res, leaves - 1) is None
+        _check_leaf_count(k, res)
 
 
 class TestSphericityExperiment:
