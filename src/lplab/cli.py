@@ -138,6 +138,8 @@ def cmd_quantile(args: argparse.Namespace, constants: Constants) -> int:
         xi = quantile(args.alpha)
         rows.append({"alpha": args.alpha, "xi": xi, "xi_approx": None, "gap": None})
     elif args.n is not None:
+        if args.n < 1:
+            raise LplabError(f"need --n >= 1, got {args.n}")
         i = args.i
         xi = quantile_tail(i / args.n)
         try:
@@ -306,7 +308,7 @@ def cmd_orderstats(args: argparse.Namespace, constants: Constants) -> int:
     ]
     rows = []
     for i in _parse_list(args.i, int, "--i"):
-        exact = orderstat_cdf_exact(args.n, i, args.beta)
+        exact = orderstat_cdf_exact(args.n, i, args.beta, constants)
         row: dict[str, object] = {
             "n": args.n,
             "i": i,

@@ -13,7 +13,3 @@ class DomainError(LplabError, ValueError):
 
 class ConfigError(LplabError, ValueError):
     """A constants file or runtime configuration is malformed."""
-
-
-class NumericalError(LplabError, ArithmeticError):
-    """A numerical routine failed to reach its accuracy contract."""

@@ -457,9 +457,9 @@ def mc_grid_stats(
         _check_cap(T)
     if negative is not None:
         q, L = negative
-        if q < 1.0:
+        if not q >= 1.0:
             raise DomainError(f"need q >= 1, got {q}")
-        if L < 0.0:
+        if not L >= 0.0:
             raise DomainError(f"need L >= 0, got {L}")
         if q * L > constants.negative_moment_K * math.log(max(n, 2)):
             raise DomainError(

@@ -25,6 +25,10 @@ from .gaussian import quantile_tail
 from .logdomain import LogValue
 from .montecarlo import _uniforms
 
+# tracemalloc peak of orderstat_cdf_exact per term of its binomial sum:
+# 65.0 bytes at i = 10^5, 10^6 and 4·10^6 (its float64 arrays of i terms)
+_CDF_BYTES_PER_TERM = 65
+
 
 def _validate_n_i(n: int, i: int) -> None:
     if n < 2:
@@ -33,7 +37,9 @@ def _validate_n_i(n: int, i: int) -> None:
         raise DomainError(f"need 1 <= i <= n, got i={i}, n={n}")
 
 
-def orderstat_cdf_exact(n: int, i: int, beta: float) -> LogValue:
+def orderstat_cdf_exact(
+    n: int, i: int, beta: float, constants: Constants = DEFAULT_CONSTANTS
+) -> LogValue:
     """P{g_i* <= xi_(1-beta)}: exactly the P{Bin(n, beta) <= i-1} sum.
 
     The event says fewer than i coordinates exceed the upper-beta
@@ -42,11 +48,15 @@ def orderstat_cdf_exact(n: int, i: int, beta: float) -> LogValue:
     log((n - j) / (j + 1)) + log(beta / (1 - beta)) of consecutive
     terms, so no two large logs cancel: against 50-digit mpmath at
     n = 10^6, beta = 0.01 the log CDF is within 4e-11 absolute up to
-    i = 5000, where differences of lgamma values lost about 1e-9.
+    i = 5000, where differences of lgamma values lost about 1e-9.  The
+    i-term arrays must fit constants.memory_guard_bytes.
     """
     _validate_n_i(n, i)
     if not 0.0 < beta < 1.0:
         raise DomainError(f"need beta in (0, 1), got {beta}")
+    guard = constants.memory_guard_bytes
+    if _CDF_BYTES_PER_TERM * i > guard:
+        raise DomainError(f"a binomial sum of {i} terms exceeds the memory guard ({guard} bytes)")
     j = np.arange(i - 1)
     steps = np.log((n - j) / (j + 1)) + (math.log(beta) - math.log1p(-beta))
     log_terms = n * math.log1p(-beta) + np.concatenate(([0.0], np.cumsum(steps)))

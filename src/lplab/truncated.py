@@ -1,17 +1,26 @@
-"""Truncated Gaussian moments via peak-localized quadrature.
+"""Truncated Gaussian moments in closed form.
 
 The workhorse integral is ∫₀ᵃ x^q e^{-x²/2} dx with q as large as a few
-thousand: the integrand then peaks e^{1600} above double range and is
-negligible outside a narrow window around its peak at min(√q, a).  We
-locate the peak, shift the log-integrand so the peak is 0, clip to the
-region within 60 e-folds of the peak (clipped mass below 1e-25 of the
-total, far under the 1e-18 drop the accuracy contract needs), and only
-then hand the now tame integrand to Gauss-Kronrod panels.  Results are
-carried as LogValue.
+thousand, where its value overflows doubles, so it is carried as a
+LogValue.  Substituting t = x²/2 gives the lower incomplete gamma
+function (DLMF 8.2.1):
+
+    ∫₀ᵃ x^q e^{-x²/2} dx = 2^{(q-1)/2} γ(s, x),   s = (q+1)/2,  x = a²/2,
+
+evaluated on one of two branches:
+
+- x <= max(s, 4): Kummer's form γ(s, x) = x^s e^{-x} M(1, s+1, x) / s
+  (DLMF 8.5.1), i.e. log I = (q+1) log a - x - log(q+1) + log M.  It
+  takes log a rather than log x, so tiny a is fine, M is a sum of
+  positive terms, and nothing cancels against s·log x.
+- otherwise, a = inf included: log I = ((q-1)/2) log 2 + log Γ(s) +
+  log P(s, x), with P the regularized gamma function, which is at
+  least about 1/2 past the peak and tends to 1.
 
 Also here: the two moment flavors E(|g|^q·1{|g|<=a}) and E min(|g|,a)^q,
-and the closed-form scale expressions for the integral's two regimes
-(peak inside the interval vs. mass piled at the endpoint).
+the half-max window of the integrand, and the closed-form scale
+expressions for the integral's two regimes (peak inside the interval
+vs. mass piled at the endpoint).
 """
 
 from __future__ import annotations
@@ -19,16 +28,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+from scipy.special import gammainc, hyp1f1
 
 from .config import DEFAULT_CONSTANTS
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .gaussian import _LOG_SQRT_2_OVER_PI, abs_moment, abs_tail_log
 from .logdomain import BoundBracket, LogValue
 
-# e-folds below the peak at which the integrand is clipped
-_CLIP_EFOLDS = 60.0
-_QUAD_REL_TOL = 1e-12
+# up to this x = a²/2 the Kummer branch serves x > s too: scipy's P(s, x)
+# is 1 - Q(s, x) for x > max(1, s), and against mpmath it is off by up to
+# 5e-15 relative for s < 3 and x < 3.5, where Kummer's form stays within
+# 1.4e-15; past x = 4 both are within 7e-16
+_KUMMER_FLOOR = 4.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,41 +97,18 @@ def _log_f(q: float, x: float) -> float:
     return q * math.log(x) - 0.5 * x * x
 
 
-def _solve_left(q: float, x_max: float, target: float) -> float:
-    """The x in [0, x_max] with log f(x) = target (log f increasing there)."""
-    lo, hi = 0.0, x_max
+def _bisect(q: float, above: float, below: float, target: float) -> float:
+    """The x between above (log f >= target) and below (log f < target)
+    where log f crosses target; log f is monotone between the two."""
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _log_f(q, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _solve_right(q: float, x_max: float, end: float, target: float) -> float:
-    """The x in [x_max, end] with log f(x) = target, or end if f stays above."""
-    if _log_f(q, end) >= target:
-        return end
-    lo, hi = x_max, end
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = 0.5 * (above + below)
+        if mid == above or mid == below:
             break
         if _log_f(q, mid) >= target:
-            lo = mid
+            above = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _integration_end(spec: TruncationSpec) -> float:
-    if math.isinf(spec.a):
-        x_max = spec.x_max
-        return x_max + 12.0 * math.sqrt(1.0 + x_max)
-    return spec.a
+            below = mid
+    return 0.5 * (above + below)
 
 
 def half_max_window(spec: TruncationSpec) -> HalfMaxWindow:
@@ -130,39 +118,31 @@ def half_max_window(spec: TruncationSpec) -> HalfMaxWindow:
     each endpoint either solves f = f_max/2 or coincides with 0 or a.
     For q = 0 the peak sits at 0 and the left half is degenerate.
     """
-    x_max = spec.x_max
-    peak = _log_f(spec.q, x_max)
+    q, x_max = spec.q, spec.x_max
+    peak = _log_f(q, x_max)
     target = peak - math.log(2.0)
-    x_left = 0.0 if spec.q == 0.0 else _solve_left(spec.q, x_max, target)
-    x_right = _solve_right(spec.q, x_max, _integration_end(spec), target)
+    x_left = 0.0 if q == 0.0 else _bisect(q, x_max, 0.0, target)
+    # for a = inf, 12·sqrt(1 + x_max) past the peak f is far below f_max/2
+    end = spec.a if math.isfinite(spec.a) else x_max + 12.0 * math.sqrt(1.0 + x_max)
+    x_right = end if _log_f(q, end) >= target else _bisect(q, x_max, end, target)
     return HalfMaxWindow(x_left, x_max, x_right, LogValue(peak))
 
 
 def incomplete_integral(spec: TruncationSpec) -> LogValue:
-    """∫₀ᵃ x^q e^{-x²/2} dx in log-domain, relative error <= 1e-10.
+    """∫₀ᵃ x^q e^{-x²/2} dx in log-domain, from the incomplete gamma function.
 
-    For a = inf the integration stops at x_max + 12·sqrt(1 + x_max); the
-    discarded tail is below f(cut)/(cut - q/cut) <= e^{-60}·f_max, which
-    is negligible against the half-max window's contribution.
+    Against 40-digit mpmath on 15,867 cases, q in [0, 6000] and a in
+    [1e-3, 100] or inf, dense around x = s and x = 4, the worst
+    |Δ log I| / max(|log I|, 1) is 1.4e-15.
     """
-    x_max = spec.x_max
-    peak = _log_f(spec.q, x_max)
-    target = peak - _CLIP_EFOLDS
-    left = 0.0 if spec.q == 0.0 else _solve_left(spec.q, x_max, target)
-    right = _solve_right(spec.q, x_max, _integration_end(spec), target)
-
-    def shifted(x: float) -> float:
-        return math.exp(_log_f(spec.q, x) - peak)
-
-    interior = [x_max] if left < x_max < right else None
-    value, abserr = quad(
-        shifted, left, right, points=interior, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200
-    )
-    if value <= 0.0 or abserr > 1e-10 * value:
-        raise NumericalError(
-            f"quadrature failed accuracy contract for q={spec.q}, a={spec.a}"
+    q, a = spec.q, spec.a
+    s = 0.5 * (q + 1.0)
+    x = 0.5 * a * a
+    if x <= max(s, _KUMMER_FLOOR):
+        return LogValue(
+            (q + 1.0) * math.log(a) - x - math.log(q + 1.0) + math.log(hyp1f1(1.0, s + 1.0, x))
         )
-    return LogValue(peak + math.log(value))
+    return LogValue(0.5 * (q - 1.0) * math.log(2.0) + math.lgamma(s) + math.log(gammainc(s, x)))
 
 
 def trunc_moment_chi(spec: TruncationSpec) -> LogValue:
@@ -207,7 +187,7 @@ def moment_bracket(
     """Bracket the incomplete integral by constant multiples of its scale.
 
     ``factors`` defaults to the calibrated containment window from the
-    constants config; the quadrature value must land inside the bracket.
+    constants config; the integral must land inside the bracket.
     """
     if factors is None:
         factors = (

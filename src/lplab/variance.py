@@ -58,6 +58,16 @@ def _validate_p(p: float) -> float:
     return p
 
 
+def _mid_decay(log_n: float, p: float) -> float:
+    """(p/(2e)) n^{2/p}, the MID regime's double-exponential rate."""
+    return (p / (2.0 * math.e)) * math.exp(2.0 * log_n / p)
+
+
+def _high_factor(point: RegimePoint) -> float:
+    """log(1 - (xi^2 - xi)/p), the HIGH regime's correction to 1/log n."""
+    return math.log1p(-(point.p2 - point.xi) / point.p)
+
+
 def classify(n: int, p: float, constants: Constants = DEFAULT_CONSTANTS) -> RegimePoint:
     """Locate (n, p) relative to the two transition windows.
 
@@ -116,12 +126,12 @@ def predict_variance(
     elif point.regime == REGIME_MID:
         sqrt_log = math.sqrt(log_n)
         log_v = (
-            -(point.p / (2.0 * math.e)) * math.exp(2.0 * log_n / point.p)
+            -_mid_decay(log_n, point.p)
             + log_n
             - math.log(sqrt_log * (sqrt_log + point.p - point.p1))
         )
     else:
-        log_v = -math.log(log_n) + math.log1p(-(point.p2 - point.xi) / point.p)
+        log_v = -math.log(log_n) + _high_factor(point)
     return LogValue(log_v), point
 
 
@@ -136,10 +146,9 @@ def upper_envelope(n: int, p: float, constants: Constants = DEFAULT_CONSTANTS) -
     cap = -math.log(log_n)
     if math.isinf(point.p) or point.p > 3.0 * log_n:
         return LogValue(cap)
-    if point.regime == REGIME_HIGH:
-        high = cap + math.log1p(-(point.p2 - point.xi) / point.p)
-        return LogValue(min(high, cap))
     value, _ = predict_variance(n, point.p, constants)
+    if point.regime == REGIME_HIGH:
+        return LogValue(min(value.log, cap))
     return value
 
 
@@ -160,11 +169,7 @@ def lower_envelope(n: int, p: float, constants: Constants = DEFAULT_CONSTANTS) -
     if point.regime != REGIME_HIGH:
         value, _ = predict_variance(n, point.p, constants)
         return value
-    high = (
-        4.0 * math.log(point.xi)
-        - 3.0 * math.log(point.p)
-        + math.log1p(-(point.p2 - point.xi) / point.p)
-    )
+    high = 4.0 * math.log(point.xi) - 3.0 * math.log(point.p) + _high_factor(point)
     if point.p >= floor_active_from:
         return LogValue(max(high, floor))
     return LogValue(high)
@@ -285,9 +290,9 @@ def negative_moment_bound(
     q L <= K log n with configured K.
     """
     point = classify(n, 1.0, constants)
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q}")
-    if L < 0.0:
+    if not L >= 0.0:
         raise DomainError(f"need L >= 0, got {L}")
     if q * L > constants.negative_moment_K * math.log(n):
         raise DomainError(
@@ -354,7 +359,7 @@ def _log_mom2p_scale(point: RegimePoint) -> tuple[float, float]:
         log_scale = (
             2.0 * log_n
             + p * (math.log(p) - 1.0)
-            - (p / (2.0 * math.e)) * math.exp(2.0 * log_n / p)
+            - _mid_decay(log_n, p)
             - math.log(sqrt_log * (sqrt_log + p - point.p1))
         )
         return log_scale, log_scale
@@ -370,12 +375,8 @@ def _log_mexpm_scale(point: RegimePoint) -> float:
     n, p = point.n, point.p
     log_n = math.log(n)
     if p <= point.p2:
-        return (
-            -log_n / p
-            - 0.5 * math.log(p)
-            - (p / (2.0 * math.e)) * math.exp(2.0 * log_n / p)
-        )
-    return -log_n + math.log1p(-(point.p2 - point.xi) / p)
+        return -log_n / p - 0.5 * math.log(p) - _mid_decay(log_n, p)
+    return -log_n + _high_factor(point)
 
 
 def lemma_checks(
@@ -432,7 +433,7 @@ def lemma_checks(
                     f"M^2 = {m_sq:.6g}, p^(1+1/p) = {p ** (1 + 1 / p):.6g}",
                 )
             if p <= 2.0 * log_n:
-                lhs = p * math.log(2.0) + (p / (2.0 * math.e)) * math.exp(2.0 * log_n / p)
+                lhs = p * math.log(2.0) + _mid_decay(log_n, p)
                 add(
                     "exp_vs_power",
                     lhs >= 2.0 * log_n * (1.0 - slack),

@@ -11,6 +11,7 @@ import pytest
 
 import lplab.cli
 import lplab.montecarlo
+import lplab.orderstats
 import lplab.subspaces
 from lplab import (
     DEFAULT_CONSTANTS,
@@ -96,6 +97,13 @@ class TestQuantileCommand:
         assert code == 2
         assert out == ""
         assert "tail in (0, 1]" in err
+
+    @pytest.mark.parametrize("n, i", [("0", "1"), ("-4", "-1")])
+    def test_nonpositive_n_exits_two(self, capsys, n, i):
+        code, out, err = run_cli(capsys, ["quantile", "--n", n, "--i", i])
+        assert code == 2
+        assert out == ""
+        assert "need --n >= 1" in err
 
     def test_needs_alpha_or_n(self, capsys):
         code, _, err = run_cli(capsys, ["quantile"])
@@ -203,6 +211,13 @@ class TestMcCommand:
         assert out == ""
         assert "need n >= 100" in err
 
+    @pytest.mark.parametrize("negative, message", [("nan,1", "q >= 1"), ("2,nan", "L >= 0")])
+    def test_nan_negative_moment_refused(self, capsys, negative, message):
+        code, out, err = run_cli(capsys, ["mc", "--n", "200", "--negative", negative])
+        assert code == 2
+        assert out == ""
+        assert f"need {message}" in err
+
     def test_zero_samples_is_usage_error(self, capsys):
         # only an absent --samples means the default budget
         code, out, err = run_cli(capsys, ["mc", "--n", "5", "--samples", "0"])
@@ -232,6 +247,32 @@ class TestOrderstatsCommand:
             assert float(row["chernoff"]) >= float(row["exact"])
         # i = 40 exceeds beta n = 30: no bound applies
         assert rows[2]["chernoff"] == ""
+
+    @pytest.mark.parametrize(
+        "n, i, guard",
+        [
+            # 2·10^9 terms would need about 130 GB of arrays
+            ("4000000000", "2000000000", DEFAULT_CONSTANTS.memory_guard_bytes),
+            # fits the default guard, so only the constants file refuses it
+            ("100000", "20000", 1_048_576),
+        ],
+    )
+    def test_oversized_sum_refused(self, capsys, monkeypatch, tmp_path, n, i, guard):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("built an array before the guard")
+
+        path = tmp_path / "guard.cfg"
+        path.write_text(
+            dump_constants(dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard))
+        )
+        monkeypatch.setattr(lplab.orderstats.np, "arange", no_arrays)
+        code, out, err = run_cli(
+            capsys,
+            ["orderstats", "--n", n, "--beta", "0.5", "--i", i, "--constants", str(path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "exceeds the memory guard" in err
 
 
 class TestChecksCommand:

@@ -284,6 +284,10 @@ class TestGrid:
             mc_grid_stats(20, [2.0], 500, 1, T=0.0)
         with pytest.raises(DomainError):
             mc_grid_stats(20, [2.0], 500, 1, negative=(0.5, 1.0))
+        with pytest.raises(DomainError, match="need q >= 1"):
+            mc_grid_stats(20, [2.0], 500, 1, negative=(math.nan, 1.0))
+        with pytest.raises(DomainError, match="need L >= 0"):
+            mc_grid_stats(20, [2.0], 500, 1, negative=(2.0, math.nan))
 
 
 def test_streams_beyond_samples_refused():

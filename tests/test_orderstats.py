@@ -1,12 +1,16 @@
 """Order statistics of |g|: exact CDF, tail bounds, top-k sampling."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import lplab.orderstats
 from lplab import (
+    DEFAULT_CONSTANTS,
     RngStream,
     abs_tail,
     chernoff_bound,
@@ -98,6 +102,34 @@ class TestExactCdf:
             orderstat_cdf_exact(10, 11, 0.5)
         with pytest.raises(DomainError):
             orderstat_cdf_exact(10, 1, 0.0)
+
+    def test_memory_guard_refuses_before_any_array(self, monkeypatch):
+        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
+        fits = tiny.memory_guard_bytes // lplab.orderstats._CDF_BYTES_PER_TERM
+        assert orderstat_cdf_exact(10**6, fits, 0.5, tiny) == orderstat_cdf_exact(
+            10**6, fits, 0.5
+        )
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("built an array before the guard")
+
+        monkeypatch.setattr(lplab.orderstats.np, "arange", no_arrays)
+        with pytest.raises(DomainError, match="memory guard"):
+            orderstat_cdf_exact(10**6, fits + 1, 0.5, tiny)
+        with pytest.raises(DomainError, match="memory guard"):
+            orderstat_cdf_exact(4 * 10**9, 2 * 10**9, 0.5)
+
+    def test_guard_counts_the_traced_peak(self):
+        i = 10**5
+        orderstat_cdf_exact(10**7, i, 0.5)
+        tracemalloc.start()
+        try:
+            orderstat_cdf_exact(10**7, i, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        counted = lplab.orderstats._CDF_BYTES_PER_TERM * i
+        assert 0.95 * counted <= peak <= 1.05 * counted
 
 
 class TestChernoff:

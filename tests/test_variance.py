@@ -349,6 +349,12 @@ class TestNegativeMoment:
         with pytest.raises(DomainError):
             negative_moment_bound(n, 4.0 * math.log(n), 2.0)
 
+    def test_rejects_nan_with_parameter_message(self):
+        with pytest.raises(DomainError, match="need q >= 1"):
+            negative_moment_bound(1000, math.nan, 1.0)
+        with pytest.raises(DomainError, match="need L >= 0"):
+            negative_moment_bound(1000, 2.0, math.nan)
+
 
 class TestQuantilePowerSum:
     def test_small_case_against_direct_sum(self):
