@@ -646,7 +646,7 @@ def mc_small_ball(
     """Frequency of {sum_i min(|g_i|, T)^q <= tau * sum_i xi_{1-i/n}^q}."""
     if not 0.0 < tau < 0.5:
         raise DomainError(f"need tau in (0, 1/2), got {tau}")
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q}")
     _check_cap(T)
     chunk = _validate_mc_args(n, samples, streams, constants)

@@ -14,8 +14,8 @@ so over cells that cover the sphere
 
 Everything that claims "certified" uses only these inequalities with
 the construction's guaranteed covering radii; nothing is inferred
-from sampling density.  Certified bounds are limited to k <= 4;
-larger k falls back to random directions and is labeled uncertified.
+from sampling density.  Every section request, p >= 1 or inf and
+1 <= k <= min(n, 4), is checked in one place (`_check_section_request`).
 
 Every certified result is a branch and bound (Piyavskii 1972; Shubert
 1972) over the tree, from the whole antipodal domain down (`_trial`):
@@ -131,31 +131,17 @@ def _slab_weight(theta, half):
     return sin_sup * np.sin(theta)
 
 
-def _beyond_any_net(k: int, resolution: float, limit: int) -> bool:
-    """Whether every net of S^{k-1} up to sign at this resolution has more than `limit` points.
-
-    A cap of chordal radius r meets a great circle in an arc of angle at
-    most 4 asin(r/2), so any such net, k >= 2, has at least
-    pi / (4 asin(r/2)) points; this refuses resolutions far too fine in
-    one step, before any count.
-    """
-    return k >= 2 and math.pi > limit * 4.0 * math.asin(resolution / 2.0)
-
-
 @dataclass(frozen=True, slots=True)
 class DistortionResult:
-    """Extremes of r(x) = ||Bx||_p with certification metadata.
+    """Extremes of r(x) = ||Bx||_p over the cell tree, with their certificate.
 
     sup_ratio and inf_ratio are exact values of r at sphere points, so
     distortion = sup/inf is always a valid lower bound for the true
-    distortion.  certified marks a result of the cell tree (k <= 4):
-    certified_rel_error then bounds the relative amount by which the
-    true distortion can exceed it (inf when the lower bound I is not
+    distortion.  certified_rel_error bounds the relative amount by which
+    the true distortion can exceed it (inf when the lower bound I is not
     positive), and net_resolution is the largest radius among the final
     cells that could still move sup or inf (0.0 at k = 1, where one
-    point is the whole sphere up to sign).  An uncertified result comes
-    from random directions, with certified_rel_error = inf and the
-    requested resolution.
+    point is the whole sphere up to sign).
     """
 
     sup_ratio: float
@@ -163,7 +149,6 @@ class DistortionResult:
     distortion: float
     net_resolution: float
     certified_rel_error: float
-    certified: bool
 
     def __post_init__(self) -> None:
         if not self.sup_ratio >= self.inf_ratio > 0.0:
@@ -173,15 +158,13 @@ class DistortionResult:
 
     @property
     def certified_upper(self) -> float:
-        """Upper bound on the true distortion (inf if uncertifiable)."""
-        if math.isinf(self.certified_rel_error):
-            return math.inf
+        """Upper bound on the true distortion (inf when certified_rel_error is)."""
         return self.distortion * (1.0 + self.certified_rel_error)
 
 
-def _evaluation_workspace(n: int, rows: int, p: float) -> np.ndarray:
-    """Room for `_point_values` on up to `rows` points at a time: images and reducer scratch."""
-    tile = min(_tile_rows(n), rows)
+def _evaluation_workspace(n: int, p: float) -> np.ndarray:
+    """Room for `_point_values` on one reducer tile of points: images and reducer scratch."""
+    tile = _tile_rows(n)
     return np.empty(tile * n + _workspace_elems(tile, n, [(p, False, False)]))
 
 
@@ -191,10 +174,9 @@ def _point_values(
     """||Bx||_p of each row x of points, written into out.
 
     The images of one reducer tile of points at a time are written into
-    the head of `workspace` (from `_evaluation_workspace` for at least
-    this many points) and reduced there, with the rest as the reducer's
-    scratch, so an evaluation holds a few tiles of doubles whatever the
-    number of points and n.
+    the head of `workspace` (from `_evaluation_workspace`) and reduced
+    there, with the rest as the reducer's scratch, so an evaluation
+    holds a few tiles of doubles whatever the number of points and n.
     """
     n = basis.n
     request = [(p, False, False)]
@@ -212,73 +194,34 @@ def distortion(
     basis: SubspaceBasis,
     p: float,
     net_resolution: float,
-    allow_uncertified: bool = False,
-    rng: np.random.Generator | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> DistortionResult:
     """sup/inf of the p-norm over the basis's unit sphere, net-certified.
 
-    For k <= 4 the result is certified: a branch and bound over the cell
-    tree trisects every cell whose bounds could still move sup or inf
-    past the center values found, down to radius net_resolution
-    (`_extremes`), and certified_rel_error = (S / I) / (sup / inf) - 1
-    follows from the final cells, or inf when I <= 0.  The basis and the
-    most cells a run can hold are checked against
+    A branch and bound over the cell tree trisects every cell whose
+    bounds could still move sup or inf past the center values found,
+    down to radius net_resolution (`_extremes`), and
+    certified_rel_error = (S / I) / (sup / inf) - 1 follows from the
+    final cells, or inf when I <= 0.  p, k, the resolution, the basis
+    and the most cells a run can hold are checked against
     constants.memory_guard_bytes before any cell is evaluated
-    (`_check_section_request`).  Larger k requires
-    allow_uncertified=True and an rng for random directions; the
-    estimate is then a pure lower bound (certified_rel_error = inf).
-    Its max(1000, 4 / net_resolution^2) directions of k doubles must fit
-    constants.memory_guard_bytes.
+    (`_check_section_request`).
     """
-    if not (math.isinf(p) or p >= 1.0):
-        raise DomainError(f"need p >= 1 or inf, got {p}")
-    if not 0.0 < net_resolution < 1.0:
-        raise DomainError(f"need resolution in (0, 1), got {net_resolution}")
-    if basis.k <= 4:
-        leaves = _check_section_request(basis.n, basis.k, net_resolution, constants)
-        sup, inf, sup_upper, inf_lower, rho = _trial(
-            basis,
-            p,
-            lambda values, radii: _extremes(values, radii, net_resolution),
-            *_trial_arrays(basis.n, basis.k, p, leaves),
-        )
-        return DistortionResult(
-            sup_ratio=sup,
-            inf_ratio=inf,
-            distortion=sup / inf,
-            net_resolution=rho,
-            certified_rel_error=(
-                (sup_upper / inf_lower) / (sup / inf) - 1.0 if inf_lower > 0.0 else math.inf
-            ),
-            certified=True,
-        )
-    if not allow_uncertified:
-        raise DomainError(
-            f"k={basis.k} exceeds the certified net limit (4);"
-            " pass allow_uncertified=True for a sampled estimate"
-        )
-    if rng is None:
-        raise DomainError("uncertified mode needs an rng for random directions")
-    count = max(1000, int(4.0 / (net_resolution * net_resolution)))
-    guard = constants.memory_guard_bytes
-    if count * basis.k * 8 > guard:
-        raise DomainError(
-            f"{count} random directions in R^{basis.k} exceed the memory guard"
-            f" ({guard} bytes)"
-        )
-    directions = gaussian_draws(rng, (count, basis.k))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    workspace = _evaluation_workspace(basis.n, count, p)
-    values = _point_values(basis, p, directions, workspace, np.empty(count))
-    sup, inf = float(values.max()), float(values.min())
+    leaves = _check_section_request(basis.n, basis.k, p, net_resolution, constants)
+    sup, inf, sup_upper, inf_lower, rho = _trial(
+        basis,
+        p,
+        lambda values, radii: _extremes(values, radii, net_resolution),
+        *_trial_arrays(basis.n, basis.k, p, leaves),
+    )
     return DistortionResult(
         sup_ratio=sup,
         inf_ratio=inf,
         distortion=sup / inf,
-        net_resolution=net_resolution,
-        certified_rel_error=math.inf,
-        certified=False,
+        net_resolution=rho,
+        certified_rel_error=(
+            (sup_upper / inf_lower) / (sup / inf) - 1.0 if inf_lower > 0.0 else math.inf
+        ),
     )
 
 
@@ -386,8 +329,11 @@ def _leaf_count(k: int, resolution: float, limit: int) -> int | None:
     colatitude intervals only.  The count stops as soon as the leaves
     already found and the cells still to split pass `limit`.
     """
-    # the leaves' centers are a net at the resolution
-    if _beyond_any_net(k, resolution, limit):
+    # the leaves' centers are a net of S^{k-1} up to sign at the
+    # resolution r; a cap of chordal radius r meets a great circle in an
+    # arc of at most 4 asin(r/2), so any such net, k >= 2, has at least
+    # pi / (4 asin(r/2)) points: far too fine a resolution fails at once
+    if k >= 2 and math.pi > limit * 4.0 * math.asin(resolution / 2.0):
         return None
     centers, halves = _root_cell(k)
     counts = np.ones(1, dtype=np.int64)
@@ -455,13 +401,18 @@ def _held_bytes(n: int, k: int, cells: int) -> int:
 
 
 def _check_section_request(
-    n: int, k: int, net_resolution: float, constants: Constants
+    n: int, k: int, p: float, net_resolution: float, constants: Constants
 ) -> int:
-    """The cell tree's leaf count, if a basis and that many cells fit the memory guard.
+    """The cell tree's leaf count, if the request is certifiable and fits the memory guard.
 
-    A request whose basis and cells exceed the guard is refused, naming
+    The one check of every section request: p >= 1 or inf (below 1,
+    ||.||_p is no norm and the Lipschitz bounds fail), k and the
+    resolution, then a basis and the most cells a run can hold.  A
+    request whose basis and cells exceed the guard is refused, naming
     the finest resolution net_resolution * 2^j < 1 whose cells fit.
     """
+    if not (math.isinf(p) or p >= 1.0):
+        raise DomainError(f"need p >= 1 or inf, got {p}")
     if not 1 <= k <= min(n, 4):
         raise DomainError(
             f"certified sections need 1 <= k <= min(n, 4), got k={k}, n={n}"
@@ -553,7 +504,7 @@ def _trial_arrays(
     cells = (
         np.empty((leaves, k - 1)), np.empty((leaves, k - 1)), np.empty(leaves), np.empty(leaves)
     )
-    return cells, _evaluation_workspace(n, _tile_rows(n), p)
+    return cells, _evaluation_workspace(n, p)
 
 
 def _trial(
@@ -623,7 +574,7 @@ def sphericity_experiment(
     whose blocking cells are all that fine is ambiguous.  Every round's
     bounds hold for the true distortion, so no trial can swap between
     success and failure relative to a single net at net_resolution.
-    k, the resolution and the sizes of the basis and of the most cells
+    p, k, the resolution and the sizes of the basis and of the most cells
     a trial can hold (the leaves of the tree refined everywhere to
     net_resolution) are checked against constants.memory_guard_bytes
     before any basis is drawn.
@@ -632,7 +583,7 @@ def sphericity_experiment(
         raise DomainError(f"need trials >= 1, got {trials}")
     if not epsilon > 0.0:
         raise DomainError(f"need epsilon > 0, got {epsilon}")
-    leaves = _check_section_request(n, k, net_resolution, constants)
+    leaves = _check_section_request(n, k, p, net_resolution, constants)
     target = 1.0 + epsilon
 
     def verdict(values: np.ndarray, radii: np.ndarray) -> tuple[int | None, np.ndarray]:
@@ -697,32 +648,30 @@ def transition_sweep(
     at epsilon = w / log n.  delta = 0 evaluates the critical point
     itself and is flagged in_window: inside the transition window no
     direction is asserted.  Seeds are offset per row so rows stay
-    independent yet reproducible.  The whole delta grid is checked before
-    any row runs.
+    independent yet reproducible.  n, the delta grid and every row's
+    request (`_check_section_request`) are checked before any row runs.
     """
+    if n < 2:
+        raise DomainError(f"need n >= 2, so that log n > 0, got n={n}")
     for delta in delta_grid:
         if not 0.0 <= delta < 2.0:
             raise DomainError(f"need delta in [0, 2), got {delta}")
     log_n = math.log(n)
-    rows: list[SweepRow] = []
+    eps_super = epsilon_super_w / log_n
+    plan = []  # (delta, side, p, epsilon, seed) of each row
     for row_index, delta in enumerate(sorted(delta_grid)):
         row_seed = seed + 1000 * row_index
         if delta == 0.0:
-            p_mid = 2.0 * log_n
-            result = sphericity_experiment(
-                n, k, p_mid, epsilon_sub, trials, net_resolution, row_seed, constants
-            )
-            rows.append(SweepRow(delta, "window", p_mid, epsilon_sub, result, True))
-            continue
-        p_sub = (2.0 - delta) * log_n
-        result_sub = sphericity_experiment(
-            n, k, p_sub, epsilon_sub, trials, net_resolution, row_seed, constants
+            plan.append((delta, "window", 2.0 * log_n, epsilon_sub, row_seed))
+        else:
+            plan.append((delta, "sub", (2.0 - delta) * log_n, epsilon_sub, row_seed))
+            plan.append((delta, "super", (2.0 + delta) * log_n, eps_super, row_seed + 500))
+    for _, _, p, _, _ in plan:
+        _check_section_request(n, k, p, net_resolution, constants)
+    rows = []
+    for delta, side, p, epsilon, row_seed in plan:
+        result = sphericity_experiment(
+            n, k, p, epsilon, trials, net_resolution, row_seed, constants
         )
-        rows.append(SweepRow(delta, "sub", p_sub, epsilon_sub, result_sub, False))
-        p_super = (2.0 + delta) * log_n
-        eps_super = epsilon_super_w / log_n
-        result_super = sphericity_experiment(
-            n, k, p_super, eps_super, trials, net_resolution, row_seed + 500, constants
-        )
-        rows.append(SweepRow(delta, "super", p_super, eps_super, result_super, False))
+        rows.append(SweepRow(delta, side, p, epsilon, result, side == "window"))
     return rows

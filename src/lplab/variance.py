@@ -259,7 +259,7 @@ def small_ball_bound(
         raise DomainError(f"need n >= {constants.n_min}, got {n}")
     if not 0.0 < tau < 0.5:
         raise DomainError(f"need tau in (0, 1/2), got {tau}")
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q}")
     log_n = math.log(n)
     exponent = (1.0 - (2.0 * tau) ** (2.0 / q)) / 4.0

@@ -395,6 +395,24 @@ class TestDvoretzkyCommand:
         assert code == 2 and out == ""
         assert "need delta in [0, 2)" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # log 1 = 0 leaves no p = (2 +- delta) log n and no epsilon = w / log n
+            ("--n 1 --k 1 --trials 2", "need n >= 2"),
+            # the second row's sub side is p = 0.1 log 3 = 0.11, where ||.||_p is no norm
+            ("--n 3 --delta 0.5,1.9", "need p >= 1 or inf, got 0.109"),
+        ],
+    )
+    def test_log_n_and_p_refused_before_any_row(self, capsys, monkeypatch, argv, message):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran before the sweep was checked")
+
+        monkeypatch.setattr(lplab.subspaces, "sphericity_experiment", no_rows)
+        code, out, err = run_cli(capsys, ["dvoretzky", *argv.split()])
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestPlumbing:
     @pytest.mark.parametrize(

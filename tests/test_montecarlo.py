@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import lplab.montecarlo
 from lplab import (
     DEFAULT_CONSTANTS,
     MomentAccumulator,
@@ -356,3 +357,13 @@ class TestSmallBall:
             mc_small_ball(5, 2.0, 0.5, math.inf, 100, seed=0)
         with pytest.raises(DomainError):
             mc_small_ball(5, 2.0, 0.0, math.inf, 100, seed=0)
+
+    @pytest.mark.parametrize("q", [0.5, math.nan])
+    def test_q_domain_before_any_quantile(self, monkeypatch, q):
+        # NaN fails every comparison, so it must be refused before the n quantiles
+        def no_quantiles(*args):
+            raise AssertionError("quantiles were summed before q was checked")
+
+        monkeypatch.setattr(lplab.montecarlo, "quantile_power_sum", no_quantiles)
+        with pytest.raises(DomainError, match=f"need q >= 1, got {q}"):
+            mc_small_ball(5, q, 0.25, math.inf, 100, seed=0)

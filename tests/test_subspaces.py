@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,7 +168,6 @@ class TestDistortion:
         b = _haar_basis(25, 2, seed=9)
         r = distortion(b, 2.0, 0.01)
         assert r.distortion == pytest.approx(1.0, abs=1e-12)
-        assert r.certified
 
     def test_plane_sup_inf_sandwich(self):
         # coordinate plane in R^2: true sup-norm distortion is sqrt(2);
@@ -214,40 +214,32 @@ class TestDistortion:
         fine = distortion(b, math.inf, 0.04)
         assert fine.certified_rel_error < coarse.certified_rel_error / 1.5
 
-    def test_high_k_needs_opt_in(self):
-        b = _haar_basis(20, 5, seed=3)
-        with pytest.raises(DomainError):
-            distortion(b, 3.0, 0.1)
-        with pytest.raises(DomainError):
-            distortion(b, 3.0, 0.1, allow_uncertified=True)
-        r = distortion(
-            b, 3.0, 0.1, allow_uncertified=True, rng=RngStream(4, 0).generator()
-        )
-        assert not r.certified
-        assert math.isinf(r.certified_rel_error)
-        assert r.distortion >= 1.0
-
     def test_p_validation(self):
         with pytest.raises(DomainError):
             distortion(_haar_basis(5, 2, seed=0), 0.5, 0.1)
 
-    def test_uncertified_request_checked_before_drawing(self, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("directions were drawn before the request was checked")
+    @pytest.mark.parametrize(
+        "k, p, res, message",
+        [
+            (2, 0.5, 0.1, "need p >= 1 or inf, got 0.5"),
+            (2, math.nan, 0.1, "need p >= 1 or inf, got nan"),
+            (5, 3.0, 0.1, "certified sections need 1 <= k <= min(n, 4), got k=5"),
+            *[(2, 3.0, res, "need resolution in (0, 1)") for res in (0.0, -1.0, 1.0, math.nan)],
+        ],
+    )
+    def test_request_refused_before_any_basis_or_cell(self, monkeypatch, k, p, res, message):
+        # both entry points share one check, made before a basis is drawn
+        # or a cell evaluated; no k > 4 and no p < 1 is ever certified
+        def fail(*args):
+            raise AssertionError("a basis was drawn or a cell evaluated before the check")
 
-        b = _haar_basis(20, 5, seed=3)
-        rng = RngStream(4, 0).generator()
-        monkeypatch.setattr(lplab.subspaces, "gaussian_draws", no_draws)
-        for res in [0.0, -1.0, 1.0, math.nan]:
-            with pytest.raises(DomainError, match="resolution in"):
-                distortion(b, 3.0, res, allow_uncertified=True, rng=rng)
-        # 4 * 10^12 directions of 5 doubles
-        with pytest.raises(DomainError, match="memory guard"):
-            distortion(b, 3.0, 1e-6, allow_uncertified=True, rng=rng)
-        # 40,000 directions of 5 doubles are 1,600,000 bytes
-        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
-        with pytest.raises(DomainError, match="memory guard"):
-            distortion(b, 3.0, 0.01, allow_uncertified=True, rng=rng, constants=tiny)
+        b = _haar_basis(20, k, seed=3)
+        monkeypatch.setattr(lplab.subspaces, "random_subspace", fail)
+        monkeypatch.setattr(lplab.subspaces, "_point_values", fail)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            distortion(b, p, res)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            sphericity_experiment(20, k, p, 0.1, 2, res, seed=0)
 
     def test_certified_net_checked_before_building(self, monkeypatch):
         def no_cells(*args):
@@ -336,7 +328,7 @@ class TestDistortion:
             r = distortion(basis, p, res)
             if k == 3:
                 assert sum(evaluated) < 50_000
-            assert r.certified and 0.0 < r.net_resolution <= res
+            assert 0.0 < r.net_resolution <= res
             directions = gen.normal(size=(2000, k))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             sampled = lp_norm_rows(directions @ basis.columns.T, p)
@@ -608,6 +600,19 @@ class TestTransitionSweep:
         a = transition_sweep(30, 2, [0.5], trials=2, net_resolution=0.1, seed=9)
         b = transition_sweep(30, 2, [0.5], trials=2, net_resolution=0.1, seed=9)
         assert a == b
+
+    def test_n_and_row_p_checked_before_any_row(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row ran before the sweep was checked")
+
+        monkeypatch.setattr(lplab.subspaces, "sphericity_experiment", no_rows)
+        # log 1 = 0 leaves no p and no epsilon = w / log n
+        for n in (1, 0, -5):
+            with pytest.raises(DomainError, match="need n >= 2"):
+                transition_sweep(n, 1, [0.5], trials=2, net_resolution=0.1, seed=0)
+        # the second row's sub side is p = 0.1 log 3 = 0.11
+        with pytest.raises(DomainError, match="need p >= 1 or inf, got 0.109"):
+            transition_sweep(3, 2, [0.5, 1.9], trials=2, net_resolution=0.1, seed=0)
 
     def test_delta_domain(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,16 @@
 """Truncated Gaussian moments: the closed form vs mpmath, antiderivatives and brackets."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import lplab
 from lplab import (
     HalfMaxWindow,
     TruncationSpec,
@@ -268,3 +273,23 @@ class TestMomentBracket:
         wide = moment_bracket(spec, factors=(1e-6, 1e6))
         tight = moment_bracket(spec, factors=(0.999999, 1.000001))
         assert wide.upper.log - wide.lower.log > tight.upper.log - tight.lower.log
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the closed form needs only scipy.special; scipy.integrate cost about
+    # 0.3 s of every command's start.  A fresh interpreter, because other
+    # tests may import it into this one.
+    code = (
+        "import sys, lplab.cli;"
+        " print([m for m in sys.modules if m.startswith('scipy.integrate')])"
+    )
+    src = str(pathlib.Path(lplab.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

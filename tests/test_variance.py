@@ -322,6 +322,9 @@ class TestSmallBall:
             small_ball_bound(10**3, 2.0, 0.5)
         with pytest.raises(DomainError):
             small_ball_bound(10**3, 0.5, 0.25)
+        # NaN fails every comparison; it gets the parameter's own message
+        with pytest.raises(DomainError, match="need q >= 1, got nan"):
+            small_ball_bound(10**3, math.nan, 0.25)
 
 
 class TestNegativeMoment:
