@@ -34,7 +34,6 @@ from .gaussian import quantile, quantile_approx, quantile_tail
 from .subspaces import transition_sweep
 from .variance import (
     auto_p_grid,
-    classify,
     lemma_checks,
     lower_envelope,
     negative_moment_bound,

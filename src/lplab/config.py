@@ -10,6 +10,9 @@ Override format: flat ``key=value`` text, one pair per line, ``#``
 comments allowed.  Unknown keys are rejected so that a stale or
 misspelled fixture fails loudly.  The packaged fixture
 ``data/constants_default.cfg`` mirrors the dataclass defaults exactly.
+Every field typed ``float`` must be positive and finite, and each
+``*_lo`` at most its ``*_hi``; a float constant added later is checked
+without being listed.
 The environment variable ``LPLAB_CONSTANTS`` points the loader at an
 alternative file.
 """
@@ -81,35 +84,15 @@ class Constants:
     def __post_init__(self) -> None:
         if self.n_min < 2:
             raise ConfigError("n_min must be at least 2")
-        for lo_name, hi_name in (
-            ("moment_bracket_lo", "moment_bracket_hi"),
-            ("mc_ratio_lo", "mc_ratio_hi"),
-            ("mexpm_lo", "mexpm_hi"),
-            ("mom2p_lo", "mom2p_hi"),
-        ):
-            lo = getattr(self, lo_name)
-            hi = getattr(self, hi_name)
-            if not (0.0 < lo <= hi) or not math.isfinite(hi):
-                raise ConfigError(
-                    f"require 0 < {lo_name} <= {hi_name} and finite, got {lo}, {hi}"
-                )
-        for name in (
-            "dev_initial_c",
-            "dev_initial_C",
-            "dev_intermediate_c",
-            "small_ball_c",
-            "small_ball_C",
-            "negative_moment_K",
-            "log_a_slope",
-            "envelope_cap_C",
-            "envelope_floor_c",
-            "floor_threshold_C",
-            "tails_gap_c",
-            "neg_moment_v",
-        ):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not 0.0 < value < math.inf:
+                raise ConfigError(f"{field.name} must be positive and finite, got {value}")
+            if field.name.endswith("_hi"):
+                lo_name = field.name[:-2] + "lo"
+                lo = getattr(self, lo_name)
+                if not lo <= value:
+                    raise ConfigError(f"require {lo_name} <= {field.name}, got {lo}, {value}")
         if self.memory_guard_bytes < 1_048_576:
             raise ConfigError("memory_guard_bytes must be at least 1 MiB")
 
@@ -139,22 +122,15 @@ def parse_constants(text: str, source: str = "<string>") -> Constants:
             raise ConfigError(f"{source}:{lineno}: unknown constant {key!r}")
         if key in overrides:
             raise ConfigError(f"{source}:{lineno}: duplicate constant {key!r}")
-        target_type = _FIELDS[key].type
+        convert = int if _FIELDS[key].type == "int" else float
         try:
-            if target_type == "int":
-                overrides[key] = int(value_text)
-            else:
-                overrides[key] = float(value_text)
+            overrides[key] = convert(value_text)
         except ValueError as exc:
             raise ConfigError(
                 f"{source}:{lineno}: bad value for {key!r}: {value_text!r}"
             ) from exc
-    try:
-        return dataclasses.replace(DEFAULT_CONSTANTS, **overrides)
-    except ConfigError:
-        raise
-    except Exception as exc:  # dataclass replace surfacing validation
-        raise ConfigError(str(exc)) from exc
+    # Constants.__post_init__ refuses an out-of-range value with ConfigError
+    return dataclasses.replace(DEFAULT_CONSTANTS, **overrides)
 
 
 def load_constants_file(path: str | Path) -> Constants:
@@ -182,12 +158,5 @@ def load_constants(path: str | Path | None = None) -> Constants:
 
 
 def dump_constants(constants: Constants) -> str:
-    """Serialize as sorted key=value lines (the fixture format)."""
-    lines = []
-    for name in sorted(_FIELDS):
-        value = getattr(constants, name)
-        if isinstance(value, int):
-            lines.append(f"{name}={value}")
-        else:
-            lines.append(f"{name}={value!r}")
-    return "\n".join(lines) + "\n"
+    """Serialize as sorted key=value lines (the fixture format); repr round-trips."""
+    return "".join(f"{name}={getattr(constants, name)!r}\n" for name in sorted(_FIELDS))

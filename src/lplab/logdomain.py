@@ -31,14 +31,12 @@ class LogValue:
     log: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.log):
-            raise DomainError("log magnitude must not be NaN")
-        if self.log == math.inf:
-            raise DomainError("log magnitude must be finite or -inf")
+        if not self.log < math.inf:
+            raise DomainError(f"log magnitude must be finite or -inf, got {self.log}")
 
     @classmethod
     def from_float(cls, value: float) -> "LogValue":
-        if math.isnan(value) or value < 0.0:
+        if not value >= 0.0:
             raise DomainError(f"cannot represent {value!r} as a nonnegative magnitude")
         if value == 0.0:
             return cls(-math.inf)

@@ -70,9 +70,9 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _workspace_elems
+from .gaussian import _reduce_rows, _validate_p, _workspace_elems
 from .logdomain import LogValue
-from .variance import quantile_power_sum
+from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
 _U53 = float(1 << 53)
 # doubles per sample chunk
@@ -255,6 +255,8 @@ def _chunk_rows(n: int, constants: Constants) -> int:
 
 def _validate_mc_args(n: int, samples: int, streams: int, constants: Constants) -> int:
     """Check the sampling budget and return the chunk height in rows."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
     if streams < 1:
@@ -447,24 +449,12 @@ def mc_grid_stats(
     all with the same seed and streams; but every stream is drawn once
     and every block reduced once.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    p_values = list(p_values)
-    for p in p_values:
-        if not p >= 1.0:
-            raise DomainError(f"need p >= 1 or inf, got {p}")
+    p_values = [_validate_p(p) for p in p_values]
     if T is not None:
         _check_cap(T)
     if negative is not None:
         q, L = negative
-        if not q >= 1.0:
-            raise DomainError(f"need q >= 1, got {q}")
-        if not L >= 0.0:
-            raise DomainError(f"need L >= 0, got {L}")
-        if q * L > constants.negative_moment_K * math.log(max(n, 2)):
-            raise DomainError(
-                f"need q*L <= {constants.negative_moment_K} log n, got {q * L}"
-            )
+        _check_negative_moment(n, q, L, constants)
     if not p_values and negative is None:
         raise DomainError("need a p value or a negative moment to estimate")
     chunk = _validate_mc_args(n, samples, streams, constants)
@@ -549,8 +539,9 @@ def mc_negative_moment(
     """Estimate E (sum_i min(|g_i|, T)^q)^{-L}.
 
     The per-sample value is exponentiated from the log of the capped
-    power sum, so large q stays finite.  Precondition q L <= K log n
-    keeps the target moment bounded away from underflow.
+    power sum, so large q stays finite.  Requires finite q >= 1, L >= 0
+    and q L <= K log n, which keeps the target moment bounded away from
+    underflow.
     """
     return mc_grid_stats(
         n, [], samples, seed, streams, constants, T=T, negative=(q, L)
@@ -571,8 +562,6 @@ def mc_lower_identity(
     The quantity is a variance lower bound for ||G||_p; each sample is
     assembled in log-domain because |g_1|^p alone overflows for large p.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
     if not p >= 1.0 or math.isinf(p):
         raise DomainError(f"need finite p >= 1, got {p}")
     chunk = _validate_mc_args(n, samples, streams, constants)
@@ -643,14 +632,14 @@ def mc_small_ball(
     streams: int = 4,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> SmallBallEstimate:
-    """Frequency of {sum_i min(|g_i|, T)^q <= tau * sum_i xi_{1-i/n}^q}."""
-    if not 0.0 < tau < 0.5:
-        raise DomainError(f"need tau in (0, 1/2), got {tau}")
-    if not q >= 1.0:
-        raise DomainError(f"need q >= 1, got {q}")
+    """Frequency of {sum_i min(|g_i|, T)^q <= tau * sum_i xi_{1-i/n}^q}.
+
+    Requires tau in (0, 1/2), finite q >= 1 and a cap T > 0 (inf for none).
+    """
+    _check_small_ball(q, tau)
     _check_cap(T)
     chunk = _validate_mc_args(n, samples, streams, constants)
-    log_threshold = math.log(tau) + quantile_power_sum(n, q).log
+    log_threshold = threshold_log_value(n, q, tau).log
     request = [(q, not math.isinf(T), True)]
 
     def fold(successes: int, block: np.ndarray, workspace: np.ndarray) -> int:

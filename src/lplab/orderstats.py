@@ -122,7 +122,7 @@ def deviation_bound_crude(n: int, u: float) -> LogValue:
     """min(1, (4u)^(n/2)): i-free bound for very small u, any i <= n/2."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if u < 0.0 or math.isnan(u):
+    if not u >= 0.0:
         raise DomainError(f"need u >= 0, got {u}")
     if u == 0.0:
         return LogValue(-math.inf)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _tile_rows, _workspace_elems
+from .gaussian import _reduce_rows, _tile_rows, _validate_p, _workspace_elems
 from .montecarlo import RngStream, _strided_shares, gaussian_draws, wilson_interval
 
 _ORTHO_TOL = 1e-10
@@ -411,8 +411,7 @@ def _check_section_request(
     request whose basis and cells exceed the guard is refused, naming
     the finest resolution net_resolution * 2^j < 1 whose cells fit.
     """
-    if not (math.isinf(p) or p >= 1.0):
-        raise DomainError(f"need p >= 1 or inf, got {p}")
+    _validate_p(p)
     if not 1 <= k <= min(n, 4):
         raise DomainError(
             f"certified sections need 1 <= k <= min(n, 4), got k={k}, n={n}"
@@ -436,6 +435,12 @@ def _check_section_request(
         f" the memory guard ({guard} bytes); the finest resolution that fits is"
         f" {repr(level) if level < 1.0 else 'none below 1'}"
     )
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """The one epsilon rule: a trial's target 1 + epsilon is finite and above 1."""
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"need finite epsilon > 0, got {epsilon}")
 
 
 def _bounds(values: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -577,12 +582,12 @@ def sphericity_experiment(
     p, k, the resolution and the sizes of the basis and of the most cells
     a trial can hold (the leaves of the tree refined everywhere to
     net_resolution) are checked against constants.memory_guard_bytes
-    before any basis is drawn.
+    before any basis is drawn, and so is epsilon, which must be finite
+    and positive.
     """
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
-    if not epsilon > 0.0:
-        raise DomainError(f"need epsilon > 0, got {epsilon}")
+    _check_epsilon(epsilon)
     leaves = _check_section_request(n, k, p, net_resolution, constants)
     target = 1.0 + epsilon
 
@@ -649,7 +654,8 @@ def transition_sweep(
     itself and is flagged in_window: inside the transition window no
     direction is asserted.  Seeds are offset per row so rows stay
     independent yet reproducible.  n, the delta grid and every row's
-    request (`_check_section_request`) are checked before any row runs.
+    epsilon (finite and positive) and request (`_check_section_request`)
+    are checked before any row runs.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, so that log n > 0, got n={n}")
@@ -666,7 +672,8 @@ def transition_sweep(
         else:
             plan.append((delta, "sub", (2.0 - delta) * log_n, epsilon_sub, row_seed))
             plan.append((delta, "super", (2.0 + delta) * log_n, eps_super, row_seed + 500))
-    for _, _, p, _, _ in plan:
+    for _, _, p, epsilon, _ in plan:
+        _check_epsilon(epsilon)
         _check_section_request(n, k, p, net_resolution, constants)
     rows = []
     for delta, side, p, epsilon, row_seed in plan:

@@ -52,9 +52,9 @@ class TruncationSpec:
     def __post_init__(self) -> None:
         q = float(self.q)
         a = float(self.a)
-        if math.isnan(q) or q < 0.0 or math.isinf(q):
+        if not 0.0 <= q < math.inf:
             raise DomainError("truncation exponent q must be finite and >= 0")
-        if math.isnan(a) or a <= 0.0:
+        if not a > 0.0:
             raise DomainError("truncation point a must be positive (or inf)")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", a)

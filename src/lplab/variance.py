@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import quantile_tail, upper_quantile
+from .gaussian import _validate_p, quantile_tail, upper_quantile
 from .logdomain import LogValue, log_sum_exp
 from .truncated import TruncationSpec, trunc_moment_chi, trunc_moment_min
 
@@ -49,13 +49,6 @@ class RegimePoint:
     p1: float
     p2: float
     regime: str
-
-
-def _validate_p(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"need p >= 1 (or inf), got {p}")
-    return p
 
 
 def _mid_decay(log_n: float, p: float) -> float:
@@ -189,11 +182,6 @@ def tail_term(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTAN
     return LogValue(math.log(n) - 3.0 * math.log(T) - 0.5 * T * T)
 
 
-def _require_band(point: RegimePoint) -> None:
-    if math.isinf(point.p) or point.p > 3.0 * math.log(point.n):
-        raise DomainError(f"need p <= 3 log n = {3.0 * math.log(point.n):.4g}, got {point.p}")
-
-
 def a_quantity(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTANTS) -> LogValue:
     """The concentration quantity A >= 1 entering the n^{-1+2/p}/(1+log A) gain.
 
@@ -202,7 +190,9 @@ def a_quantity(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTA
                   / (T^{2p-2} + (n E min(T,|g|)^p)^{2-2/p})])
     """
     point = classify(n, p, constants)
-    _require_band(point)
+    band = 3.0 * math.log(n)
+    if point.p > band:
+        raise DomainError(f"need p <= 3 log n = {band:.4g}, got {point.p}")
     if math.isinf(T):
         raise DomainError("a_quantity requires a finite truncation level")
     if T < point.xi:
@@ -231,7 +221,6 @@ def combined_upper(
     / (E min(xi,|g|)^p)^{2-2/p}.
     """
     point = classify(n, p, constants)
-    _require_band(point)
     p = point.p
     log_n = math.log(n)
     log_a = a_quantity(n, p, T, constants).log
@@ -246,6 +235,32 @@ def combined_upper(
     return tail_term(n, p, T, constants) + LogValue(log_main)
 
 
+def _check_q(q: float) -> None:
+    """The exponent of a small-ball or negative-moment sum: finite q >= 1."""
+    if not q >= 1.0:
+        raise DomainError(f"need q >= 1, got {q}")
+    if math.isinf(q):
+        raise DomainError(f"need finite q, got {q}")
+
+
+def _check_small_ball(q: float, tau: float) -> None:
+    """The one small-ball rule: tau in (0, 1/2) and finite q >= 1."""
+    if not 0.0 < tau < 0.5:
+        raise DomainError(f"need tau in (0, 1/2), got {tau}")
+    _check_q(q)
+
+
+def _check_negative_moment(n: int, q: float, L: float, constants: Constants) -> None:
+    """The one negative-moment rule: finite q >= 1, L >= 0, q L <= K log max(n, 2)."""
+    _check_q(q)
+    if not L >= 0.0:
+        raise DomainError(f"need L >= 0, got {L}")
+    K = constants.negative_moment_K
+    limit = K * math.log(max(n, 2))
+    if q * L > limit:
+        raise DomainError(f"need q*L <= {K} log n = {limit:.4g}, got {q * L}")
+
+
 def small_ball_bound(
     n: int, q: float, tau: float, constants: Constants = DEFAULT_CONSTANTS
 ) -> LogValue:
@@ -254,13 +269,11 @@ def small_ball_bound(
     min(C' exp(-c n^{(1-(2 tau)^{2/q})/4}),
         n (4 (2 tau)^{1/q} sqrt(2 log n))^{n/2});
     the first branch wins for moderate tau, the second for tiny tau.
+    Requires n >= n_min, tau in (0, 1/2) and finite q >= 1.
     """
     if n < constants.n_min:
         raise DomainError(f"need n >= {constants.n_min}, got {n}")
-    if not 0.0 < tau < 0.5:
-        raise DomainError(f"need tau in (0, 1/2), got {tau}")
-    if not q >= 1.0:
-        raise DomainError(f"need q >= 1, got {q}")
+    _check_small_ball(q, tau)
     log_n = math.log(n)
     exponent = (1.0 - (2.0 * tau) ** (2.0 / q)) / 4.0
     branch1 = math.log(constants.small_ball_C) - constants.small_ball_c * n**exponent
@@ -274,7 +287,7 @@ def quantile_power_sum(n: int, q: float) -> LogValue:
     """sum_{i=1}^{n} xi_{1-i/n}^q in one array pass (the i = n term is 0)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError(f"need q > 0, got {q}")
     xi = quantile_tail(np.arange(1, n) / n)
     return LogValue(float(logsumexp(q * np.log(xi))))
@@ -286,19 +299,11 @@ def negative_moment_bound(
     """(sum_i xi_{1-i/n}^q)^{-L}, with the sum evaluated as n E min(|g|, xi)^q.
 
     The scaled-moment form replaces the n-term quantile sum; the two
-    agree within a constant factor (checked in tests).  Precondition
-    q L <= K log n with configured K.
+    agree within a constant factor (checked in tests).  Requires finite
+    q >= 1, L >= 0 and q L <= K log n with configured K.
     """
     point = classify(n, 1.0, constants)
-    if not q >= 1.0:
-        raise DomainError(f"need q >= 1, got {q}")
-    if not L >= 0.0:
-        raise DomainError(f"need L >= 0, got {L}")
-    if q * L > constants.negative_moment_K * math.log(n):
-        raise DomainError(
-            f"need q*L <= {constants.negative_moment_K} log n"
-            f" = {constants.negative_moment_K * math.log(n):.4g}, got {q * L}"
-        )
+    _check_negative_moment(n, q, L, constants)
     if L == 0.0:
         return LogValue(0.0)
     log_sum = math.log(n) + trunc_moment_min(TruncationSpec(q, point.xi)).log

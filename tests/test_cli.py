@@ -44,6 +44,35 @@ DVORETZKY_GOLDENS = [
     ),
 ]
 
+# stdout of the analytic commands: the lemma checks of the tails benchmark,
+# both predict formats, order statistics and both quantile forms
+STDOUT_GOLDENS = [
+    (
+        "checks --n 1000,10000,100000,1000000",
+        "ff9318ecf5a21184b23b280525aedd702afa781a37d3d59a00d3a70b27fb5df6",
+    ),
+    (
+        "predict --n 1000000 --p-grid auto",
+        "5e5e16b77d8c3445eb0c9534fc76a7087802587f4c66e616a68102a711544cb3",
+    ),
+    (
+        "predict --n 1000 --p 2,8,12,inf --format json",
+        "638d938a71e1f76ee723c1033cc0209709cd870bbbefeee1e27958fd8bc687bc",
+    ),
+    (
+        "orderstats --n 1000000 --beta 0.01 --i 1,100,1000,5000",
+        "ec72b4aa2209b825f7a99b95a8899589286c7c1c4f0b67adebb4a196cf6edc7a",
+    ),
+    (
+        "quantile --n 1000 --i 3",
+        "467d9e8eac61835f1c8d00c10cb5988f456b8cb96dc4e6e71629658ff40a9a47",
+    ),
+    (
+        "quantile --alpha 0.9",
+        "e3f45b0e93f3508c2441961b4d50844803655ef2354d26cf03be2f25b1004df4",
+    ),
+]
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -211,7 +240,10 @@ class TestMcCommand:
         assert out == ""
         assert "need n >= 100" in err
 
-    @pytest.mark.parametrize("negative, message", [("nan,1", "q >= 1"), ("2,nan", "L >= 0")])
+    @pytest.mark.parametrize(
+        "negative, message",
+        [("nan,1", "q >= 1"), ("2,nan", "L >= 0"), ("inf,0", "finite q")],
+    )
     def test_nan_negative_moment_refused(self, capsys, negative, message):
         code, out, err = run_cli(capsys, ["mc", "--n", "200", "--negative", negative])
         assert code == 2
@@ -402,6 +434,9 @@ class TestDvoretzkyCommand:
             ("--n 1 --k 1 --trials 2", "need n >= 2"),
             # the second row's sub side is p = 0.1 log 3 = 0.11, where ||.||_p is no norm
             ("--n 3 --delta 0.5,1.9", "need p >= 1 or inf, got 0.109"),
+            # the super side's epsilon w / log n; the sub row comes first
+            ("--n 1000 --k 2 --eps-w inf --delta 0.5 --trials 1", "epsilon > 0, got inf"),
+            ("--n 1000 --k 2 --eps-w nan --delta 0.5 --trials 1", "epsilon > 0, got nan"),
         ],
     )
     def test_log_n_and_p_refused_before_any_row(self, capsys, monkeypatch, argv, message):
@@ -409,12 +444,19 @@ class TestDvoretzkyCommand:
             raise AssertionError("a row ran before the sweep was checked")
 
         monkeypatch.setattr(lplab.subspaces, "sphericity_experiment", no_rows)
+        monkeypatch.setattr(lplab.subspaces, "random_subspace", no_rows)
         code, out, err = run_cli(capsys, ["dvoretzky", *argv.split()])
         assert code == 2 and out == ""
         assert message in err
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv, digest", STDOUT_GOLDENS)
+    def test_stdout_golden(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -96,6 +96,17 @@ def test_positivity_validation():
         parse_constants("envelope_floor_c = -1.0\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_every_float_constant_positive_and_finite(value):
+    # one rule for every float field, listed nowhere by name; the fields
+    # are found here by their defaults, independently of config.py
+    floats = [f.name for f in dataclasses.fields(Constants) if isinstance(f.default, float)]
+    assert floats
+    for name in floats:
+        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+            parse_constants(f"{name} = {value}\n")
+
+
 def test_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT_CONSTANTS.n_min = 7  # type: ignore[misc]

@@ -5,23 +5,30 @@ direct quadrature) and are frozen here as literals.
 """
 
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import lplab.montecarlo
+import lplab.subspaces
 from lplab import (
     abs_cdf,
     abs_moment,
     abs_tail,
     abs_tail_log,
+    classify,
+    distortion,
     lp_norm,
     lp_norm_rows,
+    mc_grid_stats,
     mills_bounds,
     quantile,
     quantile_approx,
     quantile_tail,
+    random_subspace,
     upper_quantile,
 )
 from lplab.errors import DomainError
@@ -250,6 +257,27 @@ class TestLpNorm:
     def test_zero_vector(self):
         assert lp_norm([0.0, 0.0], 2.5) == 0.0
         assert lp_norm_rows(np.zeros((2, 3)), 2.5).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_one_p_rule_everywhere(self, monkeypatch, p):
+        # norms, regimes, Monte Carlo and sections state the rule once, so
+        # they refuse alike, before a vector or basis is drawn
+        basis = random_subspace(20, 2, np.random.default_rng(0))
+
+        def fail(*args):
+            raise AssertionError("drew before p was checked")
+
+        monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", fail)
+        monkeypatch.setattr(lplab.subspaces, "random_subspace", fail)
+        message = f"need p >= 1 or inf, got {p}"
+        for call in (
+            lambda: lp_norm([1.0, 2.0], p),
+            lambda: classify(1000, p),
+            lambda: mc_grid_stats(20, [2.0, p], 500, 1),
+            lambda: distortion(basis, p, 0.1),
+        ):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                call()
 
     def test_nan_propagates(self):
         # a NaN coordinate must not read as a zero row

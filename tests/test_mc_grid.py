@@ -288,6 +288,9 @@ class TestGrid:
             mc_grid_stats(20, [2.0], 500, 1, negative=(math.nan, 1.0))
         with pytest.raises(DomainError, match="need L >= 0"):
             mc_grid_stats(20, [2.0], 500, 1, negative=(2.0, math.nan))
+        # q L = inf * 0 is NaN, which no bound on q L refuses
+        with pytest.raises(DomainError, match="need finite q"):
+            mc_grid_stats(20, [2.0], 500, 1, negative=(math.inf, 0.0))
 
 
 def test_streams_beyond_samples_refused():

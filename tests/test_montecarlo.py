@@ -358,12 +358,21 @@ class TestSmallBall:
         with pytest.raises(DomainError):
             mc_small_ball(5, 2.0, 0.0, math.inf, 100, seed=0)
 
-    @pytest.mark.parametrize("q", [0.5, math.nan])
-    def test_q_domain_before_any_quantile(self, monkeypatch, q):
-        # NaN fails every comparison, so it must be refused before the n quantiles
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (0.5, "need q >= 1, got 0.5"),
+            (math.nan, "need q >= 1, got nan"),
+            (math.inf, "need finite q, got inf"),
+        ],
+        ids=["0.5", "nan", "inf"],
+    )
+    def test_q_domain_before_any_quantile(self, monkeypatch, q, message):
+        # NaN fails every comparison and inf sums to an infinite threshold,
+        # so both must be refused before the n quantiles
         def no_quantiles(*args):
             raise AssertionError("quantiles were summed before q was checked")
 
         monkeypatch.setattr(lplab.montecarlo, "quantile_power_sum", no_quantiles)
-        with pytest.raises(DomainError, match=f"need q >= 1, got {q}"):
+        with pytest.raises(DomainError, match=message):
             mc_small_ball(5, q, 0.25, math.inf, 100, seed=0)

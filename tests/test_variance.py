@@ -325,6 +325,8 @@ class TestSmallBall:
         # NaN fails every comparison; it gets the parameter's own message
         with pytest.raises(DomainError, match="need q >= 1, got nan"):
             small_ball_bound(10**3, math.nan, 0.25)
+        with pytest.raises(DomainError, match="need finite q, got inf"):
+            small_ball_bound(10**3, math.inf, 0.25)
 
 
 class TestNegativeMoment:
