@@ -1,4 +1,4 @@
-"""Calibration constants with file-based overrides.
+"""Calibration constants with a file-based override.
 
 Every asymptotic statement the library checks hides a universal constant
 that the theory asserts exists but never pins down.  All such constants
@@ -6,29 +6,24 @@ live here as one frozen dataclass.  The defaults were measured once on
 reference grids (see tools/calibrate.py) and committed; tests treat them
 as regression values, not as ground truth.
 
-Override format: flat ``key=value`` text, one pair per line, ``#``
-comments allowed.  Unknown keys are rejected so that a stale or
-misspelled fixture fails loudly.  The packaged fixture
-``data/constants_default.cfg`` mirrors the dataclass defaults exactly.
-Every field typed ``float`` must be positive and finite, and each
-``*_lo`` at most its ``*_hi``; a float constant added later is checked
-without being listed.
-The environment variable ``LPLAB_CONSTANTS`` points the loader at an
-alternative file.
+The dataclass defaults are the one source of the values; the CLI's
+``--constants FILE`` is the one override.  Override format: flat
+``key=value`` text, one pair per line, ``#`` comments allowed;
+``dump_constants(DEFAULT_CONSTANTS)`` prints a complete template.
+Unknown keys are rejected so that a stale or misspelled file fails
+loudly.  Every field typed ``float`` must be positive and finite, and
+each ``*_lo`` at most its ``*_hi``; a float constant added later is
+checked without being listed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-
-_ENV_VAR = "LPLAB_CONSTANTS"
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +128,10 @@ def parse_constants(text: str, source: str = "<string>") -> Constants:
     return dataclasses.replace(DEFAULT_CONSTANTS, **overrides)
 
 
-def load_constants_file(path: str | Path) -> Constants:
+def load_constants(path: str | Path | None = None) -> Constants:
+    """The constants in the file at path, or the defaults when path is None."""
+    if path is None:
+        return DEFAULT_CONSTANTS
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -142,21 +140,6 @@ def load_constants_file(path: str | Path) -> Constants:
     return parse_constants(text, source=str(path))
 
 
-def default_constants_path() -> Path:
-    """Path of the packaged fixture mirroring the dataclass defaults."""
-    return Path(resources.files("lplab").joinpath("data/constants_default.cfg"))
-
-
-def load_constants(path: str | Path | None = None) -> Constants:
-    """Resolve constants: explicit path, else $LPLAB_CONSTANTS, else defaults."""
-    if path is not None:
-        return load_constants_file(path)
-    env_path = os.environ.get(_ENV_VAR)
-    if env_path:
-        return load_constants_file(env_path)
-    return DEFAULT_CONSTANTS
-
-
 def dump_constants(constants: Constants) -> str:
-    """Serialize as sorted key=value lines (the fixture format); repr round-trips."""
+    """Serialize as sorted key=value lines (the override format); repr round-trips."""
     return "".join(f"{name}={getattr(constants, name)!r}\n" for name in sorted(_FIELDS))

@@ -68,11 +68,6 @@ def abs_tail_log(t: float) -> float:
     return _LOG_2 + float(log_ndtr(-t))
 
 
-def abs_tail(t: float) -> LogValue:
-    """P{|g| >= t} as a log-domain value."""
-    return LogValue(abs_tail_log(t))
-
-
 def quantile_tail(tail: float | np.ndarray) -> float | np.ndarray:
     """The t >= 0 with P{|g| >= t} = tail, for tail in (0, 1].
 
@@ -114,7 +109,8 @@ def upper_quantile(n: int) -> float:
     """The quantile of order 1 - 1/n of |g|, via the exact tail 1/n."""
     if n < 2:
         raise DomainError("upper_quantile requires n >= 2")
-    return quantile_tail(1.0 / n)
+    # 1 / n is correctly rounded for any int n; 1.0 / n overflows past 1.8e308
+    return quantile_tail(1 / n)
 
 
 def quantile_approx(n: int, i: int) -> float:
@@ -128,7 +124,10 @@ def quantile_approx(n: int, i: int) -> float:
     i = int(i)
     if i < 1 or 2 * i > n:
         raise DomainError("quantile_approx requires 1 <= i <= n/2")
-    ratio_log = math.log(n / i)
+    try:
+        ratio_log = math.log(n / i)
+    except OverflowError:  # n / i past 1.8e308
+        ratio_log = math.log(n) - math.log(i)
     if ratio_log <= 1.0:
         raise DomainError("quantile_approx requires log(n/i) > 1")
     w = math.sqrt(2.0 * ratio_log)

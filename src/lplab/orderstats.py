@@ -37,6 +37,12 @@ def _validate_n_i(n: int, i: int) -> None:
         raise DomainError(f"need 1 <= i <= n, got i={i}, n={n}")
 
 
+def _check_beta(beta: float) -> None:
+    """The one beta rule: an exceedance probability in (0, 1)."""
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"need beta in (0, 1), got {beta}")
+
+
 def orderstat_cdf_exact(
     n: int, i: int, beta: float, constants: Constants = DEFAULT_CONSTANTS
 ) -> LogValue:
@@ -52,13 +58,13 @@ def orderstat_cdf_exact(
     i-term arrays must fit constants.memory_guard_bytes.
     """
     _validate_n_i(n, i)
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"need beta in (0, 1), got {beta}")
+    _check_beta(beta)
     guard = constants.memory_guard_bytes
     if _CDF_BYTES_PER_TERM * i > guard:
         raise DomainError(f"a binomial sum of {i} terms exceeds the memory guard ({guard} bytes)")
     j = np.arange(i - 1)
-    steps = np.log((n - j) / (j + 1)) + (math.log(beta) - math.log1p(-beta))
+    # float(n): n - j overflows int64 past 9.2e18
+    steps = np.log((float(n) - j) / (j + 1)) + (math.log(beta) - math.log1p(-beta))
     log_terms = n * math.log1p(-beta) + np.concatenate(([0.0], np.cumsum(steps)))
     return LogValue(min(float(logsumexp(log_terms)), 0.0))
 
@@ -69,8 +75,7 @@ def chernoff_bound(n: int, i: int, beta: float) -> LogValue:
     Only stated for i <= beta*n (the lower-tail side of the binomial).
     """
     _validate_n_i(n, i)
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"need beta in (0, 1), got {beta}")
+    _check_beta(beta)
     bn = beta * n
     if i > bn:
         raise DomainError(f"bound requires i <= beta*n, got i={i}, beta*n={bn}")

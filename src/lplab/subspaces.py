@@ -15,7 +15,8 @@ so over cells that cover the sphere
 Everything that claims "certified" uses only these inequalities with
 the construction's guaranteed covering radii; nothing is inferred
 from sampling density.  Every section request, p >= 1 or inf and
-1 <= k <= min(n, 4), is checked in one place (`_check_section_request`).
+1 <= k <= min(n, 4), is checked in one place (`_check_section_request`);
+`sphere_net` shares its rules for k, the resolution and the memory guard.
 
 Every certified result is a branch and bound (Piyavskii 1972; Shubert
 1972) over the tree, from the whole antipodal domain down (`_trial`):
@@ -367,6 +368,27 @@ def _full_tree(k: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(parts) for parts in zip(*leaves))
 
 
+def _check_net(k: int, resolution: float, n: int) -> None:
+    """The one rule for k and the resolution: 1 <= k <= min(n, 4), resolution in (0, 1)."""
+    if not 1 <= k <= min(n, 4):
+        raise DomainError(f"certified sections need 1 <= k <= min(n, 4), got k={k}, n={n}")
+    if not 0.0 < resolution < 1.0:
+        raise DomainError(f"need resolution in (0, 1), got {resolution}")
+
+
+def _fitting_leaves(k: int, resolution: float, limit: int, refusal: str) -> int:
+    """The tree's leaf count if at most `limit`, else the refusal, naming the
+    finest resolution * 2^j < 1 whose leaves fit."""
+    leaves = _leaf_count(k, resolution, limit)
+    if leaves is not None:
+        return leaves
+    level = 2.0 * resolution
+    while level < 1.0 and _leaf_count(k, level, limit) is None:
+        level *= 2.0
+    fits = repr(level) if level < 1.0 else "none below 1"
+    raise DomainError(f"{refusal}; the finest resolution that fits is {fits}")
+
+
 def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
     """Deterministic net of S^{k-1} up to antipodal symmetry.
 
@@ -377,17 +399,14 @@ def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
     rho is the construction's guaranteed covering radius, not an
     empirical one.  The leaves are counted before any is built; their
     center angles, radii and points, 8 (3k - 1) bytes each, must fit
-    DEFAULT_CONSTANTS.memory_guard_bytes.
+    DEFAULT_CONSTANTS.memory_guard_bytes; a refusal names the finest
+    resolution whose net fits.
     """
-    if not 1 <= k <= 4:
-        raise DomainError(f"certified nets are implemented for 1 <= k <= 4, got k={k}")
-    if not 0.0 < resolution < 1.0:
-        raise DomainError(f"need resolution in (0, 1), got {resolution}")
+    # a net of S^{k-1} is a section with n = k
+    _check_net(k, resolution, k)
     guard = DEFAULT_CONSTANTS.memory_guard_bytes
-    if _leaf_count(k, resolution, guard // (8 * (3 * k - 1))) is None:
-        raise DomainError(
-            f"the k={k} net at resolution {resolution} exceeds the memory guard ({guard} bytes)"
-        )
+    refusal = f"the k={k} net at resolution {resolution} exceeds the memory guard ({guard} bytes)"
+    _fitting_leaves(k, resolution, guard // (8 * (3 * k - 1)), refusal)
     centers, radii = _full_tree(k, resolution)
     return _cell_points(centers), float(radii.max())
 
@@ -412,29 +431,15 @@ def _check_section_request(
     the finest resolution net_resolution * 2^j < 1 whose cells fit.
     """
     _validate_p(p)
-    if not 1 <= k <= min(n, 4):
-        raise DomainError(
-            f"certified sections need 1 <= k <= min(n, 4), got k={k}, n={n}"
-        )
-    if not 0.0 < net_resolution < 1.0:
-        raise DomainError(f"need resolution in (0, 1), got {net_resolution}")
+    _check_net(k, net_resolution, n)
     guard = constants.memory_guard_bytes
     if _held_bytes(n, k, 0) > guard:
         raise DomainError(
             f"a {n}x{k} basis exceeds the memory guard ({guard} bytes)"
         )
     limit = (guard - _held_bytes(n, k, 0)) // _held_bytes(0, k, 1)
-    leaves = _leaf_count(k, net_resolution, limit)
-    if leaves is not None:
-        return leaves
-    level = 2.0 * net_resolution
-    while level < 1.0 and _leaf_count(k, level, limit) is None:
-        level *= 2.0
-    raise DomainError(
-        f"the k={k} cells at resolution {net_resolution} and a {n}x{k} basis exceed"
-        f" the memory guard ({guard} bytes); the finest resolution that fits is"
-        f" {repr(level) if level < 1.0 else 'none below 1'}"
-    )
+    refusal = f"the k={k} cells at resolution {net_resolution} and a {n}x{k} basis exceed"
+    return _fitting_leaves(k, net_resolution, limit, f"{refusal} the memory guard ({guard} bytes)")
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -33,7 +33,7 @@ from scipy.special import gammainc, hyp1f1
 from .config import DEFAULT_CONSTANTS
 from .errors import DomainError
 from .gaussian import _LOG_SQRT_2_OVER_PI, abs_moment, abs_tail_log
-from .logdomain import BoundBracket, LogValue
+from .logdomain import BoundBracket, LogValue, log_sum_exp
 
 # up to this x = a²/2 the Kummer branch serves x > s too: scipy's P(s, x)
 # is 1 - Q(s, x) for x > max(1, s), and against mpmath it is off by up to
@@ -155,9 +155,8 @@ def trunc_moment_min(spec: TruncationSpec) -> LogValue:
     """E min(|g|, a)^q = E(|g|^q·1{|g|<=a}) + a^q·P{|g| > a}."""
     if math.isinf(spec.a):
         return abs_moment(spec.q) if spec.q > 0.0 else LogValue(0.0)
-    chi = trunc_moment_chi(spec)
-    cap_term = LogValue(spec.q * math.log(spec.a) + abs_tail_log(spec.a))
-    return chi + cap_term
+    cap_term = spec.q * math.log(spec.a) + abs_tail_log(spec.a)
+    return LogValue(log_sum_exp([trunc_moment_chi(spec).log, cap_term]))
 
 
 def moment_scale(spec: TruncationSpec) -> tuple[LogValue, str]:
@@ -201,5 +200,4 @@ def moment_bracket(
     return BoundBracket(
         LogValue(expression.log + math.log(lo_factor)),
         LogValue(expression.log + math.log(hi_factor)),
-        {"moment_bracket_lo": lo_factor, "moment_bracket_hi": hi_factor},
     )

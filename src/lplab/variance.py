@@ -61,6 +61,12 @@ def _high_factor(point: RegimePoint) -> float:
     return math.log1p(-(point.p2 - point.xi) / point.p)
 
 
+def _check_cap(T: float, xi: float) -> None:
+    """The one truncation-level rule: T >= xi, the upper 1/n quantile."""
+    if not T >= xi:
+        raise DomainError(f"need T >= xi = {xi:.6g}, got T = {T}")
+
+
 def classify(n: int, p: float, constants: Constants = DEFAULT_CONSTANTS) -> RegimePoint:
     """Locate (n, p) relative to the two transition windows.
 
@@ -175,8 +181,7 @@ def tail_term(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTAN
     itself depends only on (n, T).
     """
     point = classify(n, p, constants)
-    if T < point.xi:
-        raise DomainError(f"need T >= xi = {point.xi:.6g}, got T = {T}")
+    _check_cap(T, point.xi)
     if math.isinf(T):
         return LogValue(-math.inf)
     return LogValue(math.log(n) - 3.0 * math.log(T) - 0.5 * T * T)
@@ -195,8 +200,7 @@ def a_quantity(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTA
         raise DomainError(f"need p <= 3 log n = {band:.4g}, got {point.p}")
     if math.isinf(T):
         raise DomainError("a_quantity requires a finite truncation level")
-    if T < point.xi:
-        raise DomainError(f"need T >= xi = {point.xi:.6g}, got T = {T}")
+    _check_cap(T, point.xi)
     p = point.p
     log_n = math.log(n)
     two_m2p = 2.0 - 2.0 / p
@@ -232,7 +236,7 @@ def combined_upper(
         + moment.log
         - denom
     )
-    return tail_term(n, p, T, constants) + LogValue(log_main)
+    return LogValue(log_sum_exp([tail_term(n, p, T, constants).log, log_main]))
 
 
 def _check_q(q: float) -> None:
@@ -271,8 +275,7 @@ def small_ball_bound(
     the first branch wins for moderate tau, the second for tiny tau.
     Requires n >= n_min, tau in (0, 1/2) and finite q >= 1.
     """
-    if n < constants.n_min:
-        raise DomainError(f"need n >= {constants.n_min}, got {n}")
+    classify(n, 1.0, constants)
     _check_small_ball(q, tau)
     log_n = math.log(n)
     exponent = (1.0 - (2.0 * tau) ** (2.0 / q)) / 4.0
@@ -402,6 +405,10 @@ def lemma_checks(
     entries: list[LemmaCheckEntry] = []
     slack = 1e-9
     for n in n_values:
+        classify(n, 1.0, constants)
+        # n^{2/p} and M^2 <= n^2, at p down to 1, must be doubles
+        if n > 2.0**512:
+            raise DomainError("lemma checks need n <= 2^512, so that n^2 is a double")
         grid = p_values if p_values is not None else auto_p_grid(n, constants)
         log_n = math.log(n)
         for p in grid:

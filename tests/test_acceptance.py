@@ -7,12 +7,14 @@ byte-level reproducibility.  The Monte Carlo tests use fixed seeds, so
 every run evaluates the same draws and the suite is deterministic.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import lplab
 from lplab import (
     DEFAULT_CONSTANTS,
     abs_moment,
@@ -217,6 +219,16 @@ class TestRandomSections:
         )
         failure_low, _ = wilson_interval(result.failures, result.trials)
         assert failure_low >= 0.02, result
+
+
+def test_all_lists_every_public_name():
+    # the imports of __init__.py and its __all__ name the same objects
+    public = {
+        name
+        for name, value in vars(lplab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(lplab.__all__) == public
 
 
 class TestReproducibility:

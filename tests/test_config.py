@@ -1,4 +1,4 @@
-"""Constants configuration: parsing, validation, fixture integrity."""
+"""Constants configuration: the dataclass defaults, parsing and validation of override files."""
 
 import dataclasses
 import re
@@ -7,19 +7,13 @@ from pathlib import Path
 import pytest
 
 from lplab import Constants, DEFAULT_CONSTANTS, dump_constants, parse_constants
-from lplab.config import default_constants_path, load_constants, load_constants_file
+from lplab.config import load_constants
 from lplab.errors import ConfigError
 
 
 def test_dump_parse_round_trip():
     text = dump_constants(DEFAULT_CONSTANTS)
     assert parse_constants(text) == DEFAULT_CONSTANTS
-
-
-def test_shipped_fixture_matches_defaults():
-    # the committed file is the source of record for calibrated values;
-    # the dataclass defaults must never drift from it
-    assert load_constants_file(default_constants_path()) == DEFAULT_CONSTANTS
 
 
 def test_dump_is_sorted_and_complete():
@@ -31,8 +25,8 @@ def test_dump_is_sorted_and_complete():
 
 def test_every_constant_is_read():
     # a constant that no code, tool or test names is never checked, yet
-    # it is echoed in every CLI header; config.py, the fixture and this
-    # file name every field by construction
+    # it is echoed in every CLI header; config.py and this file name
+    # every field by construction
     root = Path(__file__).resolve().parent.parent
     texts = [
         path.read_text(encoding="utf-8")
@@ -118,18 +112,16 @@ def test_replace_produces_independent_instance():
     assert DEFAULT_CONSTANTS.tails_gap_c != 9.0
 
 
-def test_load_constants_path_overrides_env(tmp_path, monkeypatch):
-    a = tmp_path / "a.cfg"
-    b = tmp_path / "b.cfg"
-    a.write_text("n_min = 111\n")
-    b.write_text("n_min = 222\n")
-    monkeypatch.setenv("LPLAB_CONSTANTS", str(b))
-    assert load_constants(str(a)).n_min == 111
-    assert load_constants().n_min == 222
-    monkeypatch.delenv("LPLAB_CONSTANTS")
-    assert load_constants() == DEFAULT_CONSTANTS
+def test_load_constants_reads_only_its_path(tmp_path, monkeypatch):
+    # the defaults are the one source and a path the one override; an
+    # environment variable that once named a file changes nothing
+    path = tmp_path / "a.cfg"
+    path.write_text("n_min = 111\n")
+    monkeypatch.setenv("LPLAB_CONSTANTS", str(path))
+    assert load_constants() is DEFAULT_CONSTANTS
+    assert load_constants(str(path)).n_min == 111
 
 
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
-        load_constants_file(tmp_path / "nope.cfg")
+        load_constants(tmp_path / "nope.cfg")

@@ -1,6 +1,7 @@
 """Three-regime variance predictor, envelopes, and structural checks."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -295,6 +296,18 @@ class TestCombinedUpper:
         xi = upper_quantile(n)
         m = truncation_level_M(n, p).to_float()
         assert combined_upper(n, p, m).log <= combined_upper(n, p, xi).log + 1e-12
+
+    def test_bits_pinned(self):
+        # SHA-256 of the space-joined float.hex of the log over n in
+        # {10^3, 10^4, 10^6}, p in {1.5, 4, 2 log n, 2.9 log n} and T in {M, xi}
+        logs = [
+            combined_upper(n, p, T).log.hex()
+            for n in (10**3, 10**4, 10**6)
+            for p in (1.5, 4.0, 2 * math.log(n), 2.9 * math.log(n))
+            for T in (truncation_level_M(n, p).to_float(), classify(n, p).xi)
+        ]
+        digest = hashlib.sha256(" ".join(logs).encode()).hexdigest()
+        assert digest == "045ee2fecf6c68b4f6f2bf503fe27bcc090ba454a31131fdc5862304eec5bd82", logs
 
 
 class TestSmallBall:
