@@ -204,7 +204,8 @@ def _reduce_rows(
     requests: list[tuple[float, bool, bool]],
     T: float,
     workspace: np.ndarray | None = None,
-) -> np.ndarray:
+    basis: np.ndarray | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Per-row statistics of a block, one output row per request.
 
     A request (p, capped, log) asks, for each row x, for the lp norm of
@@ -219,9 +220,18 @@ def _reduce_rows(
     `_workspace_elems(rows, n, requests)` elements (one is allocated for
     the call if None), so a tile makes no temporary of its size.  A
     caller that reduces many blocks passes the same workspace to each.
+
+    With `basis`, an n x k matrix B, the first request must be a norm of
+    finite p, (p, False, False), and the call returns (out, gradients),
+    row j of gradients being B^T grad ||x||_p at row x of the block.
+    With s = sum_i (|x_i|/m)^p, the gradient is ||x||_p (|x|/m)^p / (x s)
+    elementwise, 0 where x_i = 0: the power tile the norm was summed
+    from, divided in place by x, so it costs a divide and a k-column
+    matmul but no second power.
     """
     rows, n = block.shape
     out = np.empty((len(requests), rows))
+    gradients = None if basis is None else np.empty((rows, basis.shape[1]))
     tile = _tile_rows(n)
     kinds = {capped for _, capped, _ in requests}
     size = min(tile, rows) * n
@@ -253,7 +263,26 @@ def _reduce_rows(
             with np.errstate(divide="ignore"):
                 log_sums = np.where(row_peaks == 0.0, -np.inf, p * log_peaks + np.log(sums))
             out[k, start : start + tile] = log_sums if log else np.exp(log_sums / p)
-    return out
+            if gradients is not None and k == 0:
+                gradients[start : start + tile] = _norm_gradients(
+                    part, powers, basis, out[0, start : start + tile] / sums
+                )
+    return out if gradients is None else (out, gradients)
+
+
+def _norm_gradients(
+    block: np.ndarray, powers: np.ndarray, basis: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    """B^T (powers / block) scaled by row, with 0 where block is 0; powers is overwritten."""
+    with np.errstate(invalid="ignore"):
+        np.divide(powers, block, out=powers)
+    gradients = powers @ basis
+    # 0 / 0 where a coordinate is 0: it adds nothing to the gradient
+    if np.isnan(gradients).any():
+        powers[block == 0.0] = 0.0
+        gradients = powers @ basis
+    gradients *= scales[:, None]
+    return gradients
 
 
 def lp_norm(x, p: float) -> float:

@@ -36,9 +36,9 @@ for any worker count.
 
 Each worker allocates one float64 buffer for its largest chunk and one
 reducer workspace, and draws and reduces every chunk of its streams in
-them: the 53-bit integers are generated a fill tile at a time and
-converted in place, ndtri runs in place, and the reducer writes each
-tile's intermediates into the workspace.  A fresh block per chunk would
+them: the uniforms are written straight into the buffer, ndtri runs in
+place, and the reducer writes each tile's intermediates into the
+workspace.  A fresh block per chunk would
 be freed into the allocating thread's malloc arena, where glibc keeps
 it, so per-chunk blocks on several threads raise the peak resident size
 by about a block per thread per arena.
@@ -74,11 +74,8 @@ from .gaussian import _reduce_rows, _validate_p, _workspace_elems
 from .logdomain import LogValue
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
-_U53 = float(1 << 53)
 # doubles per sample chunk
 _CHUNK_ELEMS = 1 << 21
-# 53-bit integers drawn per fill tile: a 512 KiB temporary
-_FILL_ELEMS = 1 << 16
 # workers never outnumber the cores this process may run on
 _USABLE_CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -109,24 +106,24 @@ class RngStream:
 def _uniforms(
     gen: np.random.Generator, shape: tuple[int, ...], buffer: np.ndarray | None = None
 ) -> np.ndarray:
-    """Open-interval (0,1) uniforms built from raw 53-bit integers.
+    """Open-interval (0,1) uniforms (k + 1/2) / 2^53 on the 53-bit integers k.
 
     The uniforms fill the leading elements of `buffer` (a float64 array
     with at least prod(shape) elements; a new one if None) and come back
-    as a view of the given shape.  The integers are drawn a tile of
-    _FILL_ELEMS at a time, so no array of the full shape but the result
-    is ever alive.  Each integer uses one 64-bit Philox output, so the
-    tiles draw the same stream as one call of the full size.
+    as a view of the given shape, with no other array alive.
+    `Generator.random` writes k 2^-53, k the top 53 bits of one 64-bit
+    Philox output, which are the integers `Generator.integers(0, 2^53)`
+    draws from the same outputs; k 2^-53 + 2^-54 rounds as k + 1/2 does,
+    scaled by 2^-53, so it equals (k + 1/2) / 2^53 bit for bit.  Each
+    value uses one output, so any split of a stream into calls draws the
+    same values.
     """
     size = math.prod(shape)
     if buffer is None:
         buffer = np.empty(size)
     flat = buffer.reshape(-1)[:size]
-    for start in range(0, size, _FILL_ELEMS):
-        tile = flat[start : start + _FILL_ELEMS]
-        tile[...] = gen.integers(0, 1 << 53, size=tile.size, dtype=np.uint64)
-        tile += 0.5
-        tile /= _U53
+    gen.random(out=flat)
+    flat += 2.0**-54
     return flat.reshape(shape)
 
 

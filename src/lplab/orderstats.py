@@ -15,6 +15,7 @@ frequencies, not that they are tight.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import logsumexp
@@ -31,8 +32,11 @@ _CDF_BYTES_PER_TERM = 65
 
 
 def _validate_n_i(n: int, i: int) -> None:
+    """The one (n, i) rule: 2 <= n, n a double (the sums scale n and its log), 1 <= i <= n."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if n > sys.float_info.max:
+        raise DomainError(f"need n <= {sys.float_info.max:.4g}, the largest double")
     if not 1 <= i <= n:
         raise DomainError(f"need 1 <= i <= n, got i={i}, n={n}")
 

@@ -6,17 +6,43 @@ Gaussian vectors; on its Euclidean sphere the ratio r(x) = ||Bx||_p
 section of the p-ball is from round.  Two-sided bounds on sup r / inf r
 come from a tree of cells of the sphere up to sign: boxes in
 hyperspherical coordinates, each with a guaranteed covering radius
-rho_c about its center point.  r is (sup r)-Lipschitz along chords,
-so over cells that cover the sphere
+rho about its center point c.  A cell carries the value f = r(c) and
+the tangential gradient norm g = |grad r(c) - f c| (`_point_values`).
+Write a point of the cell as x = c + d with |d| <= rho; on the unit
+sphere c.d = -|d|^2 / 2.  Two orders of bound hold (`_bounds`):
 
-    sup_true <= S = max_c r(c) / (1 - rho_c),
-    inf_true >= I = min_c r(c) - rho_c * S.
+- First order, any p: r is (sup r)-Lipschitz along chords, so
+  f - rho sup r <= r(x) <= f + rho sup r; at the x where sup r is
+  attained this gives sup r <= f / (1 - rho) when rho < 1.
+- Second order below, any p >= 1: r is convex and, by Euler's
+  identity grad r(c).c = f, r(x) >= grad r(c).x = f (1 - |d|^2/2) + h.d
+  with h = grad r(c) - f c tangent at c, so r(x) >= f (1 - rho^2/2) -
+  g rho.  At p = 1 a subgradient serves.
+- Second order above, finite p >= 2: ||.||_p^2 is (p - 1)-smooth,
+  ||u + v||_p^2 <= ||u||_p^2 + grad ||u||_p^2 . v + (p - 1) ||v||_p^2
+  (Ball, Carlen & Lieb, Invent. Math. 115, 1994).  With u = Bc, v = Bd
+  and ||Bd||_p <= |d| sup r, r(x)^2 <= f^2 + 2 f g |d| + ((p - 1)
+  (sup r)^2 - f^2) |d|^2 <= f^2 + 2 f g rho + max((p - 1) (sup r)^2 -
+  f^2, 0) rho^2.  At the x where sup r is attained, and where
+  (p - 1) rho^2 < 1, solving for sup r gives (sup r)^2 <= max(f^2 +
+  2 f g rho, (f^2 (1 - rho^2) + 2 f g rho) / (1 - (p - 1) rho^2)).
 
-Everything that claims "certified" uses only these inequalities with
-the construction's guaranteed covering radii; nothing is inferred
-from sampling density.  Every section request, p >= 1 or inf and
-1 <= k <= min(n, 4), is checked in one place (`_check_section_request`);
-`sphere_net` shares its rules for k, the resolution and the memory guard.
+Each cell keeps the tighter of its two orders, so over cells that
+cover the sphere
+
+    sup_true <= S = max_c (the cell's bound on sup r),
+    inf_true >= I = min_c max(f - rho S, f (1 - rho^2/2) - g rho).
+
+The upper bound stays first order for p < 2, where ||.||_p^2 is not
+smooth, and both stay first order at p = inf, where no gradient is
+formed.  The second-order slack shrinks as rho^2, so a trial near its
+threshold settles on far fewer cells; at p = 2, r = 1 and g = 0, so
+S = 1 and I = 1 - rho^2/2.  Everything that claims "certified" uses
+only these inequalities with the construction's guaranteed covering
+radii; nothing is inferred from sampling density.  Every section
+request, p >= 1 or inf and 1 <= k <= min(n, 4), is checked in one place
+(`_check_section_request`); `sphere_net` shares its rules for k, the
+resolution and the memory guard.
 
 Every certified result is a branch and bound (Piyavskii 1972; Shubert
 1972) over the tree, from the whole antipodal domain down (`_trial`):
@@ -164,31 +190,50 @@ class DistortionResult:
 
 
 def _evaluation_workspace(n: int, p: float) -> np.ndarray:
-    """Room for `_point_values` on one reducer tile of points: images and reducer scratch."""
+    """Room for `_point_values` on one reducer tile of points: images and reducer scratch.
+
+    The gradients are formed in the reducer's power tile, so they need no more.
+    """
     tile = _tile_rows(n)
     return np.empty(tile * n + _workspace_elems(tile, n, [(p, False, False)]))
 
 
 def _point_values(
-    basis: SubspaceBasis, p: float, points: np.ndarray, workspace: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """||Bx||_p of each row x of points, written into out.
+    basis: SubspaceBasis,
+    p: float,
+    points: np.ndarray,
+    workspace: np.ndarray,
+    values: np.ndarray,
+    slopes: np.ndarray,
+) -> None:
+    """r(x) = ||Bx||_p and |grad r(x) - r(x) x| of each row x of points, into values and slopes.
 
     The images of one reducer tile of points at a time are written into
     the head of `workspace` (from `_evaluation_workspace`) and reduced
     there, with the rest as the reducer's scratch, so an evaluation
     holds a few tiles of doubles whatever the number of points and n.
+    The reducer forms grad r(x) = B^T grad ||Bx||_p from the tile it
+    sums r from; by Euler's identity grad r(x).x = r(x), so subtracting
+    r(x) x leaves its part tangent to the sphere at x.  At p = inf no
+    gradient is formed and the slopes are NaN.
     """
     n = basis.n
     request = [(p, False, False)]
     tile = min(_tile_rows(n), points.shape[0])
     images, scratch = workspace[: tile * n], workspace[tile * n :]
+    if math.isinf(p):
+        slopes[:] = math.nan
     for start in range(0, points.shape[0], tile):
         part = points[start : start + tile]
         image = images[: part.shape[0] * n].reshape(-1, n)
         np.matmul(part, basis.columns.T, out=image)
-        out[start : start + tile] = _reduce_rows(image, request, math.inf, scratch)[0]
-    return out
+        if math.isinf(p):
+            values[start : start + tile] = _reduce_rows(image, request, math.inf, scratch)[0]
+            continue
+        norms, gradients = _reduce_rows(image, request, math.inf, scratch, basis.columns)
+        values[start : start + tile] = norms[0]
+        gradients -= norms[0][:, None] * part
+        slopes[start : start + tile] = np.linalg.norm(gradients, axis=1)
 
 
 def distortion(
@@ -212,7 +257,7 @@ def distortion(
     sup, inf, sup_upper, inf_lower, rho = _trial(
         basis,
         p,
-        lambda values, radii: _extremes(values, radii, net_resolution),
+        lambda values, slopes, radii: _extremes(values, slopes, radii, p, net_resolution),
         *_trial_arrays(basis.n, basis.k, p, leaves),
     )
     return DistortionResult(
@@ -414,9 +459,10 @@ def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
 def _held_bytes(n: int, k: int, cells: int) -> int:
     """Bytes of an n x k basis and of `cells` cells.
 
-    A cell is k - 1 center angles, k - 1 half-widths, a value and a radius.
+    A cell is k - 1 center angles, k - 1 half-widths, a value, a slope
+    and a radius.
     """
-    return 8 * k * (n + 2 * cells)
+    return 8 * (k * n + (2 * k + 1) * cells)
 
 
 def _check_section_request(
@@ -425,7 +471,7 @@ def _check_section_request(
     """The cell tree's leaf count, if the request is certifiable and fits the memory guard.
 
     The one check of every section request: p >= 1 or inf (below 1,
-    ||.||_p is no norm and the Lipschitz bounds fail), k and the
+    ||.||_p is no norm and the cell bounds fail), k and the
     resolution, then a basis and the most cells a run can hold.  A
     request whose basis and cells exceed the guard is refused, naming
     the finest resolution net_resolution * 2^j < 1 whose cells fit.
@@ -448,27 +494,43 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError(f"need finite epsilon > 0, got {epsilon}")
 
 
-def _bounds(values: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Each cell's bounds r(c) / (1 - rho_c) and r(c) - rho_c S, and S their max."""
-    with np.errstate(divide="ignore"):
+def _bounds(
+    values: np.ndarray, slopes: np.ndarray, radii: np.ndarray, p: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Each cell's bound on sup r were it attained there, S their max, and each cell's bound below.
+
+    The tighter of the first- and second-order bounds of the module
+    docstring, cell by cell: second order above only for finite p >= 2
+    and where (p - 1) rho^2 < 1, second order below for finite p.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
         upper = np.where(radii < 1.0, values / (1.0 - radii), math.inf)
+        if 2.0 <= p < math.inf:
+            linear = values * (values + 2.0 * slopes * radii)
+            room = 1.0 - (p - 1.0) * radii * radii
+            curved = (linear - (values * radii) ** 2) / room
+            second = np.where(room > 0.0, np.sqrt(np.maximum(linear, curved)), math.inf)
+            upper = np.minimum(upper, second)
     sup = upper.max()
-    return upper, sup, values - radii * sup
+    lower = values - radii * sup
+    if p < math.inf:
+        lower = np.maximum(lower, values * (1.0 - 0.5 * radii * radii) - slopes * radii)
+    return upper, sup, lower
 
 
 def _extremes(
-    values: np.ndarray, radii: np.ndarray, resolution: float
+    values: np.ndarray, slopes: np.ndarray, radii: np.ndarray, p: float, resolution: float
 ) -> tuple[tuple[float, ...] | None, np.ndarray]:
-    """The stopping rule of `distortion` on the live cells' center values and radii.
+    """The stopping rule of `distortion` on the live cells (`_bounds`).
 
-    A cell blocks while it could hold a value above the largest center
-    value, r(c) / (1 - rho_c) > max r(c), or below the least,
-    r(c) - rho_c S < min r(c).  Returns None with the blocking cells of
+    A cell blocks while it could hold sup r above the largest center
+    value, its bound on sup r > max r(c), or a value below the least,
+    its bound below < min r(c).  Returns None with the blocking cells of
     radius above the resolution, to split, or, when there are none,
     (max r(c), min r(c), S, I, the largest radius of a blocking cell)
     with no cells; that radius is 0.0 when no cell blocks (k = 1).
     """
-    upper, sup, lower = _bounds(values, radii)
+    upper, sup, lower = _bounds(values, slopes, radii, p)
     blocking = (upper > values.max()) | (lower < values.min())
     split = np.flatnonzero(blocking & (radii > resolution))
     if split.size:
@@ -478,25 +540,29 @@ def _extremes(
 
 
 def _round(
-    values: np.ndarray, radii: np.ndarray, target: float, resolution: float
+    values: np.ndarray,
+    slopes: np.ndarray,
+    radii: np.ndarray,
+    p: float,
+    target: float,
+    resolution: float,
 ) -> tuple[int | None, np.ndarray]:
-    """One round of branch and bound on the live cells' center values and radii.
+    """One round of branch and bound on the live cells' values, slopes and radii.
 
-    r is (sup r)-Lipschitz along chords, so with S = max r(c) / (1 - rho_c)
-    and I = min r(c) - rho_c S over the cells, sup r <= S and inf r >= I.
-    Returns the verdict's index in (success, failure, ambiguous) with no
-    cells, or None with the cells to split:
+    With S and I from the cells' bounds (`_bounds`), sup r <= S and
+    inf r >= I.  Returns the verdict's index in (success, failure,
+    ambiguous) with no cells, or None with the cells to split:
 
     - success when I > 0 and S <= target * I;
     - failure when max r(c) / min r(c) > target, values at real sphere
       points;
-    - otherwise the cells that block a verdict, r(c) / (1 - rho_c) >
-      target * I or r(c) - rho_c S < S / target, are split if their
-      radius exceeds the resolution (the cells attaining S and I always
-      block), and the trial is ambiguous when none can be.
+    - otherwise the cells that block a verdict, whose bound on sup r
+      exceeds target * I or whose bound below is under S / target, are
+      split if their radius exceeds the resolution (the cells attaining
+      S and I always block), and the trial is ambiguous when none can be.
     """
     no_cells = np.empty(0, dtype=np.intp)
-    upper, sup, lower = _bounds(values, radii)
+    upper, sup, lower = _bounds(values, slopes, radii, p)
     inf = lower.min()
     if inf > 0.0 and sup <= target * inf:
         return 0, no_cells
@@ -509,37 +575,39 @@ def _round(
 
 def _trial_arrays(
     n: int, k: int, p: float, leaves: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """A worker's cell arrays with room for `leaves` cells, and its evaluation workspace."""
-    cells = (
-        np.empty((leaves, k - 1)), np.empty((leaves, k - 1)), np.empty(leaves), np.empty(leaves)
-    )
-    return cells, _evaluation_workspace(n, p)
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A worker's cell arrays with room for `leaves` cells, and its evaluation workspace.
+
+    The cells are center angles, half-widths, values, slopes and radii.
+    """
+    angles = [np.empty((leaves, k - 1)) for _ in range(2)]
+    return (*angles, *(np.empty(leaves) for _ in range(3))), _evaluation_workspace(n, p)
 
 
 def _trial(
     basis: SubspaceBasis,
     p: float,
-    rule: Callable[[np.ndarray, np.ndarray], tuple[Result | None, np.ndarray]],
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    rule: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[Result | None, np.ndarray]],
+    cells: tuple[np.ndarray, ...],
     workspace: np.ndarray,
 ) -> Result:
     """Branch and bound over the cell tree of one basis until `rule` returns a result.
 
-    rule(values, radii) takes the live cells' center values and radii
-    and returns a result, or None with the indices of the cells to
-    split.  `cells` and `workspace` are from `_trial_arrays`, with room
-    for the tree's leaves; the live cells are the first m rows.  A split
-    cell's middle third stays in its row with its value, and the other
-    two are appended and evaluated.
+    rule(values, slopes, radii) takes the live cells' center values,
+    slopes (`_point_values`) and radii and returns a result, or None
+    with the indices of the cells to split.  `cells` and `workspace`
+    are from `_trial_arrays`, with room for the tree's leaves; the live
+    cells are the first m rows.  A split cell's middle third stays in
+    its row with its value and slope, and the other two are appended
+    and evaluated.
     """
-    centers, halves, values, radii = cells
+    centers, halves, values, slopes, radii = cells
     centers[:1], halves[:1] = _root_cell(basis.k)
     radii[:1] = _cell_geometry(centers[:1], halves[:1])[0]
-    _point_values(basis, p, _cell_points(centers[:1]), workspace, values[:1])
+    _point_values(basis, p, _cell_points(centers[:1]), workspace, values[:1], slopes[:1])
     live = 1
     while True:
-        result, split = rule(values[:live], radii[:live])
+        result, split = rule(values[:live], slopes[:live], radii[:live])
         if result is not None:
             return result
         new = slice(live, live + 2 * split.size)
@@ -550,7 +618,9 @@ def _trial(
         centers[new] = np.concatenate([lower, upper])
         radii[split] = _cell_geometry(centers[split], thirds)[0]
         radii[new] = _cell_geometry(centers[new], halves[new])[0]
-        _point_values(basis, p, _cell_points(centers[new]), workspace, values[new])
+        _point_values(
+            basis, p, _cell_points(centers[new]), workspace, values[new], slopes[new]
+        )
         live = new.stop
 
 
@@ -568,7 +638,7 @@ def sphericity_experiment(
 
     Trial t draws its subspace from stream (seed, t), so the experiment
     is reproducible and embarrassingly parallel; counting is conservative
-    per the Lipschitz certificate of `_round`.  The trials are dealt
+    per the certificate of `_round`.  The trials are dealt
     round-robin to a pool of min(usable cores, trials) threads (fewer if
     the memory guard admits fewer bases and cell trees at once), each
     returning its three counts; the sums do not depend on the worker
@@ -596,8 +666,10 @@ def sphericity_experiment(
     leaves = _check_section_request(n, k, p, net_resolution, constants)
     target = 1.0 + epsilon
 
-    def verdict(values: np.ndarray, radii: np.ndarray) -> tuple[int | None, np.ndarray]:
-        return _round(values, radii, target, net_resolution)
+    def verdict(
+        values: np.ndarray, slopes: np.ndarray, radii: np.ndarray
+    ) -> tuple[int | None, np.ndarray]:
+        return _round(values, slopes, radii, p, target, net_resolution)
 
     def share(indices: range) -> list[int]:
         counts = [0, 0, 0]

@@ -378,13 +378,20 @@ def _log_mom2p_scale(point: RegimePoint) -> tuple[float, float]:
     return log_lower, log_upper
 
 
-def _log_mexpm_scale(point: RegimePoint) -> float:
-    """Closed-form scale for M^{-1} e^{-M^2/2}."""
-    n, p = point.n, point.p
-    log_n = math.log(n)
-    if p <= point.p2:
-        return -log_n / p - 0.5 * math.log(p) - _mid_decay(log_n, p)
-    return -log_n + _high_factor(point)
+def _log_mexpm_ratio(point: RegimePoint, log_m: float, m_sq: float) -> float:
+    """log of M^{-1} e^{-M^2/2} over its closed-form scale.
+
+    Up to p2 the scale is n^{-1/p} p^{-1/2} e^{-(p/(2e)) n^{2/p}}; there
+    log M = (log n)/p + (log p - 1)/2 and M^2 = (p/e) n^{2/p}, so the
+    terms cancel and the log ratio is 1/2 exactly.  Formed as a
+    difference, two terms of size n^{2/p} left a rounding error that
+    overflowed or flipped the verdict (at n = 10^10, p = 1, it read 2048).
+    Past p2 the scale is n^{-1} (1 - (xi^2 - xi)/p) and M^2 stays near
+    xi^2, so the terms are formed in floating point.
+    """
+    if point.p <= point.p2:
+        return 0.5
+    return -log_m - 0.5 * m_sq + math.log(point.n) - _high_factor(point)
 
 
 def lemma_checks(
@@ -463,8 +470,7 @@ def lemma_checks(
                 ),
                 f"ratio vs lower scale = {ratio_lo:.4g}, vs upper scale = {ratio_hi:.4g}",
             )
-            mexpm = -log_m - 0.5 * m_sq
-            ratio = math.exp(mexpm - _log_mexpm_scale(point))
+            ratio = math.exp(_log_mexpm_ratio(point, log_m, m_sq))
             add(
                 "mexpm_containment",
                 constants.mexpm_lo * (1.0 - slack)

@@ -26,13 +26,14 @@ from lplab.cli import main
 
 # stdout of small sweeps at k = 2 and k = 3; the first was re-pinned when
 # trials became a branch and bound over cells, which settled one of its
-# ambiguous window trials (0/4/2 -> 1/4/1 successes/failures/ambiguous);
-# the other two are the bytes of the uniform-net ladder before it, the
-# third being the benchmark's k = 3 op
+# ambiguous window trials (0/4/2 -> 1/4/1 successes/failures/ambiguous),
+# and again when the cell bounds became second order, which settled the
+# other (1/4/1 -> 2/4/0); the other two are the bytes of the uniform-net
+# ladder before both, the third being the benchmark's k = 3 op
 DVORETZKY_GOLDENS = [
     (
         "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
-        "1b23209d3b411f6098b3f56e0cb5cb61e2dd24f1b2cc0bd4b473617e106c2eba",
+        "c4cfc34667f69e9f978acffe9715e6bb5c1a29cfa370aab336f4d0c520d40078",
     ),
     (
         "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
@@ -400,7 +401,7 @@ class TestDvoretzkyCommand:
         "argv, message",
         [
             # at k = 4 the default resolution 0.004 gives 297,160,653 cells
-            # of 64 bytes, 0.008 gives 29,414,157
+            # of 72 bytes, 0.008 gives 29,414,157
             ("--n 100 --k 4", "memory guard"),
             (
                 "--n 10000 --k 4 --delta 0.5 --trials 2",
@@ -487,9 +488,14 @@ class TestPlumbing:
             (f"quantile --n {BIG} --i 1", 0),
             (f"quantile --n 10 --i {BIG}", 2),
             ("orderstats --n 100000000000000000000 --beta 0.5 --i 1", 0),
+            # n log(1 - beta) is -6.9e319, no double
+            (f"orderstats --n {BIG} --beta 0.5 --i 1", 2),
             ("checks --n 0 --p-grid 2", 2),
         ],
-        ids=["predict", "checks", "quantile-n", "quantile-i", "orderstats-1e20", "checks-n0"],
+        ids=[
+            "predict", "checks", "quantile-n", "quantile-i", "orderstats-1e20",
+            "orderstats-1e320", "checks-n0",
+        ],
     )
     def test_huge_integers_exit_without_traceback(self, capsys, argv, code):
         # 10^20 is past int64; each argv is refused with a message or
@@ -503,6 +509,19 @@ class TestPlumbing:
         # n itself is no double; every computed column must be finite
         values = [float(v) for row in rows for k, v in row.items() if k not in ("n", "regime")]
         assert rows and all(math.isfinite(v) for v in values)
+
+    def test_checks_true_or_refused_up_to_1e153(self, capsys):
+        # up to p2 the mexpm_containment log ratio is 1/2 in closed form;
+        # formed as a difference of terms of size n^{2/p}, it overflowed
+        # at n = 10^10 and read false at 10^33 and 10^153
+        for k in range(3, 154):
+            code, out, err = run_cli(capsys, ["checks", "--n", "1" + "0" * k])
+            if code == 2:
+                assert out == "" and err.startswith("error:"), k
+                continue
+            _, rows = parse_csv(out)
+            assert code == 0 and rows, k
+            assert all(row["passed"] == "true" for row in rows), k
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"

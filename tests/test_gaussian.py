@@ -336,6 +336,21 @@ class TestLpNorm:
         assert got.tobytes() == expected.tobytes()
         assert peak < 8 * _TILE_ELEMS // 4
 
+    def test_gradients_leave_norms_and_match_direct_form(self):
+        # B^T grad ||x||_p = B^T (sign(x) |x|^{p-1} / ||x||_p^{p-1}); the norms
+        # keep their bits, and a zero coordinate adds nothing (no 0 / 0);
+        # 40 rows of 3000 span two tiles
+        rng = np.random.default_rng(6)
+        block = rng.standard_normal((40, 3000))
+        block[3, 17] = 0.0
+        basis = np.linalg.qr(rng.standard_normal((3000, 3)))[0]
+        for p in (1.0, 1.5, 2.0, 7.5, 40.0):
+            plain = _reduce_rows(block, [(p, False, False)], math.inf)
+            norms, gradients = _reduce_rows(block, [(p, False, False)], math.inf, None, basis)
+            assert norms.tobytes() == plain.tobytes()
+            direct = np.sign(block) * np.abs(block) ** (p - 1.0) / norms[0][:, None] ** (p - 1.0)
+            assert np.allclose(gradients, direct @ basis, rtol=1e-12, atol=1e-14)
+
 
 def test_log_abs_density():
     # sqrt(2/pi) e^{-1/2} at t=1

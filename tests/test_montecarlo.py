@@ -51,6 +51,12 @@ class TestRngStream:
             lib = gaussian_draws(RngStream(21, 3).generator(), shape)
             assert np.array_equal(manual, lib)
 
+    def test_half_offset_matches_integer_form_at_edges(self):
+        # the uniforms are k 2^-53 + 2^-54; from k = 2^52 on, k + 1/2 is a
+        # tie that rounds to even, and so does the sum, scaled by 2^-53
+        for k in [0, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1]:
+            assert k * 2.0**-53 + 2.0**-54 == (float(k) + 0.5) / 2.0**53
+
     def test_reused_buffer_with_short_last_chunk(self):
         # chunks of 3, 3 and 1 rows drawn into one 3-row buffer continue
         # the stream exactly as one call for all 7 rows

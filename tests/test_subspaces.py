@@ -1,5 +1,6 @@
 """Random subspaces, certified sphere nets, and distortion experiments."""
 
+import csv
 import dataclasses
 import itertools
 import math
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lplab.cli
 import lplab.montecarlo
 import lplab.subspaces
 from lplab import (
@@ -25,8 +27,11 @@ from lplab import (
 from lplab.errors import DomainError
 from lplab.gaussian import _reduce_rows
 from lplab.subspaces import (
+    _bounds,
     _cell_geometry,
     _cell_points,
+    _evaluation_workspace,
+    _extremes,
     _leaf_count,
     _point_values,
     _root_cell,
@@ -37,6 +42,32 @@ from lplab.subspaces import (
 
 def _haar_basis(n, k, seed, stream=0):
     return random_subspace(n, k, RngStream(seed, stream).generator())
+
+
+def _reference_bounds(values, slopes, radii, p):
+    """Each cell's bound on sup r and its bound below, one cell at a time.
+
+    Solves x^2 <= f^2 + 2 f g rho + max((p - 1) x^2 - f^2, 0) rho^2 for
+    the largest x in each of its two cases, for finite p >= 2 and
+    (p - 1) rho^2 < 1, beside the first-order x <= f / (1 - rho).
+    """
+    sup_bounds = []
+    for f, g, rho in zip(values.tolist(), slopes.tolist(), radii.tolist()):
+        bound = f / (1.0 - rho) if rho < 1.0 else math.inf
+        if 2.0 <= p < math.inf and (p - 1.0) * rho * rho < 1.0:
+            # where (p - 1) x^2 <= f^2, and where it is not
+            flat = f * f + 2.0 * f * g * rho
+            steep = (f * f - f * f * rho * rho + 2.0 * f * g * rho) / (1.0 - (p - 1.0) * rho * rho)
+            bound = min(bound, math.sqrt(max(flat, steep)))
+        sup_bounds.append(bound)
+    sup = max(sup_bounds)
+    lower = []
+    for f, g, rho in zip(values.tolist(), slopes.tolist(), radii.tolist()):
+        below = f - rho * sup
+        if p < math.inf:
+            below = max(below, f - 0.5 * f * rho * rho - g * rho)
+        lower.append(below)
+    return np.array(sup_bounds), np.array(lower)
 
 
 class TestSubspaceBasis:
@@ -250,16 +281,16 @@ class TestDistortion:
         for res in [0.0, -1.0, 1.0, math.nan]:
             with pytest.raises(DomainError, match="resolution in"):
                 distortion(b, 3.0, res)
-        # 824,790,897 cells of 48 bytes, 36.9 GiB, against the 2 GiB default
+        # 824,790,897 cells of 56 bytes, 43.0 GiB, against the 2 GiB default
         with pytest.raises(DomainError, match="resolution 0.0001 and a 20x3 basis exceed"):
             distortion(b, 3.0, 1e-4)
-        # 126,711 cells of 48 bytes are 6,082,128 bytes
+        # 126,711 cells of 56 bytes are 7,095,816 bytes
         tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
         with pytest.raises(DomainError, match="resolution 0.008 and a 20x3 basis exceed"):
             distortion(b, 3.0, 0.008, constants=tiny)
         monkeypatch.undo()
-        # the basis and the cells a run can hold, 8k (n + 2 cells) bytes
-        size = 8 * 3 * (20 + 2 * sphere_net(3, 0.008)[0].shape[0])
+        # the basis and the cells a run can hold, 8 (k n + (2k + 1) cells) bytes
+        size = 8 * (3 * 20 + 7 * sphere_net(3, 0.008)[0].shape[0])
         exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
         assert distortion(b, 3.0, 0.008, constants=exact) == distortion(b, 3.0, 0.008)
         short = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size - 1)
@@ -272,9 +303,9 @@ class TestDistortion:
         # cannot allocate points x n at once
         shapes, centers = [], []
 
-        def recording(block, requests, T, workspace=None):
+        def recording(block, requests, T, workspace=None, basis=None):
             shapes.append(block.shape)
-            return _reduce_rows(block, requests, T, workspace)
+            return _reduce_rows(block, requests, T, workspace, basis)
 
         def recording_points(angles):
             centers.append(_cell_points(angles))
@@ -309,14 +340,15 @@ class TestDistortion:
 
     def test_fine_k3_bracket_on_few_cells(self, monkeypatch):
         # at k = 3 and 0.004 the tree refined everywhere has 386,433 leaves
-        # and the uniform ring net had 196,994 points; 12 bases took 11,777
-        # to 41,755 cells, this one 32,871; k = 4 runs at 0.1, since 0.004
-        # is refused by the memory guard
+        # and the uniform ring net had 196,994 points; 12 bases took 1,401
+        # to 2,741 cells, this one 2,741 (11,777 to 41,755 and 32,871 with
+        # first-order bounds); k = 4 runs at 0.1, since 0.004 is refused
+        # by the memory guard
         evaluated = []
 
-        def counting(basis, p, points, workspace, out):
+        def counting(basis, p, points, workspace, values, slopes):
             evaluated.append(points.shape[0])
-            return _point_values(basis, p, points, workspace, out)
+            return _point_values(basis, p, points, workspace, values, slopes)
 
         monkeypatch.setattr(lplab.subspaces, "_point_values", counting)
         n = 10_000
@@ -375,6 +407,69 @@ class TestCellTree:
         _check_leaf_count(k, res)
 
 
+class TestSecondOrderBounds:
+    @pytest.mark.parametrize("k,res", [(2, 0.01), (3, 0.05), (4, 0.2)])
+    def test_euclidean_bounds_exact(self, monkeypatch, k, res):
+        # at p = 2, r = 1 and its tangential gradient is 0, so S = 1 and
+        # I = 1 - rho^2/2 for the largest final radius rho: every cell
+        # blocks, since its bound below is under the center value 1
+        settled = []
+
+        def recording(*args):
+            result = _extremes(*args)
+            if result[0] is not None:
+                settled.append(result[0])
+            return result
+
+        monkeypatch.setattr(lplab.subspaces, "_extremes", recording)
+        r = distortion(_haar_basis(25, k, seed=9), 2.0, res)
+        [(sup, inf, sup_upper, inf_lower, rho)] = settled
+        assert rho == r.net_resolution and 0.0 < rho <= res
+        assert sup_upper == pytest.approx(1.0, abs=1e-12)
+        assert inf_lower == pytest.approx(1.0 - 0.5 * rho * rho, abs=1e-14)
+        assert r.certified_rel_error == pytest.approx(
+            (sup_upper / inf_lower) / (sup / inf) - 1.0, abs=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "p", [2.0, 4.0, 1.5 * math.log(200), 2.5 * math.log(200), 1.0, 1.5, math.inf]
+    )
+    @pytest.mark.parametrize("k,depth", [(2, 5), (3, 3)])
+    def test_sampled_values_within_cell_bounds(self, p, k, depth):
+        # every level of the tree refined everywhere covers the sphere; r
+        # at points sampled in each cell's angle box lies in the cell's
+        # [bound below, f + rho S] and, for finite p >= 2, under
+        # sqrt(f^2 + 2 f g rho + max((p - 1) S^2 - f^2, 0) rho^2)
+        basis = _haar_basis(200, k, seed=k)
+        gen = np.random.default_rng(k)
+        workspace = _evaluation_workspace(200, p)
+        centers, halves = _root_cell(k)
+        for level in range(depth + 1):
+            radii, axis = _cell_geometry(centers, halves)
+            values, slopes = np.empty(len(centers)), np.empty(len(centers))
+            _point_values(basis, p, _cell_points(centers), workspace, values, slopes)
+            _, sup, lower = _bounds(values, slopes, radii, p)
+            unit = gen.uniform(-1.0, 1.0, (len(centers), 40, k - 1))
+            angles = centers[:, None, :] + halves[:, None, :] * unit
+            points = _cell_points(angles.reshape(-1, k - 1))
+            sampled = lp_norm_rows(points @ basis.columns.T, p).reshape(len(centers), 40)
+            upper = values + radii * sup
+            if 2.0 <= p < math.inf:
+                bent = np.maximum((p - 1.0) * sup * sup - values * values, 0.0)
+                second = np.sqrt(values * values + 2.0 * values * slopes * radii + bent * radii**2)
+                upper = np.minimum(upper, second)
+            assert sampled.max() <= sup * (1.0 + 1e-12)
+            assert (sampled >= lower[:, None] - 1e-12).all(), (p, level)
+            assert (sampled <= upper[:, None] + 1e-12).all(), (p, level)
+            if level == depth and math.isfinite(p):
+                # the bounds are not first order in disguise: the second
+                # order below is the tighter one at most of the finest cells
+                assert (lower > values - radii * sup).mean() > 0.5
+            thirds, lower_centers, upper_centers = _trisect(centers, halves, axis)
+            centers = np.concatenate([centers, lower_centers, upper_centers])
+            halves = np.concatenate([thirds, thirds, thirds])
+
+
 class TestSphericityExperiment:
     def test_round_norm_all_success(self):
         # p = 2 distortion is always 1; a net fine enough to certify
@@ -385,9 +480,10 @@ class TestSphericityExperiment:
         assert r.wilson_low > 0.6
 
     def test_coarse_net_cannot_decide(self):
-        # certification slack ~2 rho exceeds epsilon here, and the net
-        # value 1.0 never exceeds the target: everything is ambiguous
-        r = sphericity_experiment(50, 2, 2.0, 0.1, 5, net_resolution=0.35, seed=3)
+        # at p = 2 the bounds are S = 1 and I = 1 - rho^2/2; the cells stop
+        # at radius 0.174, where 1 / I = 1.0154 exceeds the target 1.01,
+        # and the net value 1.0 never exceeds it: everything is ambiguous
+        r = sphericity_experiment(50, 2, 2.0, 0.01, 5, net_resolution=0.35, seed=3)
         assert (r.successes, r.failures, r.ambiguous) == (0, 0, 5)
 
     def test_counts_partition_trials(self):
@@ -442,34 +538,37 @@ class TestSphericityExperiment:
         [
             (50, 2.0, 0.1, 0.02, (1, 0, 0)),
             (50, math.inf, 0.01, 0.02, (0, 1, 0)),
-            (50, 2.0, 0.1, 0.35, (0, 0, 1)),
-            # 17 of 27 cells block in the fourth round
+            # at p = 2, I = 1 - rho^2/2 clears 1 / 1.1 once the cells
+            # reach radius 0.174, but never clears 1 / 1.01
+            (50, 2.0, 0.1, 0.35, (1, 0, 0)),
+            (50, 2.0, 0.01, 0.35, (0, 0, 1)),
             (50, 6.0, 0.3, 0.004, (1, 0, 0)),
             # the last cells' radius 0.174 lies between res / 2 and res
-            (50, 2.0, 0.1, 0.2, (0, 0, 1)),
+            (50, 2.0, 0.1, 0.2, (1, 0, 0)),
+            (50, 2.0, 0.01, 0.2, (0, 0, 1)),
+            (50, 1.5, 0.3, 0.02, (1, 0, 0)),
         ],
     )
     def test_rounds_split_only_blocking_cells(self, monkeypatch, n, p, eps, res, verdict):
         rounds = []
 
-        def recording(values, radii, target, resolution):
-            result = _round(values, radii, target, resolution)
-            rounds.append((values.copy(), radii.copy(), result))
+        def recording(values, slopes, radii, p, target, resolution):
+            result = _round(values, slopes, radii, p, target, resolution)
+            rounds.append((values.copy(), slopes.copy(), radii.copy(), result))
             return result
 
         monkeypatch.setattr(lplab.subspaces, "_round", recording)
         r = sphericity_experiment(n, 2, p, eps, 1, net_resolution=res, seed=3)
         assert (r.successes, r.failures, r.ambiguous) == verdict
         # the settling round is the last
-        verdicts = [result[0] for _, _, result in rounds]
+        verdicts = [result[0] for *_, result in rounds]
         assert verdicts == [None] * (len(rounds) - 1) + [verdict.index(1)]
         target = 1.0 + eps
-        for index, (values, radii, (_, split)) in enumerate(rounds):
+        for index, (values, slopes, radii, (_, split)) in enumerate(rounds):
             assert values.size <= _leaf_count(2, res, 1 << 40)
-            with np.errstate(divide="ignore"):
-                upper = np.where(radii < 1.0, values / (1.0 - radii), math.inf)
+            upper, lower = _reference_bounds(values, slopes, radii, p)
             sup = upper.max()
-            lower = values - radii * sup
+            assert sup == pytest.approx(_bounds(values, slopes, radii, p)[1], rel=1e-13)
             blocking = (upper > target * lower.min()) | (lower < sup / target)
             if index + 1 == len(rounds) and verdict != (0, 0, 1):
                 assert split.size == 0
@@ -486,13 +585,31 @@ class TestSphericityExperiment:
             assert following.size == values.size + 2 * split.size
             assert np.array_equal(following[: values.size], values)
 
+    def test_benchmark_k2_sweep_cell_ceiling(self, monkeypatch, capsys):
+        # the sections benchmark's k = 2 argv at seed 0 evaluated 3,494
+        # cells with first-order bounds and one ambiguous trial; the
+        # second-order bounds settle all 80 trials on 1,028
+        evaluated = []
+
+        def counting(basis, p, points, workspace, values, slopes):
+            evaluated.append(points.shape[0])
+            return _point_values(basis, p, points, workspace, values, slopes)
+
+        monkeypatch.setattr(lplab.subspaces, "_point_values", counting)
+        argv = "dvoretzky --n 10000 --k 2 --delta 0.25,0.5 --trials 20 --seed 0".split()
+        assert lplab.cli.main(argv) == 0
+        table = [line for line in capsys.readouterr().out.splitlines() if line[:1] != "#"]
+        rows = list(csv.DictReader(table))
+        assert [int(row["ambiguous"]) for row in rows] == [0, 0, 0, 0]
+        assert sum(evaluated) <= 1_100
+
     def test_fine_k3_trials_settle_on_few_cells(self, monkeypatch):
         # the uniform ring net of S^2 at resolution 0.004 had 196,994 points and
         # the tree refined everywhere to it 386,433 leaves
         settled = []
 
-        def recording(values, radii, target, resolution):
-            result = _round(values, radii, target, resolution)
+        def recording(values, slopes, radii, p, target, resolution):
+            result = _round(values, slopes, radii, p, target, resolution)
             if result[0] is not None:
                 settled.append(values.size)
             return result
@@ -509,7 +626,7 @@ class TestSphericityExperiment:
 
         monkeypatch.setattr(lplab.subspaces, "random_subspace", no_basis)
         tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
-        # k = 3 at resolution 0.008 is 126,711 cells of 48 bytes;
+        # k = 3 at resolution 0.008 is 126,711 cells of 56 bytes;
         # a 50,000 x 3 basis is 1,200,000 bytes; the next two are refused
         # by the lower bound on the cell count, without counting level by
         # level; a 43,690 x 3 basis leaves 16 bytes, less than one cell
@@ -531,9 +648,10 @@ class TestSphericityExperiment:
             sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=tiny)
         fitting = float(str(refused.value).rsplit(" ", 1)[-1])
         # the finest res * 2^j whose cells fit beside the basis: per cell,
-        # k - 1 center angles, k - 1 half-widths, a value and a radius
+        # k - 1 center angles, k - 1 half-widths, a value, a slope and a radius
         assert fitting in [res * 2.0**j for j in range(1, 30)]
-        held = [8 * k * (10 + 2 * _leaf_count(k, r, 1 << 40)) for r in (fitting, fitting / 2)]
+        held = [8 * (10 * k + (2 * k + 1) * _leaf_count(k, r, 1 << 40))
+                for r in (fitting, fitting / 2)]
         assert held[0] <= 1_048_576 < held[1]
         r = sphericity_experiment(10, k, 5.0, 0.1, 1, fitting, seed=0, constants=tiny)
         assert r.trials == 1
@@ -541,19 +659,21 @@ class TestSphericityExperiment:
     @pytest.mark.parametrize("cores", [1, 3])
     def test_trials_dealt_to_workers(self, monkeypatch, pools, fine_switching, cores):
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
-        r = sphericity_experiment(40, 2, 6.0, 0.2, 50, net_resolution=0.02, seed=4)
+        # at resolution 0.02 every trial settles (24, 26, 0); at 0.1 two
+        # stay ambiguous, so the sums still mix all three verdicts
+        r = sphericity_experiment(40, 2, 6.0, 0.2, 50, net_resolution=0.1, seed=4)
         # the counts of the trials run one after another in one thread
-        assert (r.successes, r.failures, r.ambiguous) == (19, 26, 5)
+        assert (r.successes, r.failures, r.ambiguous) == (22, 26, 2)
         # 50 trials, one task per worker
         assert pools.sizes == pools.tasks == [cores]
 
     def test_guard_caps_workers(self, monkeypatch, pools):
         # a worker holds a 30,000 x 3 basis and the leaves of the cell tree
         # refined everywhere to the resolution: 24 bytes per basis row and
-        # 48 per cell
+        # 56 per cell
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
         n, res = 30_000, 0.1
-        held = 24 * (n + 2 * sphere_net(3, res)[0].shape[0])
+        held = 24 * n + 56 * sphere_net(3, res)[0].shape[0]
         results = []
         for guard in (2 * held - 1, 2 * held, 3 * held):
             constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
@@ -565,8 +685,8 @@ class TestSphericityExperiment:
 
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
-        # the cells a trial can hold and a 10 x k basis, 8k (10 + 2 cells) bytes
-        size = 8 * k * (10 + 2 * _leaf_count(k, res, 1 << 40))
+        # the cells a trial can hold and a 10 x k basis, 8 (10 k + (2k + 1) cells) bytes
+        size = 8 * (10 * k + (2 * k + 1) * _leaf_count(k, res, 1 << 40))
         exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
         r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=exact)
         assert r.trials == 1
