@@ -53,6 +53,16 @@ the draws.  The tile height cannot change a bit of the output: each
 value is a reduction over one row alone, written into a full-chunk
 vector, and every accumulator still sees one batch per chunk, with the
 same chunk boundaries and merge tree as a single-estimator call.
+
+`mc_small_ball` decides each long sample (more than `_SEGMENT_ELEMS`
+coordinates) from a prefix: every term of its sum is >= 0, so the
+driver draws the sample segment by segment into a one-row buffer and
+counts it as a failure once the prefix sum passes the threshold by a
+margin that covers rounding.  The rest of that sample's outputs are
+stepped over on the Philox counter (`_skip_uniforms`), so every later
+sample sees the draws it would see unsettled; a sample that never
+settles is reduced whole, as before.  The counts and intervals keep
+their bits, and so does their independence of the worker count.
 """
 
 from __future__ import annotations
@@ -76,6 +86,8 @@ from .variance import _check_negative_moment, _check_small_ball, quantile_power_
 
 # doubles per sample chunk
 _CHUNK_ELEMS = 1 << 21
+# doubles per segment of a row that may settle early (`_fold_streams`)
+_SEGMENT_ELEMS = 1 << 15
 # workers never outnumber the cores this process may run on
 _USABLE_CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -125,6 +137,25 @@ def _uniforms(
     gen.random(out=flat)
     flat += 2.0**-54
     return flat.reshape(shape)
+
+
+def _skip_uniforms(gen: np.random.Generator, position: int, count: int) -> None:
+    """Step gen past `count` uniforms, as if `_uniforms` had drawn them.
+
+    `position` is the number of outputs gen has produced so far.  Philox
+    makes its 64-bit outputs four at a time, from one counter value, and
+    `advance(m)` moves the counter m values on but drops the outputs
+    still buffered, so the outputs up to the next multiple of four are
+    drawn, whole groups of four are stepped over on the counter and the
+    remainder is drawn; advance(0) would drop a partly used group.
+    """
+    bits = gen.bit_generator
+    head = min(-position % 4, count)
+    blocks, tail = divmod(count - head, 4)
+    bits.random_raw(head)
+    if blocks:
+        bits.advance(blocks)
+    bits.random_raw(tail)
 
 
 def gaussian_draws(
@@ -320,6 +351,7 @@ def _fold_streams(
     constants: Constants,
     requests: list[tuple[float, bool, bool]],
     paired: bool = False,
+    settle: tuple[float, float] | None = None,
 ) -> list[State]:
     """Fold each stream's blocks into a state, merged per run of streams.
 
@@ -328,6 +360,17 @@ def _fold_streams(
     of at most `chunk` rows, in order (fold must keep neither array).
     With paired=True a sample is a pair of vectors: a chunk of r samples
     is one (2r, n) block whose first r rows pair with its last r.
+
+    With settle = (T, bound), requests[0] a log power sum capped at T
+    and rows of more than `_SEGMENT_ELEMS` doubles, each row is drawn
+    alone, in segments of that many doubles, into a one-row buffer.
+    After each segment but the last, the logaddexp of the segments'
+    `_reduce_rows` log power sums is compared with bound; once it
+    exceeds bound the row is settled: it is never folded, and the rest
+    of its draws are stepped over on the counter (`_skip_uniforms`), so
+    the next row gets the very draws it gets unsettled.  A row that does
+    not settle is folded as a (1, n) block.  Shorter rows, and every
+    call without settle, take the chunk path.
 
     The streams are cut into runs of 2^j consecutive streams, 2^j the
     largest power of two at most streams / W for W workers, and the runs
@@ -342,22 +385,45 @@ def _fold_streams(
     `_reduce_rows` workspace for `requests`.
     """
     width = 2 if paired else 1
-    step = max(chunk // width, 1)
+    segmented = settle is not None and n > _SEGMENT_ELEMS
+    step = 1 if segmented else max(chunk // width, 1)
     block_rows = width * min(step, _stream_quota(samples, streams, 0))
     limit = max(1, constants.memory_guard_bytes // (8 * block_rows * n))
     run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
     runs = -(-streams // run)
+
+    def settled(
+        gen: np.random.Generator, position: int, buffer: np.ndarray, workspace: np.ndarray
+    ) -> bool:
+        """Draw the row at stream output `position` into buffer; True if its prefix settles it."""
+        cap, bound = settle
+        prefix = -math.inf
+        end = 0
+        while n - end > _SEGMENT_ELEMS:
+            segment = gaussian_draws(gen, (1, _SEGMENT_ELEMS), buffer[end:])
+            end += _SEGMENT_ELEMS
+            prefix = np.logaddexp(prefix, _reduce_rows(segment, requests[:1], cap, workspace)[0, 0])
+            if prefix > bound:
+                _skip_uniforms(gen, position + end, n - end)
+                return True
+        gaussian_draws(gen, (1, n - end), buffer[end:])
+        return False
 
     def run_states(r: int, buffer: np.ndarray, workspace: np.ndarray) -> Iterator[State]:
         for index in range(r * run, min(r * run + run, streams)):
             gen = RngStream(seed, index).generator()
             state = initial
             remaining = _stream_quota(samples, streams, index)
-            while remaining > 0:
-                rows = min(step, remaining)
-                block = gaussian_draws(gen, (width * rows, n), buffer)
-                state = fold(state, block, workspace)
-                remaining -= rows
+            if segmented:
+                for row in range(remaining):
+                    if not settled(gen, row * n, buffer, workspace):
+                        state = fold(state, buffer.reshape(1, n), workspace)
+            else:
+                while remaining > 0:
+                    rows = min(step, remaining)
+                    block = gaussian_draws(gen, (width * rows, n), buffer)
+                    state = fold(state, block, workspace)
+                    remaining -= rows
             yield state
 
     def share(indices: range) -> list[State]:
@@ -632,19 +698,50 @@ def mc_small_ball(
     """Frequency of {sum_i min(|g_i|, T)^q <= tau * sum_i xi_{1-i/n}^q}.
 
     Requires tau in (0, 1/2), finite q >= 1 and a cap T > 0 (inf for none).
+
+    Every term is >= 0, so a sample whose sum over a prefix of its
+    coordinates already exceeds the threshold is a failure.  A sample of
+    more than `_SEGMENT_ELEMS` coordinates is counted as a failure, and
+    the rest of its draws skipped (`_fold_streams`), once the log of its
+    computed prefix sum exceeds log_threshold + 4 delta, where
+    delta = 2^-48 (n + q) (2 + |log_threshold|); every other sample is
+    reduced whole and compared with the threshold, as before, so each
+    count equals the whole-row count.
+
+    The margin covers rounding.  A power sum of at most n terms,
+    computed by `_reduce_rows` or as a logaddexp of such sums, is within
+    a factor 1 +- eta of the exact one, with
+    eta = 2^-48 (n + q) (1 + |L|) at log value L: (n - 1) 2^-53 from the
+    summation, (q + 2) 2^-53 from a rounded ratio raised to the q, and a
+    few 2^-53 |L| from the logs, products and logaddexps.  A prefix
+    whose exact log is more than 1 below log_threshold never settles,
+    and one more than 1 above it settles a sample that fails anyway.
+    Nearer, eta <= delta and e^{4 delta} > (1 + delta) / (1 - delta), so
+    a settled sample has
+
+        full computed >= true full (1 - delta) >= true prefix (1 - delta)
+                      >= computed prefix (1 - delta) / (1 + delta)
+                      >  threshold,
+
+    the middle step because the terms are >= 0.
     """
     _check_small_ball(q, tau)
     _check_cap(T)
     chunk = _validate_mc_args(n, samples, streams, constants)
     log_threshold = threshold_log_value(n, q, tau).log
     request = [(q, not math.isinf(T), True)]
+    # 4 delta of the docstring
+    margin = 2.0**-46 * (n + q) * (2.0 + abs(log_threshold))
 
     def fold(successes: int, block: np.ndarray, workspace: np.ndarray) -> int:
         log_sums = _reduce_rows(block, request, T, workspace)[0]
         return successes + int((log_sums <= log_threshold).sum())
 
     successes = sum(
-        _fold_streams(fold, operator.add, 0, n, samples, seed, streams, chunk, constants, request)
+        _fold_streams(
+            fold, operator.add, 0, n, samples, seed, streams, chunk, constants, request,
+            settle=(T, log_threshold + margin),
+        )
     )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(

@@ -84,7 +84,12 @@ def chernoff_bound(n: int, i: int, beta: float) -> LogValue:
     if i > bn:
         raise DomainError(f"bound requires i <= beta*n, got i={i}, beta*n={bn}")
     gap = bn - i + 1.0
-    return LogValue(-gap * gap / (2.0 * bn))
+    square = gap * gap
+    if math.isinf(square):
+        # gap^2 overflows once beta*n passes about 1.3e154; gap <= beta*n
+        # keeps both factors finite
+        return LogValue(-(gap / 2.0) * (gap / bn))
+    return LogValue(-square / (2.0 * bn))
 
 
 def deviation_bound_initial(

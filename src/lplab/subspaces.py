@@ -660,10 +660,30 @@ def sphericity_experiment(
     before any basis is drawn, and so is epsilon, which must be finite
     and positive.
     """
-    if trials < 1:
-        raise DomainError(f"need trials >= 1, got {trials}")
+    _check_trials(trials)
     _check_epsilon(epsilon)
     leaves = _check_section_request(n, k, p, net_resolution, constants)
+    return _run_sphericity(n, k, p, epsilon, trials, net_resolution, seed, constants, leaves)
+
+
+def _check_trials(trials: int) -> None:
+    """The one trial-count rule: at least one trial."""
+    if trials < 1:
+        raise DomainError(f"need trials >= 1, got {trials}")
+
+
+def _run_sphericity(
+    n: int,
+    k: int,
+    p: float,
+    epsilon: float,
+    trials: int,
+    net_resolution: float,
+    seed: int,
+    constants: Constants,
+    leaves: int,
+) -> SphericityResult:
+    """`sphericity_experiment` of a checked request whose cell tree has `leaves` leaves."""
     target = 1.0 + epsilon
 
     def verdict(
@@ -730,12 +750,14 @@ def transition_sweep(
     at epsilon = w / log n.  delta = 0 evaluates the critical point
     itself and is flagged in_window: inside the transition window no
     direction is asserted.  Seeds are offset per row so rows stay
-    independent yet reproducible.  n, the delta grid and every row's
-    epsilon (finite and positive) and request (`_check_section_request`)
-    are checked before any row runs.
+    independent yet reproducible.  n, the trial count, the delta grid and
+    every row's epsilon (finite and positive) and request
+    (`_check_section_request`) are checked once each, before any row
+    runs.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, so that log n > 0, got n={n}")
+    _check_trials(trials)
     for delta in delta_grid:
         if not 0.0 <= delta < 2.0:
             raise DomainError(f"need delta in [0, 2), got {delta}")
@@ -749,13 +771,14 @@ def transition_sweep(
         else:
             plan.append((delta, "sub", (2.0 - delta) * log_n, epsilon_sub, row_seed))
             plan.append((delta, "super", (2.0 + delta) * log_n, eps_super, row_seed + 500))
+    leaves = []
     for _, _, p, epsilon, _ in plan:
         _check_epsilon(epsilon)
-        _check_section_request(n, k, p, net_resolution, constants)
+        leaves.append(_check_section_request(n, k, p, net_resolution, constants))
     rows = []
-    for delta, side, p, epsilon, row_seed in plan:
-        result = sphericity_experiment(
-            n, k, p, epsilon, trials, net_resolution, row_seed, constants
+    for (delta, side, p, epsilon, row_seed), row_leaves in zip(plan, leaves):
+        result = _run_sphericity(
+            n, k, p, epsilon, trials, net_resolution, row_seed, constants, row_leaves
         )
         rows.append(SweepRow(delta, side, p, epsilon, result, side == "window"))
     return rows

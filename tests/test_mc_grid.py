@@ -19,9 +19,11 @@ one fewer (lower_validity_C) since schema version 3.
 import dataclasses
 import hashlib
 import math
+import operator
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import lplab.gaussian
@@ -37,6 +39,7 @@ from lplab import (
     mc_small_ball,
     mc_truncated_stats,
     merge_pairwise,
+    threshold_log_value,
 )
 from lplab.cli import main
 from lplab.errors import DomainError
@@ -110,6 +113,30 @@ GOLDEN = [
     (
         lambda: mc_small_ball(50, 3.0, 0.3, 1.5, 2000, 8, 3),
         ('0.0', '0.0', '0.001917047281252934', '0', '2000', '2.998018987782384', '8', '3'),
+    ),
+]
+
+# mc_small_ball above one segment of _SEGMENT_ELEMS = 2^15 doubles, as
+# computed chunk by chunk before samples were settled from a prefix of
+# their coordinates: the cases settle samples after one, two and three
+# segments, skipping from every stream position mod 4, and keep 10, 5,
+# 6 and 0 samples that never settle
+SETTLING_GOLDEN = [
+    (
+        (100001, 50.0, 0.45, math.inf, 48, 6, 3),
+        ('0.20833333333333334', '0.11730272957905595', '0.34258901272617925', '10', '48', '73.73882835647635', '6', '3'),
+    ),
+    (
+        (65538, 40.0, 0.4, 4.5, 48, 7, 3),
+        ('0.10416666666666667', '0.045321719041813105', '0.2216742169438633', '5', '48', '58.049227850561614', '7', '3'),
+    ),
+    (
+        (70003, 30.0, 0.45, math.inf, 48, 8, 2),
+        ('0.125', '0.058570514385719794', '0.24700458286386834', '6', '48', '43.925118890711175', '8', '2'),
+    ),
+    (
+        (100000, 1.0, 0.3, 2.0, 24, 5, 2),
+        ('0.0', '0.0', '0.13797620467498017', '0', '24', '10.08313124539339', '5', '2'),
     ),
 ]
 
@@ -246,6 +273,89 @@ class TestWorkers:
         argv = ["mc", "--n", "10", "--p", "2", "--samples", "10", "--seed", str(2**64)]
         assert main(argv) == 2
         assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+
+class TestSettledRows:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_goldens_at_any_worker_count(self, monkeypatch, pools, fine_switching, cores):
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        for args, expected in SETTLING_GOLDEN:
+            assert reprs(mc_small_ball(*args)) == expected
+        assert pools.sizes == [min(cores, args[-1]) for args, _ in SETTLING_GOLDEN]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_unsettled_rows_are_the_rows_of_the_unbroken_streams(self, monkeypatch, cores):
+        # n is two segments and 5 doubles, so a sample settles after one
+        # segment, after two or never, and the rows after it start at
+        # every position mod 4; each row folded must be the stream's own
+        # row, bit for bit, however many draws were stepped over before it
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        segment = 1 << 15
+        n, samples, streams, seed, q, bound = 2 * segment + 5, 16, 2, 3, 30.0, 45.05
+        whole = np.concatenate([
+            gaussian_draws(RngStream(seed, s).generator(), (samples // streams, n))
+            for s in range(streams)
+        ])
+        first, both = (
+            np.log(np.sum(np.abs(whole[:, : k * segment]) ** q, axis=1)) for k in (1, 2)
+        )
+        assert [(first > bound).sum(), ((first <= bound) & (both > bound)).sum()] == [4, 4]
+        assert np.abs(np.concatenate([first, both]) - bound).min() > 1e-3
+
+        def fold(rows, block, workspace):
+            return rows + (block[0].copy(),)
+
+        runs = lplab.montecarlo._fold_streams(
+            fold, operator.add, (), n, samples, seed, streams, 1, DEFAULT_CONSTANTS,
+            [(q, False, True)], settle=(math.inf, bound),
+        )
+        folded = sum(runs, ())
+        expected = whole[both <= bound]
+        assert len(folded) == len(expected) == 8
+        assert all(np.array_equal(row, want) for row, want in zip(folded, expected))
+
+    def test_benchmark_shape_draws_a_third(self, monkeypatch):
+        # at tau = 0.25 a sample of 10^5 squares passes the threshold
+        # within its first 2^15 coordinates, so the rest is never drawn
+        drawn = []
+
+        def counting(gen, shape, buffer=None):
+            drawn.append(math.prod(shape))
+            return gaussian_draws(gen, shape, buffer)
+
+        monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", counting)
+        n, samples = 10**5, 96
+        estimate = mc_small_ball(n, 2.0, 0.25, math.inf, samples, 0)
+        assert reprs(estimate) == (
+            '0.0', '0.0', '0.038475587857675686', '0', '96', '10.12651591904987', '0', '4'
+        )
+        assert sum(drawn) <= 0.4 * samples * n
+
+    @pytest.mark.parametrize("offset, settles", [(32 * 40_000 * 2.0**-52, False), (1e-6, True)])
+    def test_prefix_settles_only_beyond_the_margin(self, monkeypatch, offset, settles):
+        # n = 40,000 is one 2^15 segment and a short last one; the first
+        # segment's log power sum is reported as the threshold plus
+        # offset.  32 n 2^-52 lies inside the margin, which is more than
+        # 64 n 2^-52, so it must not settle a sample; 1e-6, far past the
+        # margin, must
+        n, samples = 40_000, 6
+        reduce_rows = lplab.montecarlo._reduce_rows
+        threshold = threshold_log_value(n, 2.0, 0.25).log
+        drawn = []
+
+        def segment_at_offset(block, requests, T, workspace=None):
+            if block.shape[1] < n:
+                return np.full((1, 1), threshold + offset)
+            return reduce_rows(block, requests, T, workspace)
+
+        def counting(gen, shape, buffer=None):
+            drawn.append(math.prod(shape))
+            return gaussian_draws(gen, shape, buffer)
+
+        monkeypatch.setattr(lplab.montecarlo, "_reduce_rows", segment_at_offset)
+        monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", counting)
+        mc_small_ball(n, 2.0, 0.25, math.inf, samples, 0, 2)
+        assert sum(drawn) == samples * ((1 << 15) if settles else n)
 
 
 class TestGrid:

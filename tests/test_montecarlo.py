@@ -26,6 +26,7 @@ from lplab import (
     wilson_interval,
 )
 from lplab.errors import DomainError
+from lplab.montecarlo import _skip_uniforms
 
 
 class TestRngStream:
@@ -85,6 +86,19 @@ class TestRngStream:
             tracemalloc.stop()
         assert draws.shape == shape
         assert peak <= draws.nbytes + 4 * 8 * (1 << 16)
+
+    @pytest.mark.parametrize("start", range(8))
+    def test_skip_continues_the_unbroken_stream(self, start):
+        # from every position mod 4, stepping over 0 to 3 outputs plus 0
+        # to 3 groups of four leaves the stream where drawing them would
+        for outputs in range(4):
+            for groups in range(4):
+                count = outputs + 4 * groups
+                whole = RngStream(8, 1).generator().random(start + count + 9)
+                gen = RngStream(8, 1).generator()
+                gen.random(start)
+                _skip_uniforms(gen, start, count)
+                assert np.array_equal(gen.random(9), whole[start + count :])
 
     def test_key_validation(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -145,6 +146,17 @@ class TestChernoff:
     def test_large_n_formula(self):
         got = chernoff_bound(10**4, 10, 0.01)
         assert got.log == pytest.approx(-(91.0**2) / 200.0, rel=1e-12)
+
+    @pytest.mark.parametrize("i", [1, 3])
+    def test_finite_where_the_square_overflows(self, i):
+        # (beta n - i + 1)^2 is about 2.5e599 at n = 10^300, far past the
+        # largest double; the log of the bound is still about -1.25e299
+        n, beta = 10**300, Fraction(1, 2)
+        gap = beta * n - i + 1
+        expected = float(-gap * gap / (2 * beta * n))
+        got = chernoff_bound(n, i, 0.5).log
+        assert math.isfinite(got)
+        assert abs(got - expected) <= 1e-15 * abs(expected)
 
     def test_dominates_exact_cdf_on_grid(self):
         for n in (100, 1000, 10**4):

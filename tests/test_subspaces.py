@@ -726,6 +726,7 @@ class TestTransitionSweep:
             raise AssertionError("a row ran before the sweep was checked")
 
         monkeypatch.setattr(lplab.subspaces, "sphericity_experiment", no_rows)
+        monkeypatch.setattr(lplab.subspaces, "_run_sphericity", no_rows)
         # log 1 = 0 leaves no p and no epsilon = w / log n
         for n in (1, 0, -5):
             with pytest.raises(DomainError, match="need n >= 2"):
@@ -733,6 +734,26 @@ class TestTransitionSweep:
         # the second row's sub side is p = 0.1 log 3 = 0.11
         with pytest.raises(DomainError, match="need p >= 1 or inf, got 0.109"):
             transition_sweep(3, 2, [0.5, 1.9], trials=2, net_resolution=0.1, seed=0)
+        with pytest.raises(DomainError, match="need trials >= 1"):
+            transition_sweep(30, 2, [0.5], trials=0, net_resolution=0.1, seed=0)
+
+    def test_each_row_walks_the_cell_tree_once(self, monkeypatch):
+        # the sweep checks every row before the first runs and hands each
+        # row its leaf count, so 4 rows walk the tree 4 times, not 8
+        walks = []
+        leaf_count = lplab.subspaces._leaf_count
+
+        def counting(*args):
+            walks.append(args)
+            return leaf_count(*args)
+
+        monkeypatch.setattr(lplab.subspaces, "_leaf_count", counting)
+        rows = transition_sweep(50, 2, [0.3, 0.6], trials=3, net_resolution=0.1, seed=2)
+        assert len(rows) == len(walks) == 4
+        for row in rows:
+            alone = sphericity_experiment(50, 2, row.p, row.epsilon, 3, 0.1, row.result.seed)
+            assert alone == row.result
+        assert len(walks) == 8
 
     def test_delta_domain(self):
         with pytest.raises(DomainError):
