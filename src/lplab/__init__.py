@@ -32,7 +32,6 @@ from .montecarlo import (
     default_samples,
     gaussian_draws,
     mc_grid_stats,
-    mc_lower_identity,
     mc_negative_moment,
     mc_norm_stats,
     mc_small_ball,
@@ -43,9 +42,6 @@ from .montecarlo import (
 )
 from .orderstats import (
     chernoff_bound,
-    deviation_bound_crude,
-    deviation_bound_initial,
-    deviation_bound_intermediate,
     orderstat_cdf_exact,
     sample_top_orderstats,
 )
@@ -61,12 +57,8 @@ from .subspaces import (
     transition_sweep,
 )
 from .truncated import (
-    HalfMaxWindow,
     TruncationSpec,
-    half_max_window,
     incomplete_integral,
-    moment_bracket,
-    moment_scale,
     trunc_moment_chi,
     trunc_moment_min,
 )
@@ -77,7 +69,6 @@ from .variance import (
     a_quantity,
     auto_p_grid,
     classify,
-    combined_upper,
     lemma_checks,
     lower_envelope,
     negative_moment_bound,
@@ -98,7 +89,6 @@ __all__ = [
     "DEFAULT_CONSTANTS",
     "DistortionResult",
     "DomainError",
-    "HalfMaxWindow",
     "LemmaCheckEntry",
     "LemmaCheckReport",
     "LogValue",
@@ -121,15 +111,10 @@ __all__ = [
     "auto_p_grid",
     "chernoff_bound",
     "classify",
-    "combined_upper",
     "default_samples",
-    "deviation_bound_crude",
-    "deviation_bound_initial",
-    "deviation_bound_intermediate",
     "distortion",
     "dump_constants",
     "gaussian_draws",
-    "half_max_window",
     "incomplete_integral",
     "lemma_checks",
     "load_constants",
@@ -138,15 +123,12 @@ __all__ = [
     "lp_norm",
     "lp_norm_rows",
     "mc_grid_stats",
-    "mc_lower_identity",
     "mc_negative_moment",
     "mc_norm_stats",
     "mc_small_ball",
     "mc_truncated_stats",
     "merge_pairwise",
     "mills_bounds",
-    "moment_bracket",
-    "moment_scale",
     "negative_moment_bound",
     "orderstat_cdf_exact",
     "parse_constants",

@@ -3,7 +3,8 @@
 Output discipline: each run emits a header block echoing the full run
 configuration (flags, seed, constants, library version) followed by a
 table, either CSV (header lines prefixed '#', RFC-4180 quoting) or a
-single JSON object {config, schema_version, rows}.  Nothing time- or
+single JSON object {config, schema_version, rows}, where a non-finite
+float is the string "inf", "-inf" or "nan", as in CSV.  Nothing time- or
 host-dependent is ever written, so identical invocations produce
 identical bytes; the determinism tests rely on this.
 
@@ -42,7 +43,7 @@ from .variance import (
     upper_envelope,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _fmt(value) -> str:
@@ -53,6 +54,13 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def _json_value(value):
+    """Non-finite floats as the strings _fmt writes, which JSON can carry."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
 
 
 def _config_map(args: argparse.Namespace, constants: Constants) -> dict[str, object]:
@@ -81,11 +89,11 @@ def _emit(
     buffer = io.StringIO()
     if args.format == "json":
         payload = {
-            "config": {k: v for k, v in sorted(config.items())},
+            "config": {k: _json_value(v) for k, v in sorted(config.items())},
             "schema_version": SCHEMA_VERSION,
-            "rows": [{col: row.get(col) for col in columns} for row in rows],
+            "rows": [{col: _json_value(row.get(col)) for col in columns} for row in rows],
         }
-        buffer.write(json.dumps(payload, sort_keys=True, indent=2))
+        buffer.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
         buffer.write("\n")
     else:
         for key in sorted(config):

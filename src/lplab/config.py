@@ -1,10 +1,12 @@
 """Calibration constants with a file-based override.
 
 Every asymptotic statement the library checks hides a universal constant
-that the theory asserts exists but never pins down.  All such constants
-live here as one frozen dataclass.  The defaults were measured once on
-reference grids (see tools/calibrate.py) and committed; tests treat them
-as regression values, not as ground truth.
+that the theory asserts exists but never pins down.  The ones that the
+library or tools/calibrate.py read live here as one frozen dataclass:
+n_min, the envelope, small-ball and negative-moment constants, the
+containment windows of lemma_checks, the Monte Carlo windows that
+tools/calibrate.py measures, and the memory guard.  The defaults are
+committed; tests treat them as regression values, not as ground truth.
 
 The dataclass defaults are the one source of the values; the CLI's
 ``--constants FILE`` is the one override.  Override format: flat
@@ -34,18 +36,6 @@ class Constants:
     # operations refuse to extrapolate below it
     n_min: int = 100
 
-    # quadrature / closed-form-scale containment for truncated moments,
-    # measured over q in [1, 600], a in [1, 30]
-    moment_bracket_lo: float = 0.1
-    moment_bracket_hi: float = 4.0
-
-    # order-statistic lower-deviation bounds: exp(-(c i/u)(...)^(1-u^2))
-    dev_initial_c: float = 0.01
-    # admissible u range ends at 1 - C/log n
-    dev_initial_C: float = 1.0
-    # exp(-c (1-u)^2 i log(n/i))
-    dev_intermediate_c: float = 0.05
-
     # small-ball bound prefactors min(C' exp(-c n^(...)), ...)
     small_ball_c: float = 1.0
     small_ball_C: float = 1.0
@@ -56,8 +46,6 @@ class Constants:
     # MC variance / predicted variance containment window at n >= 10^3
     mc_ratio_lo: float = 0.1
     mc_ratio_hi: float = 2.0
-    # variance upper envelope times log n stays below this cap
-    envelope_cap_C: float = 40.0
     # lower envelope floor c/log n, active for p >= floor_threshold_C * log n
     envelope_floor_c: float = 0.25
     floor_threshold_C: float = 3.0

@@ -23,16 +23,15 @@ round-robin to a thread pool of min(usable cores, streams) workers
 (fewer if the memory guard admits fewer blocks in flight), one task per
 worker however many streams there are (`_strided_shares`, which also
 runs the trials of the random sections).  A worker runs its streams one
-after another; each draws its quota in chunks of `_chunk_rows` rows
-(pairs of vectors for the lower identity) and folds them, in chunk
-order, into that stream's own state, which the worker merges into its
-run as the fixed pairwise tree would, so a worker holds a few states
-however many streams it runs.  A run starts at a multiple of its
-length, so it is a subtree of that tree; the main thread merges the
-run states, in run order, along the same tree, or sums the counts.
-Philox is counter-based, so a stream's draws do not depend on which
-thread runs it or when, and the reproducibility contract above holds
-for any worker count.
+after another; each draws its quota in chunks of `_chunk_rows` rows and
+folds them, in chunk order, into that stream's own state, which the
+worker merges into its run as the fixed pairwise tree would, so a
+worker holds a few states however many streams it runs.  A run starts
+at a multiple of its length, so it is a subtree of that tree; the main
+thread merges the run states, in run order, along the same tree, or
+sums the counts.  Philox is counter-based, so a stream's draws do not
+depend on which thread runs it or when, and the reproducibility
+contract above holds for any worker count.
 
 Each worker allocates one float64 buffer for its largest chunk and one
 reducer workspace, and draws and reduces every chunk of its streams in
@@ -350,7 +349,6 @@ def _fold_streams(
     chunk: int,
     constants: Constants,
     requests: list[tuple[float, bool, bool]],
-    paired: bool = False,
     settle: tuple[float, float] | None = None,
 ) -> list[State]:
     """Fold each stream's blocks into a state, merged per run of streams.
@@ -358,8 +356,6 @@ def _fold_streams(
     Stream s starts from `initial` and applies
     state = fold(state, block, workspace) to its quota drawn in chunks
     of at most `chunk` rows, in order (fold must keep neither array).
-    With paired=True a sample is a pair of vectors: a chunk of r samples
-    is one (2r, n) block whose first r rows pair with its last r.
 
     With settle = (T, bound), requests[0] a log power sum capped at T
     and rows of more than `_SEGMENT_ELEMS` doubles, each row is drawn
@@ -384,10 +380,9 @@ def _fold_streams(
     worker draws all its blocks into one buffer and passes fold one
     `_reduce_rows` workspace for `requests`.
     """
-    width = 2 if paired else 1
     segmented = settle is not None and n > _SEGMENT_ELEMS
-    step = 1 if segmented else max(chunk // width, 1)
-    block_rows = width * min(step, _stream_quota(samples, streams, 0))
+    step = 1 if segmented else chunk
+    block_rows = min(step, _stream_quota(samples, streams, 0))
     limit = max(1, constants.memory_guard_bytes // (8 * block_rows * n))
     run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
     runs = -(-streams // run)
@@ -421,7 +416,7 @@ def _fold_streams(
             else:
                 while remaining > 0:
                     rows = min(step, remaining)
-                    block = gaussian_draws(gen, (width * rows, n), buffer)
+                    block = gaussian_draws(gen, (rows, n), buffer)
                     state = fold(state, block, workspace)
                     remaining -= rows
             yield state
@@ -446,7 +441,6 @@ def _stream_moments(
     chunk: int,
     constants: Constants,
     requests: list[tuple[float, bool, bool]],
-    paired: bool = False,
 ) -> list[MomentAccumulator]:
     """Moments of `count` per-row statistics, merged per stream, then pairwise.
 
@@ -470,7 +464,7 @@ def _stream_moments(
 
     per_run = _fold_streams(
         fold, merge, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
-        constants, requests, paired,
+        constants, requests,
     )
     return [merge_pairwise(list(accs)) for accs in zip(*per_run)]
 
@@ -609,46 +603,6 @@ def mc_negative_moment(
     return mc_grid_stats(
         n, [], samples, seed, streams, constants, T=T, negative=(q, L)
     ).negative
-
-
-def mc_lower_identity(
-    n: int,
-    p: float,
-    samples: int,
-    seed: int,
-    streams: int = 4,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> MCEstimate:
-    """Estimate (n/2p^2) E[(|g_1|^p - |h_1|^p)^2 (S_g + S_h)^{2/p - 2}].
-
-    G and H are independent Gaussian vectors with power sums S = ||.||_p^p.
-    The quantity is a variance lower bound for ||G||_p; each sample is
-    assembled in log-domain because |g_1|^p alone overflows for large p.
-    """
-    if not p >= 1.0 or math.isinf(p):
-        raise DomainError(f"need finite p >= 1, got {p}")
-    chunk = _validate_mc_args(n, samples, streams, constants)
-    log_prefactor = math.log(n) - math.log(2.0) - 2.0 * math.log(p)
-    request = [(p, False, True)]
-
-    def statistics(block: np.ndarray, workspace: np.ndarray) -> list[np.ndarray]:
-        # rows [0, r) are the G of each pair, rows [r, 2r) the H
-        rows = block.shape[0] // 2
-        with np.errstate(divide="ignore"):
-            la = p * np.log(np.abs(block[:rows, 0]))
-            lb = p * np.log(np.abs(block[rows:, 0]))
-        hi = np.maximum(la, lb)
-        lo = np.minimum(la, lb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_diff = np.where(lo == hi, -np.inf, hi + np.log1p(-np.exp(lo - hi)))
-        log_sums = _reduce_rows(block, request, math.inf, workspace)[0]
-        log_ss = np.logaddexp(log_sums[:rows], log_sums[rows:])
-        return [np.exp(log_prefactor + 2.0 * log_diff + (2.0 / p - 2.0) * log_ss)]
-
-    (acc,) = _stream_moments(
-        statistics, 1, n, samples, seed, streams, chunk, constants, request, paired=True
-    )
-    return _estimate(acc, seed, streams)
 
 
 @dataclass(frozen=True, slots=True)

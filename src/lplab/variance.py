@@ -215,30 +215,6 @@ def a_quantity(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTA
     return LogValue(max(0.0, log_a))
 
 
-def combined_upper(
-    n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTANTS
-) -> LogValue:
-    """Assembled variance upper bound at truncation level T.
-
-    tail_term(n, T) plus the concentration term
-    (n^{-1+2/p} / (1 + log A)) E(|g|^{2p-2} 1{|g|<=T})
-    / (E min(xi,|g|)^p)^{2-2/p}.
-    """
-    point = classify(n, p, constants)
-    p = point.p
-    log_n = math.log(n)
-    log_a = a_quantity(n, p, T, constants).log
-    moment = trunc_moment_chi(TruncationSpec(2.0 * p - 2.0, T))
-    denom = (2.0 - 2.0 / p) * trunc_moment_min(TruncationSpec(p, point.xi)).log
-    log_main = (
-        (2.0 / p - 1.0) * log_n
-        - math.log1p(log_a)
-        + moment.log
-        - denom
-    )
-    return LogValue(log_sum_exp([tail_term(n, p, T, constants).log, log_main]))
-
-
 def _check_q(q: float) -> None:
     """The exponent of a small-ball or negative-moment sum: finite q >= 1."""
     if not q >= 1.0:
@@ -405,7 +381,9 @@ def lemma_checks(
     on MID; (d) M^2 <= p^{1+1/p} on HIGH; (e) the exponential-vs-power
     inequality exp(-n^{2/p} p/(2e)) <= n^{-2} 2^p on p <= 2 log n;
     (f) the truncated 2p-2 moment within configured factors of its
-    closed-form scale; (g) M^{-1} e^{-M^2/2} likewise.
+    closed-form scale; (g) M^{-1} e^{-M^2/2} likewise.  Each p outside
+    [1, 3 log n], inf included, is skipped; a request that leaves
+    nothing to check is refused.
     """
     if n_values is None:
         n_values = [1000, 10000]
@@ -484,4 +462,6 @@ def lemma_checks(
                 1.0 + log_a >= constants.log_a_slope * p * (1.0 - slack),
                 f"1 + log A = {1.0 + log_a:.6g} vs c_A p = {constants.log_a_slope * p:.6g}",
             )
+    if not entries:
+        raise DomainError("no p in [1, 3 log n] for any n: nothing to check")
     return LemmaCheckReport(tuple(entries))

@@ -22,7 +22,6 @@ from lplab import (
     auto_p_grid,
     chernoff_bound,
     classify,
-    half_max_window,
     incomplete_integral,
     lemma_checks,
     mc_grid_stats,
@@ -66,19 +65,6 @@ class TestExactOracles:
             true_log = abs_tail_log(float(t))
             bracket = mills_bounds(float(t))
             assert bracket.lower.log < true_log < bracket.upper.log, t
-
-    def test_window_sandwich_factors(self):
-        # integral within [1/2, 2] of window-width times peak height
-        for q in (2.0, 10.0, 50.0, 200.0):
-            root = math.sqrt(q)
-            for a in (root / 2.0, root, 2.0 * root, math.inf):
-                spec = TruncationSpec(q, a)
-                window = half_max_window(spec)
-                integral = incomplete_integral(spec)
-                width = window.x_right - window.x_left
-                log_box = window.f_max.log + math.log(width)
-                assert log_box - math.log(2.0) <= integral.log, (q, a)
-                assert integral.log <= log_box + math.log(2.0), (q, a)
 
     def test_binomial_tail_dominance(self):
         # the exponential bound sits above the exact binomial CDF at

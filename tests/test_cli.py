@@ -1,5 +1,6 @@
 """Command line interface: schemas, determinism, exit codes, config plumbing."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -8,6 +9,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lplab.cli
 import lplab.montecarlo
@@ -29,54 +31,78 @@ from lplab.cli import main
 # ambiguous window trials (0/4/2 -> 1/4/1 successes/failures/ambiguous),
 # and again when the cell bounds became second order, which settled the
 # other (1/4/1 -> 2/4/0); the other two are the bytes of the uniform-net
-# ladder before both, the third being the benchmark's k = 3 op
+# ladder before both, the third being the benchmark's k = 3 op; every
+# digest here was re-pinned when schema version 4 dropped six echoed
+# constants, with each output otherwise byte for byte the same; a golden
+# test is named by its argv alone, so that a re-pinned digest keeps its name
 DVORETZKY_GOLDENS = [
     (
         "--n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3",
-        "c4cfc34667f69e9f978acffe9715e6bb5c1a29cfa370aab336f4d0c520d40078",
+        "750656511655ef17acbc237cf7cd61e5ec8c4ad3d291cdf15668b6b78551f436",
     ),
     (
         "--n 500 --k 3 --net-resolution 0.1 --delta 0.5 --trials 2 --seed 1",
-        "ca75b77fa043845b1ab7171054b82bec02a832fe2e24f9281e491a4fdda6a888",
+        "96048c16d3aa18ea8823661e37dd6adb7d5b88551c4de666c20c6f0fc45e25b9",
     ),
     (
         "--n 2000 --k 3 --net-resolution 0.05 --delta 0.5 --trials 2 --seed 0",
-        "026818dece8f77360b19449013d2cfd690142c7c52f72159a6a813c23c5a474b",
+        "e21b106f03201e751e647a79421908f7e1d650901798939bdf78aaf1dc0f08eb",
     ),
 ]
 
 # stdout of the analytic commands: the lemma checks of the tails benchmark,
-# both predict formats, order statistics and both quantile forms
+# both predict formats, order statistics and both quantile forms;
+# re-pinned for schema version 4 like the sweeps above, the JSON one also
+# for its p = "inf", which was the bare token Infinity
 STDOUT_GOLDENS = [
     (
         "checks --n 1000,10000,100000,1000000",
-        "ff9318ecf5a21184b23b280525aedd702afa781a37d3d59a00d3a70b27fb5df6",
+        "30b4e05914378ab2bd04070c5b70fa727845f0f70da757a5d369677088903ad9",
     ),
     (
         "predict --n 1000000 --p-grid auto",
-        "5e5e16b77d8c3445eb0c9534fc76a7087802587f4c66e616a68102a711544cb3",
+        "8cdee68a3481750105662d07591f6b8f7d53ee61b5c8d08d34228f8f46f0ef1e",
     ),
     (
         "predict --n 1000 --p 2,8,12,inf --format json",
-        "638d938a71e1f76ee723c1033cc0209709cd870bbbefeee1e27958fd8bc687bc",
+        "6cb39831d5adfb01ca954264a0c358b63ed493d8f0d0a86097a2494b6cef5c1f",
     ),
     (
         "orderstats --n 1000000 --beta 0.01 --i 1,100,1000,5000",
-        "ec72b4aa2209b825f7a99b95a8899589286c7c1c4f0b67adebb4a196cf6edc7a",
+        "563441e4fc9f0db73693673a48a5e1a773726f4a51f2b9d749a933e47da2cb91",
     ),
     (
         "quantile --n 1000 --i 3",
-        "467d9e8eac61835f1c8d00c10cb5988f456b8cb96dc4e6e71629658ff40a9a47",
+        "1de97dc9869590e1b65e4e1a4895343a7b64bb9546761e853f04cbccebefc4bb",
     ),
     (
         "quantile --alpha 0.9",
-        "e3f45b0e93f3508c2441961b4d50844803655ef2354d26cf03be2f25b1004df4",
+        "6a9f2953b925e128fbc073d318b5ee56520b61869c675f0377e0a579fd7b889c",
     ),
 ]
 
 
 # the integer 10^320, past the largest double
 BIG = "1" + "0" * 320
+
+# every --format json argv of this file, and runs whose rows or config
+# hold an infinite float
+JSON_ARGVS = [
+    "predict --n 1000 --p 2,8,12,inf --format json",
+    "predict --n 1000 --p 2 --format json",
+    "mc --n 5 --p 2 --samples 400 --format json",
+    "mc --n 1000 --p inf --samples 100 --format json",
+    "mc --n 100 --p 2 --samples 100 --truncate inf --negative 2,1 --format json",
+]
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON tokens Infinity, -Infinity and NaN."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_cli(capsys, argv):
@@ -190,7 +216,7 @@ class TestMcCommand:
         _, out_csv, _ = run_cli(capsys, argv)
         _, out_json, _ = run_cli(capsys, argv + ["--format", "json"])
         _, rows = parse_csv(out_csv)
-        payload = json.loads(out_json)
+        payload = strict_json(out_json)
         assert payload["config"]["command"] == "mc"
         assert float(rows[0]["mean"]) == payload["rows"][0]["mean"]
         assert float(rows[0]["variance"]) == payload["rows"][0]["variance"]
@@ -332,14 +358,14 @@ class TestChecksCommand:
         assert any(r["passed"] == "false" for r in rows)
 
     def test_header_reflects_constants_file(self, capsys, tmp_path):
-        tweaked = dataclasses.replace(DEFAULT_CONSTANTS, envelope_cap_C=64.0)
+        tweaked = dataclasses.replace(DEFAULT_CONSTANTS, mexpm_hi=64.0)
         path = tmp_path / "tweaked.cfg"
         path.write_text(dump_constants(tweaked))
         _, out, _ = run_cli(
             capsys, ["checks", "--n", "1000", "--constants", str(path)]
         )
         header, _ = parse_csv(out)
-        assert header["constants.envelope_cap_C"] == "64"
+        assert header["constants.mexpm_hi"] == "64"
 
 
 class TestDvoretzkyCommand:
@@ -376,7 +402,9 @@ class TestDvoretzkyCommand:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
-    @pytest.mark.parametrize("argv, digest", DVORETZKY_GOLDENS)
+    @pytest.mark.parametrize(
+        "argv, digest", DVORETZKY_GOLDENS, ids=[a for a, _ in DVORETZKY_GOLDENS]
+    )
     def test_stdout_golden(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
         assert code == 0
@@ -456,7 +484,7 @@ class TestDvoretzkyCommand:
 
 
 class TestPlumbing:
-    @pytest.mark.parametrize("argv, digest", STDOUT_GOLDENS)
+    @pytest.mark.parametrize("argv, digest", STDOUT_GOLDENS, ids=[a for a, _ in STDOUT_GOLDENS])
     def test_stdout_golden(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, argv.split())
         assert code == 0
@@ -549,8 +577,132 @@ class TestPlumbing:
         _, out, _ = run_cli(
             capsys, ["predict", "--n", "1000", "--p", "2", "--format", "json"]
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert set(payload) == {"config", "rows", "schema_version"}
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["rows"][0]["regime"] == "LOW"
         assert "constants.n_min" in payload["config"]
+
+    @pytest.mark.parametrize("argv", JSON_ARGVS)
+    def test_json_is_strict(self, capsys, argv):
+        # a non-finite float is written as in CSV, so a strict parser
+        # reads every output and float() recovers the value
+        code, out, _ = run_cli(capsys, argv.split())
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["schema_version"] == 4
+        if "--p inf" in argv:
+            assert [float(row["p"]) for row in payload["rows"]] == [math.inf]
+        if "--truncate inf" in argv:
+            assert payload["config"]["truncate"] == "inf"
+            assert [row["T"] for row in payload["rows"]][-1] == "inf"
+
+    def test_non_finite_floats_spelled_as_in_csv(self):
+        assert [lplab.cli._json_value(v) for v in (math.inf, -math.inf, math.nan)] == [
+            "inf", "-inf", "nan",
+        ]
+        assert [lplab.cli._json_value(v) for v in (1.5, 2, None, "x")] == [1.5, 2, None, "x"]
+
+
+# argvs refused with exit 2 and a message; a check that would check
+# nothing is refused rather than printing an empty table
+REFUSED_ARGVS = [
+    "checks --n 1000 --p-grid inf",
+    "checks --n 1000 --p-grid 100",
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGVS)
+def test_refused_argv_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# edge tokens for every option; samples, trials and resolutions stay
+# small so that no accepted argv runs long
+INTS = ["0", "-1", "1", "2", "3", "100", "1000", "100000000000000000000", BIG, "1.5", "nan"]
+FLOATS = ["0", "-1", "0.5", "1", "1.5", "2", "7", "1000", "100000000000000000000", BIG, "nan",
+          "inf", "-inf", "5e-324", "1e-300", "1e308"]
+LISTS = ["", ",", "1,,2", "2,x", "2", "1,2", "2,inf", "0.5,1.5", "inf", "nan", "auto"]
+FUZZ_OPTIONS = {
+    "quantile": {"--alpha": FLOATS, "--n": INTS, "--i": INTS},
+    "predict": {"--n": INTS, "--p": FLOATS + LISTS, "--p-grid": FLOATS + LISTS},
+    "mc": {
+        "--n": ["1", "2", "5", "100", "1000", "100000000000000000000", BIG, "-1", "0"],
+        "--p": FLOATS + LISTS,
+        "--samples": ["0", "-1", "1", "2", "3", "50"],
+        "--seed": INTS,
+        "--streams": ["0", "-1", "1", "2", "3", "60"],
+        "--truncate": FLOATS,
+        "--negative": LISTS + ["2,1", "nan,1", "inf,0", "2,-1", "1e308,1e308", "6.9,1", "1,2,3"],
+    },
+    "orderstats": {
+        "--n": INTS,
+        "--beta": FLOATS + ["0.3", "0.999"],
+        "--i": LISTS + INTS + ["1,3", "5,2", "0,1"],
+    },
+    "checks": {
+        "--n": LISTS + INTS + ["1000,10000", "100,0"],
+        "--p-grid": FLOATS + LISTS + ["100", "1,2,inf", "0.5"],
+    },
+    "dvoretzky": {
+        "--n": ["1", "2", "3", "30", "1000", "100000000000000000000", BIG, "0", "-1"],
+        "--k": ["0", "-1", "1", "2", "3", "4", "5", BIG],
+        "--delta": LISTS + ["0", "0,0.5", "2.5", "-0.5", "1.9"],
+        "--trials": ["0", "-1", "1", "2"],
+        "--net-resolution": ["0.1", "0.3", "0.5", "0", "-1", "1.5", "nan", "inf", "5e-324"],
+        "--eps": FLOATS,
+        "--eps-w": FLOATS,
+        "--seed": INTS,
+    },
+}
+# the required options, and those whose defaults run long (100,000
+# samples, 400 trials, resolution 0.004)
+ALWAYS = {
+    "predict": {"--n"},
+    "mc": {"--n", "--samples"},
+    "orderstats": {"--n", "--beta"},
+    "dvoretzky": {"--n", "--trials", "--net-resolution"},
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for option, values in FUZZ_OPTIONS[command].items():
+        if option in ALWAYS.get(command, ()) or draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(values))]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@pytest.fixture(scope="module")
+def small_guard(tmp_path_factory):
+    path = tmp_path_factory.mktemp("guard") / "guard.cfg"
+    path.write_text(
+        dump_constants(dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=64 << 20))
+    )
+    return str(path)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=cli_argvs())
+def test_fuzzed_argvs_exit_cleanly(small_guard, argv):
+    # any argv exits 0 or 2, or 1 for a failed check, with no exception;
+    # output is written only on success, and JSON output is strict
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--constants", small_guard])
+        except SystemExit as exc:  # argparse refuses a malformed option
+            code = exc.code
+    if code == 1:
+        assert argv[0] == "checks" and "check failed:" in err.getvalue(), argv
+    else:
+        assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    elif "json" in argv:
+        strict_json(out.getvalue())

@@ -24,15 +24,15 @@ def test_dump_is_sorted_and_complete():
 
 
 def test_every_constant_is_read():
-    # a constant that no code, tool or test names is never checked, yet
-    # it is echoed in every CLI header; config.py and this file name
-    # every field by construction
+    # a constant that no library code or tool names steers nothing, yet
+    # it is echoed in every CLI header; a test alone naming it does not
+    # count, and config.py names every field by construction
     root = Path(__file__).resolve().parent.parent
     texts = [
         path.read_text(encoding="utf-8")
-        for folder in ("src", "tools", "tests")
+        for folder in ("src", "tools")
         for path in (root / folder).rglob("*.py")
-        if path.name not in ("config.py", "test_config.py")
+        if path.name != "config.py"
     ]
     unread = [
         field.name

@@ -5,15 +5,16 @@ computed by the earlier per-estimator chunk loops (one generation and
 one reduction per estimator call).  The fused engine keeps the chunk
 boundaries and reduces every row by itself, so it must reproduce them
 bit for bit, whatever the tile height, the number of worker threads
-and whatever else is estimated from the same draws.  The inputs cross chunk boundaries (n = 3000 gives
-699-row chunks, 349 pairs for the lower identity) and tile boundaries.
+and whatever else is estimated from the same draws.  The inputs cross
+chunk boundaries (n = 3000 gives 699-row chunks) and tile boundaries.
 
 The small-ball log_threshold fields and the negative-moment reference
 columns of the stdout golden come from the |g| quantile, not from the
 draws.  They were re-pinned when the quantile moved to scipy, each one
 closer to a 40-digit mpmath value than before; the stdout hash also
-covers the echoed constants, three fewer since schema version 2 and
-one fewer (lower_validity_C) since schema version 3.
+covers the echoed constants, three fewer since schema version 2, one
+fewer (lower_validity_C) since schema version 3 and six fewer since
+schema version 4.
 """
 
 import dataclasses
@@ -33,7 +34,6 @@ from lplab import (
     RngStream,
     gaussian_draws,
     mc_grid_stats,
-    mc_lower_identity,
     mc_negative_moment,
     mc_norm_stats,
     mc_small_ball,
@@ -91,14 +91,6 @@ GOLDEN = [
         ('0.05627388796936266', '0.0003659776967152881', '0.0006049609051131222', '2.7552388402782274e-05', '1000', '4', '3'),
     ),
     (
-        lambda: mc_lower_identity(3000, 4.0, 1000, 6, 2),
-        ('0.004809453732140825', '0.0006823032424792345', '0.0008260164904402542', '0.0002601027466483794', '1000', '6', '2'),
-    ),
-    (
-        lambda: mc_lower_identity(10, 7.0, 999, 1, 3),
-        ('0.02805220268623797', '0.012587206710232505', '0.0035496206158897115', '0.003485841294353836', '999', '1', '3'),
-    ),
-    (
         lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2),
         ('0.0', '0.0', '0.0023951611922532253', '0', '1600', '7.087350040239698', '5', '2'),
     ),
@@ -146,7 +138,7 @@ MC_ARGV = [
     "mc", "--n", "100", "--p", "2,7,inf", "--truncate", "2",
     "--negative", "2,1", "--samples", "2000", "--seed", "9",
 ]
-MC_STDOUT_SHA256 = "8a81451427895401c1b834237e8edd73556005ad340b75ef4927e9c0248971e1"
+MC_STDOUT_SHA256 = "b63e19cf76a17bd5c8031b2ceb87612ddec83dc325e97ef753765bc960b442b5"
 
 
 def fields(estimate):
@@ -410,5 +402,3 @@ def test_streams_beyond_samples_refused():
         mc_norm_stats(5, 2.0, 3, seed=0, streams=4)
     with pytest.raises(DomainError, match="streams <= samples"):
         mc_small_ball(5, 2.0, 0.3, math.inf, 10, seed=0, streams=11)
-    with pytest.raises(DomainError, match="streams <= samples"):
-        mc_lower_identity(5, 2.0, 10, seed=0, streams=11)

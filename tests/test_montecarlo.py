@@ -15,7 +15,6 @@ from lplab import (
     RngStream,
     default_samples,
     gaussian_draws,
-    mc_lower_identity,
     mc_negative_moment,
     mc_norm_stats,
     mc_small_ball,
@@ -41,8 +40,8 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_draws_are_inverse_cdf_of_lattice_uniforms(self):
-        # the pipeline is: 53-bit integers -> (k + 1/2)/2^53 -> ndtri;
-        # 150,000 draws span three fill tiles, the last one partial
+        # the pipeline is: 53-bit integers -> (k + 1/2)/2^53 -> ndtri,
+        # for a small block and for one of 150,000 draws
         for shape in [(4, 5), (3, 50_000)]:
             gen = np.random.Generator(
                 np.random.Philox(key=np.array([21, 3], dtype=np.uint64))
@@ -297,26 +296,6 @@ class TestNegativeMoment:
             mc_negative_moment(10, 0.5, 1.0, math.inf, 100, seed=0)
         with pytest.raises(DomainError):
             mc_negative_moment(10, 2.0, -1.0, math.inf, 100, seed=0)
-
-
-class TestLowerIdentity:
-    def test_scalar_p_two_closed_form(self):
-        # n=1, p=2: (1/8) E [(g^2-h^2)^2/(g^2+h^2)] = 1/8 exactly
-        est = mc_lower_identity(1, 2.0, 100_000, seed=9)
-        assert abs(est.mean - 0.125) <= 4.0 * est.stderr_mean
-
-    def test_reproducible(self):
-        a = mc_lower_identity(4, 3.0, 2000, seed=1)
-        assert a == mc_lower_identity(4, 3.0, 2000, seed=1)
-
-    def test_large_p_stays_finite(self):
-        est = mc_lower_identity(100, 60.0, 2000, seed=2)
-        assert math.isfinite(est.mean)
-        assert est.mean >= 0.0
-
-    def test_rejects_infinite_p(self):
-        with pytest.raises(DomainError):
-            mc_lower_identity(10, math.inf, 100, seed=0)
 
 
 class TestWilson:

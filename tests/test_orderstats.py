@@ -13,15 +13,10 @@ import lplab.orderstats
 from lplab import (
     DEFAULT_CONSTANTS,
     RngStream,
-    abs_tail_log,
     chernoff_bound,
-    deviation_bound_crude,
-    deviation_bound_initial,
-    deviation_bound_intermediate,
     orderstat_cdf_exact,
     quantile_tail,
     sample_top_orderstats,
-    upper_quantile,
 )
 from lplab.errors import DomainError
 
@@ -170,77 +165,6 @@ class TestChernoff:
     def test_rejects_i_above_beta_n(self):
         with pytest.raises(DomainError):
             chernoff_bound(100, 11, 0.1)
-
-
-class TestDeviationBounds:
-    def test_initial_frozen_value(self):
-        got = deviation_bound_initial(10**4, 1, 0.5)
-        assert got.to_float() == pytest.approx(0.0001668952064492882, rel=1e-10)
-
-    def test_initial_u_near_one_limit(self):
-        # exponent tends to -c*i as the power term collapses to 1
-        n = 10**4
-        u_hi = 1.0 - 1.0 / math.log(n)
-        got = deviation_bound_initial(n, 2, u_hi)
-        assert got.log == pytest.approx(
-            -(0.01 * 2 / u_hi) * (n / (2 * math.sqrt(math.log(n)))) ** (1 - u_hi**2),
-            rel=1e-12,
-        )
-
-    def test_initial_increasing_in_u(self):
-        n = 10**4
-        vals = [deviation_bound_initial(n, 3, u).log for u in (0.4, 0.55, 0.7, 0.85)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_initial_decreasing_in_i(self):
-        n = 10**4
-        vals = [deviation_bound_initial(n, i, 0.5).log for i in (1, 3, 10, 50)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_initial_domain(self):
-        with pytest.raises(DomainError):
-            deviation_bound_initial(100, 11, 0.5)  # i^2 > n
-        with pytest.raises(DomainError):
-            deviation_bound_initial(10**4, 1, 0.05)  # u below 1/sqrt(log n)
-        with pytest.raises(DomainError):
-            deviation_bound_initial(10**4, 1, 0.999)  # u above 1 - C/log n
-
-    def test_intermediate_formula(self):
-        got = deviation_bound_intermediate(1000, 32, 0.8)
-        want = -0.05 * (0.2**2) * 32 * math.log(1000.0 / 32.0)
-        assert got.log == pytest.approx(want, rel=1e-12)
-
-    def test_intermediate_u_to_one(self):
-        assert deviation_bound_intermediate(1000, 10, 1.0 - 1e-15).log == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_intermediate_domain(self):
-        with pytest.raises(DomainError):
-            deviation_bound_intermediate(10, 6, 0.5)  # i > n/2
-        with pytest.raises(DomainError):
-            deviation_bound_intermediate(10, 2, 1.5)
-
-    def test_crude_values(self):
-        assert deviation_bound_crude(10, 0.0).to_float() == 0.0
-        assert deviation_bound_crude(10, 0.25).to_float() == 1.0
-        assert deviation_bound_crude(10, 0.1).to_float() == pytest.approx(0.4**5, rel=1e-12)
-        assert deviation_bound_crude(10, 5.0).to_float() == 1.0  # clamped
-
-    def test_initial_dominates_empirical(self):
-        # P{g_1* <= u xi_{1-1/n}}: exact binomial form, no MC noise needed
-        n, u = 1000, 0.5
-        t = u * upper_quantile(n)
-        exact = orderstat_cdf_exact(n, 1, math.exp(abs_tail_log(t)))
-        bound = deviation_bound_initial(n, 1, u)
-        assert exact.log <= bound.log
-
-    def test_intermediate_dominates_empirical(self):
-        n, i, u = 1000, 32, 0.8
-        t = u * quantile_tail(i / n)
-        exact = orderstat_cdf_exact(n, i, math.exp(abs_tail_log(t)))
-        bound = deviation_bound_intermediate(n, i, u)
-        assert exact.log <= bound.log
 
 
 class TestTopKSampler:

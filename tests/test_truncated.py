@@ -1,4 +1,4 @@
-"""Truncated Gaussian moments: the closed form vs mpmath, antiderivatives and brackets."""
+"""Truncated Gaussian moments: the closed form vs mpmath and antiderivatives, and both moment flavors."""
 
 import hashlib
 import math
@@ -13,14 +13,10 @@ import pytest
 
 import lplab
 from lplab import (
-    HalfMaxWindow,
     TruncationSpec,
     abs_moment,
     abs_tail_log,
-    half_max_window,
     incomplete_integral,
-    moment_bracket,
-    moment_scale,
     trunc_moment_chi,
     trunc_moment_min,
 )
@@ -65,15 +61,6 @@ def mp_log_integral(q: float, a: float) -> float:
 
 
 class TestTruncationSpec:
-    def test_regimes(self):
-        assert TruncationSpec(4.0, 3.0).regime == "low"  # q <= a^2
-        assert TruncationSpec(9.0, 2.0).regime == "high"
-        assert TruncationSpec(0.0, 1.0).regime == "low"
-
-    def test_x_max(self):
-        assert TruncationSpec(4.0, 10.0).x_max == 2.0
-        assert TruncationSpec(4.0, 1.5).x_max == 1.5
-
     def test_validation(self):
         with pytest.raises(DomainError):
             TruncationSpec(-1.0, 1.0)
@@ -143,46 +130,6 @@ class TestIncompleteIntegral:
         assert not failures, failures
 
 
-class TestHalfMaxWindow:
-    def test_frozen_window(self):
-        w = half_max_window(TruncationSpec(4.0, 10.0))
-        assert w.x_max == pytest.approx(2.0, rel=1e-14)
-        assert w.x_left == pytest.approx(1.233888349369101596, rel=1e-10)
-        assert w.x_right == pytest.approx(2.8830265001213242063, rel=1e-10)
-        assert w.f_max.log == pytest.approx(4.0 * math.log(2.0) - 2.0, rel=1e-13)
-
-    def test_q_zero_degenerate_reported(self):
-        w = half_max_window(TruncationSpec(0.0, 5.0))
-        assert w.degenerate
-        assert w.x_left == w.x_max == 0.0
-        assert w.x_right == pytest.approx(1.177410022515474691, rel=1e-10)
-
-    def test_truncation_clips_right_edge(self):
-        w = half_max_window(TruncationSpec(4.0, 1.5))
-        assert w.x_max == 1.5
-        assert w.x_right == 1.5
-        assert 0.0 < w.x_left < 1.5
-
-    def test_half_value_at_edges(self):
-        spec = TruncationSpec(10.0, math.inf)
-        w = half_max_window(spec)
-        for x in (w.x_left, w.x_right):
-            log_f = 10.0 * math.log(x) - x * x / 2.0
-            assert log_f == pytest.approx(w.f_max.log - math.log(2.0), abs=1e-8)
-
-    def test_sandwich_on_grid(self):
-        # 1/2 (x_r - x_l) f_max <= integral <= 2 (x_r - x_l) f_max
-        for q in (2.0, 10.0, 50.0, 200.0):
-            root = math.sqrt(q)
-            for a in (root / 2.0, root, 2.0 * root, math.inf):
-                spec = TruncationSpec(q, a)
-                w = half_max_window(spec)
-                integral = incomplete_integral(spec)
-                lo = math.log(0.5 * w.width) + w.f_max.log
-                hi = math.log(2.0 * w.width) + w.f_max.log
-                assert lo <= integral.log <= hi, (q, a)
-
-
 class TestTruncMoments:
     def test_chi_square_unit(self):
         assert trunc_moment_chi(TruncationSpec(2.0, math.inf)).to_float() == pytest.approx(
@@ -245,41 +192,6 @@ class TestTruncMoments:
             trunc_moment_min(TruncationSpec(q, 3.0)).log for q in (2.0, 4.0, 8.0, 16.0)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-class TestMomentScale:
-    def test_low_branch(self):
-        scale, regime = moment_scale(TruncationSpec(4.0, math.inf))
-        assert regime == "low"
-        assert scale.to_float() == pytest.approx((4.0 / math.e) ** 2, rel=1e-12)
-
-    def test_high_branch(self):
-        scale, regime = moment_scale(TruncationSpec(9.0, 2.0))
-        assert regime == "high"
-        assert scale.to_float() == pytest.approx(2**10 * math.exp(-2.0) / 7.0, rel=1e-12)
-
-    def test_branches_comparable_at_crossover(self):
-        # at q = a^2 both branch formulas describe the same mass
-        q = 9.0
-        low, _ = moment_scale(TruncationSpec(q, 3.0 + 1e-12))
-        high, _ = moment_scale(TruncationSpec(q, 3.0 - 1e-12))
-        assert abs(low.log - high.log) < 1.0
-
-
-class TestMomentBracket:
-    def test_contains_quadrature_default_factors(self):
-        for q in (1.0, 5.0, 40.0, 300.0, 600.0):
-            for a in (1.0, 3.0, 10.0, 30.0):
-                spec = TruncationSpec(q, a)
-                bracket = moment_bracket(spec)
-                value = trunc_moment_chi(spec)
-                assert bracket.contains(value), (q, a)
-
-    def test_explicit_factors_override(self):
-        spec = TruncationSpec(2.0, 2.0)
-        wide = moment_bracket(spec, factors=(1e-6, 1e6))
-        tight = moment_bracket(spec, factors=(0.999999, 1.000001))
-        assert wide.upper.log - wide.lower.log > tight.upper.log - tight.lower.log
 
 
 def test_cli_import_leaves_out_scipy_integrate():
