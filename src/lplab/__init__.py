@@ -32,10 +32,7 @@ from .montecarlo import (
     default_samples,
     gaussian_draws,
     mc_grid_stats,
-    mc_negative_moment,
-    mc_norm_stats,
     mc_small_ball,
-    mc_truncated_stats,
     merge_pairwise,
     threshold_log_value,
     wilson_interval,
@@ -123,10 +120,7 @@ __all__ = [
     "lp_norm",
     "lp_norm_rows",
     "mc_grid_stats",
-    "mc_negative_moment",
-    "mc_norm_stats",
     "mc_small_ball",
-    "mc_truncated_stats",
     "merge_pairwise",
     "mills_bounds",
     "negative_moment_bound",

@@ -28,10 +28,10 @@ folds them, in chunk order, into that stream's own state, which the
 worker merges into its run as the fixed pairwise tree would, so a
 worker holds a few states however many streams it runs.  A run starts
 at a multiple of its length, so it is a subtree of that tree; the main
-thread merges the run states, in run order, along the same tree, or
-sums the counts.  Philox is counter-based, so a stream's draws do not
-depend on which thread runs it or when, and the reproducibility
-contract above holds for any worker count.
+thread merges the run states, in run order, along the same tree and
+returns the one state for all streams.  Philox is counter-based, so a
+stream's draws do not depend on which thread runs it or when, and the
+reproducibility contract above holds for any worker count.
 
 Each worker allocates one float64 buffer for its largest chunk and one
 reducer workspace, and draws and reduces every chunk of its streams in
@@ -350,8 +350,8 @@ def _fold_streams(
     constants: Constants,
     requests: list[tuple[float, bool, bool]],
     settle: tuple[float, float] | None = None,
-) -> list[State]:
-    """Fold each stream's blocks into a state, merged per run of streams.
+) -> State:
+    """Fold each stream's blocks into a state; the states merged pairwise by index.
 
     Stream s starts from `initial` and applies
     state = fold(state, block, workspace) to its quota drawn in chunks
@@ -373,12 +373,12 @@ def _fold_streams(
     are dealt to `_strided_shares` workers, capped so that the memory
     guard admits every block in flight.  A worker merges each run's
     states as it folds them (`_merge_run`): a run starts at a multiple of
-    its length, so it is an exact subtree of `merge_pairwise`'s tree
-    over all streams (the last run, if short, is that tree's node over
-    the tail), and `merge_pairwise` over the returned run states, in run
-    order, gives the bits of `merge_pairwise` over the stream states.  A
-    worker draws all its blocks into one buffer and passes fold one
-    `_reduce_rows` workspace for `requests`.
+    its length, so it is an exact subtree of `_merge_run`'s tree over all
+    streams (the last run, if short, is that tree's node over the tail),
+    and `_merge_run` over the run states, in run order, returns the bits
+    of `_merge_run` over the stream states.  A worker draws all its
+    blocks into one buffer and passes fold one `_reduce_rows` workspace
+    for `requests`.
     """
     segmented = settle is not None and n > _SEGMENT_ELEMS
     step = 1 if segmented else chunk
@@ -428,54 +428,19 @@ def _fold_streams(
 
     shares = _strided_shares(share, runs, limit)
     workers = len(shares)
-    return [shares[r % workers][r // workers] for r in range(runs)]
-
-
-def _stream_moments(
-    statistics: Callable[[np.ndarray, np.ndarray], list[np.ndarray]],
-    count: int,
-    n: int,
-    samples: int,
-    seed: int,
-    streams: int,
-    chunk: int,
-    constants: Constants,
-    requests: list[tuple[float, bool, bool]],
-) -> list[MomentAccumulator]:
-    """Moments of `count` per-row statistics, merged per stream, then pairwise.
-
-    statistics(block, workspace) returns `count` arrays of per-row
-    values, reducing the block for `requests` in the workspace; each
-    array becomes one batch merged into its stream's accumulator.
-    """
-
-    def fold(
-        accs: list[MomentAccumulator], block: np.ndarray, workspace: np.ndarray
-    ) -> list[MomentAccumulator]:
-        return [
-            acc.merge(MomentAccumulator.from_batch(values))
-            for acc, values in zip(accs, statistics(block, workspace), strict=True)
-        ]
-
-    def merge(
-        left: list[MomentAccumulator], right: list[MomentAccumulator]
-    ) -> list[MomentAccumulator]:
-        return [a.merge(b) for a, b in zip(left, right, strict=True)]
-
-    per_run = _fold_streams(
-        fold, merge, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
-        constants, requests,
-    )
-    return [merge_pairwise(list(accs)) for accs in zip(*per_run)]
+    return _merge_run((shares[r % workers][r // workers] for r in range(runs)), merge)
 
 
 @dataclass(frozen=True, slots=True)
 class MCGridStats:
     """Every estimate of one fused pass, in request order.
 
-    norms[k] is the mc_norm_stats estimate at p_values[k]; truncated[k]
-    is the (f_T, gap^2) pair of mc_truncated_stats at the same p, empty
-    without a cap; negative is the mc_negative_moment estimate or None.
+    norms[k] estimates the mean and variance of ||G||_p at p_values[k].
+    truncated[k] is a coupled pair at the same p, empty without a cap T:
+    the capped norm f_T(G) = (sum_i min(T, |g_i|)^p)^{1/p}, and the
+    squared gap (||G||_p - f_T(G))^2 on the same draws, the variance
+    cost of the truncation.  negative estimates
+    E (sum_i min(|g_i|, T)^q)^{-L} (T = inf without a cap), or is None.
     """
 
     norms: tuple[MCEstimate, ...]
@@ -500,11 +465,16 @@ def mc_grid_stats(
 ) -> MCGridStats:
     """Norm, truncation and negative-moment statistics from one set of draws.
 
-    Field for field equal to mc_norm_stats at each p, plus
-    mc_truncated_stats(p, T) at each p when T is given, plus
-    mc_negative_moment(q, L, T, or inf without T) when negative = (q, L),
-    all with the same seed and streams; but every stream is drawn once
-    and every block reduced once.
+    The `MCGridStats` fields: a norm estimate at each p, the (f_T, gap^2)
+    pair at each p when T > 0 is given (inf for no cap), and the
+    negative moment when negative = (q, L).  Every stream is drawn once
+    and every block reduced once; each estimate has the bits of a call
+    that asks for it alone, with the same seed and streams.
+
+    The negative moment's per-sample value is exponentiated from the log
+    of the capped power sum, so large q stays finite.  It requires
+    finite q >= 1, L >= 0 and q L <= K log n, which keeps the target
+    moment bounded away from underflow.
     """
     p_values = [_validate_p(p) for p in p_values]
     if T is not None:
@@ -524,7 +494,9 @@ def mc_grid_stats(
     if negative is not None:
         requests.append((q, capped, True))
 
-    def statistics(block: np.ndarray, workspace: np.ndarray) -> list[np.ndarray]:
+    def fold(
+        accs: list[MomentAccumulator], block: np.ndarray, workspace: np.ndarray
+    ) -> list[MomentAccumulator]:
         reduced = _reduce_rows(block, requests, cap, workspace)
         norms = reduced[:width]
         values = list(norms)
@@ -535,11 +507,20 @@ def mc_grid_stats(
                 values += [capped_norm, gaps * gaps]
         if negative is not None:
             values.append(np.exp(-L * reduced[-1]))
-        return values
+        return [
+            acc.merge(MomentAccumulator.from_batch(batch))
+            for acc, batch in zip(accs, values, strict=True)
+        ]
+
+    def merge(
+        left: list[MomentAccumulator], right: list[MomentAccumulator]
+    ) -> list[MomentAccumulator]:
+        return [a.merge(b) for a, b in zip(left, right, strict=True)]
 
     count = width * (3 if T is not None else 1) + (negative is not None)
-    accumulators = _stream_moments(
-        statistics, count, n, samples, seed, streams, chunk, constants, requests
+    accumulators = _fold_streams(
+        fold, merge, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
+        constants, requests,
     )
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
@@ -551,58 +532,6 @@ def mc_grid_stats(
         truncated=truncated,
         negative=estimates[-1] if negative is not None else None,
     )
-
-
-def mc_norm_stats(
-    n: int,
-    p: float,
-    samples: int,
-    seed: int,
-    streams: int = 4,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> MCEstimate:
-    """Estimate mean and variance of ||G||_p over `samples` fresh vectors."""
-    return mc_grid_stats(n, [p], samples, seed, streams, constants).norms[0]
-
-
-def mc_truncated_stats(
-    n: int,
-    p: float,
-    T: float,
-    samples: int,
-    seed: int,
-    streams: int = 4,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> tuple[MCEstimate, MCEstimate]:
-    """Statistics of the capped norm f_T and of the squared gap, coupled.
-
-    f_T(G) = (sum_i min(T, |g_i|)^p)^{1/p} caps coordinates at T; the
-    second estimate is of (||G||_p - f_T(G))^2 on the same draws, the
-    variance cost of the truncation.
-    """
-    return mc_grid_stats(n, [p], samples, seed, streams, constants, T=T).truncated[0]
-
-
-def mc_negative_moment(
-    n: int,
-    q: float,
-    L: float,
-    T: float,
-    samples: int,
-    seed: int,
-    streams: int = 4,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> MCEstimate:
-    """Estimate E (sum_i min(|g_i|, T)^q)^{-L}.
-
-    The per-sample value is exponentiated from the log of the capped
-    power sum, so large q stays finite.  Requires finite q >= 1, L >= 0
-    and q L <= K log n, which keeps the target moment bounded away from
-    underflow.
-    """
-    return mc_grid_stats(
-        n, [], samples, seed, streams, constants, T=T, negative=(q, L)
-    ).negative
 
 
 @dataclass(frozen=True, slots=True)
@@ -617,18 +546,18 @@ class SmallBallEstimate:
     streams: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Score interval for a binomial proportion; behaves at 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% score interval for a binomial proportion; behaves at 0 and 1."""
     if trials < 1:
         raise DomainError("need at least one trial")
     if not 0 <= successes <= trials:
         raise DomainError("successes must lie in [0, trials]")
     phat = successes / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     half = (
-        z
+        _WILSON_Z
         * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
         / denom
     )
@@ -691,11 +620,9 @@ def mc_small_ball(
         log_sums = _reduce_rows(block, request, T, workspace)[0]
         return successes + int((log_sums <= log_threshold).sum())
 
-    successes = sum(
-        _fold_streams(
-            fold, operator.add, 0, n, samples, seed, streams, chunk, constants, request,
-            settle=(T, log_threshold + margin),
-        )
+    successes = _fold_streams(
+        fold, operator.add, 0, n, samples, seed, streams, chunk, constants, request,
+        settle=(T, log_threshold + margin),
     )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(

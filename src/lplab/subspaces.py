@@ -751,9 +751,9 @@ def transition_sweep(
     itself and is flagged in_window: inside the transition window no
     direction is asserted.  Seeds are offset per row so rows stay
     independent yet reproducible.  n, the trial count, the delta grid and
-    every row's epsilon (finite and positive) and request
-    (`_check_section_request`) are checked once each, before any row
-    runs.
+    every row's epsilon (finite and positive), seed (`RngStream`'s rule)
+    and request (`_check_section_request`) are checked once each, before
+    any row runs.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, so that log n > 0, got n={n}")
@@ -772,8 +772,9 @@ def transition_sweep(
             plan.append((delta, "sub", (2.0 - delta) * log_n, epsilon_sub, row_seed))
             plan.append((delta, "super", (2.0 + delta) * log_n, eps_super, row_seed + 500))
     leaves = []
-    for _, _, p, epsilon, _ in plan:
+    for _, _, p, epsilon, row_seed in plan:
         _check_epsilon(epsilon)
+        RngStream(row_seed, 0)  # refuses a seed outside [0, 2^64)
         leaves.append(_check_section_request(n, k, p, net_resolution, constants))
     rows = []
     for (delta, side, p, epsilon, row_seed), row_leaves in zip(plan, leaves):

@@ -25,9 +25,6 @@ from lplab import (
     incomplete_integral,
     lemma_checks,
     mc_grid_stats,
-    mc_negative_moment,
-    mc_norm_stats,
-    mc_truncated_stats,
     mills_bounds,
     negative_moment_bound,
     orderstat_cdf_exact,
@@ -40,13 +37,6 @@ from lplab import (
 )
 from lplab import TruncationSpec
 from lplab.cli import main as cli_main
-
-
-def mc_variances(n: int, p_values: list[float], samples: int, seed: int,
-                 streams: int = 4) -> dict[float, float]:
-    """Sample variances of ||G||_p for several p over one shared set of draws."""
-    stats = mc_grid_stats(n, p_values, samples, seed, streams)
-    return {p: estimate.variance for p, estimate in zip(p_values, stats.norms)}
 
 
 class TestExactOracles:
@@ -83,13 +73,13 @@ class TestGaussianLaws:
         # n = 1 collapses every norm to |g|; Var = 1 - 2/pi
         target = 1.0 - 2.0 / math.pi
         for p in (1.0, 2.0, 7.0, math.inf):
-            est = mc_norm_stats(1, p, 1_000_000, seed=5)
+            est = mc_grid_stats(1, [p], 1_000_000, seed=5).norms[0]
             assert abs(est.variance - target) <= 4.0 * est.stderr_variance, p
 
     def test_chi_law_large_n(self):
         # Var ||G||_2 = n - 2 (Gamma((n+1)/2)/Gamma(n/2))^2, exactly
         n = 10**4
-        est = mc_norm_stats(n, 2.0, 100_000, seed=8)
+        est = mc_grid_stats(n, [2.0], 100_000, seed=8).norms[0]
         target = n - 2.0 * math.exp(
             2.0 * (gammaln((n + 1) / 2.0) - gammaln(n / 2.0))
         )
@@ -107,11 +97,11 @@ class TestPredictorAgainstSimulation:
         regime_means: dict[tuple[int, str], float] = {}
         for n, samples in ((1000, 100_000), (10_000, 10_000)):
             grid = auto_p_grid(n)
-            variances = mc_variances(n, grid, samples, seed=2024)
+            stats = mc_grid_stats(n, grid, samples, seed=2024)
             per_regime: dict[str, list[float]] = {}
-            for p in grid:
+            for p, estimate in zip(grid, stats.norms):
                 predicted, point = predict_variance(n, p)
-                ratio = variances[p] / predicted.to_float()
+                ratio = estimate.variance / predicted.to_float()
                 assert constants.mc_ratio_lo <= ratio <= constants.mc_ratio_hi, (
                     n,
                     p,
@@ -137,8 +127,8 @@ class TestPredictorAgainstSimulation:
         log_n = math.log(n)
         p_sub = 1.5 * log_n
         p_super = 2.5 * log_n
-        variances = mc_variances(n, [p_sub, p_super], 10_000, seed=31)
-        contrast = variances[p_super] / variances[p_sub]
+        sub, sup = mc_grid_stats(n, [p_sub, p_super], 10_000, seed=31).norms
+        contrast = sup.variance / sub.variance
         assert contrast >= 1000.0, contrast
 
     def test_boundary_seams_bounded(self):
@@ -167,7 +157,7 @@ class TestTruncationAndNegativeMoments:
         for p in (classify(n, 2.0).p1, 2.0 * math.log(n)):
             m_level = truncation_level_M(n, p).to_float()
             for T in (xi, m_level):
-                _, gap_sq = mc_truncated_stats(n, p, T, 50_000, seed=11)
+                _, gap_sq = mc_grid_stats(n, [p], 50_000, seed=11, T=T).truncated[0]
                 bound = tail_term(n, p, T).to_float()
                 assert gap_sq.mean <= c * bound, (p, T, gap_sq.mean / bound)
 
@@ -178,7 +168,7 @@ class TestTruncationAndNegativeMoments:
         log_n = math.log(n)
         for q in (1.0, log_n, 2.0 * log_n):
             for L in (0.5, 1.0, 2.0):
-                est = mc_negative_moment(n, q, L, math.inf, 20_000, seed=17)
+                est = mc_grid_stats(n, [], 20_000, seed=17, negative=(q, L)).negative
                 bound = negative_moment_bound(n, q, L).to_float()
                 assert est.mean <= v * bound, (q, L, est.mean / bound)
 

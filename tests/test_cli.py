@@ -604,16 +604,23 @@ class TestPlumbing:
         assert [lplab.cli._json_value(v) for v in (1.5, 2, None, "x")] == [1.5, 2, None, "x"]
 
 
-# argvs refused with exit 2 and a message; a check that would check
-# nothing is refused rather than printing an empty table
+# argvs refused with exit 2 and a message, before any section is drawn;
+# a check that would check nothing is refused rather than printing an
+# empty table, and a sweep whose super-critical row seed (seed + 500)
+# passes 64 bits is refused before its sub-critical row runs
 REFUSED_ARGVS = [
     "checks --n 1000 --p-grid inf",
     "checks --n 1000 --p-grid 100",
+    "dvoretzky --n 10000 --k 2 --delta 0.5 --trials 400 --seed 18446744073709551516",
 ]
 
 
 @pytest.mark.parametrize("argv", REFUSED_ARGVS)
-def test_refused_argv_exits_two(capsys, argv):
+def test_refused_argv_exits_two(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a section was drawn before the refusal")
+
+    monkeypatch.setattr(lplab.subspaces, "random_subspace", unreachable)
     code, out, err = run_cli(capsys, argv.split())
     assert code == 2
     assert out == ""

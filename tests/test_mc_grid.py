@@ -34,10 +34,7 @@ from lplab import (
     RngStream,
     gaussian_draws,
     mc_grid_stats,
-    mc_negative_moment,
-    mc_norm_stats,
     mc_small_ball,
-    mc_truncated_stats,
     merge_pairwise,
     threshold_log_value,
 )
@@ -46,48 +43,48 @@ from lplab.errors import DomainError
 
 GOLDEN = [
     (
-        lambda: mc_norm_stats(30, 1.0, 1500, 7, 3),
+        lambda: mc_grid_stats(30, [1.0], 1500, 7, 3).norms[0],
         ('24.068728510740538', '10.748240918523269', '0.08464924066807794', '0.38974983699902366', '1500', '7', '3'),
     ),
     (
-        lambda: mc_norm_stats(30, 3.5, 1500, 7, 3),
+        lambda: mc_grid_stats(30, [3.5], 1500, 7, 3).norms[0],
         ('3.22001520159083', '0.18685136462003268', '0.011160984562902824', '0.006729458773839909', '1500', '7', '3'),
     ),
     (
-        lambda: mc_norm_stats(30, math.inf, 1500, 7, 3),
+        lambda: mc_grid_stats(30, [math.inf], 1500, 7, 3).norms[0],
         ('2.3164788850233387', '0.19668253465835867', '0.011450837950658418', '0.007677324695409697', '1500', '7', '3'),
     ),
     (
-        lambda: mc_norm_stats(3000, 12.0, 1600, 5, 2),
+        lambda: mc_grid_stats(3000, [12.0], 1600, 5, 2).norms[0],
         ('4.157298770890831', '0.0382185303810103', '0.004887390048699964', '0.002417692381813061', '1600', '5', '2'),
     ),
     (
-        lambda: mc_truncated_stats(3000, 8.0, 2.5, 1600, 5, 2),
+        lambda: mc_grid_stats(3000, [8.0], 1600, 5, 2, T=2.5).truncated[0],
         (
             ('4.421898894876364', '0.001952411883326192', '0.0011046526273353402', '6.936310862920808e-05', '1600', '5', '2'),
             ('0.20357247068462297', '0.01662209634320727', '0.003223167729812481', '0.002461580423873465', '1600', '5', '2'),
         ),
     ),
     (
-        lambda: mc_truncated_stats(40, math.inf, 1.2, 900, 3, 4),
+        lambda: mc_grid_stats(40, [math.inf], 900, 3, 4, T=1.2).truncated[0],
         (
             ('1.1999999999999997', '4.93586495202246e-32', '7.405602197752771e-18', '0.0', '900', '3', '4'),
             ('1.7087963560224304', '1.5168938803946435', '0.04105408195152995', '0.11902808147083263', '900', '3', '4'),
         ),
     ),
     (
-        lambda: mc_truncated_stats(40, 3.0, math.inf, 900, 3, 4),
+        lambda: mc_grid_stats(40, [3.0], 900, 3, 4, T=math.inf).truncated[0],
         (
             ('3.9440233769268502', '0.20208671245385684', '0.014984685235779779', '0.010102580188661912', '900', '3', '4'),
             ('0.0', '0.0', '0.0', '0.0', '900', '3', '4'),
         ),
     ),
     (
-        lambda: mc_negative_moment(3000, 6.9, 1.0, 2.5, 1600, 5, 2),
+        lambda: mc_grid_stats(3000, [], 1600, 5, 2, T=2.5, negative=(6.9, 1.0)).negative,
         ('1.6351599819669228e-05', '1.4082597263192692e-12', '2.9667529876104332e-08', '5.230072899770224e-14', '1600', '5', '2'),
     ),
     (
-        lambda: mc_negative_moment(20, 2.0, 1.0, math.inf, 1000, 4, 3),
+        lambda: mc_grid_stats(20, [], 1000, 4, 3, negative=(2.0, 1.0)).negative,
         ('0.05627388796936266', '0.0003659776967152881', '0.0006049609051131222', '2.7552388402782274e-05', '1000', '4', '3'),
     ),
     (
@@ -193,10 +190,10 @@ class TestWorkers:
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
         block = 699 * 3000 * 8
         one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * block - 1)
-        estimate = mc_norm_stats(3000, 12.0, 1600, 5, 2, constants=one)
+        estimate = mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=one).norms[0]
         assert reprs(estimate) == GOLDEN[3][1]
         two = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * block)
-        assert mc_norm_stats(3000, 12.0, 1600, 5, 2, constants=two) == estimate
+        assert mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=two).norms[0] == estimate
         assert pool_sizes == [1, 2]
 
     def test_threads_bounded_by_cores_and_streams(self, monkeypatch, capsys, pool_sizes):
@@ -220,8 +217,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_runs_are_subtrees_of_the_merge_tree(self, monkeypatch, cores):
-        # a state that records how it was merged: the run states returned
-        # by the workers, merged pairwise, must build the very tree that
+        # a state that records how it was merged: the run states of the
+        # workers, merged pairwise, must build the very tree that
         # merge_pairwise builds over the streams one by one
         class Tree:
             def __init__(self, shape):
@@ -240,11 +237,10 @@ class TestWorkers:
                 Tree(float(gaussian_draws(RngStream(4, s).generator(), (1, 2))[0, 0]))
                 for s in range(streams)
             ]
-            runs = lplab.montecarlo._fold_streams(
+            merged = lplab.montecarlo._fold_streams(
                 fold, Tree.merge, None, 2, streams, 4, streams, 8, DEFAULT_CONSTANTS, request
             )
-            assert len(runs) <= 2 * cores
-            assert merge_pairwise(runs).shape == merge_pairwise(leaves).shape
+            assert merged.shape == merge_pairwise(leaves).shape
 
     @pytest.mark.parametrize("cores", [1, 3])
     def test_held_states_do_not_grow_with_streams(self, monkeypatch, cores):
@@ -254,7 +250,7 @@ class TestWorkers:
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
         tracemalloc.start()
         try:
-            mc_norm_stats(2, 2.0, 2000, 0, 2000)
+            mc_grid_stats(2, [2.0], 2000, 0, 2000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -297,11 +293,10 @@ class TestSettledRows:
         def fold(rows, block, workspace):
             return rows + (block[0].copy(),)
 
-        runs = lplab.montecarlo._fold_streams(
+        folded = lplab.montecarlo._fold_streams(
             fold, operator.add, (), n, samples, seed, streams, 1, DEFAULT_CONSTANTS,
             [(q, False, True)], settle=(math.inf, bound),
         )
-        folded = sum(runs, ())
         expected = whole[both <= bound]
         assert len(folded) == len(expected) == 8
         assert all(np.array_equal(row, want) for row, want in zip(folded, expected))
@@ -361,19 +356,19 @@ class TestGrid:
         stats = mc_grid_stats(n, p_values, samples, 4, streams, T=T, negative=(q, L))
         assert len(stats.norms) == len(p_values)
         for p, norm in zip(p_values, stats.norms):
-            assert norm == mc_norm_stats(n, p, samples, 4, streams)
+            assert norm == mc_grid_stats(n, [p], samples, 4, streams).norms[0]
         if T is None:
             assert stats.truncated == ()
         else:
             for p, pair in zip(p_values, stats.truncated, strict=True):
-                assert pair == mc_truncated_stats(n, p, T, samples, 4, streams)
-        cap = math.inf if T is None else T
-        assert stats.negative == mc_negative_moment(n, q, L, cap, samples, 4, streams)
+                assert pair == mc_grid_stats(n, [p], samples, 4, streams, T=T).truncated[0]
+        alone = mc_grid_stats(n, [], samples, 4, streams, T=T, negative=(q, L))
+        assert stats.negative == alone.negative
 
     def test_without_negative(self):
         stats = mc_grid_stats(20, [2.0], 500, 1)
         assert stats.negative is None
-        assert stats.norms == (mc_norm_stats(20, 2.0, 500, 1),)
+        assert stats.norms == mc_grid_stats(20, [2.0], 500, 1, negative=(2.0, 1.0)).norms
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -399,6 +394,6 @@ def test_streams_beyond_samples_refused():
     # every stream must draw at least one sample; an empty one would
     # still cost a generator and an accumulator
     with pytest.raises(DomainError, match="streams <= samples"):
-        mc_norm_stats(5, 2.0, 3, seed=0, streams=4)
+        mc_grid_stats(5, [2.0], 3, seed=0, streams=4)
     with pytest.raises(DomainError, match="streams <= samples"):
         mc_small_ball(5, 2.0, 0.3, math.inf, 10, seed=0, streams=11)

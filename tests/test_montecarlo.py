@@ -15,10 +15,8 @@ from lplab import (
     RngStream,
     default_samples,
     gaussian_draws,
-    mc_negative_moment,
-    mc_norm_stats,
+    mc_grid_stats,
     mc_small_ball,
-    mc_truncated_stats,
     merge_pairwise,
     quantile_power_sum,
     threshold_log_value,
@@ -177,37 +175,37 @@ class TestMomentAccumulator:
 
 class TestNormStats:
     def test_bit_reproducible(self):
-        a = mc_norm_stats(20, 3.0, 4000, seed=1, streams=4)
-        b = mc_norm_stats(20, 3.0, 4000, seed=1, streams=4)
+        a = mc_grid_stats(20, [3.0], 4000, seed=1, streams=4).norms[0]
+        b = mc_grid_stats(20, [3.0], 4000, seed=1, streams=4).norms[0]
         assert a == b
 
     def test_seed_and_stream_count_change_output(self):
-        base = mc_norm_stats(20, 3.0, 4000, seed=1, streams=4)
-        assert mc_norm_stats(20, 3.0, 4000, seed=2, streams=4) != base
-        assert mc_norm_stats(20, 3.0, 4000, seed=1, streams=5) != base
+        base = mc_grid_stats(20, [3.0], 4000, seed=1, streams=4).norms[0]
+        assert mc_grid_stats(20, [3.0], 4000, seed=2, streams=4).norms[0] != base
+        assert mc_grid_stats(20, [3.0], 4000, seed=1, streams=5).norms[0] != base
 
     def test_scalar_case_folded_gaussian(self):
         # n = 1: the norm is |g| for every p, so mean -> sqrt(2/pi),
         # variance -> 1 - 2/pi
-        est = mc_norm_stats(1, 1.0, 20000, seed=7)
+        est = mc_grid_stats(1, [1.0], 20000, seed=7).norms[0]
         assert abs(est.mean - math.sqrt(2.0 / math.pi)) <= 4.0 * est.stderr_mean
         assert abs(est.variance - (1.0 - 2.0 / math.pi)) <= 4.0 * est.stderr_variance
 
     def test_scalar_case_p_independent(self):
-        a = mc_norm_stats(1, 1.0, 5000, seed=7)
-        b = mc_norm_stats(1, math.inf, 5000, seed=7)
+        a = mc_grid_stats(1, [1.0], 5000, seed=7).norms[0]
+        b = mc_grid_stats(1, [math.inf], 5000, seed=7).norms[0]
         assert b.mean == pytest.approx(a.mean, rel=1e-12)
         assert b.variance == pytest.approx(a.variance, rel=1e-12)
 
     def test_chi_two_degrees(self):
         # ||G||_2 with n = 2 is a chi(2) variable: mean sqrt(pi/2),
         # variance 2 - pi/2
-        est = mc_norm_stats(2, 2.0, 40000, seed=3)
+        est = mc_grid_stats(2, [2.0], 40000, seed=3).norms[0]
         assert abs(est.mean - math.sqrt(math.pi / 2.0)) <= 4.0 * est.stderr_mean
         assert abs(est.variance - (2.0 - math.pi / 2.0)) <= 4.0 * est.stderr_variance
 
     def test_stderr_definition(self):
-        est = mc_norm_stats(5, 2.0, 1000, seed=0)
+        est = mc_grid_stats(5, [2.0], 1000, seed=0).norms[0]
         assert est.stderr_mean == pytest.approx(
             math.sqrt(est.variance / est.samples), rel=1e-12
         )
@@ -215,20 +213,20 @@ class TestNormStats:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            mc_norm_stats(0, 2.0, 100, seed=0)
+            mc_grid_stats(0, [2.0], 100, seed=0)
         with pytest.raises(DomainError):
-            mc_norm_stats(5, 0.5, 100, seed=0)
+            mc_grid_stats(5, [0.5], 100, seed=0)
         with pytest.raises(DomainError):
-            mc_norm_stats(5, 2.0, 1, seed=0)
+            mc_grid_stats(5, [2.0], 1, seed=0)
         with pytest.raises(DomainError):
-            mc_norm_stats(5, 2.0, 100, seed=0, streams=0)
+            mc_grid_stats(5, [2.0], 100, seed=0, streams=0)
 
     def test_memory_guard(self):
         # one chunk row at n = 10^6 is 8 MB; a 1 MiB guard must refuse
         # before anything is allocated
         tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
         with pytest.raises(DomainError, match="memory guard"):
-            mc_norm_stats(10**6, 2.0, 2, seed=0, constants=tiny)
+            mc_grid_stats(10**6, [2.0], 2, seed=0, constants=tiny)
 
     def test_default_samples_schedule(self):
         assert default_samples(1000) == 100_000
@@ -238,8 +236,8 @@ class TestNormStats:
 
 class TestTruncatedStats:
     def test_infinite_cap_is_exact_coupling(self):
-        full = mc_norm_stats(50, 3.0, 5000, seed=11)
-        capped, gap = mc_truncated_stats(50, 3.0, math.inf, 5000, seed=11)
+        full = mc_grid_stats(50, [3.0], 5000, seed=11).norms[0]
+        capped, gap = mc_grid_stats(50, [3.0], 5000, seed=11, T=math.inf).truncated[0]
         assert capped == full
         assert gap.mean == 0.0
         assert gap.variance == 0.0
@@ -247,55 +245,51 @@ class TestTruncatedStats:
     def test_cap_monotone_on_shared_draws(self):
         # identical seeds couple the draws, so the capped mean must
         # increase with T pointwise, not just statistically
-        full = mc_norm_stats(50, 3.0, 5000, seed=11)
-        lo, gap_lo = mc_truncated_stats(50, 3.0, 1.0, 5000, seed=11)
-        hi, gap_hi = mc_truncated_stats(50, 3.0, 2.5, 5000, seed=11)
+        full = mc_grid_stats(50, [3.0], 5000, seed=11).norms[0]
+        lo, gap_lo = mc_grid_stats(50, [3.0], 5000, seed=11, T=1.0).truncated[0]
+        hi, gap_hi = mc_grid_stats(50, [3.0], 5000, seed=11, T=2.5).truncated[0]
         assert lo.mean < hi.mean < full.mean
         assert gap_lo.mean > gap_hi.mean > 0.0
 
     def test_gap_variance_nonnegative(self):
-        _, gap = mc_truncated_stats(30, 2.0, 1.5, 3000, seed=2)
+        _, gap = mc_grid_stats(30, [2.0], 3000, seed=2, T=1.5).truncated[0]
         assert gap.variance >= 0.0
 
     def test_rejects_bad_cap(self):
         with pytest.raises(DomainError):
-            mc_truncated_stats(10, 2.0, 0.0, 100, seed=0)
+            mc_grid_stats(10, [2.0], 100, seed=0, T=0.0)
 
 
 class TestNegativeMoment:
     def test_inverse_chi_square_oracle(self):
         # E (sum g_i^2)^{-1} = 1/(n-2) for n > 2
-        est = mc_negative_moment(10, 2.0, 1.0, math.inf, 200_000, seed=5)
+        est = mc_grid_stats(10, [], 200_000, seed=5, negative=(2.0, 1.0)).negative
         assert abs(est.mean - 0.125) <= 4.0 * est.stderr_mean
 
     def test_L_zero_is_constant_one(self):
-        est = mc_negative_moment(10, 2.0, 0.0, math.inf, 1000, seed=0)
+        est = mc_grid_stats(10, [], 1000, seed=0, negative=(2.0, 0.0)).negative
         assert est.mean == 1.0
         assert est.variance == 0.0
 
     def test_cap_increases_moment(self):
         # capping shrinks the power sum, so the negative moment grows
-        a = mc_negative_moment(10, 2.0, 1.0, 1.0, 20_000, seed=4)
-        b = mc_negative_moment(10, 2.0, 1.0, math.inf, 20_000, seed=4)
+        a = mc_grid_stats(10, [], 20_000, seed=4, T=1.0, negative=(2.0, 1.0)).negative
+        b = mc_grid_stats(10, [], 20_000, seed=4, negative=(2.0, 1.0)).negative
         assert a.mean > b.mean
 
     def test_moment_growth_restriction(self):
         n = 100
         with pytest.raises(DomainError):
-            mc_negative_moment(
-                n,
-                2.0 * math.log(n),
-                DEFAULT_CONSTANTS.negative_moment_K,
-                math.inf,
-                100,
-                seed=0,
+            mc_grid_stats(
+                n, [], 100, seed=0,
+                negative=(2.0 * math.log(n), DEFAULT_CONSTANTS.negative_moment_K),
             )
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            mc_negative_moment(10, 0.5, 1.0, math.inf, 100, seed=0)
+            mc_grid_stats(10, [], 100, seed=0, negative=(0.5, 1.0))
         with pytest.raises(DomainError):
-            mc_negative_moment(10, 2.0, -1.0, math.inf, 100, seed=0)
+            mc_grid_stats(10, [], 100, seed=0, negative=(2.0, -1.0))
 
 
 class TestWilson:

@@ -19,8 +19,6 @@ from lplab import (
     auto_p_grid,
     classify,
     mc_grid_stats,
-    mc_negative_moment,
-    mc_truncated_stats,
     negative_moment_bound,
     predict_variance,
     tail_term,
@@ -84,7 +82,7 @@ def criterion_tail_gap(fast: bool):
     for p in (classify(n, 2.0).p1, 2.0 * math.log(n)):
         m_level = truncation_level_M(n, p).to_float()
         for label, T in (("xi", xi), ("M", m_level)):
-            _, gap_sq = mc_truncated_stats(n, p, T, samples, seed=11)
+            _, gap_sq = mc_grid_stats(n, [p], samples, seed=11, T=T).truncated[0]
             bound = tail_term(n, p, T).to_float()
             ratio = gap_sq.mean / bound
             worst = max(worst, ratio)
@@ -102,7 +100,7 @@ def criterion_negative_moment(fast: bool):
     log_n = math.log(n)
     for q in (1.0, log_n, 2.0 * log_n):
         for L in (0.5, 1.0, 2.0):
-            est = mc_negative_moment(n, q, L, math.inf, samples, seed=17)
+            est = mc_grid_stats(n, [], samples, seed=17, negative=(q, L)).negative
             bound = negative_moment_bound(n, q, L).to_float()
             ratio = est.mean / bound
             worst = max(worst, ratio)
