@@ -84,7 +84,7 @@ GOLDEN = [
         ('1.6351599819669228e-05', '1.4082597263192692e-12', '2.9667529876104332e-08', '5.230072899770224e-14', '1600', '5', '2'),
     ),
     (
-        lambda: mc_grid_stats(20, [], 1000, 4, 3, negative=(2.0, 1.0)).negative,
+        lambda: mc_grid_stats(20, [], 1000, 4, 3, T=math.inf, negative=(2.0, 1.0)).negative,
         ('0.05627388796936266', '0.0003659776967152881', '0.0006049609051131222', '2.7552388402782274e-05', '1000', '4', '3'),
     ),
     (
@@ -362,7 +362,8 @@ class TestGrid:
         else:
             for p, pair in zip(p_values, stats.truncated, strict=True):
                 assert pair == mc_grid_stats(n, [p], samples, 4, streams, T=T).truncated[0]
-        alone = mc_grid_stats(n, [], samples, 4, streams, T=T, negative=(q, L))
+        cap = math.inf if T is None else T
+        alone = mc_grid_stats(n, [], samples, 4, streams, T=cap, negative=(q, L))
         assert stats.negative == alone.negative
 
     def test_without_negative(self):

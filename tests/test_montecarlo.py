@@ -263,33 +263,33 @@ class TestTruncatedStats:
 class TestNegativeMoment:
     def test_inverse_chi_square_oracle(self):
         # E (sum g_i^2)^{-1} = 1/(n-2) for n > 2
-        est = mc_grid_stats(10, [], 200_000, seed=5, negative=(2.0, 1.0)).negative
+        est = mc_grid_stats(10, [], 200_000, seed=5, T=math.inf, negative=(2.0, 1.0)).negative
         assert abs(est.mean - 0.125) <= 4.0 * est.stderr_mean
 
     def test_L_zero_is_constant_one(self):
-        est = mc_grid_stats(10, [], 1000, seed=0, negative=(2.0, 0.0)).negative
+        est = mc_grid_stats(10, [], 1000, seed=0, T=math.inf, negative=(2.0, 0.0)).negative
         assert est.mean == 1.0
         assert est.variance == 0.0
 
     def test_cap_increases_moment(self):
         # capping shrinks the power sum, so the negative moment grows
         a = mc_grid_stats(10, [], 20_000, seed=4, T=1.0, negative=(2.0, 1.0)).negative
-        b = mc_grid_stats(10, [], 20_000, seed=4, negative=(2.0, 1.0)).negative
+        b = mc_grid_stats(10, [], 20_000, seed=4, T=math.inf, negative=(2.0, 1.0)).negative
         assert a.mean > b.mean
 
     def test_moment_growth_restriction(self):
         n = 100
         with pytest.raises(DomainError):
             mc_grid_stats(
-                n, [], 100, seed=0,
+                n, [], 100, seed=0, T=math.inf,
                 negative=(2.0 * math.log(n), DEFAULT_CONSTANTS.negative_moment_K),
             )
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            mc_grid_stats(10, [], 100, seed=0, negative=(0.5, 1.0))
+            mc_grid_stats(10, [], 100, seed=0, T=math.inf, negative=(0.5, 1.0))
         with pytest.raises(DomainError):
-            mc_grid_stats(10, [], 100, seed=0, negative=(2.0, -1.0))
+            mc_grid_stats(10, [], 100, seed=0, T=math.inf, negative=(2.0, -1.0))
 
 
 class TestWilson:

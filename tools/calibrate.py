@@ -100,7 +100,7 @@ def criterion_negative_moment(fast: bool):
     log_n = math.log(n)
     for q in (1.0, log_n, 2.0 * log_n):
         for L in (0.5, 1.0, 2.0):
-            est = mc_grid_stats(n, [], samples, seed=17, negative=(q, L)).negative
+            est = mc_grid_stats(n, [], samples, seed=17, T=math.inf, negative=(q, L)).negative
             bound = negative_moment_bound(n, q, L).to_float()
             ratio = est.mean / bound
             worst = max(worst, ratio)
