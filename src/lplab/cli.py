@@ -130,11 +130,11 @@ def _parse_p_list(text: str) -> list[float]:
 
 
 def _p_grid(args: argparse.Namespace, constants: Constants) -> list[float]:
-    if getattr(args, "p_grid", None) == "auto":
+    if args.p_grid == "auto":
         return auto_p_grid(args.n, constants)
-    if getattr(args, "p_grid", None):
+    if args.p_grid:
         return _parse_p_list(args.p_grid)
-    if getattr(args, "p", None) is not None:
+    if args.p is not None:
         return _parse_p_list(args.p)
     raise LplabError("need --p or --p-grid")
 

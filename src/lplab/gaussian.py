@@ -100,8 +100,6 @@ def quantile(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise DomainError("quantile requires alpha in [0, 1)")
-    if alpha == 0.0:
-        return 0.0
     return quantile_tail(1.0 - alpha)
 
 
@@ -194,8 +192,8 @@ def _workspace_elems(rows: int, n: int, requests: list[tuple[float, bool, bool]]
 def _max_factored(
     magnitudes: np.ndarray, peaks: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(peaks, log of the peaks, magnitudes / peaks into out), zero rows scaled by 1."""
-    safe = np.where(peaks > 0.0, peaks, 1.0)
+    """(peaks, their logs, magnitudes / peaks into out); a peak of 0, inf or NaN scales by 1."""
+    safe = np.where((peaks > 0.0) & (peaks < np.inf), peaks, 1.0)
     return peaks, np.log(safe), np.divide(magnitudes, safe[:, None], out=out)
 
 
@@ -221,25 +219,34 @@ def _reduce_rows(
     the call if None), so a tile makes no temporary of its size.  A
     caller that reduces many blocks passes the same workspace to each.
 
-    With `basis`, an n x k matrix B, the first request must be a norm of
-    finite p, (p, False, False), and the call returns (out, gradients),
-    row j of gradients being B^T grad ||x||_p at row x of the block.
-    With s = sum_i (|x_i|/m)^p, the gradient is ||x||_p (|x|/m)^p / (x s)
+    With `basis`, an n x k matrix B, the block is m x k points y and the
+    rows reduced are their images x = B y, formed a tile at a time in
+    one more tile of scratch (pass no workspace: the call allocates
+    it).  The first request must be a norm, (p, False, False); the call
+    returns (out, gradients), row j of gradients being B^T grad ||x||_p
+    at the image of point j (NaN at p = inf).  With
+    s = sum_i (|x_i|/m)^p, the gradient is ||x||_p (|x|/m)^p / (x s)
     elementwise, 0 where x_i = 0: the power tile the norm was summed
     from, divided in place by x, so it costs a divide and a k-column
     matmul but no second power.
     """
-    rows, n = block.shape
+    rows = block.shape[0]
+    n = block.shape[1] if basis is None else basis.shape[0]
     out = np.empty((len(requests), rows))
-    gradients = None if basis is None else np.empty((rows, basis.shape[1]))
     tile = _tile_rows(n)
     kinds = {capped for _, capped, _ in requests}
     size = min(tile, rows) * n
+    gradients = None if basis is None else np.full((rows, basis.shape[1]), math.nan)
+    count = len(kinds) + 1 + (basis is not None)
     if workspace is None:
-        workspace = np.empty(_workspace_elems(rows, n, requests))
-    slots = [workspace[j * size : (j + 1) * size] for j in range(len(kinds) + 1)]
+        workspace = np.empty(count * size)
+    slots = [workspace[j * size : (j + 1) * size] for j in range(count)]
+    # with a basis, the points' images take the first slot
+    images = None if basis is None else slots.pop(0)
     for start in range(0, rows, tile):
         part = block[start : start + tile]
+        if basis is not None:
+            part = np.matmul(part, basis.T, out=images[: len(part) * n].reshape(-1, n))
         powers, *scaled = (slot[: part.size].reshape(part.shape) for slot in slots)
         # |x| goes into the last slot: the plain kind is divided out of
         # it into the other one before the capped kind caps it in place

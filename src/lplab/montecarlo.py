@@ -580,7 +580,9 @@ def mc_small_ball(
 ) -> SmallBallEstimate:
     """Frequency of {sum_i min(|g_i|, T)^q <= tau * sum_i xi_{1-i/n}^q}.
 
-    Requires tau in (0, 1/2), finite q >= 1 and a cap T > 0 (inf for none).
+    Requires tau in (0, 1/2), finite q >= 1 and a cap T > 0 (inf for none);
+    the threshold's n quantiles must fit constants.memory_guard_bytes
+    (`quantile_power_sum`).
 
     Every term is >= 0, so a sample whose sum over a prefix of its
     coordinates already exceeds the threshold is a failure.  A sample of
@@ -611,7 +613,7 @@ def mc_small_ball(
     _check_small_ball(q, tau)
     _check_cap(T)
     chunk = _validate_mc_args(n, samples, streams, constants)
-    log_threshold = threshold_log_value(n, q, tau).log
+    log_threshold = threshold_log_value(n, q, tau, constants).log
     request = [(q, not math.isinf(T), True)]
     # 4 delta of the docstring
     margin = 2.0**-46 * (n + q) * (2.0 + abs(log_threshold))
@@ -637,6 +639,8 @@ def mc_small_ball(
     )
 
 
-def threshold_log_value(n: int, q: float, tau: float) -> LogValue:
+def threshold_log_value(
+    n: int, q: float, tau: float, constants: Constants = DEFAULT_CONSTANTS
+) -> LogValue:
     """tau * sum_i xi_{1-i/n}^q as a LogValue (the small-ball threshold)."""
-    return LogValue(math.log(tau) + quantile_power_sum(n, q).log)
+    return LogValue(math.log(tau) + quantile_power_sum(n, q, constants).log)

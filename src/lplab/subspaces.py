@@ -63,12 +63,12 @@ resolution, whose leaves also bound the cells any run can hold.
 
 Trials run on the thread pool of the Monte Carlo engine, dealt
 round-robin, one task per worker; each trial keys its own stream, so
-the counts do not depend on the worker count.  Points are evaluated a
-reducer tile at a time (`_point_values`): the tile's image under B is
-written into one reused buffer and reduced there by the lp reducer in
-one workspace, so an evaluation holds a few tiles of doubles whatever
-the number of points and n.  A run's cells live in arrays allocated
-once per worker, with room for the most cells a run can hold.
+the counts do not depend on the worker count.  A round's new points
+go to the lp reducer with the basis (`_point_values`), which forms
+their images under B a reducer tile at a time, so an evaluation holds
+a few tiles of doubles whatever the number of points and n.  A run's
+cells live in arrays allocated once per worker, with room for the most
+cells a run can hold.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _tile_rows, _validate_p, _workspace_elems
+from .gaussian import _reduce_rows, _validate_p
 from .montecarlo import RngStream, _strided_shares, gaussian_draws, wilson_interval
 
 _ORTHO_TOL = 1e-10
@@ -189,51 +189,20 @@ class DistortionResult:
         return self.distortion * (1.0 + self.certified_rel_error)
 
 
-def _evaluation_workspace(n: int, p: float) -> np.ndarray:
-    """Room for `_point_values` on one reducer tile of points: images and reducer scratch.
-
-    The gradients are formed in the reducer's power tile, so they need no more.
-    """
-    tile = _tile_rows(n)
-    return np.empty(tile * n + _workspace_elems(tile, n, [(p, False, False)]))
-
-
 def _point_values(
-    basis: SubspaceBasis,
-    p: float,
-    points: np.ndarray,
-    workspace: np.ndarray,
-    values: np.ndarray,
-    slopes: np.ndarray,
-) -> None:
-    """r(x) = ||Bx||_p and |grad r(x) - r(x) x| of each row x of points, into values and slopes.
+    basis: SubspaceBasis, p: float, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """r(x) = ||Bx||_p and |grad r(x) - r(x) x| of each row x of points.
 
-    The images of one reducer tile of points at a time are written into
-    the head of `workspace` (from `_evaluation_workspace`) and reduced
-    there, with the rest as the reducer's scratch, so an evaluation
-    holds a few tiles of doubles whatever the number of points and n.
-    The reducer forms grad r(x) = B^T grad ||Bx||_p from the tile it
-    sums r from; by Euler's identity grad r(x).x = r(x), so subtracting
-    r(x) x leaves its part tangent to the sphere at x.  At p = inf no
-    gradient is formed and the slopes are NaN.
+    The reducer forms the images Bx a tile at a time and, from the tile
+    it sums r from, grad r(x) = B^T grad ||Bx||_p; by Euler's identity
+    grad r(x).x = r(x), so subtracting r(x) x leaves its part tangent to
+    the sphere at x.  At p = inf no gradient is formed and the slopes
+    are NaN.
     """
-    n = basis.n
-    request = [(p, False, False)]
-    tile = min(_tile_rows(n), points.shape[0])
-    images, scratch = workspace[: tile * n], workspace[tile * n :]
-    if math.isinf(p):
-        slopes[:] = math.nan
-    for start in range(0, points.shape[0], tile):
-        part = points[start : start + tile]
-        image = images[: part.shape[0] * n].reshape(-1, n)
-        np.matmul(part, basis.columns.T, out=image)
-        if math.isinf(p):
-            values[start : start + tile] = _reduce_rows(image, request, math.inf, scratch)[0]
-            continue
-        norms, gradients = _reduce_rows(image, request, math.inf, scratch, basis.columns)
-        values[start : start + tile] = norms[0]
-        gradients -= norms[0][:, None] * part
-        slopes[start : start + tile] = np.linalg.norm(gradients, axis=1)
+    norms, gradients = _reduce_rows(points, [(p, False, False)], math.inf, basis=basis.columns)
+    gradients -= norms[0][:, None] * points
+    return norms[0], np.linalg.norm(gradients, axis=1)
 
 
 def distortion(
@@ -258,7 +227,7 @@ def distortion(
         basis,
         p,
         lambda values, slopes, radii: _extremes(values, slopes, radii, p, net_resolution),
-        *_trial_arrays(basis.n, basis.k, p, leaves),
+        _trial_arrays(basis.k, leaves),
     )
     return DistortionResult(
         sup_ratio=sup,
@@ -573,15 +542,13 @@ def _round(
     return (None, split) if split.size else (2, no_cells)
 
 
-def _trial_arrays(
-    n: int, k: int, p: float, leaves: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """A worker's cell arrays with room for `leaves` cells, and its evaluation workspace.
+def _trial_arrays(k: int, leaves: int) -> tuple[np.ndarray, ...]:
+    """A worker's cell arrays with room for `leaves` cells.
 
     The cells are center angles, half-widths, values, slopes and radii.
     """
     angles = [np.empty((leaves, k - 1)) for _ in range(2)]
-    return (*angles, *(np.empty(leaves) for _ in range(3))), _evaluation_workspace(n, p)
+    return (*angles, *(np.empty(leaves) for _ in range(3)))
 
 
 def _trial(
@@ -589,22 +556,21 @@ def _trial(
     p: float,
     rule: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[Result | None, np.ndarray]],
     cells: tuple[np.ndarray, ...],
-    workspace: np.ndarray,
 ) -> Result:
     """Branch and bound over the cell tree of one basis until `rule` returns a result.
 
     rule(values, slopes, radii) takes the live cells' center values,
     slopes (`_point_values`) and radii and returns a result, or None
-    with the indices of the cells to split.  `cells` and `workspace`
-    are from `_trial_arrays`, with room for the tree's leaves; the live
-    cells are the first m rows.  A split cell's middle third stays in
+    with the indices of the cells to split.  `cells` are from
+    `_trial_arrays`, with room for the tree's leaves; the live cells
+    are the first m rows.  A split cell's middle third stays in
     its row with its value and slope, and the other two are appended
     and evaluated.
     """
     centers, halves, values, slopes, radii = cells
     centers[:1], halves[:1] = _root_cell(basis.k)
     radii[:1] = _cell_geometry(centers[:1], halves[:1])[0]
-    _point_values(basis, p, _cell_points(centers[:1]), workspace, values[:1], slopes[:1])
+    values[:1], slopes[:1] = _point_values(basis, p, _cell_points(centers[:1]))
     live = 1
     while True:
         result, split = rule(values[:live], slopes[:live], radii[:live])
@@ -618,9 +584,7 @@ def _trial(
         centers[new] = np.concatenate([lower, upper])
         radii[split] = _cell_geometry(centers[split], thirds)[0]
         radii[new] = _cell_geometry(centers[new], halves[new])[0]
-        _point_values(
-            basis, p, _cell_points(centers[new]), workspace, values[new], slopes[new]
-        )
+        values[new], slopes[new] = _point_values(basis, p, _cell_points(centers[new]))
         live = new.stop
 
 
@@ -693,11 +657,11 @@ def _run_sphericity(
 
     def share(indices: range) -> list[int]:
         counts = [0, 0, 0]
-        cells, workspace = _trial_arrays(n, k, p, leaves)
+        cells = _trial_arrays(k, leaves)
         for trial in indices:
             rng = RngStream(seed, trial).generator()
             basis = random_subspace(n, k, rng)
-            counts[_trial(basis, p, verdict, cells, workspace)] += 1
+            counts[_trial(basis, p, verdict, cells)] += 1
         return counts
 
     limit = max(1, constants.memory_guard_bytes // _held_bytes(n, k, leaves))

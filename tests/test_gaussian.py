@@ -31,7 +31,13 @@ from lplab import (
     upper_quantile,
 )
 from lplab.errors import DomainError
-from lplab.gaussian import _TILE_ELEMS, _reduce_rows, _workspace_elems, log_abs_density
+from lplab.gaussian import (
+    _TILE_ELEMS,
+    _reduce_rows,
+    _tile_rows,
+    _workspace_elems,
+    log_abs_density,
+)
 
 
 class TestAbsCdf:
@@ -277,6 +283,19 @@ class TestLpNorm:
             with pytest.raises(DomainError, match=re.escape(message)):
                 call()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [1.0, 2.0, 8.0, math.inf])
+    def test_infinite_entry_gives_infinite_norm(self, p):
+        # a row whose peak is inf is scaled by 1, as a zero row is: the
+        # ratio inf / inf would be NaN
+        assert lp_norm([math.inf, 1.0], p) == math.inf
+        rows = np.array([[1.0, -math.inf], [1.0, 2.0], [math.inf, math.nan]])
+        got = lp_norm_rows(rows, p)
+        assert got[0] == math.inf and got[1] == lp_norm([1.0, 2.0], p)
+        assert math.isnan(got[2])
+        if math.isfinite(p):
+            assert _reduce_rows(rows[:1], [(p, False, True)], math.inf)[0, 0] == math.inf
+
     def test_nan_propagates(self):
         # a NaN coordinate must not read as a zero row
         assert math.isnan(lp_norm([math.nan, 1.0], 2.0))
@@ -337,19 +356,30 @@ class TestLpNorm:
         assert peak < 8 * _TILE_ELEMS // 4
 
     def test_gradients_leave_norms_and_match_direct_form(self):
-        # B^T grad ||x||_p = B^T (sign(x) |x|^{p-1} / ||x||_p^{p-1}); the norms
-        # keep their bits, and a zero coordinate adds nothing (no 0 / 0);
-        # 40 rows of 3000 span two tiles
+        # with a basis B the reducer takes points y and reduces x = B y a
+        # tile at a time; the norms keep the bits of the images reduced
+        # without it, B^T grad ||x||_p = B^T (sign(x) |x|^{p-1} /
+        # ||x||_p^{p-1}), and a zero coordinate (a zero row of B) adds
+        # nothing (no 0 / 0); 40 points of images of 3000 span two tiles
         rng = np.random.default_rng(6)
-        block = rng.standard_normal((40, 3000))
-        block[3, 17] = 0.0
+        points = rng.standard_normal((40, 3))
         basis = np.linalg.qr(rng.standard_normal((3000, 3)))[0]
+        basis[17] = 0.0
+        tile = _tile_rows(3000)
+        images = np.concatenate(
+            [points[start : start + tile] @ basis.T for start in range(0, 40, tile)]
+        )
+        assert (images[:, 17] == 0.0).all()
         for p in (1.0, 1.5, 2.0, 7.5, 40.0):
-            plain = _reduce_rows(block, [(p, False, False)], math.inf)
-            norms, gradients = _reduce_rows(block, [(p, False, False)], math.inf, None, basis)
+            plain = _reduce_rows(images, [(p, False, False)], math.inf)
+            norms, gradients = _reduce_rows(points, [(p, False, False)], math.inf, None, basis)
             assert norms.tobytes() == plain.tobytes()
-            direct = np.sign(block) * np.abs(block) ** (p - 1.0) / norms[0][:, None] ** (p - 1.0)
+            direct = np.sign(images) * np.abs(images) ** (p - 1.0) / norms[0][:, None] ** (p - 1.0)
             assert np.allclose(gradients, direct @ basis, rtol=1e-12, atol=1e-14)
+        # at p = inf no gradient is formed, and the norms are the row peaks
+        norms, gradients = _reduce_rows(points, [(math.inf, False, False)], math.inf, None, basis)
+        assert norms[0].tobytes() == np.abs(images).max(axis=1).tobytes()
+        assert gradients.shape == (40, 3) and np.isnan(gradients).all()
 
 
 def test_log_abs_density():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -338,6 +339,25 @@ class TestSmallBall:
     def test_threshold_matches_helper(self):
         est = mc_small_ball(2, 2.0, 0.25, math.inf, 2000, seed=13)
         assert est.log_threshold == threshold_log_value(2, 2.0, 0.25).log
+
+    def test_threshold_refused_past_memory_guard(self):
+        # the threshold's quantile arrays peak at 57 bytes a term, 57 MB at
+        # n = 10^6, which a 16 MiB guard refuses before any is built
+        guard = 16 * 2**20
+        small = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+        message = f"a quantile sum of {10**6} terms exceeds the memory guard ({guard} bytes)"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                mc_small_ball(10**6, 2.0, 0.25, math.inf, 2, 0, 1, small)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        fits = guard // 57
+        assert quantile_power_sum(fits, 2.0, small) == quantile_power_sum(fits, 2.0)
+        with pytest.raises(DomainError, match="memory guard"):
+            quantile_power_sum(fits + 1, 2.0, small)
 
     def test_reproducible_counts(self):
         a = mc_small_ball(5, 2.0, 0.3, 2.0, 4000, seed=21)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lplab.cli
+import lplab.gaussian
 import lplab.montecarlo
 import lplab.subspaces
 from lplab import (
@@ -25,12 +26,11 @@ from lplab import (
     transition_sweep,
 )
 from lplab.errors import DomainError
-from lplab.gaussian import _reduce_rows
+from lplab.gaussian import _norm_gradients
 from lplab.subspaces import (
     _bounds,
     _cell_geometry,
     _cell_points,
-    _evaluation_workspace,
     _extremes,
     _leaf_count,
     _point_values,
@@ -298,20 +298,20 @@ class TestDistortion:
             distortion(b, 3.0, 0.008, constants=short)
 
     def test_ambient_blocks_within_tile_budget(self, monkeypatch):
-        # the cell centers' images in R^n are evaluated a reducer tile at a
-        # time (2^16 doubles, or one row when n is larger), so large n
-        # cannot allocate points x n at once
+        # the cell centers' images in R^n are formed and reduced a reducer
+        # tile at a time (2^16 doubles, or one row when n is larger), so
+        # large n cannot allocate points x n at once
         shapes, centers = [], []
 
-        def recording(block, requests, T, workspace=None, basis=None):
+        def recording(block, powers, basis, scales):
             shapes.append(block.shape)
-            return _reduce_rows(block, requests, T, workspace, basis)
+            return _norm_gradients(block, powers, basis, scales)
 
         def recording_points(angles):
             centers.append(_cell_points(angles))
             return centers[-1]
 
-        monkeypatch.setattr(lplab.subspaces, "_reduce_rows", recording)
+        monkeypatch.setattr(lplab.gaussian, "_norm_gradients", recording)
         monkeypatch.setattr(lplab.subspaces, "_cell_points", recording_points)
         n = 100_000
         b = _haar_basis(n, 2, seed=2)
@@ -346,9 +346,9 @@ class TestDistortion:
         # by the memory guard
         evaluated = []
 
-        def counting(basis, p, points, workspace, values, slopes):
+        def counting(basis, p, points):
             evaluated.append(points.shape[0])
-            return _point_values(basis, p, points, workspace, values, slopes)
+            return _point_values(basis, p, points)
 
         monkeypatch.setattr(lplab.subspaces, "_point_values", counting)
         n = 10_000
@@ -442,12 +442,10 @@ class TestSecondOrderBounds:
         # sqrt(f^2 + 2 f g rho + max((p - 1) S^2 - f^2, 0) rho^2)
         basis = _haar_basis(200, k, seed=k)
         gen = np.random.default_rng(k)
-        workspace = _evaluation_workspace(200, p)
         centers, halves = _root_cell(k)
         for level in range(depth + 1):
             radii, axis = _cell_geometry(centers, halves)
-            values, slopes = np.empty(len(centers)), np.empty(len(centers))
-            _point_values(basis, p, _cell_points(centers), workspace, values, slopes)
+            values, slopes = _point_values(basis, p, _cell_points(centers))
             _, sup, lower = _bounds(values, slopes, radii, p)
             unit = gen.uniform(-1.0, 1.0, (len(centers), 40, k - 1))
             angles = centers[:, None, :] + halves[:, None, :] * unit
@@ -591,9 +589,9 @@ class TestSphericityExperiment:
         # second-order bounds settle all 80 trials on 1,028
         evaluated = []
 
-        def counting(basis, p, points, workspace, values, slopes):
+        def counting(basis, p, points):
             evaluated.append(points.shape[0])
-            return _point_values(basis, p, points, workspace, values, slopes)
+            return _point_values(basis, p, points)
 
         monkeypatch.setattr(lplab.subspaces, "_point_values", counting)
         argv = "dvoretzky --n 10000 --k 2 --delta 0.25,0.5 --trials 20 --seed 0".split()
