@@ -11,18 +11,16 @@ constants that every asymptotic statement hides (config).
 from .config import Constants, DEFAULT_CONSTANTS, dump_constants, load_constants, parse_constants
 from .errors import ConfigError, DomainError, LplabError
 from .gaussian import (
-    abs_cdf,
     abs_moment,
     abs_tail_log,
     lp_norm,
     lp_norm_rows,
-    mills_bounds,
     quantile,
     quantile_approx,
     quantile_tail,
     upper_quantile,
 )
-from .logdomain import ZERO, BoundBracket, LogValue, log_sum_exp
+from .logdomain import LogValue, log_sum_exp
 from .montecarlo import (
     MCEstimate,
     MCGridStats,
@@ -80,7 +78,6 @@ from .variance import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundBracket",
     "ConfigError",
     "Constants",
     "DEFAULT_CONSTANTS",
@@ -100,9 +97,7 @@ __all__ = [
     "SubspaceBasis",
     "SweepRow",
     "TruncationSpec",
-    "ZERO",
     "a_quantity",
-    "abs_cdf",
     "abs_moment",
     "abs_tail_log",
     "auto_p_grid",
@@ -122,7 +117,6 @@ __all__ = [
     "mc_grid_stats",
     "mc_small_ball",
     "merge_pairwise",
-    "mills_bounds",
     "negative_moment_bound",
     "orderstat_cdf_exact",
     "parse_constants",

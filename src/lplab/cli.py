@@ -221,6 +221,11 @@ def _estimate_fields(args: argparse.Namespace, estimate: MCEstimate) -> dict[str
     }
 
 
+def _ratio(value: float, reference: float) -> float | None:
+    """value / reference; empty where the reference reads 0.0 as a float, as e^{-778.8} does."""
+    return value / reference if reference > 0.0 else None
+
+
 def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
     columns = [
         "kind",
@@ -269,8 +274,7 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
             predicted, _ = predict_variance(args.n, p, constants)
             reference = predicted.to_float()
             log10_ref = predicted.log10
-            if not predicted.is_zero:
-                ratio = estimate.variance / predicted.to_float()
+            ratio = _ratio(estimate.variance, reference)
         rows.append(
             {
                 "kind": "norm",
@@ -298,7 +302,7 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
                 **_estimate_fields(args, stats.negative),
                 "reference": bound.to_float(),
                 "log10_reference": bound.log10,
-                "ratio": stats.negative.mean / bound.to_float() if not bound.is_zero else None,
+                "ratio": _ratio(stats.negative.mean, bound.to_float()),
             }
         )
     _emit(args, constants, columns, rows)

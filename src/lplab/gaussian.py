@@ -1,13 +1,13 @@
 """Scalar machinery for the absolute value of a standard Gaussian.
 
-Everything downstream is built on four primitives: the CDF of |g|, its
-upper tail with full relative precision far into the tail, the inverse of
-both (quantiles), and absolute moments.  The tail is the delicate one:
-quantiles of order 1 - 1/n are needed for n up to 1e8 and beyond, and the
-deviation tests probe tails of size e^{-800}, so tail and quantile both
-work on the log scale, through scipy's log_ndtr and its inverse
-ndtri_exp.  The quantile takes arrays, so a sum over n quantiles is one
-call.
+Everything downstream is built on three primitives: the upper tail of
+|g| with full relative precision far into the tail, its inverse (the
+quantile, by tail or by CDF value), and absolute moments.  The tail is
+the delicate one: quantiles of order 1 - 1/n are needed for n up to 1e8
+and beyond, and the deviation tests probe tails of size e^{-800}, so
+tail and quantile both work on the log scale, through scipy's log_ndtr
+and its inverse ndtri_exp.  The quantile takes arrays, so a sum over n
+quantiles is one call.
 
 Also hosts the one row reducer behind every lp norm: the Monte Carlo
 estimators and the random sections call `_reduce_rows`, and `lp_norm`
@@ -29,27 +29,11 @@ import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import DomainError
-from .logdomain import BoundBracket, LogValue, ZERO
+from .logdomain import LogValue
 
-SQRT_2 = math.sqrt(2.0)
 # log sqrt(2/pi), the normalizing constant of the |g| density
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _LOG_2 = math.log(2.0)
-
-
-def abs_cdf(t: float) -> float:
-    """P{|g| <= t} for a standard Gaussian g."""
-    t = float(t)
-    if not t >= 0.0:
-        raise DomainError("abs_cdf requires t >= 0")
-    if math.isinf(t):
-        return 1.0
-    return math.erf(t / SQRT_2)
-
-
-def log_abs_density(t: float) -> float:
-    """log of the density sqrt(2/pi)·e^{-t²/2} of |g| at t >= 0."""
-    return _LOG_SQRT_2_OVER_PI - 0.5 * t * t
 
 
 def abs_tail_log(t: float) -> float:
@@ -130,24 +114,6 @@ def quantile_approx(n: int, i: int) -> float:
         raise DomainError("quantile_approx requires log(n/i) > 1")
     w = math.sqrt(2.0 * ratio_log)
     return w - 0.5 * math.log(ratio_log) / w
-
-
-def mills_bounds(t: float) -> BoundBracket:
-    """Two-sided elementary bounds on the tail P{|g| >= t}.
-
-    Lower: sqrt(2/pi)(1/t - 1/t³)e^{-t²/2}, clamped to 0 for t <= 1.
-    Upper: sqrt(2/pi)(1/t)e^{-t²/2}.  Strict for t > 1.
-    """
-    t = float(t)
-    if not t > 0.0:
-        raise DomainError("mills_bounds requires t > 0")
-    common = log_abs_density(t)
-    upper = LogValue(common - math.log(t))
-    if t <= 1.0:
-        lower = ZERO
-    else:
-        lower = LogValue(common + math.log(1.0 / t - 1.0 / t ** 3))
-    return BoundBracket(lower, upper)
 
 
 def abs_moment(p: float) -> LogValue:

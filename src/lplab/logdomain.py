@@ -5,7 +5,8 @@ magnitude (truncated-moment integrals reach e^{1600}, variance predictions
 fall below e^{-300}), so nonnegative values are carried as their natural
 logarithm.  Callers do their arithmetic on the logs and wrap the result;
 sums go through log-sum-exp.  Exact zero is representable (log magnitude
--inf).
+-inf).  A value leaves the log domain only through `log10` and
+`to_float`.
 """
 
 from __future__ import annotations
@@ -35,30 +36,15 @@ class LogValue:
             raise DomainError(f"log magnitude must be finite or -inf, got {self.log}")
 
     @property
-    def is_zero(self) -> bool:
-        return self.log == -math.inf
-
-    @property
     def log10(self) -> float:
         return self.log / _LOG10
 
     def to_float(self) -> float:
-        """Collapse to a plain float; overflows to +inf past ~e^709."""
-        if self.is_zero:
-            return 0.0
-        if self.log > 709.0:
+        """Collapse to a plain float: 0.0 for zero, +inf past the largest double."""
+        try:
+            return math.exp(self.log)
+        except OverflowError:
             return math.inf
-        return math.exp(self.log)
-
-    # a > b and a >= b fall back to the reflected b < a and b <= a
-    def __lt__(self, other: "LogValue") -> bool:
-        return self.log < other.log
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self.log <= other.log
-
-
-ZERO = LogValue(-math.inf)
 
 
 def log_sum_exp(logs: Iterable[float]) -> float:
@@ -77,17 +63,3 @@ def log_sum_exp(logs: Iterable[float]) -> float:
         acc += math.exp(t - hi)
     return hi + math.log1p(acc)
 
-
-@dataclass(frozen=True, slots=True)
-class BoundBracket:
-    """Two-sided bound carrier: lower ≤ true value ≤ upper."""
-
-    lower: LogValue
-    upper: LogValue
-
-    def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
-            raise DomainError("bracket lower bound exceeds upper bound")
-
-    def contains(self, value: LogValue) -> bool:
-        return self.lower <= value <= self.upper

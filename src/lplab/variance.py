@@ -231,7 +231,14 @@ def _check_small_ball(q: float, tau: float) -> None:
 
 
 def _check_negative_moment(n: int, q: float, L: float, constants: Constants) -> None:
-    """The one negative-moment rule: finite q >= 1, L >= 0, q L <= K log max(n, 2)."""
+    """The one negative-moment rule: finite q >= 1, L >= 0, q L <= K log max(n, 2).
+
+    It caps L at K log n / q, so the log of (sum_i xi_{1-i/n}^q)^{-L} is
+    O(log^2 n) and a LogValue holds it exactly.  It does not keep the
+    value inside the double range: at q = 1, K = 6 and L at its limit
+    the bound falls below the smallest normal double from n ~ 6·10^4
+    and below the smallest subnormal from n ~ 8·10^4.
+    """
     _check_q(q)
     if not L >= 0.0:
         raise DomainError(f"need L >= 0, got {L}")

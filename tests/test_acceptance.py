@@ -10,7 +10,6 @@ every run evaluates the same draws and the suite is deterministic.
 import inspect
 import math
 
-import numpy as np
 import pytest
 from scipy.special import gammaln
 
@@ -18,14 +17,12 @@ import lplab
 from lplab import (
     DEFAULT_CONSTANTS,
     abs_moment,
-    abs_tail_log,
     auto_p_grid,
     chernoff_bound,
     classify,
     incomplete_integral,
     lemma_checks,
     mc_grid_stats,
-    mills_bounds,
     negative_moment_bound,
     orderstat_cdf_exact,
     predict_variance,
@@ -48,13 +45,6 @@ class TestExactOracles:
             closed = abs_moment(p).to_float()
             quad = scale * incomplete_integral(TruncationSpec(p, math.inf)).to_float()
             assert abs(closed - quad) <= 1e-9 * closed, p
-
-    def test_tail_bracketed_strictly(self):
-        # both Mills-style bounds must hold strictly across the band
-        for t in np.linspace(1.01, 8.0, 20):
-            true_log = abs_tail_log(float(t))
-            bracket = mills_bounds(float(t))
-            assert bracket.lower.log < true_log < bracket.upper.log, t
 
     def test_binomial_tail_dominance(self):
         # the exponential bound sits above the exact binomial CDF at

@@ -21,6 +21,7 @@ from lplab import (
     orderstat_cdf_exact,
     predict_variance,
     quantile,
+    truncation_level_M,
     upper_quantile,
 )
 from lplab.cli import main
@@ -198,6 +199,14 @@ class TestPredictCommand:
         assert rows[0]["p"] == "1"
         assert rows[-1]["p"] == "inf"
 
+    def test_m_finite_below_the_largest_double(self, capsys):
+        # log M is 709.60, past 709 but below log DBL_MAX = 709.78
+        n = 3 * int(math.exp(709.0))
+        code, out, _ = run_cli(capsys, ["predict", "--n", str(n), "--p", "1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["M"]) == truncation_level_M(n, 1.0).to_float() < math.inf
+
     def test_needs_p(self, capsys):
         code, _, err = run_cli(capsys, ["predict", "--n", "1000"])
         assert code == 2
@@ -260,6 +269,19 @@ class TestMcCommand:
         assert float(neg[0]["L"]) == 1.0
         assert neg[0]["T"] == "inf"
         assert float(neg[0]["ratio"]) > 0.0
+
+    def test_negative_bound_below_the_doubles_leaves_ratio_empty(self, capsys):
+        # at n = 10^5, q = 1, L = 69 the bound is e^{-778.8}: nonzero, but
+        # its float is 0.0, so there is no ratio to print
+        code, out, _ = run_cli(
+            capsys, ["mc", "--n", "100000", "--negative", "1,69", "--samples", "4"]
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        neg = [r for r in rows if r["kind"] == "negative_moment"]
+        assert float(neg[0]["reference"]) == 0.0
+        assert float(neg[0]["log10_reference"]) == pytest.approx(-778.812 / math.log(10.0))
+        assert neg[0]["ratio"] == ""
 
     def test_negative_bound_refused_before_sampling(self, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):

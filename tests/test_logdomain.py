@@ -1,19 +1,17 @@
-"""Log-domain scalars and bound brackets."""
+"""Log-domain scalars and their stable sum."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lplab import ZERO, BoundBracket, LogValue, log_sum_exp
+from lplab import LogValue, log_sum_exp
 from lplab.errors import DomainError
 
 
 class TestLogValue:
     def test_zero_is_minus_inf(self):
-        assert ZERO.log == -math.inf
-        assert ZERO.is_zero
-        assert ZERO.to_float() == 0.0
+        assert LogValue(-math.inf).to_float() == 0.0
 
     def test_rejects_nan_and_plus_inf(self):
         with pytest.raises(DomainError):
@@ -24,13 +22,15 @@ class TestLogValue:
     def test_underflow_survives(self):
         # values far below float underflow stay exact in the log
         tiny = LogValue(-1e6)
-        assert tiny.log == -1e6 and not tiny.is_zero
+        assert tiny.log == -1e6
         assert tiny.log10 == pytest.approx(-1e6 / math.log(10.0), rel=1e-15)
         assert tiny.to_float() == 0.0  # only the float projection underflows
 
-    def test_ordering(self):
-        assert LogValue(-2.0) < LogValue(-1.0)
-        assert ZERO < LogValue(-700.0)
+    def test_to_float_up_to_the_largest_double(self):
+        # log DBL_MAX is about 709.7827: below it the value is finite
+        assert LogValue(709.5).to_float() == math.exp(709.5)
+        assert LogValue(709.78).to_float() == math.exp(709.78) < math.inf
+        assert LogValue(709.79).to_float() == math.inf
 
 
 class TestLogSumExp:
@@ -65,14 +65,3 @@ class TestLogSumExp:
             log_sum_exp(list(reversed(logs))), rel=1e-13
         )
 
-
-class TestBoundBracket:
-    def test_contains(self):
-        br = BoundBracket(LogValue(0.0), LogValue(1.0))
-        assert br.contains(LogValue(0.5))
-        assert br.contains(LogValue(0.0))
-        assert not br.contains(LogValue(1.5))
-
-    def test_rejects_inverted(self):
-        with pytest.raises(DomainError):
-            BoundBracket(LogValue(1.0), LogValue(0.0))

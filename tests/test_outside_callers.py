@@ -2,9 +2,12 @@
 
 The benchmark harness wraps lplab functions by name, the calibration
 tool and the README library sketch import and call public names; a
-renamed or removed name breaks each of them, so each runs here.
+renamed or removed name breaks each of them, so each runs here.  The
+other way round, every public name must have a caller that is not a
+test.
 """
 
+import ast
 import importlib
 import math
 import pathlib
@@ -72,3 +75,23 @@ def test_calibration_criteria_run(monkeypatch, capsys, criterion, committed):
     worst = getattr(calibrate, criterion)(True)
     assert 0.0 < worst <= committed
     assert "suggested" in capsys.readouterr().out
+
+
+def test_every_public_name_has_a_caller():
+    # loaded by a package module other than __init__, or named by the
+    # harness, the calibration tool or the README; a name only tests
+    # reach is dead library code
+    loaded = set()
+    for path in (ROOT / "src" / "lplab").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    outside = [ROOT / "README.md"]
+    for directory in ("tools", "perfbench"):
+        outside += [p for p in (ROOT / directory).rglob("*") if p.suffix in (".py", ".md")]
+    named = {word for path in outside for word in re.findall(r"\w+", path.read_text())}
+    assert [name for name in lplab.__all__ if name not in loaded | named] == []
