@@ -62,4 +62,3 @@ def log_sum_exp(logs: Iterable[float]) -> float:
     for t in terms[:-1]:
         acc += math.exp(t - hi)
     return hi + math.log1p(acc)
-

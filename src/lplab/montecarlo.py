@@ -477,7 +477,7 @@ def mc_grid_stats(
     `negative_moment_bound`.  The rule does not keep the samples out of
     double underflow: at q = 1 and L at its limit they are subnormal
     from n ~ 6·10^4 and read 0.0 from n ~ 8·10^4 (at n = 10^5, L = 69
-    the bound is e^{-778.8} and the mean at seed 0 is 0.0).
+    the bound is e^{-778.8}, and the estimated mean is 0.0).
     """
     p_values = [_validate_p(p) for p in p_values]
     if T is not None:
