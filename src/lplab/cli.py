@@ -4,7 +4,10 @@ Output discipline: each run emits a header block echoing the full run
 configuration (flags, seed, constants, library version) followed by a
 table, either CSV (header lines prefixed '#', RFC-4180 quoting) or a
 single JSON object {config, schema_version, rows}, where a non-finite
-float is the string "inf", "-inf" or "nan", as in CSV.  Nothing time- or
+float is the string "inf", "-inf" or "nan", as in CSV.  A row is a dict
+in column order, every row of a table holds the same keys, and the
+header is read from the rows; a value that does not apply is None, an
+empty CSV cell and a JSON null.  Nothing time- or
 host-dependent is ever written, so identical invocations produce
 identical bytes; the determinism tests rely on this.
 
@@ -29,6 +32,7 @@ import sys
 from . import __version__
 from .config import Constants, load_constants
 from .errors import LplabError
+from .logdomain import LogValue
 from .montecarlo import MCEstimate, default_samples, mc_grid_stats
 from .orderstats import chernoff_bound, orderstat_cdf_exact
 from .gaussian import quantile, quantile_approx, quantile_tail
@@ -79,19 +83,16 @@ def _config_map(args: argparse.Namespace, constants: Constants) -> dict[str, obj
     return config
 
 
-def _emit(
-    args: argparse.Namespace,
-    constants: Constants,
-    columns: list[str],
-    rows: list[dict[str, object]],
-) -> None:
+def _emit(args: argparse.Namespace, constants: Constants, rows: list[dict[str, object]]) -> None:
+    """Write the config header, then the table, whose columns are the keys of its first row."""
     config = _config_map(args, constants)
+    columns = list(rows[0])
     buffer = io.StringIO()
     if args.format == "json":
         payload = {
             "config": {k: _json_value(v) for k, v in sorted(config.items())},
             "schema_version": SCHEMA_VERSION,
-            "rows": [{col: _json_value(row.get(col)) for col in columns} for row in rows],
+            "rows": [{col: _json_value(row[col]) for col in columns} for row in rows],
         }
         buffer.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
         buffer.write("\n")
@@ -101,11 +102,14 @@ def _emit(
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
+            writer.writerow([_fmt(row[col]) for col in columns])
     text = buffer.getvalue()
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise LplabError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -162,25 +166,11 @@ def cmd_quantile(args: argparse.Namespace, constants: Constants) -> int:
         )
     else:
         raise LplabError("need --alpha or --n")
-    _emit(args, constants, ["alpha", "xi", "xi_approx", "gap"], rows)
+    _emit(args, constants, rows)
     return 0
 
 
 def cmd_predict(args: argparse.Namespace, constants: Constants) -> int:
-    columns = [
-        "n",
-        "p",
-        "regime",
-        "predicted",
-        "log10_predicted",
-        "lower_env",
-        "log10_lower_env",
-        "upper_env",
-        "log10_upper_env",
-        "M",
-        "p1",
-        "p2",
-    ]
     rows = []
     for p in _p_grid(args, constants):
         value, point = predict_variance(args.n, p, constants)
@@ -203,14 +193,31 @@ def cmd_predict(args: argparse.Namespace, constants: Constants) -> int:
                 "p2": point.p2,
             }
         )
-    _emit(args, constants, columns, rows)
+    _emit(args, constants, rows)
     return 0
 
 
-def _estimate_fields(args: argparse.Namespace, estimate: MCEstimate) -> dict[str, object]:
-    """The columns every `mc` row shares: run settings and the estimate."""
+def _mc_row(
+    args: argparse.Namespace,
+    estimate: MCEstimate,
+    kind: str,
+    p: float | None = None,
+    q: float | None = None,
+    L: float | None = None,
+    T: float | None = None,
+    reference: LogValue | None = None,
+    value: float | None = None,
+) -> dict[str, object]:
+    """One `mc` row; ratio is value / reference, empty where the reference
+    reads 0.0 as a float, as e^{-778.8} does."""
+    ref = None if reference is None else reference.to_float()
     return {
+        "kind": kind,
         "n": args.n,
+        "p": p,
+        "q": q,
+        "L": L,
+        "T": T,
         "samples": estimate.samples,
         "seed": args.seed,
         "streams": args.streams,
@@ -218,33 +225,13 @@ def _estimate_fields(args: argparse.Namespace, estimate: MCEstimate) -> dict[str
         "variance": estimate.variance,
         "stderr_mean": estimate.stderr_mean,
         "stderr_variance": estimate.stderr_variance,
+        "reference": ref,
+        "log10_reference": None if reference is None else reference.log10,
+        "ratio": value / ref if ref is not None and ref > 0.0 else None,
     }
 
 
-def _ratio(value: float, reference: float) -> float | None:
-    """value / reference; empty where the reference reads 0.0 as a float, as e^{-778.8} does."""
-    return value / reference if reference > 0.0 else None
-
-
 def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
-    columns = [
-        "kind",
-        "n",
-        "p",
-        "q",
-        "L",
-        "T",
-        "samples",
-        "seed",
-        "streams",
-        "mean",
-        "variance",
-        "stderr_mean",
-        "stderr_variance",
-        "reference",
-        "log10_reference",
-        "ratio",
-    ]
     samples = args.samples if args.samples is not None else default_samples(args.n)
     p_values = _parse_p_list(args.p) if args.p else [2.0]
     negative = None
@@ -255,70 +242,32 @@ def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
         # refuse an out-of-domain bound before spending the samples
         bound = negative_moment_bound(args.n, *negative, constants)
     stats = mc_grid_stats(
-        args.n,
-        p_values,
-        samples,
-        args.seed,
-        args.streams,
-        constants,
-        T=args.truncate,
-        negative=negative,
+        args.n, p_values, samples, args.seed, args.streams, constants, args.truncate, negative
     )
     rows: list[dict[str, object]] = []
     for index, p in enumerate(p_values):
         estimate = stats.norms[index]
-        reference = None
-        ratio = None
-        log10_ref = None
+        predicted = None
         if args.n >= constants.n_min:
             predicted, _ = predict_variance(args.n, p, constants)
-            reference = predicted.to_float()
-            log10_ref = predicted.log10
-            ratio = _ratio(estimate.variance, reference)
-        rows.append(
-            {
-                "kind": "norm",
-                "p": p,
-                **_estimate_fields(args, estimate),
-                "reference": reference,
-                "log10_reference": log10_ref,
-                "ratio": ratio,
-            }
-        )
+        row = _mc_row(args, estimate, "norm", p, reference=predicted, value=estimate.variance)
+        rows.append(row)
         if args.truncate is not None:
             kinds = ("truncated_norm", "gap_squared")
             for kind, part in zip(kinds, stats.truncated[index], strict=True):
-                rows.append(
-                    {"kind": kind, "p": p, "T": args.truncate, **_estimate_fields(args, part)}
-                )
+                rows.append(_mc_row(args, part, kind, p, T=args.truncate))
     if negative is not None:
         q, L = negative
+        T = args.truncate if args.truncate is not None else math.inf
+        part = stats.negative
         rows.append(
-            {
-                "kind": "negative_moment",
-                "q": q,
-                "L": L,
-                "T": args.truncate if args.truncate is not None else math.inf,
-                **_estimate_fields(args, stats.negative),
-                "reference": bound.to_float(),
-                "log10_reference": bound.log10,
-                "ratio": _ratio(stats.negative.mean, bound.to_float()),
-            }
+            _mc_row(args, part, "negative_moment", q=q, L=L, T=T, reference=bound, value=part.mean)
         )
-    _emit(args, constants, columns, rows)
+    _emit(args, constants, rows)
     return 0
 
 
 def cmd_orderstats(args: argparse.Namespace, constants: Constants) -> int:
-    columns = [
-        "n",
-        "i",
-        "beta",
-        "exact",
-        "log10_exact",
-        "chernoff",
-        "log10_chernoff",
-    ]
     rows = []
     for i in _parse_list(args.i, int, "--i"):
         exact = orderstat_cdf_exact(args.n, i, args.beta, constants)
@@ -328,13 +277,15 @@ def cmd_orderstats(args: argparse.Namespace, constants: Constants) -> int:
             "beta": args.beta,
             "exact": exact.to_float(),
             "log10_exact": exact.log10,
+            "chernoff": None,
+            "log10_chernoff": None,
         }
         if i <= args.beta * args.n:
             bound = chernoff_bound(args.n, i, args.beta)
             row["chernoff"] = bound.to_float()
             row["log10_chernoff"] = bound.log10
         rows.append(row)
-    _emit(args, constants, columns, rows)
+    _emit(args, constants, rows)
     return 0
 
 
@@ -342,7 +293,6 @@ def cmd_checks(args: argparse.Namespace, constants: Constants) -> int:
     n_values = _parse_list(args.n, int, "--n")
     p_values = None if args.p_grid == "auto" else _parse_p_list(args.p_grid)
     report = lemma_checks(n_values, p_values, constants)
-    columns = ["n", "p", "check", "passed", "detail"]
     rows = [
         {
             "n": entry.n,
@@ -353,7 +303,7 @@ def cmd_checks(args: argparse.Namespace, constants: Constants) -> int:
         }
         for entry in report.entries
     ]
-    _emit(args, constants, columns, rows)
+    _emit(args, constants, rows)
     if not report.all_passed:
         for entry in report.failures:
             print(
@@ -366,7 +316,7 @@ def cmd_checks(args: argparse.Namespace, constants: Constants) -> int:
 
 def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
     deltas = _parse_list(args.delta, float, "--delta")
-    rows_out = []
+    rows = []
     sweep = transition_sweep(
         args.n,
         args.k,
@@ -380,7 +330,7 @@ def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
     )
     for row in sweep:
         result = row.result
-        rows_out.append(
+        rows.append(
             {
                 "delta": row.delta,
                 "side": row.side,
@@ -396,21 +346,7 @@ def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
                 "in_window": row.in_window,
             }
         )
-    columns = [
-        "delta",
-        "side",
-        "p",
-        "epsilon",
-        "trials",
-        "successes",
-        "failures",
-        "ambiguous",
-        "probability",
-        "wilson_low",
-        "wilson_high",
-        "in_window",
-    ]
-    _emit(args, constants, columns, rows_out)
+    _emit(args, constants, rows)
     return 0
 
 

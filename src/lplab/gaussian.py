@@ -247,13 +247,9 @@ def _norm_gradients(
     block: np.ndarray, powers: np.ndarray, basis: np.ndarray, scales: np.ndarray
 ) -> np.ndarray:
     """B^T (powers / block) scaled by row, with 0 where block is 0; powers is overwritten."""
-    with np.errstate(invalid="ignore"):
-        np.divide(powers, block, out=powers)
+    # where a coordinate is 0 its power is already 0, which the divide leaves in place
+    np.divide(powers, block, out=powers, where=block != 0.0)
     gradients = powers @ basis
-    # 0 / 0 where a coordinate is 0: it adds nothing to the gradient
-    if np.isnan(gradients).any():
-        powers[block == 0.0] = 0.0
-        gradients = powers @ basis
     gradients *= scales[:, None]
     return gradients
 

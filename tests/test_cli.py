@@ -80,6 +80,29 @@ STDOUT_GOLDENS = [
         "quantile --alpha 0.9",
         "6a9f2953b925e128fbc073d318b5ee56520b61869c675f0377e0a579fd7b889c",
     ),
+    # tables whose rows leave cells empty or null: every mc row kind in
+    # JSON, an order statistic past beta n with no Chernoff bound in both
+    # formats, a sweep in JSON and a quantile whose expansion does not apply
+    (
+        "mc --n 100 --p 2 --samples 100 --truncate inf --negative 2,1 --format json",
+        "bf3e590e8b1cb4b9880c5b909554346be28dac1a681b9a9eae5e3bbb851c91d6",
+    ),
+    (
+        "orderstats --n 100 --beta 0.3 --i 1,17,40",
+        "f1f88d7991b04c00dfcc25bc89f0149a4c184142a7cdeb039f7eafc5693089b2",
+    ),
+    (
+        "orderstats --n 100 --beta 0.3 --i 1,17,40 --format json",
+        "6aeb19601d5cdaeeee801821be11cdc2d6d3a3dd34db8b06be4c560cdfb55f6f",
+    ),
+    (
+        "dvoretzky --n 1000 --k 2 --delta 0,0.5 --trials 6 --seed 3 --format json",
+        "27d214599c456552f09746f41a5e355f07305d2ebf6d21638579c6f76fc24a84",
+    ),
+    (
+        "quantile --n 2 --i 1",
+        "bdf1f6a4bbb70a031b26f8a6b45928d9d36d07514a636daffc935b28560481fd",
+    ),
 ]
 
 
@@ -582,6 +605,15 @@ class TestPlumbing:
         assert out == ""
         header, rows = parse_csv(target.read_text())
         assert rows and float(rows[0]["xi"]) == quantile(0.01)
+
+    @pytest.mark.parametrize("name", ["missing/out.csv", ""], ids=["missing-dir", "a-directory"])
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, name):
+        # a path under a directory that does not exist, and the directory itself
+        target = tmp_path / name
+        argv = ["mc", "--n", "1000", "--p", "2", "--samples", "10", "--output", str(target)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_missing_constants_file_exit_two(self, capsys):
         code, _, err = run_cli(
