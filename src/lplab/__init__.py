@@ -20,7 +20,7 @@ from .gaussian import (
     quantile_tail,
     upper_quantile,
 )
-from .logdomain import LogValue, log_sum_exp
+from .logdomain import LogValue
 from .montecarlo import (
     MCEstimate,
     MCGridStats,
@@ -32,7 +32,6 @@ from .montecarlo import (
     mc_grid_stats,
     mc_small_ball,
     merge_pairwise,
-    threshold_log_value,
     wilson_interval,
 )
 from .orderstats import (
@@ -59,7 +58,6 @@ from .truncated import (
 )
 from .variance import (
     LemmaCheckEntry,
-    LemmaCheckReport,
     RegimePoint,
     a_quantity,
     auto_p_grid,
@@ -84,7 +82,6 @@ __all__ = [
     "DistortionResult",
     "DomainError",
     "LemmaCheckEntry",
-    "LemmaCheckReport",
     "LogValue",
     "LplabError",
     "MCEstimate",
@@ -110,7 +107,6 @@ __all__ = [
     "incomplete_integral",
     "lemma_checks",
     "load_constants",
-    "log_sum_exp",
     "lower_envelope",
     "lp_norm",
     "lp_norm_rows",
@@ -131,7 +127,6 @@ __all__ = [
     "sphere_net",
     "sphericity_experiment",
     "tail_term",
-    "threshold_log_value",
     "transition_sweep",
     "trunc_moment_chi",
     "trunc_moment_min",

@@ -134,6 +134,8 @@ def _parse_p_list(text: str) -> list[float]:
 
 
 def _p_grid(args: argparse.Namespace, constants: Constants) -> list[float]:
+    if args.p is not None and args.p_grid is not None:
+        raise LplabError("give --p or --p-grid, not both")
     if args.p_grid == "auto":
         return auto_p_grid(args.n, constants)
     if args.p_grid:
@@ -233,9 +235,9 @@ def _mc_row(
 
 def cmd_mc(args: argparse.Namespace, constants: Constants) -> int:
     samples = args.samples if args.samples is not None else default_samples(args.n)
-    p_values = _parse_p_list(args.p) if args.p else [2.0]
+    p_values = _parse_p_list(args.p) if args.p is not None else [2.0]
     negative = None
-    if args.negative:
+    if args.negative is not None:
         negative = _parse_list(args.negative, float, "--negative")
         if len(negative) != 2:
             raise LplabError(f"--negative takes q,L, got {args.negative!r}")
@@ -292,7 +294,7 @@ def cmd_orderstats(args: argparse.Namespace, constants: Constants) -> int:
 def cmd_checks(args: argparse.Namespace, constants: Constants) -> int:
     n_values = _parse_list(args.n, int, "--n")
     p_values = None if args.p_grid == "auto" else _parse_p_list(args.p_grid)
-    report = lemma_checks(n_values, p_values, constants)
+    entries = lemma_checks(n_values, p_values, constants)
     rows = [
         {
             "n": entry.n,
@@ -301,17 +303,16 @@ def cmd_checks(args: argparse.Namespace, constants: Constants) -> int:
             "passed": entry.passed,
             "detail": entry.detail,
         }
-        for entry in report.entries
+        for entry in entries
     ]
     _emit(args, constants, rows)
-    if not report.all_passed:
-        for entry in report.failures:
-            print(
-                f"check failed: n={entry.n} p={entry.p} {entry.name}: {entry.detail}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    failures = [entry for entry in entries if not entry.passed]
+    for entry in failures:
+        print(
+            f"check failed: n={entry.n} p={entry.p} {entry.name}: {entry.detail}",
+            file=sys.stderr,
+        )
+    return 1 if failures else 0
 
 
 def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
@@ -334,8 +335,8 @@ def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
             {
                 "delta": row.delta,
                 "side": row.side,
-                "p": row.p,
-                "epsilon": row.epsilon,
+                "p": result.p,
+                "epsilon": result.epsilon,
                 "trials": result.trials,
                 "successes": result.successes,
                 "failures": result.failures,
@@ -343,7 +344,7 @@ def cmd_dvoretzky(args: argparse.Namespace, constants: Constants) -> int:
                 "probability": result.probability,
                 "wilson_low": result.wilson_low,
                 "wilson_high": result.wilson_high,
-                "in_window": row.in_window,
+                "in_window": row.side == "window",
             }
         )
     _emit(args, constants, rows)

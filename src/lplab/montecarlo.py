@@ -80,7 +80,6 @@ from scipy.special import ndtri
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
 from .gaussian import _reduce_rows, _validate_p, _workspace_elems
-from .logdomain import LogValue
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
 # doubles per sample chunk
@@ -616,7 +615,7 @@ def mc_small_ball(
     _check_small_ball(q, tau)
     _check_cap(T)
     chunk = _validate_mc_args(n, samples, streams, constants)
-    log_threshold = threshold_log_value(n, q, tau, constants).log
+    log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
     request = [(q, not math.isinf(T), True)]
     # 4 delta of the docstring
     margin = 2.0**-46 * (n + q) * (2.0 + abs(log_threshold))
@@ -640,10 +639,3 @@ def mc_small_ball(
         seed=seed,
         streams=streams,
     )
-
-
-def threshold_log_value(
-    n: int, q: float, tau: float, constants: Constants = DEFAULT_CONSTANTS
-) -> LogValue:
-    """tau * sum_i xi_{1-i/n}^q as a LogValue (the small-ball threshold)."""
-    return LogValue(math.log(tau) + quantile_power_sum(n, q, constants).log)

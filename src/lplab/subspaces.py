@@ -690,10 +690,7 @@ def _run_sphericity(
 class SweepRow:
     delta: float
     side: str
-    p: float
-    epsilon: float
     result: SphericityResult
-    in_window: bool
 
 
 def transition_sweep(
@@ -712,7 +709,7 @@ def transition_sweep(
     For each delta > 0 the sub-critical side p = (2 - delta) log n runs
     at fixed epsilon and the super-critical side p = (2 + delta) log n
     at epsilon = w / log n.  delta = 0 evaluates the critical point
-    itself and is flagged in_window: inside the transition window no
+    itself, on the side "window": inside the transition window no
     direction is asserted.  Seeds are offset per row so rows stay
     independent yet reproducible.  n, the trial count, the delta grid and
     every row's epsilon (finite and positive), seed (`RngStream`'s rule)
@@ -745,5 +742,5 @@ def transition_sweep(
         result = _run_sphericity(
             n, k, p, epsilon, trials, net_resolution, row_seed, constants, row_leaves
         )
-        rows.append(SweepRow(delta, side, p, epsilon, result, side == "window"))
+        rows.append(SweepRow(delta, side, result))
     return rows

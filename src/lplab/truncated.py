@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammainc, hyp1f1
 
 from .errors import DomainError
 from .gaussian import _LOG_SQRT_2_OVER_PI, abs_moment, abs_tail_log
-from .logdomain import LogValue, log_sum_exp
+from .logdomain import LogValue
 
 # up to this x = a²/2 the Kummer branch serves x > s too: scipy's P(s, x)
 # is 1 - Q(s, x) for x > max(1, s), and against mpmath it is off by up to
@@ -84,4 +85,4 @@ def trunc_moment_min(spec: TruncationSpec) -> LogValue:
     if math.isinf(spec.a):
         return abs_moment(spec.q) if spec.q > 0.0 else LogValue(0.0)
     cap_term = spec.q * math.log(spec.a) + abs_tail_log(spec.a)
-    return LogValue(log_sum_exp([trunc_moment_chi(spec).log, cap_term]))
+    return LogValue(float(np.logaddexp(trunc_moment_chi(spec).log, cap_term)))

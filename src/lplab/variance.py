@@ -27,7 +27,7 @@ from scipy.special import logsumexp
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
 from .gaussian import _validate_p, quantile_tail, upper_quantile
-from .logdomain import LogValue, log_sum_exp
+from .logdomain import LogValue
 from .truncated import TruncationSpec, trunc_moment_chi, trunc_moment_min
 
 REGIME_LOW = "LOW"
@@ -210,7 +210,7 @@ def a_quantity(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTA
     log_num2 = two_m2p * (log_n + trunc_moment_min(TruncationSpec(p, point.xi)).log)
     log_cap_power = (2.0 * p - 2.0) * math.log(T)
     log_min_power = two_m2p * (log_n + trunc_moment_min(TruncationSpec(p, T)).log)
-    log_den2 = log_sum_exp([log_cap_power, log_min_power])
+    log_den2 = float(np.logaddexp(log_cap_power, log_min_power))
     log_a = log_ratio1 + log_num2 - log_den2
     return LogValue(max(0.0, log_a))
 
@@ -317,19 +317,6 @@ class LemmaCheckEntry:
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class LemmaCheckReport:
-    entries: tuple[LemmaCheckEntry, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(entry.passed for entry in self.entries)
-
-    @property
-    def failures(self) -> tuple[LemmaCheckEntry, ...]:
-        return tuple(entry for entry in self.entries if not entry.passed)
-
-
 def auto_p_grid(n: int, constants: Constants = DEFAULT_CONSTANTS) -> list[float]:
     """The default p grid: dense below p1, sqrt(log n)-steps to p2, a
     coarse stretch to 3 log n, then inf."""
@@ -393,7 +380,7 @@ def lemma_checks(
     n_values: list[int] | None = None,
     p_values: list[float] | None = None,
     constants: Constants = DEFAULT_CONSTANTS,
-) -> LemmaCheckReport:
+) -> tuple[LemmaCheckEntry, ...]:
     """Pointwise verification of the structural identities behind the bounds.
 
     Per (n, p): (a) M >= xi; (b) 2p-2 <= M^2 on LOW; (c) p <= M^2 <= 2p
@@ -483,4 +470,4 @@ def lemma_checks(
             )
     if not entries:
         raise DomainError("no p in [1, 3 log n] for any n: nothing to check")
-    return LemmaCheckReport(tuple(entries))
+    return tuple(entries)

@@ -402,6 +402,22 @@ class TestChecksCommand:
         _, rows = parse_csv(out)
         assert any(r["passed"] == "false" for r in rows)
 
+    def test_failing_run_bytes_pinned(self, capsys, tmp_path):
+        # the run above, byte for byte: every row on stdout, then one
+        # stderr line per failed check, in row order
+        bad = dataclasses.replace(DEFAULT_CONSTANTS, mexpm_lo=0.999, mexpm_hi=1.001)
+        path = tmp_path / "bad.cfg"
+        path.write_text(dump_constants(bad))
+        code, out, err = run_cli(
+            capsys, ["checks", "--n", "1000", "--constants", str(path)]
+        )
+        assert code == 1
+        digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+        assert digests == [
+            "f89ce3bfc1266aa14ab1a9ae1fb26509d8b2665098cfee85cdcdaea900d89b2c",
+            "7ff6c322da08b7acd472098f6dcd1c865a5d1ef279c6f3858e6c39b1c95d6f83",
+        ]
+
     def test_header_reflects_constants_file(self, capsys, tmp_path):
         tweaked = dataclasses.replace(DEFAULT_CONSTANTS, mexpm_hi=64.0)
         path = tmp_path / "tweaked.cfg"
@@ -661,11 +677,17 @@ class TestPlumbing:
 # argvs refused with exit 2 and a message, before any section is drawn;
 # a check that would check nothing is refused rather than printing an
 # empty table, and a sweep whose super-critical row seed (seed + 500)
-# passes 64 bits is refused before its sub-critical row runs
+# passes 64 bits is refused before its sub-critical row runs; an empty
+# mc --p or --negative is refused like every other empty list, and a
+# predict given both --p and --p-grid, whose header would echo a p that
+# its table never used
 REFUSED_ARGVS = [
     "checks --n 1000 --p-grid inf",
     "checks --n 1000 --p-grid 100",
     "dvoretzky --n 10000 --k 2 --delta 0.5 --trials 400 --seed 18446744073709551516",
+    "mc --n 100 --p= --samples 10",
+    "mc --n 100 --negative= --samples 10",
+    "predict --n 1000 --p 2 --p-grid 3",
 ]
 
 

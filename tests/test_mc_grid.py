@@ -36,7 +36,7 @@ from lplab import (
     mc_grid_stats,
     mc_small_ball,
     merge_pairwise,
-    threshold_log_value,
+    quantile_power_sum,
 )
 from lplab.cli import main
 from lplab.errors import DomainError
@@ -327,7 +327,7 @@ class TestSettledRows:
         # margin, must
         n, samples = 40_000, 6
         reduce_rows = lplab.montecarlo._reduce_rows
-        threshold = threshold_log_value(n, 2.0, 0.25).log
+        threshold = math.log(0.25) + quantile_power_sum(n, 2.0).log
         drawn = []
 
         def segment_at_offset(block, requests, T, workspace=None):

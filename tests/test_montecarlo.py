@@ -20,7 +20,6 @@ from lplab import (
     mc_small_ball,
     merge_pairwise,
     quantile_power_sum,
-    threshold_log_value,
     wilson_interval,
 )
 from lplab.errors import DomainError
@@ -338,7 +337,7 @@ class TestSmallBall:
 
     def test_threshold_matches_helper(self):
         est = mc_small_ball(2, 2.0, 0.25, math.inf, 2000, seed=13)
-        assert est.log_threshold == threshold_log_value(2, 2.0, 0.25).log
+        assert est.log_threshold == math.log(0.25) + quantile_power_sum(2, 2.0).log
 
     def test_threshold_refused_past_memory_guard(self):
         # the threshold's quantile arrays peak at 57 bytes a term, 57 MB at

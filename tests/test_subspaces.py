@@ -701,12 +701,11 @@ class TestTransitionSweep:
             n, 2, [0.0, 0.5], trials=3, net_resolution=0.05, seed=1
         )
         assert [r.side for r in rows] == ["window", "sub", "super"]
-        assert rows[0].in_window and not rows[1].in_window
-        assert rows[0].p == pytest.approx(2.0 * log_n)
-        assert rows[1].p == pytest.approx(1.5 * log_n)
-        assert rows[2].p == pytest.approx(2.5 * log_n)
-        assert rows[1].epsilon == 0.1
-        assert rows[2].epsilon == pytest.approx(0.5 / log_n)
+        assert rows[0].result.p == pytest.approx(2.0 * log_n)
+        assert rows[1].result.p == pytest.approx(1.5 * log_n)
+        assert rows[2].result.p == pytest.approx(2.5 * log_n)
+        assert rows[1].result.epsilon == 0.1
+        assert rows[2].result.epsilon == pytest.approx(0.5 / log_n)
 
     def test_rows_sorted_by_delta(self):
         rows = transition_sweep(
@@ -749,8 +748,9 @@ class TestTransitionSweep:
         rows = transition_sweep(50, 2, [0.3, 0.6], trials=3, net_resolution=0.1, seed=2)
         assert len(rows) == len(walks) == 4
         for row in rows:
-            alone = sphericity_experiment(50, 2, row.p, row.epsilon, 3, 0.1, row.result.seed)
-            assert alone == row.result
+            result = row.result
+            alone = sphericity_experiment(50, 2, result.p, result.epsilon, 3, 0.1, result.seed)
+            assert alone == result
         assert len(walks) == 8
 
     def test_delta_domain(self):

@@ -178,6 +178,13 @@ class TestTruncMoments:
         digest = hashlib.sha256(" ".join(logs).encode()).hexdigest()
         assert digest == "1710243f2dd323f7521fb114f226dcdf7338a308c8ae7f6f7776114f8a4096ec", logs
 
+    def test_min_moment_with_a_vanishing_cap_term(self):
+        # at a = 1e200 the cap term a^q P{|g| > a} has log -inf, so the
+        # sum is the truncated moment itself, bit for bit
+        for q in (0.0, 2.0, 50.0):
+            spec = TruncationSpec(q, 1e200)
+            assert trunc_moment_min(spec) == trunc_moment_chi(spec), q
+
     def test_min_moment_nondecreasing_in_a(self):
         for q in (1.0, 6.0, 30.0):
             vals = [
