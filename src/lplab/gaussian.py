@@ -156,11 +156,21 @@ def _workspace_elems(rows: int, n: int, requests: list[tuple[float, bool, bool]]
 
 
 def _max_factored(
-    magnitudes: np.ndarray, peaks: np.ndarray, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(peaks, their logs, magnitudes / peaks into out); a peak of 0, inf or NaN scales by 1."""
+    magnitudes: np.ndarray, peaks: np.ndarray, logs: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """magnitudes / peaks into out, their logs into logs; a peak of 0, inf or NaN scales by 1."""
     safe = np.where((peaks > 0.0) & (peaks < np.inf), peaks, 1.0)
-    return peaks, np.log(safe), np.divide(magnitudes, safe[:, None], out=out)
+    np.log(safe, out=logs)
+    return np.divide(magnitudes, safe[:, None], out=out)
+
+
+def _finish(sums: np.ndarray, p: float, log: bool, peaks: np.ndarray, logs: np.ndarray) -> None:
+    """Max-factored power sums, in place, to log power sums (log) or lp norms."""
+    # a zero row has sums 0; np.where discards its log, while a NaN row
+    # keeps its NaN
+    with np.errstate(divide="ignore"):
+        log_sums = np.where(peaks == 0.0, -np.inf, p * logs + np.log(sums))
+    sums[:] = log_sums if log else np.exp(log_sums / p)
 
 
 def _reduce_rows(
@@ -177,10 +187,20 @@ def _reduce_rows(
     and -inf for a zero row (log true), where a = min(|x|, T) if capped
     and a = |x| otherwise.  The block is walked in tiles of about
     _TILE_ELEMS doubles; each tile's magnitudes, row peaks and scaled
-    copy are built once and serve every request.
+    copy are built once and serve every request.  Without a basis, each
+    request's power sums and each kind's row peaks and their logs are
+    kept for the whole block and finished into norms or logs once,
+    after the tile loop.
 
-    |x|, the scaled copies, min(., T) and the powers are written with
-    out= into `workspace`, a float64 array of at least
+    A row whose peak is <= T has capped ratios min(|x|, T)/min(m, T)
+    equal to its plain ratios |x|/m, bit for bit.  So a capped request
+    at a p also asked plain takes the plain power sums on those rows,
+    and only the rows where the cap binds are powered and summed: they
+    are gathered from the capped tile into the plain slot of the
+    workspace, which every plain request has read by then.
+
+    |x|, the scaled copies, min(., T), the gathered rows and the powers
+    are written with out= into `workspace`, a float64 array of at least
     `_workspace_elems(rows, n, requests)` elements (one is allocated for
     the call if None), so a tile makes no temporary of its size.  A
     caller that reduces many blocks passes the same workspace to each.
@@ -188,9 +208,10 @@ def _reduce_rows(
     With `basis`, an n x k matrix B, the block is m x k points y and the
     rows reduced are their images x = B y, formed a tile at a time in
     one more tile of scratch (pass no workspace: the call allocates
-    it).  The first request must be a norm, (p, False, False); the call
-    returns (out, gradients), row j of gradients being B^T grad ||x||_p
-    at the image of point j (NaN at p = inf).  With
+    it).  The first request must be a norm, (p, False, False).  Each
+    tile is finished as it is summed, since the gradient reads the
+    norm, and the call returns (out, gradients), row j of gradients
+    being B^T grad ||x||_p at the image of point j (NaN at p = inf).  With
     s = sum_i (|x_i|/m)^p, the gradient is ||x||_p (|x|/m)^p / (x s)
     elementwise, 0 where x_i = 0: the power tile the norm was summed
     from, divided in place by x, so it costs a divide and a k-column
@@ -209,37 +230,63 @@ def _reduce_rows(
     slots = [workspace[j * size : (j + 1) * size] for j in range(count)]
     # with a basis, the points' images take the first slot
     images = None if basis is None else slots.pop(0)
+    # the row peaks of each kind and their logs, kept for the whole block
+    peaks = {False: np.empty(rows), True: np.empty(rows)}
+    logs = {kind: np.empty(rows) for kind in kinds}
+    summed = [k for k, (p, _, log) in enumerate(requests) if log or not math.isinf(p)]
+    # each capped request at a p also asked plain, and the plain one; the
+    # plain requests then go first, so that their slot can take the
+    # gathered capped rows
+    reused = {}
+    if basis is None and len(kinds) == 2:
+        summed.sort(key=lambda k: requests[k][1])
+        plain = {requests[k][0]: k for k in summed if not requests[k][1]}
+        reused = {
+            k: plain[requests[k][0]] for k in summed if requests[k][1] and requests[k][0] in plain
+        }
     for start in range(0, rows, tile):
         part = block[start : start + tile]
+        span = slice(start, start + len(part))
         if basis is not None:
             part = np.matmul(part, basis.T, out=images[: len(part) * n].reshape(-1, n))
         powers, *scaled = (slot[: part.size].reshape(part.shape) for slot in slots)
         # |x| goes into the last slot: the plain kind is divided out of
         # it into the other one before the capped kind caps it in place
         magnitudes = np.abs(part, out=scaled[-1])
-        peaks = magnitudes.max(axis=1)
-        factored = {}
+        row_peaks = magnitudes.max(axis=1, out=peaks[False][span])
+        ratios = {}
         if False in kinds:
-            factored[False] = _max_factored(magnitudes, peaks, scaled[0])
+            ratios[False] = _max_factored(magnitudes, row_peaks, logs[False][span], scaled[0])
         if True in kinds:
             # the peak of min(|x|, T) is min(peak, T), exactly
             capped = np.minimum(magnitudes, T, out=scaled[-1])
-            factored[True] = _max_factored(capped, np.minimum(peaks, T), scaled[-1])
-        for k, (p, capped, log) in enumerate(requests):
-            row_peaks, log_peaks, ratios = factored[capped]
-            if math.isinf(p) and not log:
-                out[k, start : start + tile] = row_peaks
+            capped_peaks = np.minimum(row_peaks, T, out=peaks[True][span])
+            ratios[True] = _max_factored(capped, capped_peaks, logs[True][span], scaled[-1])
+        gathered = None
+        for k in summed:
+            p, capped, log = requests[k]
+            if k in reused:
+                if gathered is None:
+                    bound = np.flatnonzero(row_peaks > T)
+                    # mode="clip" writes straight into out=; the default
+                    # buffers a copy
+                    gathered = np.take(
+                        ratios[True], bound, axis=0, mode="clip", out=scaled[0][: len(bound)]
+                    )
+                out[k, span] = out[reused[k], span]
+                out[k, start + bound] = np.power(gathered, p, out=powers[: len(bound)]).sum(axis=1)
                 continue
-            sums = np.power(ratios, p, out=powers).sum(axis=1)
-            # a zero row has sums 0; np.where discards its log, while a
-            # NaN row keeps its NaN
-            with np.errstate(divide="ignore"):
-                log_sums = np.where(row_peaks == 0.0, -np.inf, p * log_peaks + np.log(sums))
-            out[k, start : start + tile] = log_sums if log else np.exp(log_sums / p)
-            if gradients is not None and k == 0:
-                gradients[start : start + tile] = _norm_gradients(
-                    part, powers, basis, out[0, start : start + tile] / sums
-                )
+            sums = np.power(ratios[capped], p, out=powers).sum(axis=1)
+            out[k, span] = sums
+            if basis is not None:
+                _finish(out[k, span], p, log, peaks[capped][span], logs[capped][span])
+                if k == 0:
+                    gradients[span] = _norm_gradients(part, powers, basis, out[0, span] / sums)
+    for k, (p, capped, log) in enumerate(requests):
+        if math.isinf(p) and not log:
+            out[k] = peaks[capped]
+        elif basis is None:
+            _finish(out[k], p, log, peaks[capped], logs[capped])
     return out if gradients is None else (out, gradients)
 
 

@@ -48,7 +48,12 @@ tiles of about 2^16 doubles: a tile's |x|, row peaks and max-scaled
 copy (and their capped forms min(|x|, T)) are built once and serve
 every norm and log power sum asked for, so `mc_grid_stats` estimates
 a whole grid of p, caps and a negative moment from one generation of
-the draws.  The tile height cannot change a bit of the output: each
+the draws.  A row whose peak is <= T has the same capped and plain
+ratios, so a capped p that is also asked plain reuses the plain power
+sums there and powers only the rows over T, gathered into the
+worker's workspace (not a fresh array, for the arena reason above);
+the sums are finished into norms and logs once per block, not once
+per tile.  The tile height cannot change a bit of the output: each
 value is a reduction over one row alone, written into a full-chunk
 vector, and every accumulator still sees one batch per chunk, with the
 same chunk boundaries and merge tree as a single-estimator call.

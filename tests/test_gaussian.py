@@ -329,6 +329,36 @@ class TestLpNorm:
         assert got.tobytes() == expected.tobytes()
         assert peak < 8 * _TILE_ELEMS // 4
 
+    def test_workspace_holds_the_rows_over_the_cap(self):
+        # at n = 3000 and T = 3.8 about 65% of rows have peak <= T: their
+        # capped sums at p = 2 and 12 are the plain ones, and the rows
+        # over T are gathered into the workspace, not into a fresh array
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((300, 3000))
+        T = 3.8
+        under = np.abs(block).max(axis=1) <= T
+        assert 0.5 < under.mean() < 0.8
+        plain = [(2.0, False, False), (12.0, False, True), (math.inf, False, False)]
+        capped = [(2.0, True, False), (12.0, True, True), (math.inf, True, False),
+                  (3.0, True, True)]
+        requests = plain + capped
+        expected = _reduce_rows(block, requests, T)
+        workspace = np.full(_workspace_elems(300, 3000, requests), np.nan)
+        tracemalloc.start()
+        try:
+            got = _reduce_rows(block, requests, T, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == expected.tobytes()
+        assert peak < 8 * _TILE_ELEMS // 4
+        # each kind asked alone takes no shared sums, and gives the same bits
+        assert got[:3].tobytes() == _reduce_rows(block, plain, T).tobytes()
+        assert got[3:].tobytes() == _reduce_rows(block, capped, T).tobytes()
+        # under T the capped norm is the plain one, so the gap is exactly 0
+        assert (got[3, under] == got[0, under]).all()
+        assert (got[3, ~under] < got[0, ~under]).all()
+
     def test_gradients_leave_norms_and_match_direct_form(self):
         # with a basis B the reducer takes points y and reduces x = B y a
         # tile at a time; the norms keep the bits of the images reduced

@@ -103,6 +103,29 @@ GOLDEN = [
         lambda: mc_small_ball(50, 3.0, 0.3, 1.5, 2000, 8, 3),
         ('0.0', '0.0', '0.001917047281252934', '0', '2000', '2.998018987782384', '8', '3'),
     ),
+    (
+        # the benchmark's grid at n = 1000, T = 3.5, pinned from the fused
+        # engine: 62% of its rows have peak <= T, so its capped power sums
+        # come both from the plain ones and from the rows over T
+        lambda: every_estimate(
+            mc_grid_stats(1000, [2.0, 8.0, 12.0, math.inf], 1200, 11, 3, T=3.5, negative=(6.9, 1.0))
+        ),
+        (
+            ('31.63303499071631', '0.4898763865239462', '0.02020471039394746', '0.02009156015005358', '1200', '11', '3'),
+            ('4.210456601600635', '0.035189764879584466', '0.005415238135698225', '0.0018473286790516782', '1200', '11', '3'),
+            ('3.736601136285508', '0.05621684370161664', '0.006844513843316208', '0.0033034677624102756', '1200', '11', '3'),
+            ('3.441415326149787', '0.10677464400714368', '0.009432861178134293', '0.0055176077890587', '1200', '11', '3'),
+            ('31.61963082003157', '0.48509200859715085', '0.020105803652120592', '0.019844327894095796', '1200', '11', '3'),
+            ('0.000929922558483387', '1.6151155785124945e-05', '0.00011601420812816041', '7.44117064955718e-06', '1200', '11', '3'),
+            ('4.171435501935849', '0.020447152749261926', '0.004127867967573366', '0.0008004246391315472', '1200', '11', '3'),
+            ('0.009287050070259779', '0.0021784923283331824', '0.0013473716167453527', '0.0007802515286361195', '1200', '11', '3'),
+            ('3.67385143573044', '0.023595150764537397', '0.004434255928238074', '0.0009146846280896421', '1200', '11', '3'),
+            ('0.022108001487901208', '0.009348665566286348', '0.002791156505567532', '0.0029497104190488533', '1200', '11', '3'),
+            ('3.338617353815576', '0.03506930325391337', '0.005405961466590485', '0.0014982295175260472', '1200', '11', '3'),
+            ('0.04903339182325144', '0.027478481956368095', '0.004785262266965112', '0.006744624451349588', '1200', '11', '3'),
+            ('3.2025369053605776e-05', '5.123330508952463e-11', '2.066262831973154e-07', '2.5273258296308825e-12', '1200', '11', '3'),
+        ),
+    ),
 ]
 
 # mc_small_ball above one segment of _SEGMENT_ELEMS = 2^15 doubles, as
@@ -137,6 +160,18 @@ MC_ARGV = [
 ]
 MC_STDOUT_SHA256 = "b63e19cf76a17bd5c8031b2ceb87612ddec83dc325e97ef753765bc960b442b5"
 
+# stdout of the mc-grid benchmark's argv at seed 0, pinned from the fused engine
+BENCH_MC_ARGV = [
+    "mc", "--n", "1000", "--p", "2,8,12,inf", "--truncate", "3.5",
+    "--negative", "6.9,1.0", "--samples", "4000", "--seed", "0", "--streams", "4",
+]
+BENCH_MC_STDOUT_SHA256 = "c202cb3cecfa781010433739c55925786a502d595615d2d12400cc511820b7c3"
+
+
+def every_estimate(stats):
+    """The estimates of an MCGridStats in field order, each truncated pair flattened."""
+    return (*stats.norms, *(e for pair in stats.truncated for e in pair), stats.negative)
+
 
 def fields(estimate):
     return tuple(repr(getattr(estimate, f.name)) for f in dataclasses.fields(estimate))
@@ -165,6 +200,23 @@ def test_mc_stdout_golden(capsys):
     assert main(MC_ARGV) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == MC_STDOUT_SHA256
+
+
+def test_benchmark_mc_stdout_golden(capsys):
+    assert main(BENCH_MC_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_MC_STDOUT_SHA256
+
+
+def test_grid_golden_has_rows_on_both_sides_of_the_cap():
+    # the n = 1000, T = 3.5 golden draws 400 rows from each of streams
+    # 0-2 at seed 11; the reducer takes the capped power sums of a row
+    # whose peak is <= T from its plain ones, and caps the others
+    peaks = np.concatenate(
+        [np.abs(gaussian_draws(RngStream(11, s).generator(), (400, 1000))).max(axis=1)
+         for s in range(3)]
+    )
+    assert 0.4 <= (peaks <= 3.5).mean() <= 0.8
 
 
 class TestWorkers:
