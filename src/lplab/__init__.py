@@ -13,8 +13,6 @@ from .errors import ConfigError, DomainError, LplabError
 from .gaussian import (
     abs_moment,
     abs_tail_log,
-    lp_norm,
-    lp_norm_rows,
     quantile,
     quantile_approx,
     quantile_tail,
@@ -108,8 +106,6 @@ __all__ = [
     "lemma_checks",
     "load_constants",
     "lower_envelope",
-    "lp_norm",
-    "lp_norm_rows",
     "mc_grid_stats",
     "mc_small_ball",
     "merge_pairwise",

@@ -138,7 +138,7 @@ def _p_grid(args: argparse.Namespace, constants: Constants) -> list[float]:
         raise LplabError("give --p or --p-grid, not both")
     if args.p_grid == "auto":
         return auto_p_grid(args.n, constants)
-    if args.p_grid:
+    if args.p_grid is not None:
         return _parse_p_list(args.p_grid)
     if args.p is not None:
         return _parse_p_list(args.p)
@@ -146,6 +146,8 @@ def _p_grid(args: argparse.Namespace, constants: Constants) -> list[float]:
 
 
 def cmd_quantile(args: argparse.Namespace, constants: Constants) -> int:
+    if args.alpha is not None and args.n is not None:
+        raise LplabError("give --alpha or --n, not both")
     rows = []
     if args.alpha is not None:
         xi = quantile(args.alpha)

@@ -10,8 +10,7 @@ and its inverse ndtri_exp.  The quantile takes arrays, so a sum over n
 quantiles is one call.
 
 Also hosts the one row reducer behind every lp norm: the Monte Carlo
-estimators and the random sections call `_reduce_rows`, and `lp_norm`
-and `lp_norm_rows` are that call with input checks.  A row x with
+estimators and the random sections call `_reduce_rows`.  A row x with
 m = max|x_i| is reduced as m·exp(log(Σ(|x_i|/m)^p)/p): the ratios lie in
 [0, 1], so the powered sum stays in [1, n] for any p and cannot
 overflow, and ratios that underflow lose nothing the result can hold.
@@ -187,10 +186,9 @@ def _reduce_rows(
     and -inf for a zero row (log true), where a = min(|x|, T) if capped
     and a = |x| otherwise.  The block is walked in tiles of about
     _TILE_ELEMS doubles; each tile's magnitudes, row peaks and scaled
-    copy are built once and serve every request.  Without a basis, each
-    request's power sums and each kind's row peaks and their logs are
-    kept for the whole block and finished into norms or logs once,
-    after the tile loop.
+    copy are built once and serve every request.  Each request's power
+    sums and each kind's row peaks and their logs are kept for the whole
+    block and finished into norms or logs once, after the tile loop.
 
     A row whose peak is <= T has capped ratios min(|x|, T)/min(m, T)
     equal to its plain ratios |x|/m, bit for bit.  So a capped request
@@ -208,14 +206,14 @@ def _reduce_rows(
     With `basis`, an n x k matrix B, the block is m x k points y and the
     rows reduced are their images x = B y, formed a tile at a time in
     one more tile of scratch (pass no workspace: the call allocates
-    it).  The first request must be a norm, (p, False, False).  Each
-    tile is finished as it is summed, since the gradient reads the
-    norm, and the call returns (out, gradients), row j of gradients
-    being B^T grad ||x||_p at the image of point j (NaN at p = inf).  With
+    it).  The first request must be a norm, (p, False, False), and the
+    call returns (out, gradients), row j of gradients being
+    B^T grad ||x||_p at the image of point j (NaN at p = inf).  With
     s = sum_i (|x_i|/m)^p, the gradient is ||x||_p (|x|/m)^p / (x s)
-    elementwise, 0 where x_i = 0: the power tile the norm was summed
-    from, divided in place by x, so it costs a divide and a k-column
-    matmul but no second power.
+    elementwise, 0 where x_i = 0.  Each tile divides the powers its
+    sums were summed from in place by x and multiplies them by B; after
+    the finish each row is scaled by ||x||_p / s once.  A gradient costs
+    a divide and a k-column matmul but no second power.
     """
     rows = block.shape[0]
     n = block.shape[1] if basis is None else basis.shape[0]
@@ -238,7 +236,7 @@ def _reduce_rows(
     # plain requests then go first, so that their slot can take the
     # gathered capped rows
     reused = {}
-    if basis is None and len(kinds) == 2:
+    if len(kinds) == 2:
         summed.sort(key=lambda k: requests[k][1])
         plain = {requests[k][0]: k for k in summed if not requests[k][1]}
         reused = {
@@ -276,44 +274,18 @@ def _reduce_rows(
                 out[k, span] = out[reused[k], span]
                 out[k, start + bound] = np.power(gathered, p, out=powers[: len(bound)]).sum(axis=1)
                 continue
-            sums = np.power(ratios[capped], p, out=powers).sum(axis=1)
-            out[k, span] = sums
-            if basis is not None:
-                _finish(out[k, span], p, log, peaks[capped][span], logs[capped][span])
-                if k == 0:
-                    gradients[span] = _norm_gradients(part, powers, basis, out[0, span] / sums)
+            out[k, span] = np.power(ratios[capped], p, out=powers).sum(axis=1)
+            if basis is not None and k == 0:
+                # where a coordinate is 0 its power is already 0, which the divide leaves in place
+                np.divide(powers, part, out=powers, where=part != 0.0)
+                gradients[span] = powers @ basis
+    # the finish overwrites the sums that scale the gradients
+    sums = None if basis is None else out[0].copy()
     for k, (p, capped, log) in enumerate(requests):
         if math.isinf(p) and not log:
             out[k] = peaks[capped]
-        elif basis is None:
+        else:
             _finish(out[k], p, log, peaks[capped], logs[capped])
+    if basis is not None and 0 in summed:
+        gradients *= (out[0] / sums)[:, None]
     return out if gradients is None else (out, gradients)
-
-
-def _norm_gradients(
-    block: np.ndarray, powers: np.ndarray, basis: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    """B^T (powers / block) scaled by row, with 0 where block is 0; powers is overwritten."""
-    # where a coordinate is 0 its power is already 0, which the divide leaves in place
-    np.divide(powers, block, out=powers, where=block != 0.0)
-    gradients = powers @ basis
-    gradients *= scales[:, None]
-    return gradients
-
-
-def lp_norm(x, p: float) -> float:
-    """(Σ|x_i|^p)^{1/p} of a nonempty vector, max|x_i| at p = inf."""
-    p = _validate_p(p)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DomainError("lp_norm requires a nonempty 1-d vector")
-    return float(_reduce_rows(x[None, :], [(p, False, False)], math.inf)[0, 0])
-
-
-def lp_norm_rows(rows: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise lp norms of a 2-d array, through the tiled reducer."""
-    p = _validate_p(p)
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise DomainError("lp_norm_rows requires a nonempty 2-d array")
-    return _reduce_rows(rows, [(p, False, False)], math.inf)[0]

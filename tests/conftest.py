@@ -2,9 +2,11 @@ import concurrent.futures
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import lplab.montecarlo
+from lplab.gaussian import _reduce_rows
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -16,6 +18,17 @@ def rel_err(value: float, reference: float) -> float:
 @pytest.fixture
 def tol():
     return 1e-9
+
+
+@pytest.fixture
+def lp_norms():
+    """Row-wise lp norms of a 2-d array, or of a vector as one row, through the reducer."""
+
+    def norms(rows, p):
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        return _reduce_rows(rows, [(p, False, False)], math.inf)[0]
+
+    return norms
 
 
 class RecordingPool(concurrent.futures.ThreadPoolExecutor):

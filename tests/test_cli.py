@@ -194,6 +194,12 @@ class TestQuantileCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_alpha_with_n_refused(self, capsys):
+        # the header would echo an n and i that the alpha row never used
+        code, out, err = run_cli(capsys, ["quantile", "--alpha", "0.5", "--n", "10", "--i", "3"])
+        assert code == 2 and out == ""
+        assert "give --alpha or --n, not both" in err
+
 
 class TestPredictCommand:
     def test_values_match_library(self, capsys):
@@ -234,6 +240,20 @@ class TestPredictCommand:
         code, _, err = run_cli(capsys, ["predict", "--n", "1000"])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "predict --n 1000 --p-grid=",
+            "predict --n 1000 --p=",
+            "checks --n 1000 --p-grid=",
+            "mc --n 100 --p= --samples 10",
+        ],
+    )
+    def test_empty_p_list_refused_alike(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == 2 and out == ""
+        assert "empty p list" in err
 
 
 class TestMcCommand:

@@ -19,8 +19,6 @@ from lplab import (
     abs_tail_log,
     classify,
     distortion,
-    lp_norm,
-    lp_norm_rows,
     mc_grid_stats,
     quantile,
     quantile_approx,
@@ -216,30 +214,30 @@ class TestAbsMoment:
 
 
 class TestLpNorm:
-    def test_hand_values(self):
-        assert lp_norm([3.0, 4.0], 2.0) == pytest.approx(5.0, rel=1e-15)
-        assert lp_norm([3.0, -4.0], 1.0) == pytest.approx(7.0, rel=1e-15)
-        assert lp_norm([3.0, -4.0], math.inf) == 4.0
+    def test_hand_values(self, lp_norms):
+        assert lp_norms([3.0, 4.0], 2.0)[0] == pytest.approx(5.0, rel=1e-15)
+        assert lp_norms([3.0, -4.0], 1.0)[0] == pytest.approx(7.0, rel=1e-15)
+        assert lp_norms([3.0, -4.0], math.inf)[0] == 4.0
 
-    def test_huge_entries_large_p(self):
+    def test_huge_entries_large_p(self, lp_norms):
         # |x|^p overflows in linear space; result must survive via logs
         x = [1e200, -1e200]
-        got = lp_norm(x, 400.0)
+        got = lp_norms(x, 400.0)[0]
         assert got == pytest.approx(1e200 * 2 ** (1 / 400.0), rel=1e-12)
 
-    def test_tiny_entries(self):
+    def test_tiny_entries(self, lp_norms):
         x = [1e-220, 1e-220]
-        assert lp_norm(x, 3.0) == pytest.approx(1e-220 * 2 ** (1 / 3.0), rel=1e-12)
+        assert lp_norms(x, 3.0)[0] == pytest.approx(1e-220 * 2 ** (1 / 3.0), rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_zero_vector(self):
-        assert lp_norm([0.0, 0.0], 2.5) == 0.0
-        assert lp_norm_rows(np.zeros((2, 3)), 2.5).tolist() == [0.0, 0.0]
+    def test_zero_vector(self, lp_norms):
+        assert lp_norms([0.0, 0.0], 2.5)[0] == 0.0
+        assert lp_norms(np.zeros((2, 3)), 2.5).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("p", [0.5, math.nan])
     def test_one_p_rule_everywhere(self, monkeypatch, p):
-        # norms, regimes, Monte Carlo and sections state the rule once, so
-        # they refuse alike, before a vector or basis is drawn
+        # regimes, Monte Carlo and sections state the rule once, so they
+        # refuse alike, before a vector or basis is drawn
         basis = random_subspace(20, 2, np.random.default_rng(0))
 
         def fail(*args):
@@ -249,7 +247,6 @@ class TestLpNorm:
         monkeypatch.setattr(lplab.subspaces, "random_subspace", fail)
         message = f"need p >= 1 or inf, got {p}"
         for call in (
-            lambda: lp_norm([1.0, 2.0], p),
             lambda: classify(1000, p),
             lambda: mc_grid_stats(20, [2.0, p], 500, 1),
             lambda: distortion(basis, p, 0.1),
@@ -259,25 +256,25 @@ class TestLpNorm:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p", [1.0, 2.0, 8.0, math.inf])
-    def test_infinite_entry_gives_infinite_norm(self, p):
+    def test_infinite_entry_gives_infinite_norm(self, lp_norms, p):
         # a row whose peak is inf is scaled by 1, as a zero row is: the
         # ratio inf / inf would be NaN
-        assert lp_norm([math.inf, 1.0], p) == math.inf
+        assert lp_norms([math.inf, 1.0], p)[0] == math.inf
         rows = np.array([[1.0, -math.inf], [1.0, 2.0], [math.inf, math.nan]])
-        got = lp_norm_rows(rows, p)
-        assert got[0] == math.inf and got[1] == lp_norm([1.0, 2.0], p)
+        got = lp_norms(rows, p)
+        assert got[0] == math.inf and got[1] == lp_norms([1.0, 2.0], p)[0]
         assert math.isnan(got[2])
         if math.isfinite(p):
             assert _reduce_rows(rows[:1], [(p, False, True)], math.inf)[0, 0] == math.inf
 
-    def test_nan_propagates(self):
+    def test_nan_propagates(self, lp_norms):
         # a NaN coordinate must not read as a zero row
-        assert math.isnan(lp_norm([math.nan, 1.0], 2.0))
-        assert math.isnan(lp_norm_rows(np.array([[1.0, 2.0], [1.0, math.nan]]), 7.5)[1])
+        assert math.isnan(lp_norms([math.nan, 1.0], 2.0)[0])
+        assert math.isnan(lp_norms(np.array([[1.0, 2.0], [1.0, math.nan]]), 7.5)[1])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_rows_matches_scalar(self):
-        # lp_norm and lp_norm_rows are one reducer, so both are held to
+    def test_rows_matches_scalar(self, lp_norms):
+        # a row reduced alone and in a block gets the same bits, held to
         # 50-digit mpmath; the max-factored log form costs about
         # |log max| ulp, hence the tolerance grows with the row's scale
         rng = np.random.default_rng(3)
@@ -292,10 +289,10 @@ class TestLpNorm:
             ]
         )
         for p in (1.0, 2.0, 7.5, 400.0, math.inf):
-            got = lp_norm_rows(rows, p)
+            got = lp_norms(rows, p)
             with mp.workdps(50):
                 for row, value in zip(rows, got):
-                    assert lp_norm(row, p) == value
+                    assert lp_norms(row, p)[0] == value
                     magnitudes = [abs(mp.mpf(float(v))) for v in row]
                     if math.isinf(p):
                         want = max(magnitudes)
@@ -306,10 +303,6 @@ class TestLpNorm:
                         continue
                     scale = 1.0 + abs(math.log(float(max(magnitudes))))
                     assert abs(mp.mpf(value) - want) <= 4 * 2.0**-52 * scale * want
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(DomainError):
-            lp_norm([1.0], 0.5)
 
     def test_workspace_serves_every_tile(self):
         # 300 rows of 3000 are 15 tiles of 21 rows; with a workspace the
@@ -359,6 +352,7 @@ class TestLpNorm:
         assert (got[3, under] == got[0, under]).all()
         assert (got[3, ~under] < got[0, ~under]).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gradients_leave_norms_and_match_direct_form(self):
         # with a basis B the reducer takes points y and reduces x = B y a
         # tile at a time; the norms keep the bits of the images reduced

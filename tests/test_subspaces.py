@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -19,14 +20,13 @@ from lplab import (
     RngStream,
     SubspaceBasis,
     distortion,
-    lp_norm_rows,
     random_subspace,
     sphere_net,
     sphericity_experiment,
     transition_sweep,
 )
 from lplab.errors import DomainError
-from lplab.gaussian import _norm_gradients
+from lplab.gaussian import _max_factored
 from lplab.subspaces import (
     _bounds,
     _cell_geometry,
@@ -297,21 +297,22 @@ class TestDistortion:
         with pytest.raises(DomainError, match="memory guard"):
             distortion(b, 3.0, 0.008, constants=short)
 
-    def test_ambient_blocks_within_tile_budget(self, monkeypatch):
+    def test_ambient_blocks_within_tile_budget(self, monkeypatch, lp_norms):
         # the cell centers' images in R^n are formed and reduced a reducer
         # tile at a time (2^16 doubles, or one row when n is larger), so
-        # large n cannot allocate points x n at once
+        # large n cannot allocate points x n at once; a section norm has
+        # one kind of magnitude, scaled once per tile
         shapes, centers = [], []
 
-        def recording(block, powers, basis, scales):
-            shapes.append(block.shape)
-            return _norm_gradients(block, powers, basis, scales)
+        def recording(magnitudes, peaks, logs, out):
+            shapes.append(magnitudes.shape)
+            return _max_factored(magnitudes, peaks, logs, out)
 
         def recording_points(angles):
             centers.append(_cell_points(angles))
             return centers[-1]
 
-        monkeypatch.setattr(lplab.gaussian, "_norm_gradients", recording)
+        monkeypatch.setattr(lplab.gaussian, "_max_factored", recording)
         monkeypatch.setattr(lplab.subspaces, "_cell_points", recording_points)
         n = 100_000
         b = _haar_basis(n, 2, seed=2)
@@ -319,7 +320,7 @@ class TestDistortion:
         points = np.concatenate(centers)
         assert len(shapes) == points.shape[0]
         assert all(shape == (1, n) for shape in shapes)
-        whole = lp_norm_rows(points @ b.columns.T, 10.0)
+        whole = lp_norms(points @ b.columns.T, 10.0)
         assert r.sup_ratio == pytest.approx(whole.max(), rel=1e-14)
         assert r.inf_ratio == pytest.approx(whole.min(), rel=1e-14)
         shapes.clear()
@@ -338,7 +339,7 @@ class TestDistortion:
             tracemalloc.stop()
         assert peak <= 4 * 100_000 * 8
 
-    def test_fine_k3_bracket_on_few_cells(self, monkeypatch):
+    def test_fine_k3_bracket_on_few_cells(self, monkeypatch, lp_norms):
         # at k = 3 and 0.004 the tree refined everywhere has 386,433 leaves
         # and the uniform ring net had 196,994 points; 12 bases took 1,401
         # to 2,741 cells, this one 2,741 (11,777 to 41,755 and 32,871 with
@@ -363,7 +364,7 @@ class TestDistortion:
             assert 0.0 < r.net_resolution <= res
             directions = gen.normal(size=(2000, k))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            sampled = lp_norm_rows(directions @ basis.columns.T, p)
+            sampled = lp_norms(directions @ basis.columns.T, p)
             assert r.distortion <= r.certified_upper
             assert sampled.max() / sampled.min() <= r.certified_upper
 
@@ -408,6 +409,31 @@ class TestCellTree:
 
 
 class TestSecondOrderBounds:
+    def test_point_values_keep_their_bits(self):
+        # values and slopes of 12 points on the sphere and the zero point,
+        # whose slope is 0 / 0, at n = 10^3 to 10^5, k = 2 to 4 and p from
+        # 1 to inf; the digest pins every bit, so it moves with the
+        # floating-point kernels of the pinned numpy, as the stdout goldens
+        # do; the basis is orthonormalized with numpy's sums, since a BLAS
+        # dot product at n = 10^5 rounds by its thread count
+        digest = hashlib.sha256()
+        for n, k in itertools.product([1_000, 10_000, 100_000], [2, 3, 4]):
+            gen = np.random.default_rng(n + k)
+            columns = gen.normal(size=(n, k))
+            for j in range(k):
+                for i in range(j):
+                    columns[:, j] -= (columns[:, i] * columns[:, j]).sum() * columns[:, i]
+                columns[:, j] /= np.sqrt((columns[:, j] * columns[:, j]).sum())
+            basis = SubspaceBasis(n, k, columns)
+            points = gen.normal(size=(13, k))
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+            points[6] = 0.0
+            for p in [1.0, 1.5, 2.0, 7.5, 1.5 * math.log(n), 40.0, math.inf]:
+                with np.errstate(invalid="ignore"):
+                    values, slopes = _point_values(basis, p, points)
+                digest.update(values.tobytes() + slopes.tobytes())
+        assert digest.hexdigest() == "290ce00903f767cb27d7fb5c436c1187b19ef5540cccb18e354c929f7d0b3b55"
+
     @pytest.mark.parametrize("k,res", [(2, 0.01), (3, 0.05), (4, 0.2)])
     def test_euclidean_bounds_exact(self, monkeypatch, k, res):
         # at p = 2, r = 1 and its tangential gradient is 0, so S = 1 and
@@ -435,7 +461,7 @@ class TestSecondOrderBounds:
         "p", [2.0, 4.0, 1.5 * math.log(200), 2.5 * math.log(200), 1.0, 1.5, math.inf]
     )
     @pytest.mark.parametrize("k,depth", [(2, 5), (3, 3)])
-    def test_sampled_values_within_cell_bounds(self, p, k, depth):
+    def test_sampled_values_within_cell_bounds(self, lp_norms, p, k, depth):
         # every level of the tree refined everywhere covers the sphere; r
         # at points sampled in each cell's angle box lies in the cell's
         # [bound below, f + rho S] and, for finite p >= 2, under
@@ -450,7 +476,7 @@ class TestSecondOrderBounds:
             unit = gen.uniform(-1.0, 1.0, (len(centers), 40, k - 1))
             angles = centers[:, None, :] + halves[:, None, :] * unit
             points = _cell_points(angles.reshape(-1, k - 1))
-            sampled = lp_norm_rows(points @ basis.columns.T, p).reshape(len(centers), 40)
+            sampled = lp_norms(points @ basis.columns.T, p).reshape(len(centers), 40)
             upper = values + radii * sup
             if 2.0 <= p < math.inf:
                 bent = np.maximum((p - 1.0) * sup * sup - values * values, 0.0)
