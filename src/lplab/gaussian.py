@@ -144,16 +144,6 @@ def _tile_rows(n: int) -> int:
     return max(1, _TILE_ELEMS // max(n, 1))
 
 
-def _workspace_elems(rows: int, n: int, requests: list[tuple[float, bool, bool]]) -> int:
-    """Doubles of a `_reduce_rows` workspace for blocks of at most rows x n.
-
-    One tile per kind of magnitude asked for (plain, capped) and one for
-    the powers.
-    """
-    kinds = len({capped for _, capped, _ in requests})
-    return (kinds + 1) * min(_tile_rows(n), rows) * n
-
-
 def _max_factored(
     magnitudes: np.ndarray, peaks: np.ndarray, logs: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -176,7 +166,6 @@ def _reduce_rows(
     block: np.ndarray,
     requests: list[tuple[float, bool, bool]],
     T: float,
-    workspace: np.ndarray | None = None,
     basis: np.ndarray | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Per-row statistics of a block, one output row per request.
@@ -194,26 +183,25 @@ def _reduce_rows(
     equal to its plain ratios |x|/m, bit for bit.  So a capped request
     at a p also asked plain takes the plain power sums on those rows,
     and only the rows where the cap binds are powered and summed: they
-    are gathered from the capped tile into the plain slot of the
-    workspace, which every plain request has read by then.
+    are gathered from the capped tile into the plain tile of the
+    scratch, which every plain request has read by then.
 
-    |x|, the scaled copies, min(., T), the gathered rows and the powers
-    are written with out= into `workspace`, a float64 array of at least
-    `_workspace_elems(rows, n, requests)` elements (one is allocated for
-    the call if None), so a tile makes no temporary of its size.  A
-    caller that reduces many blocks passes the same workspace to each.
+    The call allocates its scratch once: one tile per kind of magnitude
+    asked for (plain, capped) and one for the powers.  |x|, the scaled
+    copies, min(., T), the gathered rows and the powers are written into
+    it with out=, so a tile makes no temporary of its size.
 
     With `basis`, an n x k matrix B, the block is m x k points y and the
     rows reduced are their images x = B y, formed a tile at a time in
-    one more tile of scratch (pass no workspace: the call allocates
-    it).  The first request must be a norm, (p, False, False), and the
-    call returns (out, gradients), row j of gradients being
-    B^T grad ||x||_p at the image of point j (NaN at p = inf).  With
-    s = sum_i (|x_i|/m)^p, the gradient is ||x||_p (|x|/m)^p / (x s)
-    elementwise, 0 where x_i = 0.  Each tile divides the powers its
-    sums were summed from in place by x and multiplies them by B; after
-    the finish each row is scaled by ||x||_p / s once.  A gradient costs
-    a divide and a k-column matmul but no second power.
+    one more tile of scratch.  The first request must be a norm,
+    (p, False, False), and the call returns (out, gradients), row j of
+    gradients being B^T grad ||x||_p at the image of point j (NaN at
+    p = inf).  With s = sum_i (|x_i|/m)^p, the gradient is
+    ||x||_p (|x|/m)^p / (x s) elementwise, 0 where x_i = 0.  Each tile
+    divides the powers its sums were summed from in place by x and
+    multiplies them by B; after the finish each row is scaled by
+    ||x||_p / s once.  A gradient costs a divide and a k-column matmul
+    but no second power.
     """
     rows = block.shape[0]
     n = block.shape[1] if basis is None else basis.shape[0]
@@ -222,10 +210,7 @@ def _reduce_rows(
     kinds = {capped for _, capped, _ in requests}
     size = min(tile, rows) * n
     gradients = None if basis is None else np.full((rows, basis.shape[1]), math.nan)
-    count = len(kinds) + 1 + (basis is not None)
-    if workspace is None:
-        workspace = np.empty(count * size)
-    slots = [workspace[j * size : (j + 1) * size] for j in range(count)]
+    slots = list(np.empty((len(kinds) + 1 + (basis is not None), size)))
     # with a basis, the points' images take the first slot
     images = None if basis is None else slots.pop(0)
     # the row peaks of each kind and their logs, kept for the whole block

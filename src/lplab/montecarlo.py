@@ -33,14 +33,12 @@ returns the one state for all streams.  Philox is counter-based, so a
 stream's draws do not depend on which thread runs it or when, and the
 reproducibility contract above holds for any worker count.
 
-Each worker allocates one float64 buffer for its largest chunk and one
-reducer workspace, and draws and reduces every chunk of its streams in
-them: the uniforms are written straight into the buffer, ndtri runs in
-place, and the reducer writes each tile's intermediates into the
-workspace.  A fresh block per chunk would
-be freed into the allocating thread's malloc arena, where glibc keeps
-it, so per-chunk blocks on several threads raise the peak resident size
-by about a block per thread per arena.
+Each worker allocates one float64 buffer for its largest chunk and
+draws every chunk of its streams into it: the uniforms are written
+straight into the buffer and ndtri runs in place.  A fresh block per
+chunk would be freed into the allocating thread's malloc arena, where
+glibc keeps it, so per-chunk blocks on several threads raise the peak
+resident size by about a block per thread per arena.
 
 The row reducer `gaussian._reduce_rows`, which also serves the random
 sections, turns a block into per-row statistics, walking it in row
@@ -50,13 +48,12 @@ every norm and log power sum asked for, so `mc_grid_stats` estimates
 a whole grid of p, caps and a negative moment from one generation of
 the draws.  A row whose peak is <= T has the same capped and plain
 ratios, so a capped p that is also asked plain reuses the plain power
-sums there and powers only the rows over T, gathered into the
-worker's workspace (not a fresh array, for the arena reason above);
-the sums are finished into norms and logs once per block, not once
-per tile.  The tile height cannot change a bit of the output: each
-value is a reduction over one row alone, written into a full-chunk
-vector, and every accumulator still sees one batch per chunk, with the
-same chunk boundaries and merge tree as a single-estimator call.
+sums there and powers only the rows over T; the sums are finished
+into norms and logs once per block, not once per tile.  The tile
+height cannot change a bit of the output: each value is a reduction
+over one row alone, written into a full-chunk vector, and every
+accumulator still sees one batch per chunk, with the same chunk
+boundaries and merge tree as a single-estimator call.
 
 `mc_small_ball` decides each long sample (more than `_SEGMENT_ELEMS`
 coordinates) from a prefix: every term of its sum is >= 0, so the
@@ -84,7 +81,7 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _validate_p, _workspace_elems
+from .gaussian import _reduce_rows, _validate_p
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
 # doubles per sample chunk
@@ -343,7 +340,7 @@ def _merge_run(states: Iterable[State], merge: Callable[[State, State], State]) 
 
 
 def _fold_streams(
-    fold: Callable[[State, np.ndarray, np.ndarray], State],
+    fold: Callable[[State, np.ndarray], State],
     merge: Callable[[State, State], State],
     initial: State,
     n: int,
@@ -352,25 +349,25 @@ def _fold_streams(
     streams: int,
     chunk: int,
     constants: Constants,
-    requests: list[tuple[float, bool, bool]],
-    settle: tuple[float, float] | None = None,
+    settle: tuple[Callable[[np.ndarray], float], float] | None = None,
 ) -> State:
     """Fold each stream's blocks into a state; the states merged pairwise by index.
 
-    Stream s starts from `initial` and applies
-    state = fold(state, block, workspace) to its quota drawn in chunks
-    of at most `chunk` rows, in order (fold must keep neither array).
+    Stream s starts from `initial` and applies state = fold(state, block)
+    to its quota drawn in chunks of at most `chunk` rows, in order (fold
+    must not keep the block).
 
-    With settle = (T, bound), requests[0] a log power sum capped at T
-    and rows of more than `_SEGMENT_ELEMS` doubles, each row is drawn
-    alone, in segments of that many doubles, into a one-row buffer.
-    After each segment but the last, the logaddexp of the segments'
-    `_reduce_rows` log power sums is compared with bound; once it
-    exceeds bound the row is settled: it is never folded, and the rest
-    of its draws are stepped over on the counter (`_skip_uniforms`), so
-    the next row gets the very draws it gets unsettled.  A row that does
-    not settle is folded as a (1, n) block.  Shorter rows, and every
-    call without settle, take the chunk path.
+    With settle = (prefix, bound) and rows of more than `_SEGMENT_ELEMS`
+    doubles, each row is drawn alone, in segments of that many doubles,
+    into a one-row buffer; prefix(segment) is the log of a sum of
+    nonnegative terms over one (1, _SEGMENT_ELEMS) segment.  After each
+    segment but the last, the logaddexp of the segments' prefix values
+    is compared with bound; once it exceeds bound the row is settled: it
+    is never folded, and the rest of its draws are stepped over on the
+    counter (`_skip_uniforms`), so the next row gets the very draws it
+    gets unsettled.  A row that does not settle is folded as a (1, n)
+    block.  Shorter rows, and every call without settle, take the chunk
+    path.
 
     The streams are cut into runs of 2^j consecutive streams, 2^j the
     largest power of two at most streams / W for W workers, and the runs
@@ -381,8 +378,7 @@ def _fold_streams(
     streams (the last run, if short, is that tree's node over the tail),
     and `_merge_run` over the run states, in run order, returns the bits
     of `_merge_run` over the stream states.  A worker draws all its
-    blocks into one buffer and passes fold one `_reduce_rows` workspace
-    for `requests`.
+    blocks into one buffer.
     """
     segmented = settle is not None and n > _SEGMENT_ELEMS
     step = 1 if segmented else chunk
@@ -391,44 +387,41 @@ def _fold_streams(
     run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
     runs = -(-streams // run)
 
-    def settled(
-        gen: np.random.Generator, position: int, buffer: np.ndarray, workspace: np.ndarray
-    ) -> bool:
+    def settled(gen: np.random.Generator, position: int, buffer: np.ndarray) -> bool:
         """Draw the row at stream output `position` into buffer; True if its prefix settles it."""
-        cap, bound = settle
-        prefix = -math.inf
+        prefix, bound = settle
+        total = -math.inf
         end = 0
         while n - end > _SEGMENT_ELEMS:
             segment = gaussian_draws(gen, (1, _SEGMENT_ELEMS), buffer[end:])
             end += _SEGMENT_ELEMS
-            prefix = np.logaddexp(prefix, _reduce_rows(segment, requests[:1], cap, workspace)[0, 0])
-            if prefix > bound:
+            total = np.logaddexp(total, prefix(segment))
+            if total > bound:
                 _skip_uniforms(gen, position + end, n - end)
                 return True
         gaussian_draws(gen, (1, n - end), buffer[end:])
         return False
 
-    def run_states(r: int, buffer: np.ndarray, workspace: np.ndarray) -> Iterator[State]:
+    def run_states(r: int, buffer: np.ndarray) -> Iterator[State]:
         for index in range(r * run, min(r * run + run, streams)):
             gen = RngStream(seed, index).generator()
             state = initial
             remaining = _stream_quota(samples, streams, index)
             if segmented:
                 for row in range(remaining):
-                    if not settled(gen, row * n, buffer, workspace):
-                        state = fold(state, buffer.reshape(1, n), workspace)
+                    if not settled(gen, row * n, buffer):
+                        state = fold(state, buffer.reshape(1, n))
             else:
                 while remaining > 0:
                     rows = min(step, remaining)
                     block = gaussian_draws(gen, (rows, n), buffer)
-                    state = fold(state, block, workspace)
+                    state = fold(state, block)
                     remaining -= rows
             yield state
 
     def share(indices: range) -> list[State]:
         buffer = np.empty(block_rows * n)
-        workspace = np.empty(_workspace_elems(block_rows, n, requests))
-        return [_merge_run(run_states(r, buffer, workspace), merge) for r in indices]
+        return [_merge_run(run_states(r, buffer), merge) for r in indices]
 
     shares = _strided_shares(share, runs, limit)
     workers = len(shares)
@@ -501,10 +494,8 @@ def mc_grid_stats(
     if negative is not None:
         requests.append((q, capped, True))
 
-    def fold(
-        accs: list[MomentAccumulator], block: np.ndarray, workspace: np.ndarray
-    ) -> list[MomentAccumulator]:
-        reduced = _reduce_rows(block, requests, cap, workspace)
+    def fold(accs: list[MomentAccumulator], block: np.ndarray) -> list[MomentAccumulator]:
+        reduced = _reduce_rows(block, requests, cap)
         norms = reduced[:width]
         values = list(norms)
         if T is not None:
@@ -527,7 +518,7 @@ def mc_grid_stats(
     count = width * (3 if T is not None else 1) + (negative is not None)
     accumulators = _fold_streams(
         fold, merge, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
-        constants, requests,
+        constants,
     )
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
@@ -625,13 +616,13 @@ def mc_small_ball(
     # 4 delta of the docstring
     margin = 2.0**-46 * (n + q) * (2.0 + abs(log_threshold))
 
-    def fold(successes: int, block: np.ndarray, workspace: np.ndarray) -> int:
-        log_sums = _reduce_rows(block, request, T, workspace)[0]
+    def fold(successes: int, block: np.ndarray) -> int:
+        log_sums = _reduce_rows(block, request, T)[0]
         return successes + int((log_sums <= log_threshold).sum())
 
     successes = _fold_streams(
-        fold, operator.add, 0, n, samples, seed, streams, chunk, constants, request,
-        settle=(T, log_threshold + margin),
+        fold, operator.add, 0, n, samples, seed, streams, chunk, constants,
+        settle=(lambda segment: _reduce_rows(segment, request, T)[0, 0], log_threshold + margin),
     )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(

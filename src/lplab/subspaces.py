@@ -115,7 +115,10 @@ def random_subspace(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
     Modified Gram-Schmidt with a second reorthogonalization pass keeps
     the Gram deviation near machine precision even for nearly dependent
     draws; a numerically rank-deficient draw (probability zero) is
-    replaced by the next one from the stream.
+    replaced by the next one from the stream.  The dot products and
+    norms are numpy's pairwise sums of elementwise products: a BLAS dot
+    splits its sum by thread, so the basis bits would follow the BLAS
+    thread count.
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -127,11 +130,11 @@ def random_subspace(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
         if attempts > 8 * k + 64:
             raise DomainError("repeated rank deficiency in subspace sampling")
         v = gaussian_draws(rng, (n,))
-        scale = float(np.linalg.norm(v))
+        scale = math.sqrt(np.add.reduce(v * v))
         for _ in range(2):
             for i in range(filled):
-                v = v - (columns[:, i] @ v) * columns[:, i]
-        norm = float(np.linalg.norm(v))
+                v = v - np.add.reduce(columns[:, i] * v) * columns[:, i]
+        norm = math.sqrt(np.add.reduce(v * v))
         if not norm > 1e-8 * max(scale, 1.0):
             continue
         columns[:, filled] = v / norm

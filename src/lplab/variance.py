@@ -174,14 +174,13 @@ def lower_envelope(n: int, p: float, constants: Constants = DEFAULT_CONSTANTS) -
     return LogValue(high)
 
 
-def tail_term(n: int, p: float, T: float, constants: Constants = DEFAULT_CONSTANTS) -> LogValue:
+def tail_term(n: int, T: float, constants: Constants = DEFAULT_CONSTANTS) -> LogValue:
     """n T^{-3} e^{-T^2/2}: the variance cost of capping coordinates at T.
 
-    Requires T >= xi; the truncation level is chosen per p but the bound
-    itself depends only on (n, T).
+    Requires n >= n_min and T >= xi; the truncation level is chosen per
+    p, but the bound itself depends only on (n, T).
     """
-    point = classify(n, p, constants)
-    _check_cap(T, point.xi)
+    _check_cap(T, classify(n, 1.0, constants).xi)
     if math.isinf(T):
         return LogValue(-math.inf)
     return LogValue(math.log(n) - 3.0 * math.log(T) - 0.5 * T * T)

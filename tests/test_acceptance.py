@@ -146,7 +146,7 @@ class TestTruncationAndNegativeMoments:
             m_level = truncation_level_M(n, p).to_float()
             for T in (xi, m_level):
                 _, gap_sq = mc_grid_stats(n, [p], 50_000, seed=11, T=T).truncated[0]
-                bound = tail_term(n, p, T).to_float()
+                bound = tail_term(n, T).to_float()
                 assert gap_sq.mean <= c * bound, (p, T, gap_sq.mean / bound)
 
     def test_negative_moment_dominated(self):

@@ -27,12 +27,7 @@ from lplab import (
     upper_quantile,
 )
 from lplab.errors import DomainError
-from lplab.gaussian import (
-    _TILE_ELEMS,
-    _reduce_rows,
-    _tile_rows,
-    _workspace_elems,
-)
+from lplab.gaussian import _TILE_ELEMS, _reduce_rows, _tile_rows
 
 
 class TestAbsTail:
@@ -305,27 +300,27 @@ class TestLpNorm:
                     assert abs(mp.mpf(value) - want) <= 4 * 2.0**-52 * scale * want
 
     def test_workspace_serves_every_tile(self):
-        # 300 rows of 3000 are 15 tiles of 21 rows; with a workspace the
+        # 300 rows of 3000 are 15 tiles of 21 rows; besides its scratch of
+        # one tile per kind (plain, capped) and one for the powers, the
         # reducer allocates its output and per-row vectors, no tile
         rng = np.random.default_rng(5)
         block = rng.standard_normal((300, 3000))
         requests = [(2.0, False, False), (12.0, True, False), (math.inf, False, False),
                     (3.0, True, True)]
         expected = _reduce_rows(block, requests, 1.5)
-        workspace = np.full(_workspace_elems(300, 3000, requests), np.nan)
         tracemalloc.start()
         try:
-            got = _reduce_rows(block, requests, 1.5, workspace)
+            got = _reduce_rows(block, requests, 1.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got.tobytes() == expected.tobytes()
-        assert peak < 8 * _TILE_ELEMS // 4
+        assert peak < 8 * 3 * _tile_rows(3000) * 3000 + 8 * _TILE_ELEMS // 4
 
     def test_workspace_holds_the_rows_over_the_cap(self):
         # at n = 3000 and T = 3.8 about 65% of rows have peak <= T: their
         # capped sums at p = 2 and 12 are the plain ones, and the rows
-        # over T are gathered into the workspace, not into a fresh array
+        # over T are gathered into the scratch, not into a fresh array
         rng = np.random.default_rng(7)
         block = rng.standard_normal((300, 3000))
         T = 3.8
@@ -336,15 +331,14 @@ class TestLpNorm:
                   (3.0, True, True)]
         requests = plain + capped
         expected = _reduce_rows(block, requests, T)
-        workspace = np.full(_workspace_elems(300, 3000, requests), np.nan)
         tracemalloc.start()
         try:
-            got = _reduce_rows(block, requests, T, workspace)
+            got = _reduce_rows(block, requests, T)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got.tobytes() == expected.tobytes()
-        assert peak < 8 * _TILE_ELEMS // 4
+        assert peak < 8 * 3 * _tile_rows(3000) * 3000 + 8 * _TILE_ELEMS // 4
         # each kind asked alone takes no shared sums, and gives the same bits
         assert got[:3].tobytes() == _reduce_rows(block, plain, T).tobytes()
         assert got[3:].tobytes() == _reduce_rows(block, capped, T).tobytes()
@@ -370,11 +364,11 @@ class TestLpNorm:
         assert (images[:, 17] == 0.0).all()
         for p in (1.0, 1.5, 2.0, 7.5, 40.0):
             plain = _reduce_rows(images, [(p, False, False)], math.inf)
-            norms, gradients = _reduce_rows(points, [(p, False, False)], math.inf, None, basis)
+            norms, gradients = _reduce_rows(points, [(p, False, False)], math.inf, basis)
             assert norms.tobytes() == plain.tobytes()
             direct = np.sign(images) * np.abs(images) ** (p - 1.0) / norms[0][:, None] ** (p - 1.0)
             assert np.allclose(gradients, direct @ basis, rtol=1e-12, atol=1e-14)
         # at p = inf no gradient is formed, and the norms are the row peaks
-        norms, gradients = _reduce_rows(points, [(math.inf, False, False)], math.inf, None, basis)
+        norms, gradients = _reduce_rows(points, [(math.inf, False, False)], math.inf, basis)
         assert norms[0].tobytes() == np.abs(images).max(axis=1).tobytes()
         assert gradients.shape == (40, 3) and np.isnan(gradients).all()

@@ -279,18 +279,17 @@ class TestWorkers:
             def merge(self, other):
                 return Tree((self.shape, other.shape))
 
-        def fold(state, block, workspace):
+        def fold(state, block):
             return Tree(float(block[0, 0]))
 
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
-        request = [(2.0, False, False)]
         for streams in [*range(1, 19), 31, 32, 33, 100]:
             leaves = [
                 Tree(float(gaussian_draws(RngStream(4, s).generator(), (1, 2))[0, 0]))
                 for s in range(streams)
             ]
             merged = lplab.montecarlo._fold_streams(
-                fold, Tree.merge, None, 2, streams, 4, streams, 8, DEFAULT_CONSTANTS, request
+                fold, Tree.merge, None, 2, streams, 4, streams, 8, DEFAULT_CONSTANTS
             )
             assert merged.shape == merge_pairwise(leaves).shape
 
@@ -342,12 +341,15 @@ class TestSettledRows:
         assert [(first > bound).sum(), ((first <= bound) & (both > bound)).sum()] == [4, 4]
         assert np.abs(np.concatenate([first, both]) - bound).min() > 1e-3
 
-        def fold(rows, block, workspace):
+        def fold(rows, block):
             return rows + (block[0].copy(),)
+
+        def prefix(segment):
+            return np.log(np.sum(np.abs(segment) ** q))
 
         folded = lplab.montecarlo._fold_streams(
             fold, operator.add, (), n, samples, seed, streams, 1, DEFAULT_CONSTANTS,
-            [(q, False, True)], settle=(math.inf, bound),
+            settle=(prefix, bound),
         )
         expected = whole[both <= bound]
         assert len(folded) == len(expected) == 8
@@ -382,10 +384,10 @@ class TestSettledRows:
         threshold = math.log(0.25) + quantile_power_sum(n, 2.0).log
         drawn = []
 
-        def segment_at_offset(block, requests, T, workspace=None):
+        def segment_at_offset(block, requests, T):
             if block.shape[1] < n:
                 return np.full((1, 1), threshold + offset)
-            return reduce_rows(block, requests, T, workspace)
+            return reduce_rows(block, requests, T)
 
         def counting(gen, shape, buffer=None):
             drawn.append(math.prod(shape))

@@ -5,7 +5,11 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -107,6 +111,38 @@ class TestRandomSubspace:
             abs((v + 1.0) / 2.0 - (i + 1) / 500) for i, v in enumerate(vals)
         ]
         assert max(gaps) < 1.63 / math.sqrt(500)
+
+    def test_bits_do_not_follow_the_blas_thread_count(self):
+        # OpenBLAS's thread count defaults to the usable cores, so a
+        # one-core and an all-core run must draw the same bases; past
+        # n = 10^4 a BLAS dot product rounds by its thread count.  The
+        # point values also cover the gradient matmul, which sums over n.
+        # A fresh interpreter per count, since OpenBLAS reads it at load
+        code = (
+            "import hashlib, numpy as np;"
+            " from lplab import RngStream, random_subspace;"
+            " from lplab.subspaces import _point_values\n"
+            "for n in (20_000, 100_000):\n"
+            "    basis = random_subspace(n, 3, RngStream(1, 0).generator())\n"
+            "    points = np.random.default_rng(0).normal(size=(13, 3))\n"
+            "    values, slopes = _point_values(basis, 7.5, points)\n"
+            "    for array in (basis.columns, values, slopes):\n"
+            "        print(hashlib.sha256(array.tobytes()).hexdigest())\n"
+        )
+        src = str(pathlib.Path(lplab.subspaces.__file__).parents[1])
+        digests = []
+        for threads in ("1", "3"):
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert len(digests[0].split()) == 6
+        assert digests[0] == digests[1]
 
     def test_k_bounds(self):
         gen = RngStream(0, 0).generator()

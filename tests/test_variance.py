@@ -224,7 +224,7 @@ class TestTailTerm:
     def test_frozen_value(self):
         n = 1000
         xi = upper_quantile(n)
-        got = tail_term(n, classify(n, 2.0).p1, xi)
+        got = tail_term(n, xi)
         assert got.to_float() == pytest.approx(0.1250338517292801, rel=1e-12)
         assert got.to_float() == pytest.approx(
             n * xi**-3.0 * math.exp(-xi * xi / 2.0), rel=1e-12
@@ -233,16 +233,16 @@ class TestTailTerm:
     def test_decreasing_in_T(self):
         n = 1000
         xi = upper_quantile(n)
-        vals = [tail_term(n, 5.0, t).log for t in (xi, xi + 0.5, xi + 1.0, 2 * xi)]
+        vals = [tail_term(n, t).log for t in (xi, xi + 0.5, xi + 1.0, 2 * xi)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_below_quantile_rejected(self):
         n = 1000
         with pytest.raises(DomainError):
-            tail_term(n, 5.0, upper_quantile(n) - 0.01)
+            tail_term(n, upper_quantile(n) - 0.01)
 
     def test_infinite_T_vanishes(self):
-        assert tail_term(1000, 5.0, math.inf).log == -math.inf
+        assert tail_term(1000, math.inf).log == -math.inf
 
 
 class TestAQuantity:

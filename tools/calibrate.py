@@ -83,7 +83,7 @@ def criterion_tail_gap(fast: bool):
         m_level = truncation_level_M(n, p).to_float()
         for label, T in (("xi", xi), ("M", m_level)):
             _, gap_sq = mc_grid_stats(n, [p], samples, seed=11, T=T).truncated[0]
-            bound = tail_term(n, p, T).to_float()
+            bound = tail_term(n, T).to_float()
             ratio = gap_sq.mean / bound
             worst = max(worst, ratio)
             print(f"p={p:.3f} T={label}={T:.3f}: gap2 {gap_sq.mean:.3e} "
