@@ -23,6 +23,7 @@ norms are within 7.7e-16 relative on rows of O(1) entries and within
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
@@ -144,6 +145,24 @@ def _tile_rows(n: int) -> int:
     return max(1, _TILE_ELEMS // max(n, 1))
 
 
+# each thread's reducer scratch, kept between calls (see `_scratch_tiles`)
+_scratch = threading.local()
+
+
+def _scratch_tiles(count: int, size: int) -> list[np.ndarray]:
+    """count disjoint tiles of size doubles in the calling thread's scratch.
+
+    The scratch is grown to the largest request and reused by every
+    later call on the thread; a fresh array per call would be freed into
+    the thread's malloc arena, where glibc keeps or trims it, and a run's
+    timings would then follow that arena's state.
+    """
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.size < count * size:
+        buffer = _scratch.buffer = np.empty(count * size)
+    return list(buffer[: count * size].reshape(count, size))
+
+
 def _max_factored(
     magnitudes: np.ndarray, peaks: np.ndarray, logs: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -186,10 +205,11 @@ def _reduce_rows(
     are gathered from the capped tile into the plain tile of the
     scratch, which every plain request has read by then.
 
-    The call allocates its scratch once: one tile per kind of magnitude
-    asked for (plain, capped) and one for the powers.  |x|, the scaled
-    copies, min(., T), the gathered rows and the powers are written into
-    it with out=, so a tile makes no temporary of its size.
+    The scratch, in the calling thread's `_scratch_tiles`, holds one tile
+    per kind of magnitude asked for (plain, capped) and one for the
+    powers.  |x|, the scaled copies, min(., T), the gathered rows and the
+    powers are written into it with out=, so a tile makes no temporary
+    of its size.
 
     With `basis`, an n x k matrix B, the block is m x k points y and the
     rows reduced are their images x = B y, formed a tile at a time in
@@ -210,7 +230,7 @@ def _reduce_rows(
     kinds = {capped for _, capped, _ in requests}
     size = min(tile, rows) * n
     gradients = None if basis is None else np.full((rows, basis.shape[1]), math.nan)
-    slots = list(np.empty((len(kinds) + 1 + (basis is not None), size)))
+    slots = _scratch_tiles(len(kinds) + 1 + (basis is not None), size)
     # with a basis, the points' images take the first slot
     images = None if basis is None else slots.pop(0)
     # the row peaks of each kind and their logs, kept for the whole block

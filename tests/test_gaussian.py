@@ -7,6 +7,7 @@ direct quadrature) and are frozen here as literals.
 import math
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -28,6 +29,18 @@ from lplab import (
 )
 from lplab.errors import DomainError
 from lplab.gaussian import _TILE_ELEMS, _reduce_rows, _tile_rows
+
+
+def traced_peak(call):
+    """call()'s result and tracemalloc peak, run on a new thread whose reducer scratch is empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tracemalloc.start()
+        try:
+            result = pool.submit(call).result()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return result, peak
 
 
 class TestAbsTail:
@@ -308,12 +321,7 @@ class TestLpNorm:
         requests = [(2.0, False, False), (12.0, True, False), (math.inf, False, False),
                     (3.0, True, True)]
         expected = _reduce_rows(block, requests, 1.5)
-        tracemalloc.start()
-        try:
-            got = _reduce_rows(block, requests, 1.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: _reduce_rows(block, requests, 1.5))
         assert got.tobytes() == expected.tobytes()
         assert peak < 8 * 3 * _tile_rows(3000) * 3000 + 8 * _TILE_ELEMS // 4
 
@@ -331,12 +339,7 @@ class TestLpNorm:
                   (3.0, True, True)]
         requests = plain + capped
         expected = _reduce_rows(block, requests, T)
-        tracemalloc.start()
-        try:
-            got = _reduce_rows(block, requests, T)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: _reduce_rows(block, requests, T))
         assert got.tobytes() == expected.tobytes()
         assert peak < 8 * 3 * _tile_rows(3000) * 3000 + 8 * _TILE_ELEMS // 4
         # each kind asked alone takes no shared sums, and gives the same bits
@@ -345,6 +348,28 @@ class TestLpNorm:
         # under T the capped norm is the plain one, so the gap is exactly 0
         assert (got[3, under] == got[0, under]).all()
         assert (got[3, ~under] < got[0, ~under]).all()
+
+    def test_scratch_outlives_the_call(self):
+        # the small-ball settle reduces 2^15-double segments and then whole
+        # rows of 10^5 on each worker thread; once the thread's scratch has
+        # grown to the row, later calls of either size allocate no tile,
+        # so their cost does not follow the malloc arena's state
+        rng = np.random.default_rng(8)
+        row = rng.standard_normal((1, 100_000))
+        segment = row[:, : 1 << 15]
+        request = [(2.0, True, True)]
+
+        def calls():
+            # the scratch grows to the segment, then to the row
+            expected = [_reduce_rows(block, request, 1.5) for block in (segment, row)]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = [_reduce_rows(block, request, 1.5) for block in (segment, row)]
+            return expected, got, tracemalloc.get_traced_memory()[1] - held
+
+        (expected, got, peak), _ = traced_peak(calls)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        assert peak < 8 * _TILE_ELEMS // 4
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gradients_leave_norms_and_match_direct_form(self):
