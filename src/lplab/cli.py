@@ -156,8 +156,8 @@ def cmd_quantile(args: argparse.Namespace, constants: Constants) -> int:
         if args.n < 1:
             raise LplabError(f"need --n >= 1, got {args.n}")
         i = args.i
-        if i > args.n:  # before i / n, which can overflow
-            raise LplabError("need --i <= --n")
+        if not 1 <= i <= args.n:  # before i / n, which can overflow
+            raise LplabError("need 1 <= --i <= --n")
         xi = quantile_tail(i / args.n)
         try:
             approx = quantile_approx(args.n, i)

@@ -17,28 +17,31 @@ Accumulation tracks central moments up to order four so that variance
 estimates carry honest standard errors (variance of the sample variance
 needs the fourth moment).
 
-One sampling loop serves every estimator.  `_fold_streams` cuts the
-streams into runs of 2^j consecutive streams and deals the runs
-round-robin to a thread pool of min(usable cores, streams) workers
-(fewer if the memory guard admits fewer blocks in flight), one task per
-worker however many streams there are (`_strided_shares`, which also
-runs the trials of the random sections).  A worker runs its streams one
-after another; each draws its quota in chunks of `_chunk_rows` rows and
-folds them, in chunk order, into that stream's own state, which the
-worker merges into its run as the fixed pairwise tree would, so a
-worker holds a few states however many streams it runs.  A run starts
-at a multiple of its length, so it is a subtree of that tree; the main
+One scheduler runs the streams of every estimator.  `_fold_streams`
+cuts the streams into runs of 2^j consecutive streams and deals the
+runs round-robin to a thread pool of min(usable cores, streams) workers
+(fewer if the memory guard admits fewer buffers in flight), one task
+per worker however many streams there are (`_strided_shares`, which
+also runs the trials of the random sections).  A worker runs its
+streams one after another; the estimator's stream function draws each
+stream's quota and returns that stream's own state, which the worker
+merges into its run as the fixed pairwise tree would, so a worker
+holds a few states however many streams it runs.  A run starts at a
+multiple of its length, so it is a subtree of that tree; the main
 thread merges the run states, in run order, along the same tree and
 returns the one state for all streams.  Philox is counter-based, so a
 stream's draws do not depend on which thread runs it or when, and the
 reproducibility contract above holds for any worker count.
 
-Each worker allocates one float64 buffer for its largest chunk and
-draws every chunk of its streams into it: the uniforms are written
-straight into the buffer and ndtri runs in place.  A fresh block per
-chunk would be freed into the allocating thread's malloc arena, where
-glibc keeps it, so per-chunk blocks on several threads raise the peak
-resident size by about a block per thread per arena.
+The draws come from two block sources: `_chunks` yields a quota in
+chunks of `_chunk_rows` rows, and `_unsettled_rows` yields the long
+small-ball rows that their prefix does not settle.  Each worker
+allocates one float64 buffer for its largest block and its streams
+draw every block into it: the uniforms are written straight into the
+buffer and ndtri runs in place.  A fresh block per chunk would be
+freed into the allocating thread's malloc arena, where glibc keeps it,
+so per-chunk blocks on several threads raise the peak resident size
+by about a block per thread per arena.
 
 The row reducer `gaussian._reduce_rows`, which also serves the random
 sections, turns a block into per-row statistics, walking it in row
@@ -55,15 +58,10 @@ over one row alone, written into a full-chunk vector, and every
 accumulator still sees one batch per chunk, with the same chunk
 boundaries and merge tree as a single-estimator call.
 
-`mc_small_ball` decides each long sample (more than `_SEGMENT_ELEMS`
-coordinates) from a prefix: every term of its sum is >= 0, so the
-driver draws the sample segment by segment into a one-row buffer and
-counts it as a failure once the prefix sum passes the threshold by a
-margin that covers rounding.  The rest of that sample's outputs are
-stepped over on the Philox counter (`_skip_uniforms`), so every later
-sample sees the draws it would see unsettled; a sample that never
-settles is reduced whole, as before.  The counts and intervals keep
-their bits, and so does their independence of the worker count.
+`mc_small_ball` counts a long sample as a failure once the sum over a
+prefix of its coordinates passes the threshold by a margin that covers
+rounding (`_unsettled_rows`); its counts keep their bits at any worker
+count.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ from .variance import _check_negative_moment, _check_small_ball, quantile_power_
 
 # doubles per sample chunk
 _CHUNK_ELEMS = 1 << 21
-# doubles per segment of a row that may settle early (`_fold_streams`)
+# doubles per segment of a row that may settle early (`_unsettled_rows`)
 _SEGMENT_ELEMS = 1 << 15
 # workers never outnumber the cores this process may run on
 _USABLE_CORES = (
@@ -272,28 +270,26 @@ def _stream_quota(samples: int, streams: int, index: int) -> int:
     return base + (1 if index < extra else 0)
 
 
-def _chunk_rows(n: int, constants: Constants) -> int:
-    rows = max(1, min(_CHUNK_ELEMS // max(n, 1), 8192))
-    if rows * n * 8 > constants.memory_guard_bytes:
-        raise DomainError(
-            f"a single sample chunk ({rows}x{n} doubles) exceeds the memory guard"
-        )
-    return rows
+def _chunk_rows(n: int) -> int:
+    """Rows per sample chunk: about `_CHUNK_ELEMS` doubles, at most 8192."""
+    return max(1, min(_CHUNK_ELEMS // max(n, 1), 8192))
 
 
-def _validate_mc_args(n: int, samples: int, streams: int, constants: Constants) -> int:
-    """Check the sampling budget and return the chunk height in rows."""
+def _validate_mc_args(
+    n: int, samples: int, streams: int, rows: int, constants: Constants
+) -> None:
+    """Check the sampling budget and that a block of `rows` rows fits the memory guard."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
     if streams < 1:
         raise DomainError(f"need streams >= 1, got {streams}")
-    chunk = _chunk_rows(n, constants)
+    if rows * n * 8 > constants.memory_guard_bytes:
+        raise DomainError(f"a single sample chunk ({rows}x{n} doubles) exceeds the memory guard")
     # an empty stream would still build a generator and an accumulator
     if streams > samples:
         raise DomainError(f"need streams <= samples, got {streams} > {samples}")
-    return chunk
 
 
 def default_samples(n: int) -> int:
@@ -340,84 +336,40 @@ def _merge_run(states: Iterable[State], merge: Callable[[State, State], State]) 
 
 
 def _fold_streams(
-    fold: Callable[[State, np.ndarray], State],
+    stream: Callable[[np.random.Generator, int, np.ndarray], State],
     merge: Callable[[State, State], State],
-    initial: State,
     n: int,
+    rows: int,
     samples: int,
     seed: int,
     streams: int,
-    chunk: int,
     constants: Constants,
-    settle: tuple[Callable[[np.ndarray], float], float] | None = None,
 ) -> State:
-    """Fold each stream's blocks into a state; the states merged pairwise by index.
+    """stream(generator, quota, buffer) of each stream, the states merged pairwise by index.
 
-    Stream s starts from `initial` and applies state = fold(state, block)
-    to its quota drawn in chunks of at most `chunk` rows, in order (fold
-    must not keep the block).
-
-    With settle = (prefix, bound) and rows of more than `_SEGMENT_ELEMS`
-    doubles, each row is drawn alone, in segments of that many doubles,
-    into a one-row buffer; prefix(segment) is the log of a sum of
-    nonnegative terms over one (1, _SEGMENT_ELEMS) segment.  After each
-    segment but the last, the logaddexp of the segments' prefix values
-    is compared with bound; once it exceeds bound the row is settled: it
-    is never folded, and the rest of its draws are stepped over on the
-    counter (`_skip_uniforms`), so the next row gets the very draws it
-    gets unsettled.  A row that does not settle is folded as a (1, n)
-    block.  Shorter rows, and every call without settle, take the chunk
-    path.
+    Stream s gets RngStream(seed, s).generator(), its `_stream_quota` and
+    its worker's buffer of min(rows, largest quota) * n float64s, which
+    it may draw into but must not keep.
 
     The streams are cut into runs of 2^j consecutive streams, 2^j the
     largest power of two at most streams / W for W workers, and the runs
     are dealt to `_strided_shares` workers, capped so that the memory
-    guard admits every block in flight.  A worker merges each run's
-    states as it folds them (`_merge_run`): a run starts at a multiple of
+    guard admits every buffer in flight.  A worker merges each run's
+    states as it makes them (`_merge_run`): a run starts at a multiple of
     its length, so it is an exact subtree of `_merge_run`'s tree over all
     streams (the last run, if short, is that tree's node over the tail),
     and `_merge_run` over the run states, in run order, returns the bits
-    of `_merge_run` over the stream states.  A worker draws all its
-    blocks into one buffer.
+    of `_merge_run` over the stream states.
     """
-    segmented = settle is not None and n > _SEGMENT_ELEMS
-    step = 1 if segmented else chunk
-    block_rows = min(step, _stream_quota(samples, streams, 0))
+    block_rows = min(rows, _stream_quota(samples, streams, 0))
     limit = max(1, constants.memory_guard_bytes // (8 * block_rows * n))
     run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
     runs = -(-streams // run)
 
-    def settled(gen: np.random.Generator, position: int, buffer: np.ndarray) -> bool:
-        """Draw the row at stream output `position` into buffer; True if its prefix settles it."""
-        prefix, bound = settle
-        total = -math.inf
-        end = 0
-        while n - end > _SEGMENT_ELEMS:
-            segment = gaussian_draws(gen, (1, _SEGMENT_ELEMS), buffer[end:])
-            end += _SEGMENT_ELEMS
-            total = np.logaddexp(total, prefix(segment))
-            if total > bound:
-                _skip_uniforms(gen, position + end, n - end)
-                return True
-        gaussian_draws(gen, (1, n - end), buffer[end:])
-        return False
-
     def run_states(r: int, buffer: np.ndarray) -> Iterator[State]:
         for index in range(r * run, min(r * run + run, streams)):
             gen = RngStream(seed, index).generator()
-            state = initial
-            remaining = _stream_quota(samples, streams, index)
-            if segmented:
-                for row in range(remaining):
-                    if not settled(gen, row * n, buffer):
-                        state = fold(state, buffer.reshape(1, n))
-            else:
-                while remaining > 0:
-                    rows = min(step, remaining)
-                    block = gaussian_draws(gen, (rows, n), buffer)
-                    state = fold(state, block)
-                    remaining -= rows
-            yield state
+            yield stream(gen, _stream_quota(samples, streams, index), buffer)
 
     def share(indices: range) -> list[State]:
         buffer = np.empty(block_rows * n)
@@ -426,6 +378,46 @@ def _fold_streams(
     shares = _strided_shares(share, runs, limit)
     workers = len(shares)
     return _merge_run((shares[r % workers][r // workers] for r in range(runs)), merge)
+
+
+def _chunks(
+    gen: np.random.Generator, quota: int, n: int, rows: int, buffer: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The quota's Gaussian rows, in order, in blocks of at most `rows` rows drawn into buffer."""
+    while quota > 0:
+        yield gaussian_draws(gen, (min(rows, quota), n), buffer)
+        quota -= rows
+
+
+def _unsettled_rows(
+    gen: np.random.Generator,
+    quota: int,
+    n: int,
+    buffer: np.ndarray,
+    prefix: Callable[[np.ndarray], float],
+    bound: float,
+) -> Iterator[np.ndarray]:
+    """The quota's (1, n) Gaussian rows that do not settle, in order, each drawn into buffer.
+
+    A row is drawn in segments of `_SEGMENT_ELEMS` doubles; prefix(segment)
+    is the log of a sum of nonnegative terms over one segment.  Once the
+    logaddexp of the prefix values exceeds bound, before the last segment,
+    the row is settled: it is not yielded, and the rest of its draws are
+    stepped over on the counter (`_skip_uniforms`), so the next row gets
+    the very draws it gets unsettled.
+    """
+    for row in range(quota):
+        total, end = -math.inf, 0
+        while n - end > _SEGMENT_ELEMS:
+            segment = gaussian_draws(gen, (1, _SEGMENT_ELEMS), buffer[end:])
+            end += _SEGMENT_ELEMS
+            total = np.logaddexp(total, prefix(segment))
+            if total > bound:
+                _skip_uniforms(gen, row * n + end, n - end)
+                break
+        else:
+            gaussian_draws(gen, (1, n - end), buffer[end:])
+            yield buffer[:n].reshape(1, n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -484,7 +476,8 @@ def mc_grid_stats(
         _check_negative_moment(n, q, L, constants)
     if not p_values and negative is None:
         raise DomainError("need a p value or a negative moment to estimate")
-    chunk = _validate_mc_args(n, samples, streams, constants)
+    rows = _chunk_rows(n)
+    _validate_mc_args(n, samples, streams, rows, constants)
     cap = math.inf if T is None else T
     capped = not math.isinf(cap)
     width = len(p_values)
@@ -494,32 +487,35 @@ def mc_grid_stats(
     if negative is not None:
         requests.append((q, capped, True))
 
-    def fold(accs: list[MomentAccumulator], block: np.ndarray) -> list[MomentAccumulator]:
-        reduced = _reduce_rows(block, requests, cap)
-        norms = reduced[:width]
-        values = list(norms)
-        if T is not None:
-            capped_norms = reduced[width : 2 * width] if capped else norms
-            for norm, capped_norm in zip(norms, capped_norms):
-                gaps = norm - capped_norm
-                values += [capped_norm, gaps * gaps]
-        if negative is not None:
-            values.append(np.exp(-L * reduced[-1]))
-        return [
-            acc.merge(MomentAccumulator.from_batch(batch))
-            for acc, batch in zip(accs, values, strict=True)
-        ]
+    count = width * (3 if T is not None else 1) + (negative is not None)
+
+    def stream(
+        gen: np.random.Generator, quota: int, buffer: np.ndarray
+    ) -> list[MomentAccumulator]:
+        accs = [MomentAccumulator.empty()] * count
+        for block in _chunks(gen, quota, n, rows, buffer):
+            reduced = _reduce_rows(block, requests, cap)
+            norms = reduced[:width]
+            values = list(norms)
+            if T is not None:
+                capped_norms = reduced[width : 2 * width] if capped else norms
+                for norm, capped_norm in zip(norms, capped_norms):
+                    gaps = norm - capped_norm
+                    values += [capped_norm, gaps * gaps]
+            if negative is not None:
+                values.append(np.exp(-L * reduced[-1]))
+            accs = [
+                acc.merge(MomentAccumulator.from_batch(batch))
+                for acc, batch in zip(accs, values, strict=True)
+            ]
+        return accs
 
     def merge(
         left: list[MomentAccumulator], right: list[MomentAccumulator]
     ) -> list[MomentAccumulator]:
         return [a.merge(b) for a, b in zip(left, right, strict=True)]
 
-    count = width * (3 if T is not None else 1) + (negative is not None)
-    accumulators = _fold_streams(
-        fold, merge, [MomentAccumulator.empty()] * count, n, samples, seed, streams, chunk,
-        constants,
-    )
+    accumulators = _fold_streams(stream, merge, n, rows, samples, seed, streams, constants)
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
     if T is not None:
@@ -585,11 +581,10 @@ def mc_small_ball(
     Every term is >= 0, so a sample whose sum over a prefix of its
     coordinates already exceeds the threshold is a failure.  A sample of
     more than `_SEGMENT_ELEMS` coordinates is counted as a failure, and
-    the rest of its draws skipped (`_fold_streams`), once the log of its
-    computed prefix sum exceeds log_threshold + 4 delta, where
+    the rest of its draws skipped (`_unsettled_rows`), once the log of
+    its computed prefix sum exceeds log_threshold + 4 delta, where
     delta = 2^-48 (n + q) (2 + |log_threshold|); every other sample is
-    reduced whole and compared with the threshold, as before, so each
-    count equals the whole-row count.
+    reduced whole, so each count equals the whole-row count.
 
     The margin covers rounding.  A power sum of at most n terms,
     computed by `_reduce_rows` or as a logaddexp of such sums, is within
@@ -610,20 +605,25 @@ def mc_small_ball(
     """
     _check_small_ball(q, tau)
     _check_cap(T)
-    chunk = _validate_mc_args(n, samples, streams, constants)
+    segmented = n > _SEGMENT_ELEMS
+    rows = 1 if segmented else _chunk_rows(n)
+    _validate_mc_args(n, samples, streams, rows, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
     request = [(q, not math.isinf(T), True)]
-    # 4 delta of the docstring
-    margin = 2.0**-46 * (n + q) * (2.0 + abs(log_threshold))
+    # log_threshold + 4 delta of the docstring
+    bound = log_threshold + 2.0**-46 * (n + q) * (2.0 + abs(log_threshold))
 
-    def fold(successes: int, block: np.ndarray) -> int:
-        log_sums = _reduce_rows(block, request, T)[0]
-        return successes + int((log_sums <= log_threshold).sum())
+    def prefix(segment: np.ndarray) -> float:
+        return _reduce_rows(segment, request, T)[0, 0]
 
-    successes = _fold_streams(
-        fold, operator.add, 0, n, samples, seed, streams, chunk, constants,
-        settle=(lambda segment: _reduce_rows(segment, request, T)[0, 0], log_threshold + margin),
-    )
+    def stream(gen: np.random.Generator, quota: int, buffer: np.ndarray) -> int:
+        if segmented:
+            blocks = _unsettled_rows(gen, quota, n, buffer, prefix, bound)
+        else:
+            blocks = _chunks(gen, quota, n, rows, buffer)
+        return sum(int((_reduce_rows(b, request, T)[0] <= log_threshold).sum()) for b in blocks)
+
+    successes = _fold_streams(stream, operator.add, n, rows, samples, seed, streams, constants)
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(
         probability=successes / samples,

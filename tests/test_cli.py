@@ -180,7 +180,7 @@ class TestQuantileCommand:
         code, out, err = run_cli(capsys, ["quantile", "--n", "1000", "--i", i])
         assert code == 2
         assert out == ""
-        assert "tail in (0, 1]" in err
+        assert "need 1 <= --i <= --n" in err
 
     @pytest.mark.parametrize("n, i", [("0", "1"), ("-4", "-1")])
     def test_nonpositive_n_exits_two(self, capsys, n, i):

@@ -279,7 +279,8 @@ class TestWorkers:
             def merge(self, other):
                 return Tree((self.shape, other.shape))
 
-        def fold(state, block):
+        def stream(gen, quota, buffer):
+            [block] = lplab.montecarlo._chunks(gen, quota, 2, 8, buffer)
             return Tree(float(block[0, 0]))
 
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
@@ -289,9 +290,26 @@ class TestWorkers:
                 for s in range(streams)
             ]
             merged = lplab.montecarlo._fold_streams(
-                fold, Tree.merge, None, 2, streams, 4, streams, 8, DEFAULT_CONSTANTS
+                stream, Tree.merge, 2, 8, streams, 4, streams, DEFAULT_CONSTANTS
             )
             assert merged.shape == merge_pairwise(leaves).shape
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_each_stream_gets_its_generator_and_quota(self, monkeypatch, cores):
+        # 100 samples over 7 streams: the first 100 mod 7 = 2 streams
+        # draw one more; the states come back merged in stream order
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+
+        def stream(gen, quota, buffer):
+            return ((quota, gen.random()),)
+
+        merged = lplab.montecarlo._fold_streams(
+            stream, operator.add, 1, 8, 100, 4, 7, DEFAULT_CONSTANTS
+        )
+        assert merged == tuple(
+            (quota, RngStream(4, s).generator().random())
+            for s, quota in enumerate([15, 15, 14, 14, 14, 14, 14])
+        )
 
     @pytest.mark.parametrize("cores", [1, 3])
     def test_held_states_do_not_grow_with_streams(self, monkeypatch, cores):
@@ -341,19 +359,29 @@ class TestSettledRows:
         assert [(first > bound).sum(), ((first <= bound) & (both > bound)).sum()] == [4, 4]
         assert np.abs(np.concatenate([first, both]) - bound).min() > 1e-3
 
-        def fold(rows, block):
-            return rows + (block[0].copy(),)
-
         def prefix(segment):
             return np.log(np.sum(np.abs(segment) ** q))
 
+        def stream(gen, quota, buffer):
+            rows = lplab.montecarlo._unsettled_rows(gen, quota, n, buffer, prefix, bound)
+            return tuple(row[0].copy() for row in rows)
+
         folded = lplab.montecarlo._fold_streams(
-            fold, operator.add, (), n, samples, seed, streams, 1, DEFAULT_CONSTANTS,
-            settle=(prefix, bound),
+            stream, operator.add, n, 1, samples, seed, streams, DEFAULT_CONSTANTS
         )
         expected = whole[both <= bound]
         assert len(folded) == len(expected) == 8
         assert all(np.array_equal(row, want) for row, want in zip(folded, expected))
+
+    def test_memory_guard_checks_the_row_drawn(self):
+        # past one segment a stream draws one row at a time, so an 8 MiB
+        # guard admits n = 10^5 (0.8 MB a row), though it refuses the
+        # 20-row chunks mc_grid_stats draws at that n
+        guard = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=8 << 20)
+        args = (100_000, 2.0, 0.25, math.inf, 4, 0, 2)
+        assert mc_small_ball(*args, constants=guard) == mc_small_ball(*args)
+        with pytest.raises(DomainError, match=r"\(20x100000 doubles\) exceeds the memory guard"):
+            mc_grid_stats(100_000, [2.0], 4, 0, 2, constants=guard)
 
     def test_benchmark_shape_draws_a_third(self, monkeypatch):
         # at tau = 0.25 a sample of 10^5 squares passes the threshold
