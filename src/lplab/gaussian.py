@@ -163,6 +163,14 @@ def _scratch_tiles(count: int, size: int) -> list[np.ndarray]:
     return list(buffer[: count * size].reshape(count, size))
 
 
+def _scratch_shape(
+    rows: int, n: int, requests: list[tuple[float, bool, bool]], basis: bool = False
+) -> tuple[int, int]:
+    """(count, size) of the `_scratch_tiles` that `_reduce_rows` takes for a rows x n block."""
+    kinds = {capped for _, capped, _ in requests}
+    return len(kinds) + 1 + basis, min(_tile_rows(n), rows) * n
+
+
 def _max_factored(
     magnitudes: np.ndarray, peaks: np.ndarray, logs: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -205,11 +213,11 @@ def _reduce_rows(
     are gathered from the capped tile into the plain tile of the
     scratch, which every plain request has read by then.
 
-    The scratch, in the calling thread's `_scratch_tiles`, holds one tile
-    per kind of magnitude asked for (plain, capped) and one for the
-    powers.  |x|, the scaled copies, min(., T), the gathered rows and the
-    powers are written into it with out=, so a tile makes no temporary
-    of its size.
+    The scratch, in the calling thread's `_scratch_tiles` and laid out by
+    `_scratch_shape`, holds one tile per kind of magnitude asked for
+    (plain, capped) and one for the powers.  |x|, the scaled copies,
+    min(., T), the gathered rows and the powers are written into it with
+    out=, so a tile makes no temporary of its size.
 
     With `basis`, an n x k matrix B, the block is m x k points y and the
     rows reduced are their images x = B y, formed a tile at a time in
@@ -228,9 +236,8 @@ def _reduce_rows(
     out = np.empty((len(requests), rows))
     tile = _tile_rows(n)
     kinds = {capped for _, capped, _ in requests}
-    size = min(tile, rows) * n
     gradients = None if basis is None else np.full((rows, basis.shape[1]), math.nan)
-    slots = _scratch_tiles(len(kinds) + 1 + (basis is not None), size)
+    slots = _scratch_tiles(*_scratch_shape(rows, n, requests, basis is not None))
     # with a basis, the points' images take the first slot
     images = None if basis is None else slots.pop(0)
     # the row peaks of each kind and their logs, kept for the whole block

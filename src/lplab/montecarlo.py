@@ -19,29 +19,30 @@ needs the fourth moment).
 
 One scheduler runs the streams of every estimator.  `_fold_streams`
 cuts the streams into runs of 2^j consecutive streams and deals the
-runs round-robin to a thread pool of min(usable cores, streams) workers
-(fewer if the memory guard admits fewer buffers in flight), one task
-per worker however many streams there are (`_strided_shares`, which
-also runs the trials of the random sections).  A worker runs its
-streams one after another; the estimator's stream function draws each
-stream's quota and returns that stream's own state, which the worker
-merges into its run as the fixed pairwise tree would, so a worker
-holds a few states however many streams it runs.  A run starts at a
-multiple of its length, so it is a subtree of that tree; the main
-thread merges the run states, in run order, along the same tree and
-returns the one state for all streams.  Philox is counter-based, so a
-stream's draws do not depend on which thread runs it or when, and the
-reproducibility contract above holds for any worker count.
+runs round-robin to a thread pool of min(usable cores, streams)
+workers (fewer if the memory guard admits fewer buffers and reducer
+scratch in flight), one task per worker however many streams there are
+(`_strided_shares`, which also runs the trials of the random
+sections).  A worker runs its streams one after another; the
+estimator's stream function draws each stream's quota and returns that
+stream's own state, which the worker merges into its run as the fixed
+pairwise tree would, so a worker holds a few states however many
+streams it runs.  A run starts at a multiple of its length, so it is a
+subtree of that tree; the main thread merges the run states, in run
+order, along the same tree and returns the one state for all streams.
+Philox is counter-based, so a stream's draws do not depend on which
+thread runs it or when, and the reproducibility contract above holds
+for any worker count.
 
 The draws come from two block sources: `_chunks` yields a quota in
-chunks of `_chunk_rows` rows, and `_unsettled_rows` yields the long
-small-ball rows that their prefix does not settle.  Each worker
-allocates one float64 buffer for its largest block and its streams
-draw every block into it: the uniforms are written straight into the
-buffer and ndtri runs in place.  A fresh block per chunk would be
-freed into the allocating thread's malloc arena, where glibc keeps it,
-so per-chunk blocks on several threads raise the peak resident size
-by about a block per thread per arena.
+chunks of `_chunk_rows` rows, and `_row_logs` draws the long
+small-ball rows one segment of `_SEGMENT_ELEMS` doubles at a time.
+Each worker allocates one float64 buffer for its largest block and its
+streams draw every block into it: the uniforms are written straight
+into the buffer and ndtri runs in place.  A fresh block per chunk
+would be freed into the allocating thread's malloc arena, where glibc
+keeps it, so per-chunk blocks on several threads raise the peak
+resident size by about a block per thread per arena.
 
 The row reducer `gaussian._reduce_rows`, which also serves the random
 sections, turns a block into per-row statistics, walking it in row
@@ -58,10 +59,11 @@ over one row alone, written into a full-chunk vector, and every
 accumulator still sees one batch per chunk, with the same chunk
 boundaries and merge tree as a single-estimator call.
 
-`mc_small_ball` counts a long sample as a failure once the sum over a
-prefix of its coordinates passes the threshold by a margin that covers
-rounding (`_unsettled_rows`); its counts keep their bits at any worker
-count.
+`mc_small_ball` settles and counts a long sample on one running value,
+the logaddexp of its segments' log power sums, which never decreases:
+once it passes the threshold the sample is a failure and the rest of
+its draws are stepped over (`_row_logs`).  Its counts keep their bits
+at any worker count.
 """
 
 from __future__ import annotations
@@ -79,12 +81,12 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _validate_p
+from .gaussian import _reduce_rows, _scratch_shape, _validate_p
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
 # doubles per sample chunk
 _CHUNK_ELEMS = 1 << 21
-# doubles per segment of a row that may settle early (`_unsettled_rows`)
+# doubles per segment of a long small-ball row (`_row_logs`)
 _SEGMENT_ELEMS = 1 << 15
 # workers never outnumber the cores this process may run on
 _USABLE_CORES = (
@@ -276,17 +278,20 @@ def _chunk_rows(n: int) -> int:
 
 
 def _validate_mc_args(
-    n: int, samples: int, streams: int, rows: int, constants: Constants
+    n: int, samples: int, streams: int, rows: int, width: int, scratch: int, constants: Constants
 ) -> None:
-    """Check the sampling budget and that a block of `rows` rows fits the memory guard."""
+    """Check the budget, and that a rows x width block and its reducer's scratch fit the guard."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
     if streams < 1:
         raise DomainError(f"need streams >= 1, got {streams}")
-    if rows * n * 8 > constants.memory_guard_bytes:
-        raise DomainError(f"a single sample chunk ({rows}x{n} doubles) exceeds the memory guard")
+    if (rows * width + scratch) * 8 > constants.memory_guard_bytes:
+        raise DomainError(
+            f"a single sample chunk ({rows}x{width} doubles) exceeds the memory guard"
+            f" with its {scratch} doubles of reducer scratch"
+        )
     # an empty stream would still build a generator and an accumulator
     if streams > samples:
         raise DomainError(f"need streams <= samples, got {streams} > {samples}")
@@ -338,8 +343,9 @@ def _merge_run(states: Iterable[State], merge: Callable[[State, State], State]) 
 def _fold_streams(
     stream: Callable[[np.random.Generator, int, np.ndarray], State],
     merge: Callable[[State, State], State],
-    n: int,
     rows: int,
+    width: int,
+    scratch: int,
     samples: int,
     seed: int,
     streams: int,
@@ -348,21 +354,22 @@ def _fold_streams(
     """stream(generator, quota, buffer) of each stream, the states merged pairwise by index.
 
     Stream s gets RngStream(seed, s).generator(), its `_stream_quota` and
-    its worker's buffer of min(rows, largest quota) * n float64s, which
-    it may draw into but must not keep.
+    its worker's buffer of min(rows, largest quota) * width float64s,
+    which it may draw into but must not keep.
 
     The streams are cut into runs of 2^j consecutive streams, 2^j the
     largest power of two at most streams / W for W workers, and the runs
     are dealt to `_strided_shares` workers, capped so that the memory
-    guard admits every buffer in flight.  A worker merges each run's
+    guard admits every buffer in flight, each with the `scratch` doubles
+    its worker's reducer keeps.  A worker merges each run's
     states as it makes them (`_merge_run`): a run starts at a multiple of
     its length, so it is an exact subtree of `_merge_run`'s tree over all
     streams (the last run, if short, is that tree's node over the tail),
     and `_merge_run` over the run states, in run order, returns the bits
     of `_merge_run` over the stream states.
     """
-    block_rows = min(rows, _stream_quota(samples, streams, 0))
-    limit = max(1, constants.memory_guard_bytes // (8 * block_rows * n))
+    block = min(rows, _stream_quota(samples, streams, 0)) * width
+    limit = max(1, constants.memory_guard_bytes // (8 * (block + scratch)))
     run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
     runs = -(-streams // run)
 
@@ -372,7 +379,7 @@ def _fold_streams(
             yield stream(gen, _stream_quota(samples, streams, index), buffer)
 
     def share(indices: range) -> list[State]:
-        buffer = np.empty(block_rows * n)
+        buffer = np.empty(block)
         return [_merge_run(run_states(r, buffer), merge) for r in indices]
 
     shares = _strided_shares(share, runs, limit)
@@ -389,35 +396,35 @@ def _chunks(
         quota -= rows
 
 
-def _unsettled_rows(
+def _row_logs(
     gen: np.random.Generator,
     quota: int,
     n: int,
     buffer: np.ndarray,
-    prefix: Callable[[np.ndarray], float],
-    bound: float,
-) -> Iterator[np.ndarray]:
-    """The quota's (1, n) Gaussian rows that do not settle, in order, each drawn into buffer.
+    log_sum: Callable[[np.ndarray], float],
+    threshold: float,
+) -> Iterator[float]:
+    """Each of the quota's rows of n Gaussians reduced to one value, in order.
 
-    A row is drawn in segments of `_SEGMENT_ELEMS` doubles; prefix(segment)
-    is the log of a sum of nonnegative terms over one segment.  Once the
-    logaddexp of the prefix values exceeds bound, before the last segment,
-    the row is settled: it is not yielded, and the rest of its draws are
-    stepped over on the counter (`_skip_uniforms`), so the next row gets
-    the very draws it gets unsettled.
+    A row is drawn into buffer a segment of at most `_SEGMENT_ELEMS`
+    doubles at a time; log_sum maps a (1, width) segment to the log of a
+    sum of nonnegative terms over it, and the row's value is the running
+    logaddexp of its segments' log_sum.  The running value never
+    decreases (`mc_small_ball`), so once it exceeds threshold before the
+    last segment the row's value is yielded as it stands, and the rest
+    of its draws are stepped over on the counter (`_skip_uniforms`): the
+    next row gets the very draws it gets when no row stops early.
     """
     for row in range(quota):
-        total, end = -math.inf, 0
-        while n - end > _SEGMENT_ELEMS:
-            segment = gaussian_draws(gen, (1, _SEGMENT_ELEMS), buffer[end:])
-            end += _SEGMENT_ELEMS
-            total = np.logaddexp(total, prefix(segment))
-            if total > bound:
+        value, end = -math.inf, 0
+        while end < n:
+            width = min(_SEGMENT_ELEMS, n - end)
+            value = np.logaddexp(value, log_sum(gaussian_draws(gen, (1, width), buffer)))
+            end += width
+            if value > threshold and end < n:
                 _skip_uniforms(gen, row * n + end, n - end)
                 break
-        else:
-            gaussian_draws(gen, (1, n - end), buffer[end:])
-            yield buffer[:n].reshape(1, n)
+        yield value
 
 
 @dataclass(frozen=True, slots=True)
@@ -476,8 +483,6 @@ def mc_grid_stats(
         _check_negative_moment(n, q, L, constants)
     if not p_values and negative is None:
         raise DomainError("need a p value or a negative moment to estimate")
-    rows = _chunk_rows(n)
-    _validate_mc_args(n, samples, streams, rows, constants)
     cap = math.inf if T is None else T
     capped = not math.isinf(cap)
     width = len(p_values)
@@ -486,6 +491,9 @@ def mc_grid_stats(
         requests += [(p, True, False) for p in p_values]
     if negative is not None:
         requests.append((q, capped, True))
+    rows = _chunk_rows(n)
+    scratch = math.prod(_scratch_shape(rows, n, requests))
+    _validate_mc_args(n, samples, streams, rows, n, scratch, constants)
 
     count = width * (3 if T is not None else 1) + (negative is not None)
 
@@ -515,7 +523,9 @@ def mc_grid_stats(
     ) -> list[MomentAccumulator]:
         return [a.merge(b) for a, b in zip(left, right, strict=True)]
 
-    accumulators = _fold_streams(stream, merge, n, rows, samples, seed, streams, constants)
+    accumulators = _fold_streams(
+        stream, merge, rows, n, scratch, samples, seed, streams, constants
+    )
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
     if T is not None:
@@ -578,52 +588,38 @@ def mc_small_ball(
     the threshold's n quantiles must fit constants.memory_guard_bytes
     (`quantile_power_sum`).
 
-    Every term is >= 0, so a sample whose sum over a prefix of its
-    coordinates already exceeds the threshold is a failure.  A sample of
-    more than `_SEGMENT_ELEMS` coordinates is counted as a failure, and
-    the rest of its draws skipped (`_unsettled_rows`), once the log of
-    its computed prefix sum exceeds log_threshold + 4 delta, where
-    delta = 2^-48 (n + q) (2 + |log_threshold|); every other sample is
-    reduced whole, so each count equals the whole-row count.
-
-    The margin covers rounding.  A power sum of at most n terms,
-    computed by `_reduce_rows` or as a logaddexp of such sums, is within
-    a factor 1 +- eta of the exact one, with
-    eta = 2^-48 (n + q) (1 + |L|) at log value L: (n - 1) 2^-53 from the
-    summation, (q + 2) 2^-53 from a rounded ratio raised to the q, and a
-    few 2^-53 |L| from the logs, products and logaddexps.  A prefix
-    whose exact log is more than 1 below log_threshold never settles,
-    and one more than 1 above it settles a sample that fails anyway.
-    Nearer, eta <= delta and e^{4 delta} > (1 + delta) / (1 - delta), so
-    a settled sample has
-
-        full computed >= true full (1 - delta) >= true prefix (1 - delta)
-                      >= computed prefix (1 - delta) / (1 + delta)
-                      >  threshold,
-
-    the middle step because the terms are >= 0.
+    A sample of at most `_SEGMENT_ELEMS` coordinates is counted on the
+    log of its power sum.  A longer one is drawn and reduced a segment of
+    `_SEGMENT_ELEMS` coordinates at a time, and counted on the running
+    logaddexp of its segments' log power sums (`_row_logs`).  That value
+    never decreases: numpy's logaddexp(a, b) is max(a, b) plus the term
+    log1p(exp(-|a - b|)) >= 0, and a rounded sum with a nonnegative term
+    is not below max(a, b).  So a sample whose value passes log_threshold
+    before its last segment would fail whole; it is counted there, and
+    the rest of its draws are skipped.
     """
     _check_small_ball(q, tau)
     _check_cap(T)
     segmented = n > _SEGMENT_ELEMS
-    rows = 1 if segmented else _chunk_rows(n)
-    _validate_mc_args(n, samples, streams, rows, constants)
-    log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
+    rows, width = (1, _SEGMENT_ELEMS) if segmented else (_chunk_rows(n), n)
     request = [(q, not math.isinf(T), True)]
-    # log_threshold + 4 delta of the docstring
-    bound = log_threshold + 2.0**-46 * (n + q) * (2.0 + abs(log_threshold))
+    scratch = math.prod(_scratch_shape(rows, width, request))
+    _validate_mc_args(n, samples, streams, rows, width, scratch, constants)
+    log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
 
-    def prefix(segment: np.ndarray) -> float:
-        return _reduce_rows(segment, request, T)[0, 0]
+    def log_sums(block: np.ndarray) -> np.ndarray:
+        return _reduce_rows(block, request, T)[0]
 
     def stream(gen: np.random.Generator, quota: int, buffer: np.ndarray) -> int:
         if segmented:
-            blocks = _unsettled_rows(gen, quota, n, buffer, prefix, bound)
+            values = _row_logs(gen, quota, n, buffer, lambda s: log_sums(s)[0], log_threshold)
         else:
-            blocks = _chunks(gen, quota, n, rows, buffer)
-        return sum(int((_reduce_rows(b, request, T)[0] <= log_threshold).sum()) for b in blocks)
+            values = map(log_sums, _chunks(gen, quota, n, rows, buffer))
+        return sum(int(np.count_nonzero(v <= log_threshold)) for v in values)
 
-    successes = _fold_streams(stream, operator.add, n, rows, samples, seed, streams, constants)
+    successes = _fold_streams(
+        stream, operator.add, rows, width, scratch, samples, seed, streams, constants
+    )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(
         probability=successes / samples,

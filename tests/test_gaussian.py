@@ -350,10 +350,10 @@ class TestLpNorm:
         assert (got[3, ~under] < got[0, ~under]).all()
 
     def test_scratch_outlives_the_call(self):
-        # the small-ball settle reduces 2^15-double segments and then whole
-        # rows of 10^5 on each worker thread; once the thread's scratch has
-        # grown to the row, later calls of either size allocate no tile,
-        # so their cost does not follow the malloc arena's state
+        # a thread's scratch grows to its largest call: once it has grown
+        # from a 2^15-double small-ball segment to a row of 10^5, such as
+        # a long mc_grid_stats row, later calls of either size allocate
+        # no tile, so their cost does not follow the malloc arena's state
         rng = np.random.default_rng(8)
         row = rng.standard_normal((1, 100_000))
         segment = row[:, : 1 << 15]

@@ -26,6 +26,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lplab.gaussian
 import lplab.montecarlo
@@ -238,15 +239,42 @@ class TestWorkers:
         assert max(pool_sizes) == cores
 
     def test_guard_admitting_one_block_runs_one_worker(self, monkeypatch, pool_sizes):
-        # n = 3000 draws 699-row blocks of 16,776,000 bytes
+        # n = 3000 draws 699-row blocks of 16,776,000 bytes, and each
+        # worker's reducer keeps two 21-row tiles of scratch (the scaled
+        # |x| and the powers), 1,008,000 bytes
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
-        block = 699 * 3000 * 8
-        one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * block - 1)
+        held = 699 * 3000 * 8 + 2 * 21 * 3000 * 8
+        one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * held - 1)
         estimate = mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=one).norms[0]
         assert reprs(estimate) == GOLDEN[3][1]
-        two = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * block)
+        two = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * held)
         assert mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=two).norms[0] == estimate
         assert pool_sizes == [1, 2]
+
+    def test_guard_counts_the_reducer_scratch(self, monkeypatch):
+        # from n = 2^16 a reducer tile is one whole row, and a capped grid
+        # keeps three of them (plain, capped, powers) next to the row
+        # drawn: at n = 4·10^6 that is 128 MB, refused by a 64 MiB guard
+        # before anything is drawn; at n = 2·10^6 it is 64 MB, admitted,
+        # and the call's traced peak stays within the guard
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
+        guard = 64 << 20
+        constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+
+        def no_draws(*args):
+            raise AssertionError("drew before the guard")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
+            with pytest.raises(DomainError, match="with its 12000000 doubles of reducer scratch"):
+                mc_grid_stats(4_000_000, [2.0, 8.0], 2, 0, 1, constants, T=3.0)
+        tracemalloc.start()
+        try:
+            mc_grid_stats(2_000_000, [2.0, 8.0], 2, 0, 1, constants, T=3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2_000_000 * 4 * 8 <= peak <= guard
 
     def test_threads_bounded_by_cores_and_streams(self, monkeypatch, capsys, pool_sizes):
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
@@ -290,7 +318,7 @@ class TestWorkers:
                 for s in range(streams)
             ]
             merged = lplab.montecarlo._fold_streams(
-                stream, Tree.merge, 2, 8, streams, 4, streams, DEFAULT_CONSTANTS
+                stream, Tree.merge, 8, 2, 0, streams, 4, streams, DEFAULT_CONSTANTS
             )
             assert merged.shape == merge_pairwise(leaves).shape
 
@@ -304,7 +332,7 @@ class TestWorkers:
             return ((quota, gen.random()),)
 
         merged = lplab.montecarlo._fold_streams(
-            stream, operator.add, 1, 8, 100, 4, 7, DEFAULT_CONSTANTS
+            stream, operator.add, 8, 1, 0, 100, 4, 7, DEFAULT_CONSTANTS
         )
         assert merged == tuple(
             (quota, RngStream(4, s).generator().random())
@@ -341,42 +369,66 @@ class TestSettledRows:
         assert pools.sizes == [min(cores, args[-1]) for args, _ in SETTLING_GOLDEN]
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_unsettled_rows_are_the_rows_of_the_unbroken_streams(self, monkeypatch, cores):
-        # n is two segments and 5 doubles, so a sample settles after one
+    def test_row_values_are_those_of_the_unbroken_streams(self, monkeypatch, cores):
+        # n is two segments and 5 doubles, so a row stops after one
         # segment, after two or never, and the rows after it start at
-        # every position mod 4; each row folded must be the stream's own
-        # row, bit for bit, however many draws were stepped over before it
+        # every position mod 4; each value folded must be the running
+        # logaddexp of the stream's own segment sums up to the segment
+        # where the row stopped, bit for bit, however many draws were
+        # stepped over before it
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
         segment = 1 << 15
-        n, samples, streams, seed, q, bound = 2 * segment + 5, 16, 2, 3, 30.0, 45.05
+        n, samples, streams, seed, q, threshold = 2 * segment + 5, 16, 2, 3, 30.0, 45.05
         whole = np.concatenate([
             gaussian_draws(RngStream(seed, s).generator(), (samples // streams, n))
             for s in range(streams)
         ])
-        first, both = (
-            np.log(np.sum(np.abs(whole[:, : k * segment]) ** q, axis=1)) for k in (1, 2)
-        )
-        assert [(first > bound).sum(), ((first <= bound) & (both > bound)).sum()] == [4, 4]
-        assert np.abs(np.concatenate([first, both]) - bound).min() > 1e-3
 
-        def prefix(segment):
-            return np.log(np.sum(np.abs(segment) ** q))
+        def log_sum(part):
+            return np.log(np.sum(np.abs(part) ** q))
+
+        running = np.logaddexp.accumulate(
+            [[log_sum(row[start : start + segment]) for start in range(0, n, segment)]
+             for row in whole],
+            axis=1,
+        )
+        first = running[:, 0] > threshold
+        second = ~first & (running[:, 1] > threshold)
+        assert [first.sum(), second.sum()] == [4, 4]
+        assert np.abs(running - threshold).min() > 1e-3
+        # a row that stops early would fail whole
+        assert (running[first | second, 2] > threshold).all()
 
         def stream(gen, quota, buffer):
-            rows = lplab.montecarlo._unsettled_rows(gen, quota, n, buffer, prefix, bound)
-            return tuple(row[0].copy() for row in rows)
+            return tuple(lplab.montecarlo._row_logs(gen, quota, n, buffer, log_sum, threshold))
 
         folded = lplab.montecarlo._fold_streams(
-            stream, operator.add, n, 1, samples, seed, streams, DEFAULT_CONSTANTS
+            stream, operator.add, 1, segment, 0, samples, seed, streams, DEFAULT_CONSTANTS
         )
-        expected = whole[both <= bound]
-        assert len(folded) == len(expected) == 8
-        assert all(np.array_equal(row, want) for row, want in zip(folded, expected))
+        expected = np.where(first, running[:, 0], np.where(second, running[:, 1], running[:, 2]))
+        assert np.array(folded).tobytes() == expected.tobytes()
+
+    def test_reducer_sees_one_segment_at_a_time(self, monkeypatch):
+        # a long row is reduced in segments of 2^15 doubles and never
+        # whole: the first settling golden's n = 100001 is three full
+        # segments and one of 1697, and 10 of its 48 rows reach the last
+        reduce_rows = lplab.montecarlo._reduce_rows
+        widths = []
+
+        def recording(block, requests, T):
+            widths.append(block.shape[1])
+            return reduce_rows(block, requests, T)
+
+        monkeypatch.setattr(lplab.montecarlo, "_reduce_rows", recording)
+        args, expected = SETTLING_GOLDEN[0]
+        assert reprs(mc_small_ball(*args)) == expected
+        assert set(widths) == {1 << 15, 100_001 - 3 * (1 << 15)}
 
     def test_memory_guard_checks_the_row_drawn(self):
-        # past one segment a stream draws one row at a time, so an 8 MiB
-        # guard admits n = 10^5 (0.8 MB a row), though it refuses the
-        # 20-row chunks mc_grid_stats draws at that n
+        # past one segment a stream draws one segment at a time, so an
+        # 8 MiB guard admits n = 10^5 (a 256 KB segment and 512 KB of
+        # reducer scratch), though it refuses the 20-row chunks
+        # mc_grid_stats draws at that n
         guard = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=8 << 20)
         args = (100_000, 2.0, 0.25, math.inf, 4, 0, 2)
         assert mc_small_ball(*args, constants=guard) == mc_small_ball(*args)
@@ -400,31 +452,47 @@ class TestSettledRows:
         )
         assert sum(drawn) <= 0.4 * samples * n
 
-    @pytest.mark.parametrize("offset, settles", [(32 * 40_000 * 2.0**-52, False), (1e-6, True)])
-    def test_prefix_settles_only_beyond_the_margin(self, monkeypatch, offset, settles):
+    @pytest.mark.parametrize("above", [False, True])
+    def test_row_stops_only_past_the_threshold(self, monkeypatch, above):
         # n = 40,000 is one 2^15 segment and a short last one; the first
-        # segment's log power sum is reported as the threshold plus
-        # offset.  32 n 2^-52 lies inside the margin, which is more than
-        # 64 n 2^-52, so it must not settle a sample; 1e-6, far past the
-        # margin, must
+        # segment's log power sum is reported as the threshold itself,
+        # which must not stop a row, or as the next double above it,
+        # which must
         n, samples = 40_000, 6
         reduce_rows = lplab.montecarlo._reduce_rows
         threshold = math.log(0.25) + quantile_power_sum(n, 2.0).log
+        first = np.nextafter(threshold, math.inf) if above else threshold
         drawn = []
 
-        def segment_at_offset(block, requests, T):
-            if block.shape[1] < n:
-                return np.full((1, 1), threshold + offset)
+        def first_segment_at(block, requests, T):
+            if block.shape[1] == 1 << 15:
+                return np.full((1, 1), first)
             return reduce_rows(block, requests, T)
 
         def counting(gen, shape, buffer=None):
             drawn.append(math.prod(shape))
             return gaussian_draws(gen, shape, buffer)
 
-        monkeypatch.setattr(lplab.montecarlo, "_reduce_rows", segment_at_offset)
+        monkeypatch.setattr(lplab.montecarlo, "_reduce_rows", first_segment_at)
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", counting)
         mc_small_ball(n, 2.0, 0.25, math.inf, samples, 0, 2)
-        assert sum(drawn) == samples * ((1 << 15) if settles else n)
+        assert sum(drawn) == samples * ((1 << 15) if above else n)
+
+    @settings(derandomize=True, deadline=None)
+    @given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False))
+    @example(a=-math.inf, b=-math.inf)
+    @example(a=-math.inf, b=-3.0)
+    @example(a=45.05, b=45.05)
+    @example(a=45.05, b=45.05 - 40.5)
+    @example(a=-2.0, b=700.0)
+    @example(a=0.0, b=-800.0)
+    @example(a=1e300, b=1e300)
+    @example(a=1e300, b=-1e300)
+    @example(a=-1e300, b=np.nextafter(-1e300, 0.0))
+    def test_logaddexp_is_not_below_its_larger_argument(self, a, b):
+        # the running value of a long small-ball row never decreases, so
+        # a row that passes the threshold early would pass it whole
+        assert np.logaddexp(a, b) >= max(a, b)
 
 
 class TestGrid:
