@@ -205,6 +205,9 @@ def _reduce_rows(
     copy are built once and serve every request.  Each request's power
     sums and each kind's row peaks and their logs are kept for the whole
     block and finished into norms or logs once, after the tile loop.
+    The block is read only through its `shape` and its row tiles
+    block[start:stop], in order, so the Monte Carlo engine passes one
+    that draws each tile as it is taken (`montecarlo._DrawnRows`).
 
     A row whose peak is <= T has capped ratios min(|x|, T)/min(m, T)
     equal to its plain ratios |x|/m, bit for bit.  So a capped request

@@ -34,18 +34,23 @@ Philox is counter-based, so a stream's draws do not depend on which
 thread runs it or when, and the reproducibility contract above holds
 for any worker count.
 
-The draws come from two block sources: `_chunks` yields a quota in
-chunks of `_chunk_rows` rows, and `_row_logs` draws the long
+The draws come in blocks no larger than a reducer tile.
+`mc_grid_stats` and the short-row small ball cut a quota into chunks
+of `_chunk_rows` rows, each one accumulator batch, and hand the
+reducer each chunk as a `_DrawnRows`, which draws a tile's rows only
+when the reducer reaches that tile; `_row_logs` draws the long
 small-ball rows one segment of `_SEGMENT_ELEMS` doubles at a time.
-Each worker allocates one float64 buffer for its largest block and its
-streams draw every block into it: the uniforms are written straight
-into the buffer and ndtri runs in place.  A fresh block per chunk
-would be freed into the allocating thread's malloc arena, where glibc
-keeps it, so per-chunk blocks on several threads raise the peak
-resident size by about a block per thread per arena.
+Each worker allocates one float64 buffer for its largest block, one
+tile or one segment, and its streams draw every block into it: the
+uniforms are written straight into the buffer and ndtri runs in
+place.  A fresh block per draw would be freed into the allocating
+thread's malloc arena, where glibc keeps it, so per-draw blocks on
+several threads raise the peak resident size by about a block per
+thread per arena; a tile-sized buffer also keeps the draws in cache
+while the reducer reads them.
 
 The row reducer `gaussian._reduce_rows`, which also serves the random
-sections, turns a block into per-row statistics, walking it in row
+sections, turns a chunk into per-row statistics, walking it in row
 tiles of about 2^16 doubles: a tile's |x|, row peaks and max-scaled
 copy (and their capped forms min(|x|, T)) are built once and serve
 every norm and log power sum asked for, so `mc_grid_stats` estimates
@@ -53,11 +58,12 @@ a whole grid of p, caps and a negative moment from one generation of
 the draws.  A row whose peak is <= T has the same capped and plain
 ratios, so a capped p that is also asked plain reuses the plain power
 sums there and powers only the rows over T; the sums are finished
-into norms and logs once per block, not once per tile.  The tile
-height cannot change a bit of the output: each value is a reduction
-over one row alone, written into a full-chunk vector, and every
-accumulator still sees one batch per chunk, with the same chunk
-boundaries and merge tree as a single-estimator call.
+into norms and logs once per chunk, not once per tile.  The tile
+height cannot change a bit of the output: Philox draws the same
+values however a stream is split into calls (`_uniforms`), each value
+is a reduction over one row alone, written into a full-chunk vector,
+and every accumulator still sees one batch per chunk, with the same
+chunk boundaries and merge tree as a single-estimator call.
 
 `mc_small_ball` settles and counts a long sample on one running value,
 the logaddexp of its segments' log power sums, which never decreases:
@@ -81,10 +87,10 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _scratch_shape, _validate_p
+from .gaussian import _reduce_rows, _scratch_shape, _tile_rows, _validate_p
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
-# doubles per sample chunk
+# doubles per sample chunk, one accumulator batch
 _CHUNK_ELEMS = 1 << 21
 # doubles per segment of a long small-ball row (`_row_logs`)
 _SEGMENT_ELEMS = 1 << 15
@@ -273,14 +279,14 @@ def _stream_quota(samples: int, streams: int, index: int) -> int:
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows per sample chunk: about `_CHUNK_ELEMS` doubles, at most 8192."""
+    """Rows per sample chunk, one accumulator batch: about `_CHUNK_ELEMS` doubles, at most 8192."""
     return max(1, min(_CHUNK_ELEMS // max(n, 1), 8192))
 
 
 def _validate_mc_args(
     n: int, samples: int, streams: int, rows: int, width: int, scratch: int, constants: Constants
 ) -> None:
-    """Check the budget, and that a rows x width block and its reducer's scratch fit the guard."""
+    """Check the budget, and that a rows x width block of draws and its scratch fit the guard."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if samples < 2:
@@ -289,7 +295,7 @@ def _validate_mc_args(
         raise DomainError(f"need streams >= 1, got {streams}")
     if (rows * width + scratch) * 8 > constants.memory_guard_bytes:
         raise DomainError(
-            f"a single sample chunk ({rows}x{width} doubles) exceeds the memory guard"
+            f"a single block of draws ({rows}x{width} doubles) exceeds the memory guard"
             f" with its {scratch} doubles of reducer scratch"
         )
     # an empty stream would still build a generator and an accumulator
@@ -355,7 +361,9 @@ def _fold_streams(
 
     Stream s gets RngStream(seed, s).generator(), its `_stream_quota` and
     its worker's buffer of min(rows, largest quota) * width float64s,
-    which it may draw into but must not keep.
+    which it may draw into but must not keep; the estimators draw a
+    reducer tile or a segment at a time, so rows x width is one tile or
+    one segment, not a chunk.
 
     The streams are cut into runs of 2^j consecutive streams, 2^j the
     largest power of two at most streams / W for W workers, and the runs
@@ -387,13 +395,23 @@ def _fold_streams(
     return _merge_run((shares[r % workers][r // workers] for r in range(runs)), merge)
 
 
-def _chunks(
-    gen: np.random.Generator, quota: int, n: int, rows: int, buffer: np.ndarray
-) -> Iterator[np.ndarray]:
-    """The quota's Gaussian rows, in order, in blocks of at most `rows` rows drawn into buffer."""
-    while quota > 0:
-        yield gaussian_draws(gen, (min(rows, quota), n), buffer)
-        quota -= rows
+class _DrawnRows:
+    """rows x n Gaussians of a stream, drawn as the row reducer walks them.
+
+    `_reduce_rows` reads a block only as its consecutive row tiles
+    block[start:stop], in order; each such slice here draws the next
+    stop - start rows of the stream into buffer (`gaussian_draws`), so
+    the chunk is never held whole and each tile is reduced while it is
+    still in cache.  buffer must hold a reducer tile of rows.
+    """
+
+    def __init__(self, gen: np.random.Generator, rows: int, n: int, buffer: np.ndarray) -> None:
+        self.shape = (rows, n)
+        self._gen, self._buffer = gen, buffer
+
+    def __getitem__(self, tile: slice) -> np.ndarray:
+        rows, n = self.shape
+        return gaussian_draws(self._gen, (len(range(rows)[tile]), n), self._buffer)
 
 
 def _row_logs(
@@ -463,9 +481,11 @@ def mc_grid_stats(
 
     The `MCGridStats` fields: a norm estimate at each p, the (f_T, gap^2)
     pair at each p when T > 0 is given (inf for no cap), and the
-    negative moment when negative = (q, L).  Every stream is drawn once
-    and every block reduced once; each estimate has the bits of a call
-    that asks for it alone, with the same seed and streams.
+    negative moment when negative = (q, L).  Every stream is drawn once,
+    a reducer tile at a time into its worker's one-tile buffer, and
+    each tile is reduced once, right after it is drawn; each estimate
+    has the bits of a call that asks for it alone, with the same seed
+    and streams.
 
     The negative moment's per-sample value is exponentiated from the log
     of the capped power sum, so large q stays finite.  It requires
@@ -492,8 +512,9 @@ def mc_grid_stats(
     if negative is not None:
         requests.append((q, capped, True))
     rows = _chunk_rows(n)
-    scratch = math.prod(_scratch_shape(rows, n, requests))
-    _validate_mc_args(n, samples, streams, rows, n, scratch, constants)
+    tile = min(_tile_rows(n), rows)
+    scratch = math.prod(_scratch_shape(tile, n, requests))
+    _validate_mc_args(n, samples, streams, tile, n, scratch, constants)
 
     count = width * (3 if T is not None else 1) + (negative is not None)
 
@@ -501,7 +522,8 @@ def mc_grid_stats(
         gen: np.random.Generator, quota: int, buffer: np.ndarray
     ) -> list[MomentAccumulator]:
         accs = [MomentAccumulator.empty()] * count
-        for block in _chunks(gen, quota, n, rows, buffer):
+        for start in range(0, quota, rows):
+            block = _DrawnRows(gen, min(rows, quota - start), n, buffer)
             reduced = _reduce_rows(block, requests, cap)
             norms = reduced[:width]
             values = list(norms)
@@ -524,7 +546,7 @@ def mc_grid_stats(
         return [a.merge(b) for a, b in zip(left, right, strict=True)]
 
     accumulators = _fold_streams(
-        stream, merge, rows, n, scratch, samples, seed, streams, constants
+        stream, merge, tile, n, scratch, samples, seed, streams, constants
     )
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
@@ -589,7 +611,8 @@ def mc_small_ball(
     (`quantile_power_sum`).
 
     A sample of at most `_SEGMENT_ELEMS` coordinates is counted on the
-    log of its power sum.  A longer one is drawn and reduced a segment of
+    log of its power sum, drawn and reduced a reducer tile of samples at
+    a time (`_DrawnRows`).  A longer one is drawn and reduced a segment of
     `_SEGMENT_ELEMS` coordinates at a time, and counted on the running
     logaddexp of its segments' log power sums (`_row_logs`).  That value
     never decreases: numpy's logaddexp(a, b) is max(a, b) plus the term
@@ -602,9 +625,10 @@ def mc_small_ball(
     _check_cap(T)
     segmented = n > _SEGMENT_ELEMS
     rows, width = (1, _SEGMENT_ELEMS) if segmented else (_chunk_rows(n), n)
+    tile = min(_tile_rows(width), rows)
     request = [(q, not math.isinf(T), True)]
-    scratch = math.prod(_scratch_shape(rows, width, request))
-    _validate_mc_args(n, samples, streams, rows, width, scratch, constants)
+    scratch = math.prod(_scratch_shape(tile, width, request))
+    _validate_mc_args(n, samples, streams, tile, width, scratch, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
 
     def log_sums(block: np.ndarray) -> np.ndarray:
@@ -614,11 +638,14 @@ def mc_small_ball(
         if segmented:
             values = _row_logs(gen, quota, n, buffer, lambda s: log_sums(s)[0], log_threshold)
         else:
-            values = map(log_sums, _chunks(gen, quota, n, rows, buffer))
+            values = (
+                log_sums(_DrawnRows(gen, min(rows, quota - start), n, buffer))
+                for start in range(0, quota, rows)
+            )
         return sum(int(np.count_nonzero(v <= log_threshold)) for v in values)
 
     successes = _fold_streams(
-        stream, operator.add, rows, width, scratch, samples, seed, streams, constants
+        stream, operator.add, tile, width, scratch, samples, seed, streams, constants
     )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(

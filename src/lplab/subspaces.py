@@ -82,7 +82,7 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _validate_p
+from .gaussian import _reduce_rows, _scratch_shape, _tile_rows, _validate_p
 from .montecarlo import RngStream, _strided_shares, gaussian_draws, wilson_interval
 
 _ORTHO_TOL = 1e-10
@@ -118,26 +118,29 @@ def random_subspace(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
     replaced by the next one from the stream.  The dot products and
     norms are numpy's pairwise sums of elementwise products: a BLAS dot
     splits its sum by thread, so the basis bits would follow the BLAS
-    thread count.
+    thread count.  Each draw goes into one reused n-vector, updated in
+    place, so beside the basis a call holds that vector and one
+    temporary of n doubles.
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     columns = np.empty((n, k), dtype=np.float64)
+    v = np.empty(n)
     filled = 0
     attempts = 0
     while filled < k:
         attempts += 1
         if attempts > 8 * k + 64:
             raise DomainError("repeated rank deficiency in subspace sampling")
-        v = gaussian_draws(rng, (n,))
+        gaussian_draws(rng, (n,), v)
         scale = math.sqrt(np.add.reduce(v * v))
         for _ in range(2):
             for i in range(filled):
-                v = v - np.add.reduce(columns[:, i] * v) * columns[:, i]
+                v -= np.add.reduce(columns[:, i] * v) * columns[:, i]
         norm = math.sqrt(np.add.reduce(v * v))
         if not norm > 1e-8 * max(scale, 1.0):
             continue
-        columns[:, filled] = v / norm
+        np.divide(v, norm, out=columns[:, filled])
         filled += 1
     return SubspaceBasis(n, k, columns)
 
@@ -429,12 +432,16 @@ def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
 
 
 def _held_bytes(n: int, k: int, cells: int) -> int:
-    """Bytes of an n x k basis and of `cells` cells.
+    """Bytes a trial holds: an n x k basis, its n-vectors and `cells` cells.
 
-    A cell is k - 1 center angles, k - 1 half-widths, a value, a slope
-    and a radius.
+    The n-vectors are the reducer's scratch for the basis path, kept by
+    its thread (`_scratch_shape`: three tiles of n-rows, three rows from
+    n = 2^16), and the draw and temporary of `random_subspace`.  A cell
+    is k - 1 center angles, k - 1 half-widths, a value, a slope and a
+    radius.  `distortion`, given its basis, is checked as a trial too.
     """
-    return 8 * (k * n + (2 * k + 1) * cells)
+    scratch = math.prod(_scratch_shape(_tile_rows(n), n, [(1.0, False, False)], True))
+    return 8 * (k * n + 2 * n + scratch + (2 * k + 1) * cells)
 
 
 def _check_section_request(
@@ -453,7 +460,8 @@ def _check_section_request(
     guard = constants.memory_guard_bytes
     if _held_bytes(n, k, 0) > guard:
         raise DomainError(
-            f"a {n}x{k} basis exceeds the memory guard ({guard} bytes)"
+            f"a {n}x{k} basis and its n-vectors of scratch exceed the memory guard"
+            f" ({guard} bytes)"
         )
     limit = (guard - _held_bytes(n, k, 0)) // _held_bytes(0, k, 1)
     refusal = f"the k={k} cells at resolution {net_resolution} and a {n}x{k} basis exceed"
@@ -663,8 +671,8 @@ def _run_sphericity(
         cells = _trial_arrays(k, leaves)
         for trial in indices:
             rng = RngStream(seed, trial).generator()
-            basis = random_subspace(n, k, rng)
-            counts[_trial(basis, p, verdict, cells)] += 1
+            # the basis is freed before the next one is drawn
+            counts[_trial(random_subspace(n, k, rng), p, verdict, cells)] += 1
         return counts
 
     limit = max(1, constants.memory_guard_bytes // _held_bytes(n, k, leaves))

@@ -190,11 +190,17 @@ def test_golden_fields(call, expected):
 
 
 @pytest.mark.parametrize("tile_elems", [1, 7 * 3000, 1 << 30])
-def test_golden_fields_any_tile(monkeypatch, tile_elems):
-    # one row per tile, a few rows, and the whole block in one tile
+def test_golden_fields_any_tile(monkeypatch, capsys, tile_elems):
+    # one row per tile, a few rows, and the whole chunk in one tile; the
+    # tile is also the block a stream draws at a time
     monkeypatch.setattr(lplab.gaussian, "_TILE_ELEMS", tile_elems)
     for call, expected in GOLDEN:
         assert reprs(call()) == expected
+    for args, expected in SETTLING_GOLDEN:
+        assert reprs(mc_small_ball(*args)) == expected
+    assert main(BENCH_MC_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_MC_STDOUT_SHA256
 
 
 def test_mc_stdout_golden(capsys):
@@ -239,11 +245,11 @@ class TestWorkers:
         assert max(pool_sizes) == cores
 
     def test_guard_admitting_one_block_runs_one_worker(self, monkeypatch, pool_sizes):
-        # n = 3000 draws 699-row blocks of 16,776,000 bytes, and each
-        # worker's reducer keeps two 21-row tiles of scratch (the scaled
-        # |x| and the powers), 1,008,000 bytes
+        # n = 3000 draws one 21-row reducer tile at a time, a block of
+        # 504,000 bytes, and each worker's reducer keeps two such tiles of
+        # scratch (the scaled |x| and the powers), 1,008,000 bytes
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
-        held = 699 * 3000 * 8 + 2 * 21 * 3000 * 8
+        held = 21 * 3000 * 8 + 2 * 21 * 3000 * 8
         one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * held - 1)
         estimate = mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=one).norms[0]
         assert reprs(estimate) == GOLDEN[3][1]
@@ -308,8 +314,7 @@ class TestWorkers:
                 return Tree((self.shape, other.shape))
 
         def stream(gen, quota, buffer):
-            [block] = lplab.montecarlo._chunks(gen, quota, 2, 8, buffer)
-            return Tree(float(block[0, 0]))
+            return Tree(float(gaussian_draws(gen, (quota, 2), buffer)[0, 0]))
 
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
         for streams in [*range(1, 19), 31, 32, 33, 100]:
@@ -358,6 +363,42 @@ class TestWorkers:
         argv = ["mc", "--n", "10", "--p", "2", "--samples", "10", "--seed", str(2**64)]
         assert main(argv) == 2
         assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTileDraws:
+    # a stream draws a reducer tile of rows at a time into its worker's
+    # one-tile buffer, so a one-worker call holds that tile, the
+    # reducer's scratch tiles and a few vectors over a chunk's rows, and
+    # never a chunk of draws (8 MB and 16.8 MB below)
+
+    def test_grid_at_the_benchmark_shape(self, monkeypatch):
+        # 1000-row chunks of 65-row tiles; the reducer keeps three tiles
+        # (plain, capped, powers), and a chunk's 13 statistics take a few
+        # dozen vectors of its 1000 rows
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
+        tile = lplab.gaussian._tile_rows(1000) * 1000
+        peak = traced_peak(lambda: mc_grid_stats(
+            1000, [2.0, 8.0, 12.0, math.inf], 4000, 0, 4, T=3.5, negative=(6.9, 1.0)
+        ))
+        assert peak < 8 * (tile + 3 * tile + 48 * 1000)
+
+    def test_short_row_small_ball(self, monkeypatch):
+        # a stream's 800 rows are chunks of 699 and 101 rows, drawn in
+        # 21-row tiles at n = 3000; the reducer keeps two tiles (plain,
+        # powers)
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
+        tile = lplab.gaussian._tile_rows(3000) * 3000
+        peak = traced_peak(lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2))
+        assert peak < 8 * (tile + 2 * tile + 48 * 800)
 
 
 class TestSettledRows:
@@ -424,16 +465,25 @@ class TestSettledRows:
         assert reprs(mc_small_ball(*args)) == expected
         assert set(widths) == {1 << 15, 100_001 - 3 * (1 << 15)}
 
-    def test_memory_guard_checks_the_row_drawn(self):
+    def test_memory_guard_checks_the_row_drawn(self, monkeypatch):
         # past one segment a stream draws one segment at a time, so an
-        # 8 MiB guard admits n = 10^5 (a 256 KB segment and 512 KB of
-        # reducer scratch), though it refuses the 20-row chunks
-        # mc_grid_stats draws at that n
+        # 8 MiB guard admits the small ball at n = 10^5 (a 256 KB segment
+        # and 512 KB of reducer scratch, beside its 5.7 MB quantile sum);
+        # mc_grid_stats draws a one-row tile at that n, 800 KB with 1.6 MB
+        # of scratch, which the guard admits too, but it refuses before
+        # any draw the 3.2 MB row and 6.4 MB of scratch at n = 4·10^5
         guard = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=8 << 20)
         args = (100_000, 2.0, 0.25, math.inf, 4, 0, 2)
         assert mc_small_ball(*args, constants=guard) == mc_small_ball(*args)
-        with pytest.raises(DomainError, match=r"\(20x100000 doubles\) exceeds the memory guard"):
-            mc_grid_stats(100_000, [2.0], 4, 0, 2, constants=guard)
+        grid = (100_000, [2.0], 4, 0, 2)
+        assert mc_grid_stats(*grid, constants=guard) == mc_grid_stats(*grid)
+
+        def no_draws(*args):
+            raise AssertionError("drew before the guard")
+
+        monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
+        with pytest.raises(DomainError, match=r"\(1x400000 doubles\) exceeds the memory guard"):
+            mc_grid_stats(400_000, [2.0], 4, 0, 2, constants=guard)
 
     def test_benchmark_shape_draws_a_third(self, monkeypatch):
         # at tau = 0.25 a sample of 10^5 squares passes the threshold

@@ -30,7 +30,7 @@ from lplab import (
     transition_sweep,
 )
 from lplab.errors import DomainError
-from lplab.gaussian import _max_factored
+from lplab.gaussian import _max_factored, _tile_rows
 from lplab.subspaces import (
     _bounds,
     _cell_geometry,
@@ -46,6 +46,20 @@ from lplab.subspaces import (
 
 def _haar_basis(n, k, seed, stream=0):
     return random_subspace(n, k, RngStream(seed, stream).generator())
+
+
+def _vector_bytes(n):
+    """A trial's n-vectors beside its basis and cells.
+
+    The reducer's basis-path scratch, three tiles of n-rows, and
+    random_subspace's draw and temporary, two n-vectors.
+    """
+    return 8 * (3 * _tile_rows(n) * n + 2 * n)
+
+
+def _room(n, room):
+    """Constants whose memory guard leaves `room` bytes beside a trial's n-vectors."""
+    return dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=room + _vector_bytes(n))
 
 
 def _reference_bounds(values, slopes, radii, p):
@@ -320,18 +334,22 @@ class TestDistortion:
         # 824,790,897 cells of 56 bytes, 43.0 GiB, against the 2 GiB default
         with pytest.raises(DomainError, match="resolution 0.0001 and a 20x3 basis exceed"):
             distortion(b, 3.0, 1e-4)
-        # 126,711 cells of 56 bytes are 7,095,816 bytes
-        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
+        # 126,711 cells of 56 bytes are 7,095,816 bytes, against 1 MiB
+        # beside the n-vectors
         with pytest.raises(DomainError, match="resolution 0.008 and a 20x3 basis exceed"):
-            distortion(b, 3.0, 0.008, constants=tiny)
-        monkeypatch.undo()
-        # the basis and the cells a run can hold, 8 (k n + (2k + 1) cells) bytes
+            distortion(b, 3.0, 0.008, constants=_room(20, 1_048_576))
+        # nor does a guard that holds the basis and cells but not the
+        # n-vectors of the reducer's scratch
         size = 8 * (3 * 20 + 7 * sphere_net(3, 0.008)[0].shape[0])
-        exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
-        assert distortion(b, 3.0, 0.008, constants=exact) == distortion(b, 3.0, 0.008)
-        short = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size - 1)
+        bare = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
         with pytest.raises(DomainError, match="memory guard"):
-            distortion(b, 3.0, 0.008, constants=short)
+            distortion(b, 3.0, 0.008, constants=bare)
+        monkeypatch.undo()
+        # the basis and the cells a run can hold, 8 (k n + (2k + 1) cells)
+        # bytes, beside the n-vectors
+        assert distortion(b, 3.0, 0.008, constants=_room(20, size)) == distortion(b, 3.0, 0.008)
+        with pytest.raises(DomainError, match="memory guard"):
+            distortion(b, 3.0, 0.008, constants=_room(20, size - 1))
 
     def test_ambient_blocks_within_tile_budget(self, monkeypatch, lp_norms):
         # the cell centers' images in R^n are formed and reduced a reducer
@@ -685,17 +703,19 @@ class TestSphericityExperiment:
             raise AssertionError("a basis was drawn before the request was checked")
 
         monkeypatch.setattr(lplab.subspaces, "random_subspace", no_basis)
-        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
-        # k = 3 at resolution 0.008 is 126,711 cells of 56 bytes;
-        # a 50,000 x 3 basis is 1,200,000 bytes; the next two are refused
-        # by the lower bound on the cell count, without counting level by
-        # level; a 43,690 x 3 basis leaves 16 bytes, less than one cell
+        # 1 MiB beside the n-vectors: k = 3 at resolution 0.008 is 126,711
+        # cells of 56 bytes; a 50,000 x 3 basis is 1,200,000 bytes; the
+        # next two are refused by the lower bound on the cell count,
+        # without counting level by level; a 43,690 x 3 basis leaves 16
+        # bytes, less than one cell
         for n, k, res in [(100, 3, 0.008), (50_000, 3, 0.1), (100, 3, 1e-300),
                           (100, 2, 5e-324), (43_690, 3, 0.5)]:
             with pytest.raises(DomainError, match="memory guard"):
-                sphericity_experiment(n, k, 5.0, 0.1, 2, res, seed=0, constants=tiny)
+                sphericity_experiment(n, k, 5.0, 0.1, 2, res, seed=0, constants=_room(n, 1 << 20))
         with pytest.raises(DomainError, match="the finest resolution that fits is none below 1"):
-            sphericity_experiment(43_690, 3, 5.0, 0.1, 2, 0.5, seed=0, constants=tiny)
+            sphericity_experiment(
+                43_690, 3, 5.0, 0.1, 2, 0.5, seed=0, constants=_room(43_690, 1 << 20)
+            )
         for n, k, res in [(10, 5, 0.1), (3, 4, 0.1), (10, 0, 0.1), (10, 2, 0.0),
                           (10, 2, 1.0), (10, 2, math.nan)]:
             with pytest.raises(DomainError):
@@ -703,12 +723,13 @@ class TestSphericityExperiment:
 
     @pytest.mark.parametrize("k,res", [(2, 1e-6), (3, 0.002), (4, 0.004)])
     def test_refusal_names_finest_fitting_resolution(self, k, res):
-        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1_048_576)
+        tiny = _room(10, 1_048_576)
         with pytest.raises(DomainError, match="memory guard") as refused:
             sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=tiny)
         fitting = float(str(refused.value).rsplit(" ", 1)[-1])
-        # the finest res * 2^j whose cells fit beside the basis: per cell,
-        # k - 1 center angles, k - 1 half-widths, a value, a slope and a radius
+        # the finest res * 2^j whose cells fit beside the basis in the
+        # 1 MiB left beside the n-vectors: per cell, k - 1 center angles,
+        # k - 1 half-widths, a value, a slope and a radius
         assert fitting in [res * 2.0**j for j in range(1, 30)]
         held = [8 * (10 * k + (2 * k + 1) * _leaf_count(k, r, 1 << 40))
                 for r in (fitting, fitting / 2)]
@@ -728,12 +749,12 @@ class TestSphericityExperiment:
         assert pools.sizes == pools.tasks == [cores]
 
     def test_guard_caps_workers(self, monkeypatch, pools):
-        # a worker holds a 30,000 x 3 basis and the leaves of the cell tree
-        # refined everywhere to the resolution: 24 bytes per basis row and
-        # 56 per cell
+        # a worker holds a 30,000 x 3 basis, its n-vectors and the leaves
+        # of the cell tree refined everywhere to the resolution: 24 bytes
+        # per basis row and 56 per cell
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
         n, res = 30_000, 0.1
-        held = 24 * n + 56 * sphere_net(3, res)[0].shape[0]
+        held = 24 * n + _vector_bytes(n) + 56 * sphere_net(3, res)[0].shape[0]
         results = []
         for guard in (2 * held - 1, 2 * held, 3 * held):
             constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
@@ -745,14 +766,44 @@ class TestSphericityExperiment:
 
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
-        # the cells a trial can hold and a 10 x k basis, 8 (10 k + (2k + 1) cells) bytes
+        # the cells a trial can hold and a 10 x k basis, 8 (10 k + (2k + 1) cells)
+        # bytes, beside the n-vectors
         size = 8 * (10 * k + (2 * k + 1) * _leaf_count(k, res, 1 << 40))
-        exact = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
-        r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=exact)
+        r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=_room(10, size))
         assert r.trials == 1
-        short = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size - 1)
         with pytest.raises(DomainError, match="memory guard"):
-            sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=short)
+            sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=_room(10, size - 1))
+
+    @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
+    def test_guard_counts_the_basis_n_vectors(self, monkeypatch, n):
+        # a 2-column basis is 16 bytes per row; drawing it takes two
+        # n-vectors more, and evaluating its cells three of the reducer's
+        # scratch, which its thread keeps: under a 128 MiB guard a trial
+        # must be refused before any basis is drawn or peak within the
+        # guard (at n = 4·10^6 it peaked at 164 MB when only the basis
+        # and cells were counted)
+        guard = 128 << 20
+        constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+        drawn = []
+
+        def recording(*args):
+            drawn.append(args[0])
+            return random_subspace(*args)
+
+        monkeypatch.setattr(lplab.subspaces, "random_subspace", recording)
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
+        tracemalloc.start()
+        try:
+            try:
+                sphericity_experiment(n, 2, 1.5 * math.log(n), 0.5, 1, 0.5, 0, constants)
+            except DomainError:
+                assert not drawn
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= guard
+        # n = 10^6 is admitted and run; 4·10^6 is refused
+        assert drawn == ([n] if n < 4_000_000 else [])
 
 
 class TestTransitionSweep:
