@@ -35,11 +35,11 @@ thread runs it or when, and the reproducibility contract above holds
 for any worker count.
 
 The draws come in blocks no larger than a reducer tile.
-`mc_grid_stats` and the short-row small ball cut a quota into chunks
-of `_chunk_rows` rows, each one accumulator batch, and hand the
-reducer each chunk as a `_DrawnRows`, which draws a tile's rows only
-when the reducer reaches that tile; `_row_logs` draws the long
-small-ball rows one segment of `_SEGMENT_ELEMS` doubles at a time.
+`mc_grid_stats` cuts a quota into chunks of `_chunk_rows` rows, each
+one accumulator batch, and hands the reducer each chunk as a
+`_DrawnRows`, which draws a tile's rows only when the reducer reaches
+that tile; `mc_small_ball` draws every sample through `_row_logs`, a
+tile of whole rows or one segment of a long row at a time.
 Each worker allocates one float64 buffer for its largest block, one
 tile or one segment, and its streams draw every block into it: the
 uniforms are written straight into the buffer and ndtri runs in
@@ -65,11 +65,11 @@ is a reduction over one row alone, written into a full-chunk vector,
 and every accumulator still sees one batch per chunk, with the same
 chunk boundaries and merge tree as a single-estimator call.
 
-`mc_small_ball` settles and counts a long sample on one running value,
-the logaddexp of its segments' log power sums, which never decreases:
-once it passes the threshold the sample is a failure and the rest of
-its draws are stepped over (`_row_logs`).  Its counts keep their bits
-at any worker count.
+`mc_small_ball` settles and counts a sample on one running value, the
+logaddexp of its segments' log power sums, which never decreases: once
+it passes the threshold the sample is a failure and the rest of its
+draws are stepped over (`_row_logs`).  Its counts keep their bits at
+any worker count.
 """
 
 from __future__ import annotations
@@ -396,7 +396,7 @@ def _fold_streams(
 
 
 class _DrawnRows:
-    """rows x n Gaussians of a stream, drawn as the row reducer walks them.
+    """rows x n Gaussians of an `mc_grid_stats` stream, drawn as the row reducer walks them.
 
     `_reduce_rows` reads a block only as its consecutive row tiles
     block[start:stop], in order; each such slice here draws the next
@@ -414,35 +414,41 @@ class _DrawnRows:
         return gaussian_draws(self._gen, (len(range(rows)[tile]), n), self._buffer)
 
 
+def _row_block(n: int) -> tuple[int, int]:
+    """(rows, width) of a `_row_logs` block: a reducer tile of whole rows, or a segment of one."""
+    return (1, _SEGMENT_ELEMS) if n > _SEGMENT_ELEMS else (min(_tile_rows(n), _chunk_rows(n)), n)
+
+
 def _row_logs(
     gen: np.random.Generator,
     quota: int,
     n: int,
     buffer: np.ndarray,
-    log_sum: Callable[[np.ndarray], float],
+    log_sums: Callable[[np.ndarray], np.ndarray],
     threshold: float,
-) -> Iterator[float]:
-    """Each of the quota's rows of n Gaussians reduced to one value, in order.
+) -> Iterator[np.ndarray]:
+    """The quota's rows of n Gaussians, each reduced to one value, a block of rows at a time.
 
-    A row is drawn into buffer a segment of at most `_SEGMENT_ELEMS`
-    doubles at a time; log_sum maps a (1, width) segment to the log of a
-    sum of nonnegative terms over it, and the row's value is the running
-    logaddexp of its segments' log_sum.  The running value never
-    decreases (`mc_small_ball`), so once it exceeds threshold before the
-    last segment the row's value is yielded as it stands, and the rest
-    of its draws are stepped over on the counter (`_skip_uniforms`): the
-    next row gets the very draws it gets when no row stops early.
+    Each block of `_row_block(n)` is drawn into buffer a segment at a
+    time, and each row's value is the running logaddexp, from -inf, of
+    log_sums over its segments (the log of a sum of nonnegative terms
+    over each row); logaddexp(-inf, v) = v bit for bit.  It never
+    decreases (`mc_small_ball`), so once a long row's value passes
+    threshold before its last segment it is yielded as it stands and the
+    rest of its draws are stepped over on the counter (`_skip_uniforms`):
+    the next row gets the very draws it gets when no row stops early.
     """
-    for row in range(quota):
-        value, end = -math.inf, 0
-        while end < n:
-            width = min(_SEGMENT_ELEMS, n - end)
-            value = np.logaddexp(value, log_sum(gaussian_draws(gen, (1, width), buffer)))
-            end += width
-            if value > threshold and end < n:
-                _skip_uniforms(gen, row * n + end, n - end)
+    rows, width = _row_block(n)
+    for start in range(0, quota, rows):
+        values = np.full(min(rows, quota - start), -math.inf)
+        for offset in range(0, n, width):
+            segment = gaussian_draws(gen, (len(values), min(width, n - offset)), buffer)
+            values = np.logaddexp(values, log_sums(segment))
+            # only a lone row is drawn in more than one segment
+            if values[0] > threshold and offset + width < n:
+                _skip_uniforms(gen, start * n + offset + width, n - offset - width)
                 break
-        yield value
+        yield values
 
 
 @dataclass(frozen=True, slots=True)
@@ -610,42 +616,33 @@ def mc_small_ball(
     the threshold's n quantiles must fit constants.memory_guard_bytes
     (`quantile_power_sum`).
 
-    A sample of at most `_SEGMENT_ELEMS` coordinates is counted on the
-    log of its power sum, drawn and reduced a reducer tile of samples at
-    a time (`_DrawnRows`).  A longer one is drawn and reduced a segment of
-    `_SEGMENT_ELEMS` coordinates at a time, and counted on the running
-    logaddexp of its segments' log power sums (`_row_logs`).  That value
-    never decreases: numpy's logaddexp(a, b) is max(a, b) plus the term
-    log1p(exp(-|a - b|)) >= 0, and a rounded sum with a nonnegative term
-    is not below max(a, b).  So a sample whose value passes log_threshold
-    before its last segment would fail whole; it is counted there, and
-    the rest of its draws are skipped.
+    Every sample is drawn and reduced through `_row_logs`: one of at
+    most `_SEGMENT_ELEMS` coordinates in a reducer tile of samples, a
+    longer one a segment of `_SEGMENT_ELEMS` coordinates at a time, and
+    each is counted on the running logaddexp of its segments' log power
+    sums.  That value never decreases: numpy's logaddexp(a, b) is
+    max(a, b) plus the term log1p(exp(-|a - b|)) >= 0, and a rounded sum
+    with a nonnegative term is not below max(a, b).  So a sample whose
+    value passes log_threshold before its last segment would fail whole;
+    it is counted there, and the rest of its draws are skipped.
     """
     _check_small_ball(q, tau)
     _check_cap(T)
-    segmented = n > _SEGMENT_ELEMS
-    rows, width = (1, _SEGMENT_ELEMS) if segmented else (_chunk_rows(n), n)
-    tile = min(_tile_rows(width), rows)
+    rows, width = _row_block(n)
     request = [(q, not math.isinf(T), True)]
-    scratch = math.prod(_scratch_shape(tile, width, request))
-    _validate_mc_args(n, samples, streams, tile, width, scratch, constants)
+    scratch = math.prod(_scratch_shape(rows, width, request))
+    _validate_mc_args(n, samples, streams, rows, width, scratch, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
 
     def log_sums(block: np.ndarray) -> np.ndarray:
         return _reduce_rows(block, request, T)[0]
 
     def stream(gen: np.random.Generator, quota: int, buffer: np.ndarray) -> int:
-        if segmented:
-            values = _row_logs(gen, quota, n, buffer, lambda s: log_sums(s)[0], log_threshold)
-        else:
-            values = (
-                log_sums(_DrawnRows(gen, min(rows, quota - start), n, buffer))
-                for start in range(0, quota, rows)
-            )
-        return sum(int(np.count_nonzero(v <= log_threshold)) for v in values)
+        blocks = _row_logs(gen, quota, n, buffer, log_sums, log_threshold)
+        return sum(int(np.count_nonzero(values <= log_threshold)) for values in blocks)
 
     successes = _fold_streams(
-        stream, operator.add, tile, width, scratch, samples, seed, streams, constants
+        stream, operator.add, rows, width, scratch, samples, seed, streams, constants
     )
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(

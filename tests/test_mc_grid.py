@@ -392,13 +392,26 @@ class TestTileDraws:
         assert peak < 8 * (tile + 3 * tile + 48 * 1000)
 
     def test_short_row_small_ball(self, monkeypatch):
-        # a stream's 800 rows are chunks of 699 and 101 rows, drawn in
-        # 21-row tiles at n = 3000; the reducer keeps two tiles (plain,
-        # powers)
+        # a stream's 800 rows are drawn and reduced in blocks of one
+        # 21-row tile at n = 3000, the last of 2 rows; the reducer keeps
+        # two tiles (plain, powers)
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
         tile = lplab.gaussian._tile_rows(3000) * 3000
         peak = traced_peak(lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2))
         assert peak < 8 * (tile + 2 * tile + 48 * 800)
+
+
+def fold_row_logs(n, samples, seed, streams, log_sums, threshold):
+    """Every value `_row_logs` yields over the streams, in stream order."""
+    rows, width = lplab.montecarlo._row_block(n)
+
+    def stream(gen, quota, buffer):
+        blocks = lplab.montecarlo._row_logs(gen, quota, n, buffer, log_sums, threshold)
+        return tuple(value for values in blocks for value in values)
+
+    return lplab.montecarlo._fold_streams(
+        stream, operator.add, rows, width, 0, samples, seed, streams, DEFAULT_CONSTANTS
+    )
 
 
 class TestSettledRows:
@@ -425,14 +438,12 @@ class TestSettledRows:
             for s in range(streams)
         ])
 
-        def log_sum(part):
-            return np.log(np.sum(np.abs(part) ** q))
+        def log_sums(part):
+            return np.log(np.sum(np.abs(part) ** q, axis=1))
 
         running = np.logaddexp.accumulate(
-            [[log_sum(row[start : start + segment]) for start in range(0, n, segment)]
-             for row in whole],
-            axis=1,
-        )
+            [log_sums(whole[:, start : start + segment]) for start in range(0, n, segment)]
+        ).T
         first = running[:, 0] > threshold
         second = ~first & (running[:, 1] > threshold)
         assert [first.sum(), second.sum()] == [4, 4]
@@ -440,13 +451,36 @@ class TestSettledRows:
         # a row that stops early would fail whole
         assert (running[first | second, 2] > threshold).all()
 
-        def stream(gen, quota, buffer):
-            return tuple(lplab.montecarlo._row_logs(gen, quota, n, buffer, log_sum, threshold))
-
-        folded = lplab.montecarlo._fold_streams(
-            stream, operator.add, 1, segment, 0, samples, seed, streams, DEFAULT_CONSTANTS
-        )
+        folded = fold_row_logs(n, samples, seed, streams, log_sums, threshold)
         expected = np.where(first, running[:, 0], np.where(second, running[:, 1], running[:, 2]))
+        assert np.array(folded).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize(
+        "n, rows, quota", [(50, 1310, 1500), (1 << 15, 2, 5), ((1 << 15) + 1, 1, 3)]
+    )
+    def test_short_row_values_are_those_of_the_unbroken_streams(
+        self, monkeypatch, cores, n, rows, quota
+    ):
+        # a row of at most one segment is drawn whole, a reducer tile of
+        # rows at a time, and each quota ends on a block short of a tile;
+        # a row one double past a segment is drawn in two segments.  With
+        # no threshold to pass, each value folded must be the logaddexp of
+        # _reduce_rows over the unbroken stream's row segments, bit for bit
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        segment, streams, seed, request = 1 << 15, 2, 4, [(3.0, True, True)]
+        assert lplab.montecarlo._row_block(n)[0] == rows
+        whole = np.concatenate([
+            gaussian_draws(RngStream(seed, s).generator(), (quota, n)) for s in range(streams)
+        ])
+
+        def log_sums(part):
+            return lplab.montecarlo._reduce_rows(part, request, 2.0)[0]
+
+        expected = np.logaddexp.reduce(
+            [log_sums(whole[:, start : start + segment]) for start in range(0, n, segment)]
+        )
+        folded = fold_row_logs(n, quota * streams, seed, streams, log_sums, math.inf)
         assert np.array(folded).tobytes() == expected.tobytes()
 
     def test_reducer_sees_one_segment_at_a_time(self, monkeypatch):
