@@ -180,12 +180,12 @@ def _max_factored(
     return np.divide(magnitudes, safe[:, None], out=out)
 
 
-def _finish(sums: np.ndarray, p: float, log: bool, peaks: np.ndarray, logs: np.ndarray) -> None:
-    """Max-factored power sums, in place, to log power sums (log) or lp norms."""
-    # a zero row has sums 0; np.where discards its log, while a NaN row
-    # keeps its NaN
+def _finish(sums: np.ndarray, p: float, log: bool, logs: np.ndarray) -> None:
+    """Max-factored power sums, in place, to log power sums (log) or lp norms, for finite p."""
+    # a zero row is scaled by 1, so its logs are 0 and its sums 0, and
+    # p·0 + log 0 is -inf; a NaN row keeps its NaN
     with np.errstate(divide="ignore"):
-        log_sums = np.where(peaks == 0.0, -np.inf, p * logs + np.log(sums))
+        log_sums = p * logs + np.log(sums)
     sums[:] = log_sums if log else np.exp(log_sums / p)
 
 
@@ -199,14 +199,14 @@ def _reduce_rows(
 
     A request (p, capped, log) asks, for each row x, for the lp norm of
     a (log false; p = inf allowed) or for log sum_i a_i^p, max-factored
-    and -inf for a zero row (log true), where a = min(|x|, T) if capped
-    and a = |x| otherwise.  The block is walked in tiles of about
-    _TILE_ELEMS doubles; each tile's magnitudes, row peaks and scaled
-    copy are built once and serve every request.  Each request's power
+    and -inf for a zero row (log true; p finite), where a = min(|x|, T)
+    if capped and a = |x| otherwise.  The block is walked in tiles of
+    about _TILE_ELEMS doubles; each tile's magnitudes, row peaks and
+    scaled copy are built once and serve every request.  Each request's power
     sums and each kind's row peaks and their logs are kept for the whole
     block and finished into norms or logs once, after the tile loop.
     The block is read only through its `shape` and its row tiles
-    block[start:stop], in order, so the Monte Carlo engine passes one
+    block[start:stop], in order, so both Monte Carlo estimators pass one
     that draws each tile as it is taken (`montecarlo._DrawnRows`).
 
     A row whose peak is <= T has capped ratios min(|x|, T)/min(m, T)
@@ -300,7 +300,7 @@ def _reduce_rows(
         if math.isinf(p) and not log:
             out[k] = peaks[capped]
         else:
-            _finish(out[k], p, log, peaks[capped], logs[capped])
+            _finish(out[k], p, log, logs[capped])
     if basis is not None and 0 in summed:
         gradients *= (out[0] / sums)[:, None]
     return out if gradients is None else (out, gradients)

@@ -34,20 +34,19 @@ Philox is counter-based, so a stream's draws do not depend on which
 thread runs it or when, and the reproducibility contract above holds
 for any worker count.
 
-The draws come in blocks no larger than a reducer tile.
-`mc_grid_stats` cuts a quota into chunks of `_chunk_rows` rows, each
-one accumulator batch, and hands the reducer each chunk as a
-`_DrawnRows`, which draws a tile's rows only when the reducer reaches
-that tile; `mc_small_ball` draws every sample through `_row_logs`, a
-tile of whole rows or one segment of a long row at a time.
-Each worker allocates one float64 buffer for its largest block, one
-tile or one segment, and its streams draw every block into it: the
-uniforms are written straight into the buffer and ndtri runs in
-place.  A fresh block per draw would be freed into the allocating
-thread's malloc arena, where glibc keeps it, so per-draw blocks on
-several threads raise the peak resident size by about a block per
-thread per arena; a tile-sized buffer also keeps the draws in cache
-while the reducer reads them.
+Both estimators draw through one block loop, `_row_values`.  It cuts
+a quota into chunks of `_chunk_rows` rows, each one accumulator batch,
+or, past `_SEGMENT_ELEMS` coordinates, into one segment of a lone row
+at a time, and hands the reducer each block as a `_DrawnRows`, which
+draws a tile's rows only when the reducer reaches that tile.
+Each worker allocates one float64 buffer for a reducer tile of its
+blocks, a tile of rows or one segment, and its streams draw every tile
+into it: the uniforms are written straight into the buffer and ndtri
+runs in place.  A fresh block per draw would be freed into the
+allocating thread's malloc arena, where glibc keeps it, so per-draw
+blocks on several threads raise the peak resident size by about a
+block per thread per arena; a tile-sized buffer also keeps the draws in
+cache while the reducer reads them.
 
 The row reducer `gaussian._reduce_rows`, which also serves the random
 sections, turns a chunk into per-row statistics, walking it in row
@@ -68,7 +67,7 @@ chunk boundaries and merge tree as a single-estimator call.
 `mc_small_ball` settles and counts a sample on one running value, the
 logaddexp of its segments' log power sums, which never decreases: once
 it passes the threshold the sample is a failure and the rest of its
-draws are stepped over (`_row_logs`).  Its counts keep their bits at
+draws are stepped over (`_row_values`).  Its counts keep their bits at
 any worker count.
 """
 
@@ -92,7 +91,7 @@ from .variance import _check_negative_moment, _check_small_ball, quantile_power_
 
 # doubles per sample chunk, one accumulator batch
 _CHUNK_ELEMS = 1 << 21
-# doubles per segment of a long small-ball row (`_row_logs`)
+# doubles per segment of a long small-ball row (`_row_values`)
 _SEGMENT_ELEMS = 1 << 15
 # workers never outnumber the cores this process may run on
 _USABLE_CORES = (
@@ -396,12 +395,13 @@ def _fold_streams(
 
 
 class _DrawnRows:
-    """rows x n Gaussians of an `mc_grid_stats` stream, drawn as the row reducer walks them.
+    """rows x n Gaussians of a stream, drawn as the row reducer walks them.
 
+    Every block of both estimators is one (`_row_values`).
     `_reduce_rows` reads a block only as its consecutive row tiles
     block[start:stop], in order; each such slice here draws the next
     stop - start rows of the stream into buffer (`gaussian_draws`), so
-    the chunk is never held whole and each tile is reduced while it is
+    the block is never held whole and each tile is reduced while it is
     still in cache.  buffer must hold a reducer tile of rows.
     """
 
@@ -414,38 +414,35 @@ class _DrawnRows:
         return gaussian_draws(self._gen, (len(range(rows)[tile]), n), self._buffer)
 
 
-def _row_block(n: int) -> tuple[int, int]:
-    """(rows, width) of a `_row_logs` block: a reducer tile of whole rows, or a segment of one."""
-    return (1, _SEGMENT_ELEMS) if n > _SEGMENT_ELEMS else (min(_tile_rows(n), _chunk_rows(n)), n)
-
-
-def _row_logs(
+def _row_values(
     gen: np.random.Generator,
     quota: int,
     n: int,
+    width: int,
     buffer: np.ndarray,
-    log_sums: Callable[[np.ndarray], np.ndarray],
-    threshold: float,
+    reduce: Callable[[_DrawnRows], np.ndarray],
+    threshold: float = math.inf,
 ) -> Iterator[np.ndarray]:
-    """The quota's rows of n Gaussians, each reduced to one value, a block of rows at a time.
+    """reduce over the quota's rows of n Gaussians, one `_DrawnRows` block at a time.
 
-    Each block of `_row_block(n)` is drawn into buffer a segment at a
-    time, and each row's value is the running logaddexp, from -inf, of
-    log_sums over its segments (the log of a sum of nonnegative terms
-    over each row); logaddexp(-inf, v) = v bit for bit.  It never
-    decreases (`mc_small_ball`), so once a long row's value passes
-    threshold before its last segment it is yielded as it stands and the
-    rest of its draws are stepped over on the counter (`_skip_uniforms`):
-    the next row gets the very draws it gets when no row stops early.
+    With width = n each block is a chunk of `_chunk_rows(n)` whole rows
+    and each yield is reduce of it.  With width < n each block is one
+    width-wide segment of a lone row, and the row's value is reduce of
+    its first segment, np.logaddexp-ed with reduce of each later one
+    (reduce then gives logs of sums of nonnegative terms).  That value
+    never decreases (`mc_small_ball`), so once it passes threshold
+    before the row's last segment it is yielded as it stands and the
+    rest of the row's draws are stepped over on the counter
+    (`_skip_uniforms`): the next row gets the very draws it gets when
+    no row stops early.
     """
-    rows, width = _row_block(n)
+    rows = _chunk_rows(n) if width == n else 1
     for start in range(0, quota, rows):
-        values = np.full(min(rows, quota - start), -math.inf)
         for offset in range(0, n, width):
-            segment = gaussian_draws(gen, (len(values), min(width, n - offset)), buffer)
-            values = np.logaddexp(values, log_sums(segment))
-            # only a lone row is drawn in more than one segment
-            if values[0] > threshold and offset + width < n:
+            block = _DrawnRows(gen, min(rows, quota - start), min(width, n - offset), buffer)
+            part = reduce(block)
+            values = part if offset == 0 else np.logaddexp(values, part)
+            if offset + width < n and values[0] > threshold:
                 _skip_uniforms(gen, start * n + offset + width, n - offset - width)
                 break
         yield values
@@ -517,20 +514,20 @@ def mc_grid_stats(
         requests += [(p, True, False) for p in p_values]
     if negative is not None:
         requests.append((q, capped, True))
-    rows = _chunk_rows(n)
-    tile = min(_tile_rows(n), rows)
+    tile = min(_tile_rows(n), _chunk_rows(n))
     scratch = math.prod(_scratch_shape(tile, n, requests))
     _validate_mc_args(n, samples, streams, tile, n, scratch, constants)
 
     count = width * (3 if T is not None else 1) + (negative is not None)
 
+    def reduce(block: _DrawnRows) -> np.ndarray:
+        return _reduce_rows(block, requests, cap)
+
     def stream(
         gen: np.random.Generator, quota: int, buffer: np.ndarray
     ) -> list[MomentAccumulator]:
         accs = [MomentAccumulator.empty()] * count
-        for start in range(0, quota, rows):
-            block = _DrawnRows(gen, min(rows, quota - start), n, buffer)
-            reduced = _reduce_rows(block, requests, cap)
+        for reduced in _row_values(gen, quota, n, n, buffer, reduce):
             norms = reduced[:width]
             values = list(norms)
             if T is not None:
@@ -616,29 +613,31 @@ def mc_small_ball(
     the threshold's n quantiles must fit constants.memory_guard_bytes
     (`quantile_power_sum`).
 
-    Every sample is drawn and reduced through `_row_logs`: one of at
-    most `_SEGMENT_ELEMS` coordinates in a reducer tile of samples, a
-    longer one a segment of `_SEGMENT_ELEMS` coordinates at a time, and
-    each is counted on the running logaddexp of its segments' log power
-    sums.  That value never decreases: numpy's logaddexp(a, b) is
-    max(a, b) plus the term log1p(exp(-|a - b|)) >= 0, and a rounded sum
-    with a nonnegative term is not below max(a, b).  So a sample whose
+    Every sample is drawn and reduced through `_row_values`: one of at
+    most `_SEGMENT_ELEMS` coordinates in a chunk of samples, a longer
+    one a segment of `_SEGMENT_ELEMS` coordinates at a time, and each is
+    counted on the running logaddexp of its segments' log power sums.
+    That value never decreases: numpy's logaddexp(a, b) is max(a, b)
+    plus the term log1p(exp(-|a - b|)) >= 0, and a rounded sum with a
+    nonnegative term is not below max(a, b).  So a sample whose
     value passes log_threshold before its last segment would fail whole;
     it is counted there, and the rest of its draws are skipped.
     """
     _check_small_ball(q, tau)
     _check_cap(T)
-    rows, width = _row_block(n)
+    width = min(n, _SEGMENT_ELEMS)
+    # the buffer's rows: a tile of a chunk, or the lone row of a segment
+    rows = min(_tile_rows(n), _chunk_rows(n)) if width == n else 1
     request = [(q, not math.isinf(T), True)]
     scratch = math.prod(_scratch_shape(rows, width, request))
     _validate_mc_args(n, samples, streams, rows, width, scratch, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
 
-    def log_sums(block: np.ndarray) -> np.ndarray:
+    def log_sums(block: _DrawnRows) -> np.ndarray:
         return _reduce_rows(block, request, T)[0]
 
     def stream(gen: np.random.Generator, quota: int, buffer: np.ndarray) -> int:
-        blocks = _row_logs(gen, quota, n, buffer, log_sums, log_threshold)
+        blocks = _row_values(gen, quota, n, width, buffer, log_sums, log_threshold)
         return sum(int(np.count_nonzero(values <= log_threshold)) for values in blocks)
 
     successes = _fold_streams(

@@ -401,12 +401,98 @@ class TestTileDraws:
         assert peak < 8 * (tile + 2 * tile + 48 * 800)
 
 
-def fold_row_logs(n, samples, seed, streams, log_sums, threshold):
-    """Every value `_row_logs` yields over the streams, in stream order."""
-    rows, width = lplab.montecarlo._row_block(n)
+class TestBlockLoop:
+    # both estimators draw through `_row_values`: a chunk of whole rows
+    # is one reducer call, read a tile at a time into a one-tile buffer,
+    # and a long row is one reducer call per segment drawn
+
+    @pytest.mark.parametrize(
+        "args, calls, expected",
+        [
+            # two streams of 8000 rows in 699-row chunks at n = 3000
+            (
+                (3000, 2.0, 0.4, math.inf, 16000, 5, 2),
+                24,
+                ('0.0', '0.0', '0.00024003354635688813', '0', '16000', '7.087350040239698', '5', '2'),
+            ),
+            # three streams of about 6667 rows, one 8192-row chunk each
+            (
+                (50, 3.0, 0.3, 1.5, 20000, 8, 3),
+                3,
+                ('0.0003', '0.0001374997137187844', '0.0006544211207521783', '6', '20000', '2.998018987782384', '8', '3'),
+            ),
+            # the tails benchmark's shape: every sample stops in its first segment
+            (
+                (100_000, 2.0, 0.25, math.inf, 480, 0),
+                480,
+                ('0.0', '0.0', '0.007939499087277936', '0', '480', '10.12651591904987', '0', '4'),
+            ),
+        ],
+    )
+    def test_small_ball_reducer_calls(self, monkeypatch, args, calls, expected):
+        blocks = record_reducer_blocks(monkeypatch)
+        assert reprs(mc_small_ball(*args)) == expected
+        assert len(blocks) == calls
+        assert all(isinstance(block, lplab.montecarlo._DrawnRows) for block in blocks)
+
+    def test_grid_reducer_calls(self, monkeypatch, capsys):
+        # the mc-grid benchmark's four streams of 1000 rows, one chunk each
+        blocks = record_reducer_blocks(monkeypatch)
+        assert main(BENCH_MC_ARGV) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == BENCH_MC_STDOUT_SHA256
+        assert len(blocks) == 4
+        assert all(isinstance(block, lplab.montecarlo._DrawnRows) for block in blocks)
+
+    @pytest.mark.parametrize(
+        "call, size",
+        [
+            (lambda: mc_small_ball(100_000, 2.0, 0.25, math.inf, 8, 0, 2), 1 << 15),
+            (
+                lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2),
+                lplab.gaussian._tile_rows(3000) * 3000,
+            ),
+            (lambda: mc_grid_stats(3000, [12.0], 1600, 5, 2), lplab.gaussian._tile_rows(3000) * 3000),
+        ],
+    )
+    def test_buffer_is_one_tile_of_the_block(self, monkeypatch, call, size):
+        # a long row's buffer is one segment, not a reducer tile of rows
+        # of that segment's width
+        sizes = []
+
+        def recording(gen, shape, buffer=None):
+            sizes.append(buffer.size)
+            return gaussian_draws(gen, shape, buffer)
+
+        monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", recording)
+        call()
+        assert sizes and set(sizes) == {size}
+
+
+def record_reducer_blocks(monkeypatch):
+    """The blocks `montecarlo` hands the row reducer from now on, in call order."""
+    reduce_rows = lplab.montecarlo._reduce_rows
+    blocks = []
+
+    def recording(block, requests, T):
+        blocks.append(block)
+        return reduce_rows(block, requests, T)
+
+    monkeypatch.setattr(lplab.montecarlo, "_reduce_rows", recording)
+    return blocks
+
+
+def fold_row_values(n, samples, seed, streams, log_sums, threshold):
+    """Every value `_row_values` yields over the streams, in stream order.
+
+    The blocks are those of `mc_small_ball`: chunks of whole rows read a
+    reducer tile at a time, or one 2^15-double segment of a longer row.
+    """
+    width = min(n, 1 << 15)
+    rows = min(lplab.gaussian._tile_rows(n), lplab.montecarlo._chunk_rows(n)) if width == n else 1
 
     def stream(gen, quota, buffer):
-        blocks = lplab.montecarlo._row_logs(gen, quota, n, buffer, log_sums, threshold)
+        blocks = lplab.montecarlo._row_values(gen, quota, n, width, buffer, log_sums, threshold)
         return tuple(value for values in blocks for value in values)
 
     return lplab.montecarlo._fold_streams(
@@ -438,8 +524,10 @@ class TestSettledRows:
             for s in range(streams)
         ])
 
+        # part is a lazy block in the loop and an array below; part[:]
+        # draws the one row of the former
         def log_sums(part):
-            return np.log(np.sum(np.abs(part) ** q, axis=1))
+            return np.log(np.sum(np.abs(part[:]) ** q, axis=1))
 
         running = np.logaddexp.accumulate(
             [log_sums(whole[:, start : start + segment]) for start in range(0, n, segment)]
@@ -451,7 +539,7 @@ class TestSettledRows:
         # a row that stops early would fail whole
         assert (running[first | second, 2] > threshold).all()
 
-        folded = fold_row_logs(n, samples, seed, streams, log_sums, threshold)
+        folded = fold_row_values(n, samples, seed, streams, log_sums, threshold)
         expected = np.where(first, running[:, 0], np.where(second, running[:, 1], running[:, 2]))
         assert np.array(folded).tobytes() == expected.tobytes()
 
@@ -462,14 +550,15 @@ class TestSettledRows:
     def test_short_row_values_are_those_of_the_unbroken_streams(
         self, monkeypatch, cores, n, rows, quota
     ):
-        # a row of at most one segment is drawn whole, a reducer tile of
-        # rows at a time, and each quota ends on a block short of a tile;
-        # a row one double past a segment is drawn in two segments.  With
-        # no threshold to pass, each value folded must be the logaddexp of
-        # _reduce_rows over the unbroken stream's row segments, bit for bit
+        # a row of at most one segment is drawn whole, in a chunk read a
+        # reducer tile of rows at a time, and each quota ends on a tile
+        # short of a full one; a row one double past a segment is drawn in
+        # two segments.  With no threshold to pass, each value folded must
+        # be the logaddexp of _reduce_rows over the unbroken stream's row
+        # segments, bit for bit
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
         segment, streams, seed, request = 1 << 15, 2, 4, [(3.0, True, True)]
-        assert lplab.montecarlo._row_block(n)[0] == rows
+        assert min(lplab.gaussian._tile_rows(n), lplab.montecarlo._chunk_rows(n)) == rows
         whole = np.concatenate([
             gaussian_draws(RngStream(seed, s).generator(), (quota, n)) for s in range(streams)
         ])
@@ -480,7 +569,7 @@ class TestSettledRows:
         expected = np.logaddexp.reduce(
             [log_sums(whole[:, start : start + segment]) for start in range(0, n, segment)]
         )
-        folded = fold_row_logs(n, quota * streams, seed, streams, log_sums, math.inf)
+        folded = fold_row_values(n, quota * streams, seed, streams, log_sums, math.inf)
         assert np.array(folded).tobytes() == expected.tobytes()
 
     def test_reducer_sees_one_segment_at_a_time(self, monkeypatch):
@@ -550,6 +639,8 @@ class TestSettledRows:
 
         def first_segment_at(block, requests, T):
             if block.shape[1] == 1 << 15:
+                # the block draws only as it is read
+                block[:]
                 return np.full((1, 1), first)
             return reduce_rows(block, requests, T)
 
