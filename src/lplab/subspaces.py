@@ -61,14 +61,15 @@ only trials it leaves ambiguous can change, and only by settling.
 `sphere_net` returns the centers of the tree refined everywhere to a
 resolution, whose leaves also bound the cells any run can hold.
 
-Trials run on the thread pool of the Monte Carlo engine, dealt
-round-robin, one task per worker; each trial keys its own stream, so
-the counts do not depend on the worker count.  A round's new points
-go to the lp reducer with the basis (`_point_values`), which forms
-their images under B a reducer tile at a time, so an evaluation holds
-a few tiles of doubles whatever the number of points and n.  A run's
-cells live in arrays allocated once per worker, with room for the most
-cells a run can hold.
+A request, one experiment or a whole sweep, is checked once, walking
+the cell tree once, and runs on one thread pool of the Monte Carlo
+engine: the trials of all its rows are dealt round-robin, one task per
+worker, each on its own stream, so the counts do not depend on the
+worker count.  A round's new points go to the lp reducer with the
+basis (`_point_values`), which forms their images under B a reducer
+tile at a time, so an evaluation holds a few tiles of doubles whatever
+the number of points and n.  Each worker allocates one set of cell
+arrays, with room for the most cells a run can hold.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import TypeVar
 
 import numpy as np
@@ -223,12 +225,13 @@ def distortion(
     bounds could still move sup or inf past the center values found,
     down to radius net_resolution (`_extremes`), and
     certified_rel_error = (S / I) / (sup / inf) - 1 follows from the
-    final cells, or inf when I <= 0.  p, k, the resolution, the basis
-    and the most cells a run can hold are checked against
-    constants.memory_guard_bytes before any cell is evaluated
-    (`_check_section_request`).
+    final cells, or inf when I <= 0.  p (`_validate_p`), then k, the
+    resolution, and the basis and the most cells a run can hold against
+    constants.memory_guard_bytes (`_check_section_request`), are checked
+    before any cell is evaluated.
     """
-    leaves = _check_section_request(basis.n, basis.k, p, net_resolution, constants)
+    _validate_p(p)
+    leaves = _check_section_request(basis.n, basis.k, net_resolution, constants)
     sup, inf, sup_upper, inf_lower, rho = _trial(
         basis,
         p,
@@ -444,18 +447,16 @@ def _held_bytes(n: int, k: int, cells: int) -> int:
     return 8 * (k * n + 2 * n + scratch + (2 * k + 1) * cells)
 
 
-def _check_section_request(
-    n: int, k: int, p: float, net_resolution: float, constants: Constants
-) -> int:
+def _check_section_request(n: int, k: int, net_resolution: float, constants: Constants) -> int:
     """The cell tree's leaf count, if the request is certifiable and fits the memory guard.
 
-    The one check of every section request: p >= 1 or inf (below 1,
-    ||.||_p is no norm and the cell bounds fail), k and the
+    The one check of every section request, whatever its p: k and the
     resolution, then a basis and the most cells a run can hold.  A
     request whose basis and cells exceed the guard is refused, naming
     the finest resolution net_resolution * 2^j < 1 whose cells fit.
+    Its callers check p first (`_validate_p`: below 1, ||.||_p is no
+    norm and the cell bounds fail).
     """
-    _validate_p(p)
     _check_net(k, net_resolution, n)
     guard = constants.memory_guard_bytes
     if _held_bytes(n, k, 0) > guard:
@@ -613,32 +614,28 @@ def sphericity_experiment(
 
     Trial t draws its subspace from stream (seed, t), so the experiment
     is reproducible and embarrassingly parallel; counting is conservative
-    per the certificate of `_round`.  The trials are dealt
-    round-robin to a pool of min(usable cores, trials) threads (fewer if
-    the memory guard admits fewer bases and cell trees at once), each
-    returning its three counts; the sums do not depend on the worker
-    count.
+    per the certificate of `_round`.  It is a sweep of one row: the
+    trials are dealt round-robin to a pool of min(usable cores, trials)
+    threads (fewer if the memory guard admits fewer bases and cell trees
+    at once), each returning its three counts; the sums do not depend on
+    the worker count.
 
-    Each trial is a branch and bound over a tree of cells of the sphere
-    (`_cell_geometry`), from the whole antipodal domain down: a round
-    evaluates r at the new cells' centers and settles the trial by the
-    rule of `_round`, or trisects the cells that block a verdict along
-    the coordinate contributing most to their radius.  Refinement stops
-    at radius <= net_resolution, so a leaf may be finer than
-    net_resolution but a cell at or below it is never split; a trial
-    whose blocking cells are all that fine is ambiguous.  Every round's
-    bounds hold for the true distortion, so no trial can swap between
-    success and failure relative to a single net at net_resolution.
-    p, k, the resolution and the sizes of the basis and of the most cells
-    a trial can hold (the leaves of the tree refined everywhere to
-    net_resolution) are checked against constants.memory_guard_bytes
-    before any basis is drawn, and so is epsilon, which must be finite
-    and positive.
+    Each trial is a branch and bound over the cell tree (`_trial`): a
+    round evaluates r at the new cells' centers and settles the trial by
+    the rule of `_round`, or trisects the cells that block a verdict
+    along the coordinate contributing most to their radius.  A cell at
+    or below net_resolution is never split, and a trial whose blocking
+    cells are all that fine is ambiguous.  p, k, the resolution and the
+    sizes of the basis and of the most cells a trial can hold (the
+    leaves of the tree refined everywhere to net_resolution) are checked
+    against constants.memory_guard_bytes before any basis is drawn, and
+    so is epsilon, which must be finite and positive.
     """
     _check_trials(trials)
     _check_epsilon(epsilon)
-    leaves = _check_section_request(n, k, p, net_resolution, constants)
-    return _run_sphericity(n, k, p, epsilon, trials, net_resolution, seed, constants, leaves)
+    _validate_p(p)
+    leaves = _check_section_request(n, k, net_resolution, constants)
+    return _run_rows(n, k, [(p, epsilon, seed)], trials, net_resolution, constants, leaves)[0]
 
 
 def _check_trials(trials: int) -> None:
@@ -647,54 +644,58 @@ def _check_trials(trials: int) -> None:
         raise DomainError(f"need trials >= 1, got {trials}")
 
 
-def _run_sphericity(
+def _run_rows(
     n: int,
     k: int,
-    p: float,
-    epsilon: float,
+    rows: list[tuple[float, float, int]],
     trials: int,
     net_resolution: float,
-    seed: int,
     constants: Constants,
     leaves: int,
-) -> SphericityResult:
-    """`sphericity_experiment` of a checked request whose cell tree has `leaves` leaves."""
-    target = 1.0 + epsilon
+) -> list[SphericityResult]:
+    """`sphericity_experiment` of each checked (p, epsilon, seed) row, on one pool.
 
-    def verdict(
-        values: np.ndarray, slopes: np.ndarray, radii: np.ndarray
-    ) -> tuple[int | None, np.ndarray]:
-        return _round(values, slopes, radii, p, target, net_resolution)
+    The cell tree has `leaves` leaves at every row.  Index i of the
+    len(rows) * trials dealt to the pool is trial i % trials of row
+    i // trials; each worker returns its three counts per row.
+    """
 
-    def share(indices: range) -> list[int]:
-        counts = [0, 0, 0]
+    def share(indices: range) -> list[list[int]]:
+        counts = [[0, 0, 0] for _ in rows]
         cells = _trial_arrays(k, leaves)
-        for trial in indices:
+        for index in indices:
+            row, trial = divmod(index, trials)
+            p, epsilon, seed = rows[row]
+            rule = partial(_round, p=p, target=1.0 + epsilon, resolution=net_resolution)
             rng = RngStream(seed, trial).generator()
             # the basis is freed before the next one is drawn
-            counts[_trial(random_subspace(n, k, rng), p, verdict, cells)] += 1
+            counts[row][_trial(random_subspace(n, k, rng), p, rule, cells)] += 1
         return counts
 
     limit = max(1, constants.memory_guard_bytes // _held_bytes(n, k, leaves))
-    successes, failures, ambiguous = (
-        sum(counts) for counts in zip(*_strided_shares(share, trials, limit))
-    )
-    low, high = wilson_interval(successes, trials)
-    return SphericityResult(
-        n=n,
-        k=k,
-        p=p,
-        epsilon=epsilon,
-        trials=trials,
-        successes=successes,
-        failures=failures,
-        ambiguous=ambiguous,
-        probability=successes / trials,
-        wilson_low=low,
-        wilson_high=high,
-        net_resolution=net_resolution,
-        seed=seed,
-    )
+    shares = _strided_shares(share, len(rows) * trials, limit)
+    results = []
+    for (p, epsilon, seed), *row_counts in zip(rows, *shares):
+        successes, failures, ambiguous = map(sum, zip(*row_counts))
+        low, high = wilson_interval(successes, trials)
+        results.append(
+            SphericityResult(
+                n=n,
+                k=k,
+                p=p,
+                epsilon=epsilon,
+                trials=trials,
+                successes=successes,
+                failures=failures,
+                ambiguous=ambiguous,
+                probability=successes / trials,
+                wilson_low=low,
+                wilson_high=high,
+                net_resolution=net_resolution,
+                seed=seed,
+            )
+        )
+    return results
 
 
 @dataclass(frozen=True, slots=True)
@@ -722,10 +723,12 @@ def transition_sweep(
     at epsilon = w / log n.  delta = 0 evaluates the critical point
     itself, on the side "window": inside the transition window no
     direction is asserted.  Seeds are offset per row so rows stay
-    independent yet reproducible.  n, the trial count, the delta grid and
+    independent yet reproducible.  n, the trial count, the delta grid,
     every row's epsilon (finite and positive), seed (`RngStream`'s rule)
-    and request (`_check_section_request`) are checked once each, before
-    any row runs.
+    and p, then the request, the same for every row, are checked before
+    any trial runs.  All rows' trials share one pool of min(usable
+    cores, rows * trials) threads (fewer if the memory guard admits
+    fewer); each row's counts are those of `sphericity_experiment`.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, so that log n > 0, got n={n}")
@@ -743,15 +746,12 @@ def transition_sweep(
         else:
             plan.append((delta, "sub", (2.0 - delta) * log_n, epsilon_sub, row_seed))
             plan.append((delta, "super", (2.0 + delta) * log_n, eps_super, row_seed + 500))
-    leaves = []
+    if not plan:
+        return []
     for _, _, p, epsilon, row_seed in plan:
         _check_epsilon(epsilon)
         RngStream(row_seed, 0)  # refuses a seed outside [0, 2^64)
-        leaves.append(_check_section_request(n, k, p, net_resolution, constants))
-    rows = []
-    for (delta, side, p, epsilon, row_seed), row_leaves in zip(plan, leaves):
-        result = _run_sphericity(
-            n, k, p, epsilon, trials, net_resolution, row_seed, constants, row_leaves
-        )
-        rows.append(SweepRow(delta, side, result))
-    return rows
+        _validate_p(p)
+    leaves = _check_section_request(n, k, net_resolution, constants)
+    results = _run_rows(n, k, [row[2:] for row in plan], trials, net_resolution, constants, leaves)
+    return [SweepRow(delta, side, result) for (delta, side, *_), result in zip(plan, results)]

@@ -500,11 +500,9 @@ class TestDvoretzkyCommand:
             code, out, _ = run_cli(capsys, ["dvoretzky", *argv.split()])
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest
-        # one pool per sweep row, one task per worker; the 6-trial rows
-        # use every core, the 2-trial rows at most two
-        assert pools.tasks == pools.sizes
-        assert max(pools.sizes) == cores
-        assert pools.sizes[-1] == min(cores, 2)
+        # one pool per sweep, of min(cores, rows * trials) workers, one
+        # task each: 3 rows of 6 trials, then two sweeps of 2 rows of 2
+        assert pools.tasks == pools.sizes == [min(cores, 18), min(cores, 4), min(cores, 4)]
 
     @pytest.mark.parametrize(
         "argv, message",

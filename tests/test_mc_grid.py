@@ -392,9 +392,9 @@ class TestTileDraws:
         assert peak < 8 * (tile + 3 * tile + 48 * 1000)
 
     def test_short_row_small_ball(self, monkeypatch):
-        # a stream's 800 rows are drawn and reduced in blocks of one
-        # 21-row tile at n = 3000, the last of 2 rows; the reducer keeps
-        # two tiles (plain, powers)
+        # a stream's 800 rows come in a 699-row and a 101-row chunk at
+        # n = 3000, each drawn and reduced one 21-row tile at a time; the
+        # reducer keeps two tiles (plain, powers)
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
         tile = lplab.gaussian._tile_rows(3000) * 3000
         peak = traced_peak(lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2))

@@ -764,6 +764,20 @@ class TestSphericityExperiment:
         assert results[0] == results[1] == results[2]
         assert pools.sizes == [1, 2, 3]
 
+    def test_guard_caps_a_sweep_on_one_pool(self, monkeypatch, pools):
+        # under test_guard_caps_workers' guard of 2·held a sweep of 2 rows
+        # of 2 trials gets one pool of 2 workers: the cap counts one
+        # basis and one set of cell arrays per worker for the whole sweep
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
+        n, res = 30_000, 0.1
+        held = 24 * n + _vector_bytes(n) + 56 * sphere_net(3, res)[0].shape[0]
+        sweeps = []
+        for guard in (2 * held, 3 * held):
+            constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+            sweeps.append(transition_sweep(n, 3, [0.5], 2, res, seed=1, constants=constants))
+        assert sweeps[0] == sweeps[1]
+        assert pools.sizes == pools.tasks == [2, 3]
+
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
         # the cells a trial can hold and a 10 x k basis, 8 (10 k + (2k + 1) cells)
@@ -836,7 +850,7 @@ class TestTransitionSweep:
             raise AssertionError("a row ran before the sweep was checked")
 
         monkeypatch.setattr(lplab.subspaces, "sphericity_experiment", no_rows)
-        monkeypatch.setattr(lplab.subspaces, "_run_sphericity", no_rows)
+        monkeypatch.setattr(lplab.subspaces, "_run_rows", no_rows)
         # log 1 = 0 leaves no p and no epsilon = w / log n
         for n in (1, 0, -5):
             with pytest.raises(DomainError, match="need n >= 2"):
@@ -847,9 +861,10 @@ class TestTransitionSweep:
         with pytest.raises(DomainError, match="need trials >= 1"):
             transition_sweep(30, 2, [0.5], trials=0, net_resolution=0.1, seed=0)
 
-    def test_each_row_walks_the_cell_tree_once(self, monkeypatch):
-        # the sweep checks every row before the first runs and hands each
-        # row its leaf count, so 4 rows walk the tree 4 times, not 8
+    def test_sweep_walks_the_cell_tree_once(self, monkeypatch):
+        # the tree depends on k and the resolution only, so the sweep
+        # checks one request for its 4 rows and walks the tree once; each
+        # one-row run after it walks it once more
         walks = []
         leaf_count = lplab.subspaces._leaf_count
 
@@ -859,12 +874,38 @@ class TestTransitionSweep:
 
         monkeypatch.setattr(lplab.subspaces, "_leaf_count", counting)
         rows = transition_sweep(50, 2, [0.3, 0.6], trials=3, net_resolution=0.1, seed=2)
-        assert len(rows) == len(walks) == 4
+        assert len(rows) == 4 and len(walks) == 1
         for row in rows:
             result = row.result
             alone = sphericity_experiment(50, 2, result.p, result.epsilon, 3, 0.1, result.seed)
             assert alone == result
-        assert len(walks) == 8
+        assert len(walks) == 5
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_sweep_runs_on_one_pool(self, monkeypatch, pools, cores):
+        # 4 rows of 1 trial are dealt to one pool of min(cores, 4) workers,
+        # one task and one set of cell arrays each; at 3 cores the first
+        # worker runs the first row and the last
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        allocations = []
+        trial_arrays = lplab.subspaces._trial_arrays
+
+        def counting(*args):
+            allocations.append(args)
+            return trial_arrays(*args)
+
+        monkeypatch.setattr(lplab.subspaces, "_trial_arrays", counting)
+        rows = transition_sweep(50, 2, [0.3, 0.6], trials=1, net_resolution=0.1, seed=2)
+        assert pools.sizes == pools.tasks == [min(cores, 4)]
+        assert len(allocations) == min(cores, 4)
+        for row in rows:
+            result = row.result
+            alone = sphericity_experiment(50, 2, result.p, result.epsilon, 1, 0.1, result.seed)
+            assert alone == result
+
+    def test_empty_grid_starts_no_pool(self, pools):
+        assert transition_sweep(30, 2, [], trials=2, net_resolution=0.1, seed=0) == []
+        assert pools.sizes == []
 
     def test_delta_domain(self):
         with pytest.raises(DomainError):
