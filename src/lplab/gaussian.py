@@ -205,9 +205,13 @@ def _reduce_rows(
     scaled copy are built once and serve every request.  Each request's power
     sums and each kind's row peaks and their logs are kept for the whole
     block and finished into norms or logs once, after the tile loop.
-    The block is read only through its `shape` and its row tiles
-    block[start:stop], in order, so both Monte Carlo estimators pass one
-    that draws each tile as it is taken (`montecarlo._DrawnRows`).
+    A tile's rows x come from one of three places: an array block's
+    rows block[start:stop]; with a basis, their images, formed in their
+    own slot (below); or a drawn block, the one kind both Monte Carlo
+    estimators pass (`montecarlo._DrawnRows`), whose draw(out) draws the
+    tile's rows straight into the scratch slot that takes |x|, so that
+    |x| is taken in place.  A drawn block is read only through its
+    `shape` and one draw per tile, in order, and is never held whole.
 
     A row whose peak is <= T has capped ratios min(|x|, T)/min(m, T)
     equal to its plain ratios |x|/m, bit for bit.  So a capped request
@@ -218,9 +222,9 @@ def _reduce_rows(
 
     The scratch, in the calling thread's `_scratch_tiles` and laid out by
     `_scratch_shape`, holds one tile per kind of magnitude asked for
-    (plain, capped) and one for the powers.  |x|, the scaled copies,
-    min(., T), the gathered rows and the powers are written into it with
-    out=, so a tile makes no temporary of its size.
+    (plain, capped) and one for the powers.  Drawn rows, |x|, the scaled
+    copies, min(., T), the gathered rows and the powers are written into
+    it with out=, so a tile makes no temporary of its size.
 
     With `basis`, an n x k matrix B, the block is m x k points y and the
     rows reduced are their images x = B y, formed a tile at a time in
@@ -258,13 +262,18 @@ def _reduce_rows(
             k: plain[requests[k][0]] for k in summed if requests[k][1] and requests[k][0] in plain
         }
     for start in range(0, rows, tile):
-        part = block[start : start + tile]
-        span = slice(start, start + len(part))
-        if basis is not None:
-            part = np.matmul(part, basis.T, out=images[: len(part) * n].reshape(-1, n))
-        powers, *scaled = (slot[: part.size].reshape(part.shape) for slot in slots)
+        span = slice(start, min(start + tile, rows))
+        height = span.stop - start
+        powers, *scaled = (slot[: height * n].reshape(height, n) for slot in slots)
         # |x| goes into the last slot: the plain kind is divided out of
-        # it into the other one before the capped kind caps it in place
+        # it into the other one before the capped kind caps it in place;
+        # a drawn block draws the tile's rows there
+        if isinstance(block, np.ndarray):
+            part = block[span]
+            if basis is not None:
+                part = np.matmul(part, basis.T, out=images[: height * n].reshape(height, n))
+        else:
+            part = block.draw(scaled[-1])
         magnitudes = np.abs(part, out=scaled[-1])
         row_peaks = magnitudes.max(axis=1, out=peaks[False][span])
         ratios = {}

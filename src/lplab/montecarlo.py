@@ -20,8 +20,8 @@ needs the fourth moment).
 One scheduler runs the streams of every estimator.  `_fold_streams`
 cuts the streams into runs of 2^j consecutive streams and deals the
 runs round-robin to a thread pool of min(usable cores, streams)
-workers (fewer if the memory guard admits fewer buffers and reducer
-scratch in flight), one task per worker however many streams there are
+workers (fewer if the memory guard admits fewer reducer scratches in
+flight), one task per worker however many streams there are
 (`_strided_shares`, which also runs the trials of the random
 sections).  A worker runs its streams one after another; the
 estimator's stream function draws each stream's quota and returns that
@@ -38,15 +38,13 @@ Both estimators draw through one block loop, `_row_values`.  It cuts
 a quota into chunks of `_chunk_rows` rows, each one accumulator batch,
 or, past `_SEGMENT_ELEMS` coordinates, into one segment of a lone row
 at a time, and hands the reducer each block as a `_DrawnRows`, which
-draws a tile's rows only when the reducer reaches that tile.
-Each worker allocates one float64 buffer for a reducer tile of its
-blocks, a tile of rows or one segment, and its streams draw every tile
-into it: the uniforms are written straight into the buffer and ndtri
-runs in place.  A fresh block per draw would be freed into the
-allocating thread's malloc arena, where glibc keeps it, so per-draw
-blocks on several threads raise the peak resident size by about a
-block per thread per arena; a tile-sized buffer also keeps the draws in
-cache while the reducer reads them.
+draws a tile's rows only when the reducer reaches that tile, straight
+into the slot of the reducer's scratch that takes |x|: the uniforms are
+written there, ndtri runs in place, and the reducer takes |x| in place.
+That scratch is the drawing thread's own and is kept between calls
+(`gaussian._scratch_tiles`), so a worker allocates no array for its
+draws, holds no tile beside its scratch, and reduces each tile while it
+is still in cache.
 
 The row reducer `gaussian._reduce_rows`, which also serves the random
 sections, turns a chunk into per-row statistics, walking it in row
@@ -86,7 +84,7 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _scratch_shape, _tile_rows, _validate_p
+from .gaussian import _reduce_rows, _scratch_shape, _validate_p
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
 # doubles per sample chunk, one accumulator batch
@@ -282,20 +280,26 @@ def _chunk_rows(n: int) -> int:
     return max(1, min(_CHUNK_ELEMS // max(n, 1), 8192))
 
 
+def _block_rows(n: int, width: int) -> int:
+    """Rows per `_row_values` block: a chunk of whole rows, or the lone row of a segment."""
+    return _chunk_rows(n) if width == n else 1
+
+
 def _validate_mc_args(
-    n: int, samples: int, streams: int, rows: int, width: int, scratch: int, constants: Constants
+    n: int, samples: int, streams: int, scratch: int, constants: Constants
 ) -> None:
-    """Check the budget, and that a rows x width block of draws and its scratch fit the guard."""
+    """Check the budget, and that the reducer scratch the draws go into fits the guard."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
     if streams < 1:
         raise DomainError(f"need streams >= 1, got {streams}")
-    if (rows * width + scratch) * 8 > constants.memory_guard_bytes:
+    guard = constants.memory_guard_bytes
+    if scratch * 8 > guard:
         raise DomainError(
-            f"a single block of draws ({rows}x{width} doubles) exceeds the memory guard"
-            f" with its {scratch} doubles of reducer scratch"
+            f"the reducer scratch that the draws go into ({scratch} doubles)"
+            f" exceeds the memory guard ({guard} bytes)"
         )
     # an empty stream would still build a generator and an accumulator
     if streams > samples:
@@ -346,48 +350,40 @@ def _merge_run(states: Iterable[State], merge: Callable[[State, State], State]) 
 
 
 def _fold_streams(
-    stream: Callable[[np.random.Generator, int, np.ndarray], State],
+    stream: Callable[[np.random.Generator, int], State],
     merge: Callable[[State, State], State],
-    rows: int,
-    width: int,
     scratch: int,
     samples: int,
     seed: int,
     streams: int,
     constants: Constants,
 ) -> State:
-    """stream(generator, quota, buffer) of each stream, the states merged pairwise by index.
+    """stream(generator, quota) of each stream, the states merged pairwise by index.
 
-    Stream s gets RngStream(seed, s).generator(), its `_stream_quota` and
-    its worker's buffer of min(rows, largest quota) * width float64s,
-    which it may draw into but must not keep; the estimators draw a
-    reducer tile or a segment at a time, so rows x width is one tile or
-    one segment, not a chunk.
+    Stream s gets RngStream(seed, s).generator() and its `_stream_quota`.
 
     The streams are cut into runs of 2^j consecutive streams, 2^j the
     largest power of two at most streams / W for W workers, and the runs
     are dealt to `_strided_shares` workers, capped so that the memory
-    guard admits every buffer in flight, each with the `scratch` doubles
-    its worker's reducer keeps.  A worker merges each run's
+    guard admits the `scratch` doubles that each worker's reducer keeps
+    and its streams draw into.  A worker merges each run's
     states as it makes them (`_merge_run`): a run starts at a multiple of
     its length, so it is an exact subtree of `_merge_run`'s tree over all
     streams (the last run, if short, is that tree's node over the tail),
     and `_merge_run` over the run states, in run order, returns the bits
     of `_merge_run` over the stream states.
     """
-    block = min(rows, _stream_quota(samples, streams, 0)) * width
-    limit = max(1, constants.memory_guard_bytes // (8 * (block + scratch)))
+    limit = max(1, constants.memory_guard_bytes // (8 * scratch))
     run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
     runs = -(-streams // run)
 
-    def run_states(r: int, buffer: np.ndarray) -> Iterator[State]:
+    def run_states(r: int) -> Iterator[State]:
         for index in range(r * run, min(r * run + run, streams)):
             gen = RngStream(seed, index).generator()
-            yield stream(gen, _stream_quota(samples, streams, index), buffer)
+            yield stream(gen, _stream_quota(samples, streams, index))
 
     def share(indices: range) -> list[State]:
-        buffer = np.empty(block)
-        return [_merge_run(run_states(r, buffer), merge) for r in indices]
+        return [_merge_run(run_states(r), merge) for r in indices]
 
     shares = _strided_shares(share, runs, limit)
     workers = len(shares)
@@ -398,20 +394,19 @@ class _DrawnRows:
     """rows x n Gaussians of a stream, drawn as the row reducer walks them.
 
     Every block of both estimators is one (`_row_values`).
-    `_reduce_rows` reads a block only as its consecutive row tiles
-    block[start:stop], in order; each such slice here draws the next
-    stop - start rows of the stream into buffer (`gaussian_draws`), so
-    the block is never held whole and each tile is reduced while it is
-    still in cache.  buffer must hold a reducer tile of rows.
+    `_reduce_rows` reads a block only through its shape and one draw(out)
+    per row tile, in order; each draws the next out.shape[0] rows of the
+    stream into out, a tile of the reducer's own scratch
+    (`gaussian_draws`), so the block is never held whole and each tile
+    is reduced while it is still in cache.
     """
 
-    def __init__(self, gen: np.random.Generator, rows: int, n: int, buffer: np.ndarray) -> None:
+    def __init__(self, gen: np.random.Generator, rows: int, n: int) -> None:
         self.shape = (rows, n)
-        self._gen, self._buffer = gen, buffer
+        self._gen = gen
 
-    def __getitem__(self, tile: slice) -> np.ndarray:
-        rows, n = self.shape
-        return gaussian_draws(self._gen, (len(range(rows)[tile]), n), self._buffer)
+    def draw(self, out: np.ndarray) -> np.ndarray:
+        return gaussian_draws(self._gen, out.shape, out)
 
 
 def _row_values(
@@ -419,13 +414,12 @@ def _row_values(
     quota: int,
     n: int,
     width: int,
-    buffer: np.ndarray,
     reduce: Callable[[_DrawnRows], np.ndarray],
     threshold: float = math.inf,
 ) -> Iterator[np.ndarray]:
     """reduce over the quota's rows of n Gaussians, one `_DrawnRows` block at a time.
 
-    With width = n each block is a chunk of `_chunk_rows(n)` whole rows
+    With width = n each block is a chunk of `_block_rows` whole rows
     and each yield is reduce of it.  With width < n each block is one
     width-wide segment of a lone row, and the row's value is reduce of
     its first segment, np.logaddexp-ed with reduce of each later one
@@ -436,10 +430,10 @@ def _row_values(
     (`_skip_uniforms`): the next row gets the very draws it gets when
     no row stops early.
     """
-    rows = _chunk_rows(n) if width == n else 1
+    rows = _block_rows(n, width)
     for start in range(0, quota, rows):
         for offset in range(0, n, width):
-            block = _DrawnRows(gen, min(rows, quota - start), min(width, n - offset), buffer)
+            block = _DrawnRows(gen, min(rows, quota - start), min(width, n - offset))
             part = reduce(block)
             values = part if offset == 0 else np.logaddexp(values, part)
             if offset + width < n and values[0] > threshold:
@@ -485,7 +479,7 @@ def mc_grid_stats(
     The `MCGridStats` fields: a norm estimate at each p, the (f_T, gap^2)
     pair at each p when T > 0 is given (inf for no cap), and the
     negative moment when negative = (q, L).  Every stream is drawn once,
-    a reducer tile at a time into its worker's one-tile buffer, and
+    a reducer tile at a time straight into the reducer's scratch, and
     each tile is reduced once, right after it is drawn; each estimate
     has the bits of a call that asks for it alone, with the same seed
     and streams.
@@ -514,20 +508,17 @@ def mc_grid_stats(
         requests += [(p, True, False) for p in p_values]
     if negative is not None:
         requests.append((q, capped, True))
-    tile = min(_tile_rows(n), _chunk_rows(n))
-    scratch = math.prod(_scratch_shape(tile, n, requests))
-    _validate_mc_args(n, samples, streams, tile, n, scratch, constants)
+    scratch = math.prod(_scratch_shape(_block_rows(n, n), n, requests))
+    _validate_mc_args(n, samples, streams, scratch, constants)
 
     count = width * (3 if T is not None else 1) + (negative is not None)
 
     def reduce(block: _DrawnRows) -> np.ndarray:
         return _reduce_rows(block, requests, cap)
 
-    def stream(
-        gen: np.random.Generator, quota: int, buffer: np.ndarray
-    ) -> list[MomentAccumulator]:
+    def stream(gen: np.random.Generator, quota: int) -> list[MomentAccumulator]:
         accs = [MomentAccumulator.empty()] * count
-        for reduced in _row_values(gen, quota, n, n, buffer, reduce):
+        for reduced in _row_values(gen, quota, n, n, reduce):
             norms = reduced[:width]
             values = list(norms)
             if T is not None:
@@ -548,9 +539,7 @@ def mc_grid_stats(
     ) -> list[MomentAccumulator]:
         return [a.merge(b) for a, b in zip(left, right, strict=True)]
 
-    accumulators = _fold_streams(
-        stream, merge, tile, n, scratch, samples, seed, streams, constants
-    )
+    accumulators = _fold_streams(stream, merge, scratch, samples, seed, streams, constants)
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
     if T is not None:
@@ -626,23 +615,19 @@ def mc_small_ball(
     _check_small_ball(q, tau)
     _check_cap(T)
     width = min(n, _SEGMENT_ELEMS)
-    # the buffer's rows: a tile of a chunk, or the lone row of a segment
-    rows = min(_tile_rows(n), _chunk_rows(n)) if width == n else 1
     request = [(q, not math.isinf(T), True)]
-    scratch = math.prod(_scratch_shape(rows, width, request))
-    _validate_mc_args(n, samples, streams, rows, width, scratch, constants)
+    scratch = math.prod(_scratch_shape(_block_rows(n, width), width, request))
+    _validate_mc_args(n, samples, streams, scratch, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
 
     def log_sums(block: _DrawnRows) -> np.ndarray:
         return _reduce_rows(block, request, T)[0]
 
-    def stream(gen: np.random.Generator, quota: int, buffer: np.ndarray) -> int:
-        blocks = _row_values(gen, quota, n, width, buffer, log_sums, log_threshold)
+    def stream(gen: np.random.Generator, quota: int) -> int:
+        blocks = _row_values(gen, quota, n, width, log_sums, log_threshold)
         return sum(int(np.count_nonzero(values <= log_threshold)) for values in blocks)
 
-    successes = _fold_streams(
-        stream, operator.add, rows, width, scratch, samples, seed, streams, constants
-    )
+    successes = _fold_streams(stream, operator.add, scratch, samples, seed, streams, constants)
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(
         probability=successes / samples,

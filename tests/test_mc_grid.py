@@ -127,6 +127,30 @@ GOLDEN = [
             ('3.2025369053605776e-05', '5.123330508952463e-11', '2.066262831973154e-07', '2.5273258296308825e-12', '1200', '11', '3'),
         ),
     ),
+    (
+        # from n = 2^16 a reducer tile is one whole row, so with a cap the
+        # drawn row is capped in place in the scratch slot it is drawn into
+        lambda: every_estimate(
+            mc_grid_stats(70_000, [2.0, 12.0, math.inf], 12, 3, 3, T=4.0, negative=(2.0, 1.0))
+        ),
+        (
+            ('264.4708591351875', '0.42376494908041235', '0.1879195193605524', '0.12522754709307887', '12', '3', '3'),
+            ('5.450636495278925', '0.004061480947171441', '0.018397193959884754', '0.0014866209216793105', '12', '3', '3'),
+            ('4.333959030689664', '0.043498180745118936', '0.06020671387334288', '0.010903188271424996', '12', '3', '3'),
+            ('264.4578994813066', '0.42024280953044735', '0.18713693950563923', '0.12399261796551012', '12', '3', '3'),
+            ('0.0002696517226717497', '1.2500096057354733e-07', '0.00010206246476772093', '5.433228727439894e-08', '12', '3', '3'),
+            ('5.402848197453908', '0.0009235657749725973', '0.00877290228949632', '0.0002776818197406992', '12', '3', '3'),
+            ('0.0041443408169972665', '3.9029628404112155e-05', '0.0018034602944550825', '2.0048768803705887e-05', '12', '3', '3'),
+            ('4.0', '0.0', '0.0', '0.0', '12', '3', '3'),
+            ('0.1514019665288727', '0.027260098325030856', '0.04766209039078372', '0.008806756686750383', '12', '3', '3'),
+            ('1.429861925271226e-05', '4.935139021755751e-15', '2.0279585428363977e-08', '1.4558515190587112e-15', '12', '3', '3'),
+        ),
+    ),
+    (
+        # the same one-row tiles, read a segment at a time; 10 of 12 count
+        lambda: mc_small_ball(70_000, 30.0, 0.45, 4.0, 12, 3, 3),
+        ('0.8333333333333334', '0.5519691377470266', '0.9530348578161463', '10', '12', '43.92504793331624', '3', '3'),
+    ),
 ]
 
 # mc_small_ball above one segment of _SEGMENT_ELEMS = 2^15 doubles, as
@@ -245,11 +269,11 @@ class TestWorkers:
         assert max(pool_sizes) == cores
 
     def test_guard_admitting_one_block_runs_one_worker(self, monkeypatch, pool_sizes):
-        # n = 3000 draws one 21-row reducer tile at a time, a block of
-        # 504,000 bytes, and each worker's reducer keeps two such tiles of
-        # scratch (the scaled |x| and the powers), 1,008,000 bytes
+        # n = 3000 draws one 21-row reducer tile at a time into its
+        # worker's reducer scratch, which keeps two such tiles (the drawn
+        # and scaled |x|, and the powers), 1,008,000 bytes
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
-        held = 21 * 3000 * 8 + 2 * 21 * 3000 * 8
+        held = 2 * 21 * 3000 * 8
         one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * held - 1)
         estimate = mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=one).norms[0]
         assert reprs(estimate) == GOLDEN[3][1]
@@ -259,10 +283,11 @@ class TestWorkers:
 
     def test_guard_counts_the_reducer_scratch(self, monkeypatch):
         # from n = 2^16 a reducer tile is one whole row, and a capped grid
-        # keeps three of them (plain, capped, powers) next to the row
-        # drawn: at n = 4·10^6 that is 128 MB, refused by a 64 MiB guard
-        # before anything is drawn; at n = 2·10^6 it is 64 MB, admitted,
-        # and the call's traced peak stays within the guard
+        # keeps three of them (plain, capped, powers), the row drawn into
+        # the capped one: at n = 4·10^6 that is 96 MB, refused by a 64 MiB
+        # guard before anything is drawn; at n = 2·10^6 it is 48 MB,
+        # admitted, and the call's traced peak is those three rows, with
+        # no fourth beside them
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
         guard = 64 << 20
         constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
@@ -272,7 +297,7 @@ class TestWorkers:
 
         with monkeypatch.context() as patched:
             patched.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
-            with pytest.raises(DomainError, match="with its 12000000 doubles of reducer scratch"):
+            with pytest.raises(DomainError, match=r"\(12000000 doubles\) exceeds the memory guard"):
                 mc_grid_stats(4_000_000, [2.0, 8.0], 2, 0, 1, constants, T=3.0)
         tracemalloc.start()
         try:
@@ -280,7 +305,7 @@ class TestWorkers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 2_000_000 * 4 * 8 <= peak <= guard
+        assert 2_000_000 * 3 * 8 <= peak <= 2_000_000 * 3.5 * 8
 
     def test_threads_bounded_by_cores_and_streams(self, monkeypatch, capsys, pool_sizes):
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
@@ -313,8 +338,8 @@ class TestWorkers:
             def merge(self, other):
                 return Tree((self.shape, other.shape))
 
-        def stream(gen, quota, buffer):
-            return Tree(float(gaussian_draws(gen, (quota, 2), buffer)[0, 0]))
+        def stream(gen, quota):
+            return Tree(float(gaussian_draws(gen, (quota, 2))[0, 0]))
 
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
         for streams in [*range(1, 19), 31, 32, 33, 100]:
@@ -323,7 +348,7 @@ class TestWorkers:
                 for s in range(streams)
             ]
             merged = lplab.montecarlo._fold_streams(
-                stream, Tree.merge, 8, 2, 0, streams, 4, streams, DEFAULT_CONSTANTS
+                stream, Tree.merge, 16, streams, 4, streams, DEFAULT_CONSTANTS
             )
             assert merged.shape == merge_pairwise(leaves).shape
 
@@ -333,12 +358,10 @@ class TestWorkers:
         # draw one more; the states come back merged in stream order
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
 
-        def stream(gen, quota, buffer):
+        def stream(gen, quota):
             return ((quota, gen.random()),)
 
-        merged = lplab.montecarlo._fold_streams(
-            stream, operator.add, 8, 1, 0, 100, 4, 7, DEFAULT_CONSTANTS
-        )
+        merged = lplab.montecarlo._fold_streams(stream, operator.add, 8, 100, 4, 7, DEFAULT_CONSTANTS)
         assert merged == tuple(
             (quota, RngStream(4, s).generator().random())
             for s, quota in enumerate([15, 15, 14, 14, 14, 14, 14])
@@ -375,10 +398,10 @@ def traced_peak(call):
 
 
 class TestTileDraws:
-    # a stream draws a reducer tile of rows at a time into its worker's
-    # one-tile buffer, so a one-worker call holds that tile, the
-    # reducer's scratch tiles and a few vectors over a chunk's rows, and
-    # never a chunk of draws (8 MB and 16.8 MB below)
+    # a stream draws a reducer tile of rows at a time straight into its
+    # worker's reducer scratch, so a one-worker call holds the scratch
+    # tiles and a few vectors over a chunk's rows, and never a chunk of
+    # draws (8 MB and 16.8 MB below) or a tile beside the scratch
 
     def test_grid_at_the_benchmark_shape(self, monkeypatch):
         # 1000-row chunks of 65-row tiles; the reducer keeps three tiles
@@ -389,7 +412,7 @@ class TestTileDraws:
         peak = traced_peak(lambda: mc_grid_stats(
             1000, [2.0, 8.0, 12.0, math.inf], 4000, 0, 4, T=3.5, negative=(6.9, 1.0)
         ))
-        assert peak < 8 * (tile + 3 * tile + 48 * 1000)
+        assert peak < 8 * (3 * tile + 48 * 1000)
 
     def test_short_row_small_ball(self, monkeypatch):
         # a stream's 800 rows come in a 699-row and a 101-row chunk at
@@ -398,13 +421,13 @@ class TestTileDraws:
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
         tile = lplab.gaussian._tile_rows(3000) * 3000
         peak = traced_peak(lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2))
-        assert peak < 8 * (tile + 2 * tile + 48 * 800)
+        assert peak < 8 * (2 * tile + 48 * 800)
 
 
 class TestBlockLoop:
     # both estimators draw through `_row_values`: a chunk of whole rows
-    # is one reducer call, read a tile at a time into a one-tile buffer,
-    # and a long row is one reducer call per segment drawn
+    # is one reducer call, drawn a tile at a time into the reducer's
+    # scratch, and a long row is one reducer call per segment drawn
 
     @pytest.mark.parametrize(
         "args, calls, expected",
@@ -445,28 +468,27 @@ class TestBlockLoop:
         assert all(isinstance(block, lplab.montecarlo._DrawnRows) for block in blocks)
 
     @pytest.mark.parametrize(
-        "call, size",
+        "call",
         [
-            (lambda: mc_small_ball(100_000, 2.0, 0.25, math.inf, 8, 0, 2), 1 << 15),
-            (
-                lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2),
-                lplab.gaussian._tile_rows(3000) * 3000,
-            ),
-            (lambda: mc_grid_stats(3000, [12.0], 1600, 5, 2), lplab.gaussian._tile_rows(3000) * 3000),
+            lambda: mc_small_ball(100_000, 2.0, 0.25, math.inf, 8, 0, 2),
+            lambda: mc_small_ball(3000, 2.0, 0.4, math.inf, 1600, 5, 2),
+            lambda: mc_grid_stats(3000, [12.0], 1600, 5, 2),
         ],
+        ids=["long_row_small_ball", "short_row_small_ball", "grid"],
     )
-    def test_buffer_is_one_tile_of_the_block(self, monkeypatch, call, size):
-        # a long row's buffer is one segment, not a reducer tile of rows
-        # of that segment's width
-        sizes = []
+    def test_draws_land_in_the_reducer_scratch(self, monkeypatch, call):
+        # a segment of a long row, and each tile of a chunk, the last one
+        # of a chunk shorter, is drawn into the drawing thread's own
+        # reducer scratch, so no worker allocates a buffer for its draws
+        shared = []
 
         def recording(gen, shape, buffer=None):
-            sizes.append(buffer.size)
+            shared.append(np.shares_memory(buffer, lplab.gaussian._scratch.buffer))
             return gaussian_draws(gen, shape, buffer)
 
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", recording)
         call()
-        assert sizes and set(sizes) == {size}
+        assert shared and all(shared)
 
 
 def record_reducer_blocks(monkeypatch):
@@ -489,14 +511,15 @@ def fold_row_values(n, samples, seed, streams, log_sums, threshold):
     reducer tile at a time, or one 2^15-double segment of a longer row.
     """
     width = min(n, 1 << 15)
-    rows = min(lplab.gaussian._tile_rows(n), lplab.montecarlo._chunk_rows(n)) if width == n else 1
+    rows = lplab.montecarlo._block_rows(n, width)
+    scratch = math.prod(lplab.gaussian._scratch_shape(rows, width, [(1.0, False, True)]))
 
-    def stream(gen, quota, buffer):
-        blocks = lplab.montecarlo._row_values(gen, quota, n, width, buffer, log_sums, threshold)
+    def stream(gen, quota):
+        blocks = lplab.montecarlo._row_values(gen, quota, n, width, log_sums, threshold)
         return tuple(value for values in blocks for value in values)
 
     return lplab.montecarlo._fold_streams(
-        stream, operator.add, rows, width, 0, samples, seed, streams, DEFAULT_CONSTANTS
+        stream, operator.add, scratch, samples, seed, streams, DEFAULT_CONSTANTS
     )
 
 
@@ -524,10 +547,12 @@ class TestSettledRows:
             for s in range(streams)
         ])
 
-        # part is a lazy block in the loop and an array below; part[:]
+        # part is a lazy block in the loop and an array below; its draw
         # draws the one row of the former
         def log_sums(part):
-            return np.log(np.sum(np.abs(part[:]) ** q, axis=1))
+            if not isinstance(part, np.ndarray):
+                part = part.draw(np.empty(part.shape))
+            return np.log(np.sum(np.abs(part) ** q, axis=1))
 
         running = np.logaddexp.accumulate(
             [log_sums(whole[:, start : start + segment]) for start in range(0, n, segment)]
@@ -590,23 +615,25 @@ class TestSettledRows:
 
     def test_memory_guard_checks_the_row_drawn(self, monkeypatch):
         # past one segment a stream draws one segment at a time, so an
-        # 8 MiB guard admits the small ball at n = 10^5 (a 256 KB segment
-        # and 512 KB of reducer scratch, beside its 5.7 MB quantile sum);
-        # mc_grid_stats draws a one-row tile at that n, 800 KB with 1.6 MB
-        # of scratch, which the guard admits too, but it refuses before
-        # any draw the 3.2 MB row and 6.4 MB of scratch at n = 4·10^5
+        # 8 MiB guard admits the small ball at n = 10^5 (512 KB of reducer
+        # scratch that a segment is drawn into, beside its 5.7 MB quantile
+        # sum); mc_grid_stats draws a one-row tile into its 1.6 MB of
+        # scratch at that n and into 6.4 MB at n = 4·10^5, which the guard
+        # admits too, but it refuses before any draw the 9.6 MB of scratch
+        # at n = 6·10^5
         guard = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=8 << 20)
         args = (100_000, 2.0, 0.25, math.inf, 4, 0, 2)
         assert mc_small_ball(*args, constants=guard) == mc_small_ball(*args)
-        grid = (100_000, [2.0], 4, 0, 2)
-        assert mc_grid_stats(*grid, constants=guard) == mc_grid_stats(*grid)
+        for n in (100_000, 400_000):
+            grid = (n, [2.0], 4, 0, 2)
+            assert mc_grid_stats(*grid, constants=guard) == mc_grid_stats(*grid)
 
         def no_draws(*args):
             raise AssertionError("drew before the guard")
 
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
-        with pytest.raises(DomainError, match=r"\(1x400000 doubles\) exceeds the memory guard"):
-            mc_grid_stats(400_000, [2.0], 4, 0, 2, constants=guard)
+        with pytest.raises(DomainError, match=r"\(1200000 doubles\) exceeds the memory guard"):
+            mc_grid_stats(600_000, [2.0], 4, 0, 2, constants=guard)
 
     def test_benchmark_shape_draws_a_third(self, monkeypatch):
         # at tau = 0.25 a sample of 10^5 squares passes the threshold
@@ -640,7 +667,7 @@ class TestSettledRows:
         def first_segment_at(block, requests, T):
             if block.shape[1] == 1 << 15:
                 # the block draws only as it is read
-                block[:]
+                block.draw(np.empty(block.shape))
                 return np.full((1, 1), first)
             return reduce_rows(block, requests, T)
 
