@@ -20,8 +20,9 @@ needs the fourth moment).
 One scheduler runs the streams of every estimator.  `_fold_streams`
 cuts the streams into runs of 2^j consecutive streams and deals the
 runs round-robin to a thread pool of min(usable cores, streams)
-workers (fewer if the memory guard admits fewer reducer scratches in
-flight), one task per worker however many streams there are
+workers (fewer if the memory guard admits fewer workers, each holding
+its reducer scratch and the output rows of the block it reduces), one
+task per worker however many streams there are
 (`_strided_shares`, which also runs the trials of the random
 sections).  A worker runs its streams one after another; the
 estimator's stream function draws each stream's quota and returns that
@@ -65,8 +66,12 @@ chunk boundaries and merge tree as a single-estimator call.
 `mc_small_ball` settles and counts a sample on one running value, the
 logaddexp of its segments' log power sums, which never decreases: once
 it passes the threshold the sample is a failure and the rest of its
-draws are stepped over (`_row_values`).  Its counts keep their bits at
-any worker count.
+draws are stepped over (`_row_values`).  A long sample's first segment
+is cut at a head sized from the threshold (`_head_length`), past which
+the sample's power sum stays at or below the threshold with chance at
+most `_HEAD_MISS`, so most samples settle after the head; at n = 10^5,
+q = 2, tau = 1/4 the head is 26,036 of the segment's 32,768
+coordinates.  Its counts keep their bits at any worker count.
 """
 
 from __future__ import annotations
@@ -85,12 +90,16 @@ from scipy.special import ndtri
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
 from .gaussian import _reduce_rows, _scratch_shape, _validate_p
+from .truncated import TruncationSpec, trunc_moment_min
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
 # doubles per sample chunk, one accumulator batch
 _CHUNK_ELEMS = 1 << 21
 # doubles per segment of a long small-ball row (`_row_values`)
 _SEGMENT_ELEMS = 1 << 15
+# the chance that a long small-ball row is still undecided after its head
+# (`_head_length`); it sets how many rows take an extra reducer call, not a count
+_HEAD_MISS = 1e-3
 # workers never outnumber the cores this process may run on
 _USABLE_CORES = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -286,9 +295,13 @@ def _block_rows(n: int, width: int) -> int:
 
 
 def _validate_mc_args(
-    n: int, samples: int, streams: int, scratch: int, constants: Constants
+    n: int, samples: int, streams: int, held: int, constants: Constants
 ) -> None:
-    """Check the budget, and that the reducer scratch the draws go into fits the guard."""
+    """Check the budget, and that the `held` doubles of one worker fit the guard.
+
+    A worker holds its reducer scratch, which the draws go into, and the
+    reduced block's output rows.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if samples < 2:
@@ -296,10 +309,10 @@ def _validate_mc_args(
     if streams < 1:
         raise DomainError(f"need streams >= 1, got {streams}")
     guard = constants.memory_guard_bytes
-    if scratch * 8 > guard:
+    if held * 8 > guard:
         raise DomainError(
-            f"the reducer scratch that the draws go into ({scratch} doubles)"
-            f" exceeds the memory guard ({guard} bytes)"
+            f"the reducer scratch and block outputs of a worker ({held} doubles)"
+            f" exceed the memory guard ({guard} bytes)"
         )
     # an empty stream would still build a generator and an accumulator
     if streams > samples:
@@ -352,7 +365,7 @@ def _merge_run(states: Iterable[State], merge: Callable[[State, State], State]) 
 def _fold_streams(
     stream: Callable[[np.random.Generator, int], State],
     merge: Callable[[State, State], State],
-    scratch: int,
+    held: int,
     samples: int,
     seed: int,
     streams: int,
@@ -365,15 +378,16 @@ def _fold_streams(
     The streams are cut into runs of 2^j consecutive streams, 2^j the
     largest power of two at most streams / W for W workers, and the runs
     are dealt to `_strided_shares` workers, capped so that the memory
-    guard admits the `scratch` doubles that each worker's reducer keeps
-    and its streams draw into.  A worker merges each run's
+    guard admits the `held` doubles of each worker: the reducer scratch
+    its streams draw into and the output rows of the block it reduces
+    (`_validate_mc_args`).  A worker merges each run's
     states as it makes them (`_merge_run`): a run starts at a multiple of
     its length, so it is an exact subtree of `_merge_run`'s tree over all
     streams (the last run, if short, is that tree's node over the tail),
     and `_merge_run` over the run states, in run order, returns the bits
     of `_merge_run` over the stream states.
     """
-    limit = max(1, constants.memory_guard_bytes // (8 * scratch))
+    limit = max(1, constants.memory_guard_bytes // (8 * held))
     run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
     runs = -(-streams // run)
 
@@ -416,28 +430,32 @@ def _row_values(
     width: int,
     reduce: Callable[[_DrawnRows], np.ndarray],
     threshold: float = math.inf,
+    head: int = 0,
 ) -> Iterator[np.ndarray]:
     """reduce over the quota's rows of n Gaussians, one `_DrawnRows` block at a time.
 
     With width = n each block is a chunk of `_block_rows` whole rows
     and each yield is reduce of it.  With width < n each block is one
-    width-wide segment of a lone row, and the row's value is reduce of
-    its first segment, np.logaddexp-ed with reduce of each later one
-    (reduce then gives logs of sums of nonnegative terms).  That value
-    never decreases (`mc_small_ball`), so once it passes threshold
-    before the row's last segment it is yielded as it stands and the
-    rest of the row's draws are stepped over on the counter
-    (`_skip_uniforms`): the next row gets the very draws it gets when
-    no row stops early.
+    segment of a lone row: coordinates [0, head) and [head, width) if
+    0 < head < width, else [0, width), then width-wide segments, the
+    last one short.  The row's value is reduce of its first segment,
+    np.logaddexp-ed with reduce of each later one (reduce then gives
+    logs of sums of nonnegative terms).  That value never decreases
+    (`mc_small_ball`), so once it passes threshold before the row's
+    last segment it is yielded as it stands and the rest of the row's
+    draws are stepped over on the counter (`_skip_uniforms`): the next
+    row gets the very draws it gets when no row stops early.
     """
     rows = _block_rows(n, width)
+    starts = sorted({0, head, *range(width, n, width)})
+    segments = list(zip(starts, [*starts[1:], n]))
     for start in range(0, quota, rows):
-        for offset in range(0, n, width):
-            block = _DrawnRows(gen, min(rows, quota - start), min(width, n - offset))
+        for offset, stop in segments:
+            block = _DrawnRows(gen, min(rows, quota - start), stop - offset)
             part = reduce(block)
             values = part if offset == 0 else np.logaddexp(values, part)
-            if offset + width < n and values[0] > threshold:
-                _skip_uniforms(gen, start * n + offset + width, n - offset - width)
+            if stop < n and values[0] > threshold:
+                _skip_uniforms(gen, start * n + stop, n - stop)
                 break
         yield values
 
@@ -508,8 +526,12 @@ def mc_grid_stats(
         requests += [(p, True, False) for p in p_values]
     if negative is not None:
         requests.append((q, capped, True))
-    scratch = math.prod(_scratch_shape(_block_rows(n, n), n, requests))
-    _validate_mc_args(n, samples, streams, scratch, constants)
+    rows = _block_rows(n, n)
+    # the reducer scratch, the block's row of each request and, with a
+    # cap, its row of squared gaps at each p
+    outputs = len(requests) + (width if T is not None else 0)
+    held = math.prod(_scratch_shape(rows, n, requests)) + rows * outputs
+    _validate_mc_args(n, samples, streams, held, constants)
 
     count = width * (3 if T is not None else 1) + (negative is not None)
 
@@ -539,7 +561,7 @@ def mc_grid_stats(
     ) -> list[MomentAccumulator]:
         return [a.merge(b) for a, b in zip(left, right, strict=True)]
 
-    accumulators = _fold_streams(stream, merge, scratch, samples, seed, streams, constants)
+    accumulators = _fold_streams(stream, merge, held, samples, seed, streams, constants)
     estimates = [_estimate(acc, seed, streams) for acc in accumulators]
     truncated = ()
     if T is not None:
@@ -586,6 +608,39 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (low, high)
 
 
+def _head_length(n: int, q: float, T: float, log_threshold: float) -> int:
+    """The head L of a long small-ball row (`mc_small_ball`), or 0 for none.
+
+    L is the least integer with L mu - t >= sqrt(2 L m2 log(1/eps)),
+    mu and m2 the first two moments of min(|g|, T)^q, t = e^log_threshold
+    and eps = `_HEAD_MISS`; by Maurer's lower-tail bound for sums of
+    independent nonnegative variables (JIPAM 4(1), 2003), the sum S_L of
+    a row's first L terms then has P(S_L <= t) <= eps.  It is 0 for n <= `_SEGMENT_ELEMS` and when
+    L would reach a segment.  The bound is divided through by mu, so
+    that heavy q cannot overflow it: L >= t / mu and L >= 2 m2 / mu^2,
+    so either ratio at a segment or more means no head.
+    """
+    if n <= _SEGMENT_ELEMS:
+        return 0
+    log_mean = trunc_moment_min(TruncationSpec(q, T)).log
+    log_spread = trunc_moment_min(TruncationSpec(2.0 * q, T)).log - 2.0 * log_mean
+    if max(log_threshold - log_mean, log_spread) >= math.log(_SEGMENT_ELEMS):
+        return 0
+    scaled = math.exp(log_threshold - log_mean)
+    spread = 2.0 * math.exp(log_spread) * math.log(1.0 / _HEAD_MISS)
+
+    def meets(L: int) -> bool:
+        return L - scaled >= math.sqrt(L * spread)
+
+    # the bound holds from L = root^2 on, root the positive root of
+    # x^2 - sqrt(spread) x - scaled; the loop steps past its rounding
+    root = 0.5 * (math.sqrt(spread) + math.sqrt(spread + 4.0 * scaled))
+    L = math.floor(root * root)
+    while not meets(L):
+        L += 1
+    return L if L < _SEGMENT_ELEMS else 0
+
+
 def mc_small_ball(
     n: int,
     q: float,
@@ -604,30 +659,47 @@ def mc_small_ball(
 
     Every sample is drawn and reduced through `_row_values`: one of at
     most `_SEGMENT_ELEMS` coordinates in a chunk of samples, a longer
-    one a segment of `_SEGMENT_ELEMS` coordinates at a time, and each is
-    counted on the running logaddexp of its segments' log power sums.
-    That value never decreases: numpy's logaddexp(a, b) is max(a, b)
-    plus the term log1p(exp(-|a - b|)) >= 0, and a rounded sum with a
-    nonnegative term is not below max(a, b).  So a sample whose
+    one a segment of at most `_SEGMENT_ELEMS` coordinates at a time, and
+    each is counted on the running logaddexp of its segments' log power
+    sums.  That value never decreases: numpy's logaddexp(a, b) is
+    max(a, b) plus the term log1p(exp(-|a - b|)) >= 0, and a rounded sum
+    with a nonnegative term is not below max(a, b).  So a sample whose
     value passes log_threshold before its last segment would fail whole;
     it is counted there, and the rest of its draws are skipped.
+
+    A long sample's first segment is cut at a head of L coordinates
+    (`_head_length`), computed once per call: the least L with
+    L mu - t >= sqrt(2 L m2 log(1/eps)), for t the threshold, mu and m2
+    the first two moments of min(|g|, T)^q and eps = `_HEAD_MISS`, so
+    that a sample's first L terms stay at or below t with chance at most
+    eps.  Most samples are then settled after L coordinates rather than
+    a whole segment, and one still undecided goes on to [L, 2^15) at
+    the cost of one more reducer call and no more draws.  There is no
+    head when L would reach a segment, as for heavy tails and for
+    thresholds near a sample's mean.  eps sets only how many samples
+    take that extra call, never a count: with or without a head a
+    sample is counted on the running value of its blocks, and where a
+    block ends moves that value by rounding alone.
     """
     _check_small_ball(q, tau)
     _check_cap(T)
     width = min(n, _SEGMENT_ELEMS)
+    rows = _block_rows(n, width)
     request = [(q, not math.isinf(T), True)]
-    scratch = math.prod(_scratch_shape(_block_rows(n, width), width, request))
-    _validate_mc_args(n, samples, streams, scratch, constants)
+    # the reducer scratch and the block's row of log sums
+    held = math.prod(_scratch_shape(rows, width, request)) + rows
+    _validate_mc_args(n, samples, streams, held, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
+    head = _head_length(n, q, T, log_threshold)
 
     def log_sums(block: _DrawnRows) -> np.ndarray:
         return _reduce_rows(block, request, T)[0]
 
     def stream(gen: np.random.Generator, quota: int) -> int:
-        blocks = _row_values(gen, quota, n, width, log_sums, log_threshold)
+        blocks = _row_values(gen, quota, n, width, log_sums, log_threshold, head)
         return sum(int(np.count_nonzero(values <= log_threshold)) for values in blocks)
 
-    successes = _fold_streams(stream, operator.add, scratch, samples, seed, streams, constants)
+    successes = _fold_streams(stream, operator.add, held, samples, seed, streams, constants)
     low, high = wilson_interval(successes, samples)
     return SmallBallEstimate(
         probability=successes / samples,

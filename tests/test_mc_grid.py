@@ -30,6 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lplab.gaussian
 import lplab.montecarlo
+import lplab.truncated
 from lplab import (
     DEFAULT_CONSTANTS,
     RngStream,
@@ -271,9 +272,10 @@ class TestWorkers:
     def test_guard_admitting_one_block_runs_one_worker(self, monkeypatch, pool_sizes):
         # n = 3000 draws one 21-row reducer tile at a time into its
         # worker's reducer scratch, which keeps two such tiles (the drawn
-        # and scaled |x|, and the powers), 1,008,000 bytes
+        # and scaled |x|, and the powers), 1,008,000 bytes, and reduces a
+        # 699-row chunk into one output row, 5,592 bytes
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
-        held = 2 * 21 * 3000 * 8
+        held = (2 * 21 * 3000 + 699) * 8
         one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * held - 1)
         estimate = mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=one).norms[0]
         assert reprs(estimate) == GOLDEN[3][1]
@@ -284,10 +286,10 @@ class TestWorkers:
     def test_guard_counts_the_reducer_scratch(self, monkeypatch):
         # from n = 2^16 a reducer tile is one whole row, and a capped grid
         # keeps three of them (plain, capped, powers), the row drawn into
-        # the capped one: at n = 4·10^6 that is 96 MB, refused by a 64 MiB
-        # guard before anything is drawn; at n = 2·10^6 it is 48 MB,
-        # admitted, and the call's traced peak is those three rows, with
-        # no fourth beside them
+        # the capped one: at n = 4·10^6 that is 96 MB (and 6 doubles of
+        # block outputs), refused by a 64 MiB guard before anything is
+        # drawn; at n = 2·10^6 it is 48 MB, admitted, and the call's
+        # traced peak is those three rows, with no fourth beside them
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
         guard = 64 << 20
         constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
@@ -297,7 +299,7 @@ class TestWorkers:
 
         with monkeypatch.context() as patched:
             patched.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
-            with pytest.raises(DomainError, match=r"\(12000000 doubles\) exceeds the memory guard"):
+            with pytest.raises(DomainError, match=r"\(12000006 doubles\) exceed the memory guard"):
                 mc_grid_stats(4_000_000, [2.0, 8.0], 2, 0, 1, constants, T=3.0)
         tracemalloc.start()
         try:
@@ -306,6 +308,31 @@ class TestWorkers:
         finally:
             tracemalloc.stop()
         assert 2_000_000 * 3 * 8 <= peak <= 2_000_000 * 3.5 * 8
+
+    def test_guard_counts_the_block_outputs(self, monkeypatch, pool_sizes):
+        # 500 p values at n = 1000 reduce a chunk of up to 2097 rows into
+        # 500 output rows, 8.4 MB beside the 1 MB of reducer scratch that
+        # the draws go into: a 16 MiB guard admits one such worker, not
+        # two, and the call's traced peak, which holds the outputs of a
+        # stream's 2000-row chunk, stays inside the guard; 1000 p values
+        # are 16.8 MB of output rows, refused before any draw
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 2)
+        guard = 16 << 20
+        constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+        wide = list(np.linspace(2.0, 40.0, 500))
+        held = 2 * 65 * 1000 + 2097 * 500
+        assert 8 * held <= guard < 2 * 8 * held
+        peak = traced_peak(lambda: mc_grid_stats(1000, wide, 4000, 0, 2, constants))
+        assert pool_sizes == [1]
+        assert 8 * (2 * 65 * 1000 + 2000 * 500) <= peak <= guard
+
+        def no_draws(*args):
+            raise AssertionError("drew before the guard")
+
+        monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
+        wider = list(np.linspace(2.0, 40.0, 1000))
+        with pytest.raises(DomainError, match=r"\(2227000 doubles\) exceed the memory guard"):
+            mc_grid_stats(1000, wider, 4000, 0, 2, constants)
 
     def test_threads_bounded_by_cores_and_streams(self, monkeypatch, capsys, pool_sizes):
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
@@ -620,7 +647,7 @@ class TestSettledRows:
         # sum); mc_grid_stats draws a one-row tile into its 1.6 MB of
         # scratch at that n and into 6.4 MB at n = 4·10^5, which the guard
         # admits too, but it refuses before any draw the 9.6 MB of scratch
-        # at n = 6·10^5
+        # at n = 6·10^5, beside the output row of its 3-row chunk
         guard = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=8 << 20)
         args = (100_000, 2.0, 0.25, math.inf, 4, 0, 2)
         assert mc_small_ball(*args, constants=guard) == mc_small_ball(*args)
@@ -632,7 +659,7 @@ class TestSettledRows:
             raise AssertionError("drew before the guard")
 
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
-        with pytest.raises(DomainError, match=r"\(1200000 doubles\) exceeds the memory guard"):
+        with pytest.raises(DomainError, match=r"\(1200003 doubles\) exceed the memory guard"):
             mc_grid_stats(600_000, [2.0], 4, 0, 2, constants=guard)
 
     def test_benchmark_shape_draws_a_third(self, monkeypatch):
@@ -654,31 +681,55 @@ class TestSettledRows:
 
     @pytest.mark.parametrize("above", [False, True])
     def test_row_stops_only_past_the_threshold(self, monkeypatch, above):
-        # n = 40,000 is one 2^15 segment and a short last one; the first
-        # segment's log power sum is reported as the threshold itself,
-        # which must not stop a row, or as the next double above it,
-        # which must
-        n, samples = 40_000, 6
-        reduce_rows = lplab.montecarlo._reduce_rows
+        # n = 40,000 is a head of 10,663 coordinates, the rest of the
+        # first 2^15 segment and a short last one.  The log power sum of
+        # the head, or of the rest of the segment, is reported as the
+        # threshold itself, which must not stop a row, or as the next
+        # double above it, which must, and every other block's as -inf,
+        # an empty sum, which leaves the running value where it is
+        n, samples, segment = 40_000, 6, 1 << 15
         threshold = math.log(0.25) + quantile_power_sum(n, 2.0).log
+        head = lplab.montecarlo._head_length(n, 2.0, math.inf, threshold)
+        assert head == 10_663
         first = np.nextafter(threshold, math.inf) if above else threshold
-        drawn = []
+        for width, stop in [(head, head), (segment - head, segment)]:
+            drawn = []
 
-        def first_segment_at(block, requests, T):
-            if block.shape[1] == 1 << 15:
+            def block_at(block, requests, T):
                 # the block draws only as it is read
                 block.draw(np.empty(block.shape))
-                return np.full((1, 1), first)
-            return reduce_rows(block, requests, T)
+                return np.full((1, 1), first if block.shape[1] == width else -math.inf)
+
+            def counting(gen, shape, buffer=None):
+                drawn.append(math.prod(shape))
+                return gaussian_draws(gen, shape, buffer)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(lplab.montecarlo, "_reduce_rows", block_at)
+                patched.setattr(lplab.montecarlo, "gaussian_draws", counting)
+                mc_small_ball(n, 2.0, 0.25, math.inf, samples, 0, 2)
+            assert sum(drawn) == samples * (stop if above else n)
+
+    def test_benchmark_shape_settles_on_the_head(self, monkeypatch):
+        # at the tails benchmark's shape every sample passes the
+        # threshold within its head of 26,036 coordinates: one reducer
+        # call and 26,036 draws a sample
+        head = lplab.montecarlo._head_length(10**5, 2.0, math.inf, 10.12651591904987)
+        assert head == 26_036
+        blocks = record_reducer_blocks(monkeypatch)
+        drawn = []
 
         def counting(gen, shape, buffer=None):
             drawn.append(math.prod(shape))
             return gaussian_draws(gen, shape, buffer)
 
-        monkeypatch.setattr(lplab.montecarlo, "_reduce_rows", first_segment_at)
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", counting)
-        mc_small_ball(n, 2.0, 0.25, math.inf, samples, 0, 2)
-        assert sum(drawn) == samples * ((1 << 15) if above else n)
+        estimate = mc_small_ball(10**5, 2.0, 0.25, math.inf, 480, 0)
+        assert reprs(estimate) == (
+            '0.0', '0.0', '0.007939499087277936', '0', '480', '10.12651591904987', '0', '4'
+        )
+        assert [block.shape for block in blocks] == [(1, head)] * 480
+        assert sum(drawn) == 480 * head
 
     @settings(derandomize=True, deadline=None)
     @given(a=st.floats(allow_nan=False), b=st.floats(allow_nan=False))
@@ -695,6 +746,82 @@ class TestSettledRows:
         # the running value of a long small-ball row never decreases, so
         # a row that passes the threshold early would pass it whole
         assert np.logaddexp(a, b) >= max(a, b)
+
+
+def forced_head(monkeypatch, head):
+    """Make every mc_small_ball call cut its long rows at `head` (0 for none)."""
+    monkeypatch.setattr(lplab.montecarlo, "_head_length", lambda *args: head)
+
+
+class TestHead:
+    # a long small-ball row's first segment is cut at a head sized from
+    # the threshold; the head sets how soon a sample settles, never a count
+
+    @pytest.mark.parametrize(
+        "args",
+        [(100_000, 2.0, 0.25, math.inf, 48), (70_000, 2.0, 0.1, 3.0, 60)],
+        ids=["tails", "capped"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_equal_a_head_free_run(self, monkeypatch, args, seed):
+        with_head = mc_small_ball(*args, seed, 3)
+        forced_head(monkeypatch, 0)
+        assert mc_small_ball(*args, seed, 3) == with_head
+
+    @pytest.mark.parametrize("head", [1, 1000, (1 << 15) - 1])
+    def test_forced_head_keeps_the_goldens(self, monkeypatch, head):
+        # the settling goldens' heavy tails get no head of their own; a
+        # forced one of 1 or 1000 coordinates leaves most samples
+        # undecided after it, so they go on to the rest of the first
+        # segment, and one a coordinate short of it leaves a one-wide
+        # rest; every count is kept
+        forced_head(monkeypatch, head)
+        blocks = record_reducer_blocks(monkeypatch)
+        for args, expected in SETTLING_GOLDEN:
+            del blocks[:]
+            assert reprs(mc_small_ball(*args)) == expected
+            if head <= 1000:
+                rests = sum(block.shape[1] == (1 << 15) - head for block in blocks)
+                assert rests > args[4] // 2
+
+    @pytest.mark.parametrize(
+        "n, q, tau, T, expected",
+        [
+            (100_000, 2.0, 0.25, math.inf, 26_036),
+            (70_000, 2.0, 0.1, 3.0, 7_588),
+            (40_000, 2.0, 0.25, math.inf, 10_663),
+            (100_000, 1.0, 0.3, 2.0, 31_462),
+        ],
+    )
+    def test_head_is_the_least_length_that_meets_the_bound(self, n, q, tau, T, expected):
+        # L mu - t >= sqrt(2 L m2 log(1/eps)), the moments those of
+        # min(|g|, T)^q, bounds P(S_L <= t) by eps (Maurer's lower tail)
+        t = math.log(tau) + quantile_power_sum(n, q).log
+        head = lplab.montecarlo._head_length(n, q, T, t)
+        mu = lplab.truncated.trunc_moment_min(lplab.truncated.TruncationSpec(q, T)).to_float()
+        m2 = lplab.truncated.trunc_moment_min(lplab.truncated.TruncationSpec(2 * q, T)).to_float()
+        spread = 2.0 * m2 * math.log(1.0 / lplab.montecarlo._HEAD_MISS)
+
+        def meets(L):
+            return L * mu - math.exp(t) >= math.sqrt(L * spread)
+
+        assert head == expected
+        assert meets(head) and not meets(head - 1)
+
+    def test_no_head_past_a_segment_or_within_one(self):
+        head_length = lplab.montecarlo._head_length
+        segment = 1 << 15
+        # the settling goldens' heavy tails: L would pass a segment
+        for (n, q, tau, T, *_), _ in SETTLING_GOLDEN[:3]:
+            assert head_length(n, q, T, math.log(tau) + quantile_power_sum(n, q).log) == 0
+        # a threshold of segment - 100 squares needs more than 100 past it
+        assert head_length(10**5, 2.0, math.inf, math.log(segment - 100)) == 0
+        assert 0 < head_length(10**5, 2.0, math.inf, math.log(segment - 2000)) < segment
+        # one segment, or less, has no head however low the threshold
+        for n in (segment, 50):
+            assert head_length(n, 2.0, math.inf, 0.0) == 0
+        # q = 1000, whose moments pass the double range, has none either
+        assert head_length(10**5, 1000.0, math.inf, 3000.0) == 0
 
 
 class TestGrid:
