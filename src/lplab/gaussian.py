@@ -171,22 +171,57 @@ def _scratch_shape(
     return len(kinds) + 1 + basis, min(_tile_rows(n), rows) * n
 
 
+def _reducer_doubles(
+    rows: int, n: int, requests: list[tuple[float, bool, bool]], columns: int = 0
+) -> int:
+    """Doubles that one `_reduce_rows` call holds for a rows x n block, with a basis of `columns`.
+
+    Every array of the call, its Python objects of a few KiB aside: its
+    scratch (`_scratch_shape`), which its thread keeps; per row of the
+    block, one output per request, two peaks, one log per kind of
+    magnitude and the row that takes the gathered sums and the finish,
+    and with a k-column basis also k gradients and the sums that scale
+    them; per row of a tile, two vectors, the indices of the rows over T
+    and the masks of `_max_factored`, and with a basis also the tile's k
+    gradients and its mask of zero coordinates (n bytes); and numpy's
+    iterator buffer, np.getbufsize() doubles, which a broadcast divide
+    fills.
+    """
+    count, size = _scratch_shape(rows, n, requests, columns > 0)
+    kinds = len({capped for _, capped, _ in requests})
+    per_row = len(requests) + 2 + kinds + 1 + (columns + 1 if columns else 0)
+    per_tile_row = 2 + (columns + -(-n // 8) if columns else 0)
+    height = min(_tile_rows(n), rows)
+    return count * size + rows * per_row + height * per_tile_row + np.getbufsize()
+
+
 def _max_factored(
     magnitudes: np.ndarray, peaks: np.ndarray, logs: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """magnitudes / peaks into out, their logs into logs; a peak of 0, inf or NaN scales by 1."""
-    safe = np.where((peaks > 0.0) & (peaks < np.inf), peaks, 1.0)
-    np.log(safe, out=logs)
-    return np.divide(magnitudes, safe[:, None], out=out)
+    """magnitudes / peaks into out, their logs into logs; a peak of 0, inf or NaN scales by 1.
+
+    The scales are formed in logs and logged there once they have served.
+    """
+    logs.fill(1.0)
+    np.copyto(logs, peaks, where=(peaks > 0.0) & (peaks < np.inf))
+    np.divide(magnitudes, logs[:, None], out=out)
+    np.log(logs, out=logs)
+    return out
 
 
-def _finish(sums: np.ndarray, p: float, log: bool, logs: np.ndarray) -> None:
-    """Max-factored power sums, in place, to log power sums (log) or lp norms, for finite p."""
+def _finish(sums: np.ndarray, p: float, log: bool, logs: np.ndarray, row: np.ndarray) -> None:
+    """Max-factored power sums, in place, to log power sums (log) or lp norms, for finite p.
+
+    p·logs is formed in `row`, a vector as long as sums, so the finish
+    allocates nothing.
+    """
     # a zero row is scaled by 1, so its logs are 0 and its sums 0, and
     # p·0 + log 0 is -inf; a NaN row keeps its NaN
     with np.errstate(divide="ignore"):
-        log_sums = p * logs + np.log(sums)
-    sums[:] = log_sums if log else np.exp(log_sums / p)
+        np.log(sums, out=sums)
+    np.add(np.multiply(p, logs, out=row), sums, out=sums)
+    if not log:
+        np.exp(np.divide(sums, p, out=sums), out=sums)
 
 
 def _reduce_rows(
@@ -224,7 +259,9 @@ def _reduce_rows(
     `_scratch_shape`, holds one tile per kind of magnitude asked for
     (plain, capped) and one for the powers.  Drawn rows, |x|, the scaled
     copies, min(., T), the gathered rows and the powers are written into
-    it with out=, so a tile makes no temporary of its size.
+    it with out=, so a tile makes no temporary of its size, and the sums
+    are taken straight into their output rows.  `_reducer_doubles`
+    states every double a call holds.
 
     With `basis`, an n x k matrix B, the block is m x k points y and the
     rows reduced are their images x = B y, formed a tile at a time in
@@ -247,9 +284,11 @@ def _reduce_rows(
     slots = _scratch_tiles(*_scratch_shape(rows, n, requests, basis is not None))
     # with a basis, the points' images take the first slot
     images = None if basis is None else slots.pop(0)
-    # the row peaks of each kind and their logs, kept for the whole block
+    # the row peaks of each kind and their logs, kept for the whole block,
+    # and a row that takes the gathered rows' sums and then the finish
     peaks = {False: np.empty(rows), True: np.empty(rows)}
     logs = {kind: np.empty(rows) for kind in kinds}
+    row = np.empty(rows)
     summed = [k for k, (p, _, log) in enumerate(requests) if log or not math.isinf(p)]
     # each capped request at a p also asked plain, and the plain one; the
     # plain requests then go first, so that their slot can take the
@@ -296,9 +335,10 @@ def _reduce_rows(
                         ratios[True], bound, axis=0, mode="clip", out=scaled[0][: len(bound)]
                     )
                 out[k, span] = out[reused[k], span]
-                out[k, start + bound] = np.power(gathered, p, out=powers[: len(bound)]).sum(axis=1)
+                np.power(gathered, p, out=powers[: len(bound)]).sum(axis=1, out=row[: len(bound)])
+                out[k, span][bound] = row[: len(bound)]
                 continue
-            out[k, span] = np.power(ratios[capped], p, out=powers).sum(axis=1)
+            np.power(ratios[capped], p, out=powers).sum(axis=1, out=out[k, span])
             if basis is not None and k == 0:
                 # where a coordinate is 0 its power is already 0, which the divide leaves in place
                 np.divide(powers, part, out=powers, where=part != 0.0)
@@ -309,7 +349,7 @@ def _reduce_rows(
         if math.isinf(p) and not log:
             out[k] = peaks[capped]
         else:
-            _finish(out[k], p, log, logs[capped])
+            _finish(out[k], p, log, logs[capped], row)
     if basis is not None and 0 in summed:
-        gradients *= (out[0] / sums)[:, None]
+        gradients *= np.divide(out[0], sums, out=row)[:, None]
     return out if gradients is None else (out, gradients)

@@ -21,16 +21,17 @@ One scheduler runs the streams of every estimator.  `_fold_streams`
 cuts the streams into runs of 2^j consecutive streams and deals the
 runs round-robin to a thread pool of min(usable cores, streams)
 workers (fewer if the memory guard admits fewer workers, each holding
-its reducer scratch and the output rows of the block it reduces), one
-task per worker however many streams there are
-(`_strided_shares`, which also runs the trials of the random
-sections).  A worker runs its streams one after another; the
-estimator's stream function draws each stream's quota and returns that
-stream's own state, which the worker merges into its run as the fixed
-pairwise tree would, so a worker holds a few states however many
-streams it runs.  A run starts at a multiple of its length, so it is a
-subtree of that tree; the main thread merges the run states, in run
-order, along the same tree and returns the one state for all streams.
+one reducer call, as `gaussian._reducer_doubles` states it, and the
+rows its estimator makes of a chunk), one task per worker however many
+streams there are (`_strided_shares`, which also runs the trials of
+the random sections and alone sets a pool's worker count).  A worker
+runs its streams one after another; the estimator's stream function
+draws each stream's quota and returns that stream's own state, which
+the worker merges into its run as the fixed pairwise tree would, so a
+worker holds a few states however many streams it runs.  A run starts
+at a multiple of its length, so it is a subtree of that tree; the main
+thread merges the run states, in run order, along the same tree and
+returns the one state for all streams.
 Philox is counter-based, so a stream's draws do not depend on which
 thread runs it or when, and the reproducibility contract above holds
 for any worker count.
@@ -89,7 +90,7 @@ from scipy.special import ndtri
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _scratch_shape, _validate_p
+from .gaussian import _reduce_rows, _reducer_doubles, _validate_p
 from .truncated import TruncationSpec, trunc_moment_min
 from .variance import _check_negative_moment, _check_small_ball, quantile_power_sum
 
@@ -199,14 +200,16 @@ class MomentAccumulator:
         if count == 0:
             return cls.empty()
         mean = float(values.mean())
+        # two temporaries of the batch's size: the cubes and fourth powers
+        # are formed in place of the deltas and squares they are made from
         deltas = values - mean
         sq = deltas * deltas
         return cls(
             count,
             mean,
             float(sq.sum()),
-            float((sq * deltas).sum()),
-            float((sq * sq).sum()),
+            float(np.multiply(sq, deltas, out=deltas).sum()),
+            float(np.multiply(sq, sq, out=sq).sum()),
         )
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -299,8 +302,10 @@ def _validate_mc_args(
 ) -> None:
     """Check the budget, and that the `held` doubles of one worker fit the guard.
 
-    A worker holds its reducer scratch, which the draws go into, and the
-    reduced block's output rows.
+    A worker holds one reducer call, its scratch (which the draws go
+    into) and its rows (`gaussian._reducer_doubles`), beside the rows
+    its estimator makes of each chunk row: `mc_grid_stats` and
+    `mc_small_ball` state theirs.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -311,7 +316,7 @@ def _validate_mc_args(
     guard = constants.memory_guard_bytes
     if held * 8 > guard:
         raise DomainError(
-            f"the reducer scratch and block outputs of a worker ({held} doubles)"
+            f"a worker's reducer call and chunk rows ({held} doubles)"
             f" exceed the memory guard ({guard} bytes)"
         )
     # an empty stream would still build a generator and an accumulator
@@ -326,17 +331,22 @@ def default_samples(n: int) -> int:
 
 State = TypeVar("State")
 Share = TypeVar("Share")
+_Reduced = TypeVar("_Reduced")
 
 
-def _strided_shares(share: Callable[[range], Share], count: int, limit: int) -> list[Share]:
+def _strided_shares(
+    share: Callable[[range], Share], count: int, held: int, guard: int
+) -> list[Share]:
     """share(range(w, count, W)) for each worker w < W, on a pool of W threads.
 
-    W = min(usable cores, count, limit).  Items are dealt round-robin,
-    one task per worker, so W tasks are submitted however large count
-    is; the results come back in worker order, and item i is the
-    (i // W)-th of share i % W.
+    W = min(usable cores, count, guard // held), for workers that hold
+    `held` bytes each, which the caller has refused if above the guard:
+    the one place where a worker count is set.  Items are dealt
+    round-robin, one task per worker, so W tasks are submitted however
+    large count is; the results come back in worker order, and item i
+    is the (i // W)-th of share i % W.
     """
-    workers = min(_USABLE_CORES, count, limit)
+    workers = min(_USABLE_CORES, count, guard // held)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(share, [range(w, count, workers) for w in range(workers)]))
 
@@ -376,19 +386,18 @@ def _fold_streams(
     Stream s gets RngStream(seed, s).generator() and its `_stream_quota`.
 
     The streams are cut into runs of 2^j consecutive streams, 2^j the
-    largest power of two at most streams / W for W workers, and the runs
-    are dealt to `_strided_shares` workers, capped so that the memory
-    guard admits the `held` doubles of each worker: the reducer scratch
-    its streams draw into and the output rows of the block it reduces
-    (`_validate_mc_args`).  A worker merges each run's
+    largest power of two at most streams / min(usable cores, streams),
+    and the runs are dealt to `_strided_shares` workers, as many as the
+    memory guard admits at the `held` doubles of each
+    (`_validate_mc_args`); there are at least as many runs as workers.
+    A worker merges each run's
     states as it makes them (`_merge_run`): a run starts at a multiple of
     its length, so it is an exact subtree of `_merge_run`'s tree over all
     streams (the last run, if short, is that tree's node over the tail),
     and `_merge_run` over the run states, in run order, returns the bits
     of `_merge_run` over the stream states.
     """
-    limit = max(1, constants.memory_guard_bytes // (8 * held))
-    run = 1 << ((streams // min(_USABLE_CORES, streams, limit)).bit_length() - 1)
+    run = 1 << ((streams // min(_USABLE_CORES, streams)).bit_length() - 1)
     runs = -(-streams // run)
 
     def run_states(r: int) -> Iterator[State]:
@@ -399,7 +408,7 @@ def _fold_streams(
     def share(indices: range) -> list[State]:
         return [_merge_run(run_states(r), merge) for r in indices]
 
-    shares = _strided_shares(share, runs, limit)
+    shares = _strided_shares(share, runs, 8 * held, constants.memory_guard_bytes)
     workers = len(shares)
     return _merge_run((shares[r % workers][r // workers] for r in range(runs)), merge)
 
@@ -428,10 +437,10 @@ def _row_values(
     quota: int,
     n: int,
     width: int,
-    reduce: Callable[[_DrawnRows], np.ndarray],
+    reduce: Callable[[_DrawnRows], _Reduced],
     threshold: float = math.inf,
     head: int = 0,
-) -> Iterator[np.ndarray]:
+) -> Iterator[_Reduced]:
     """reduce over the quota's rows of n Gaussians, one `_DrawnRows` block at a time.
 
     With width = n each block is a chunk of `_block_rows` whole rows
@@ -527,33 +536,33 @@ def mc_grid_stats(
     if negative is not None:
         requests.append((q, capped, True))
     rows = _block_rows(n, n)
-    # the reducer scratch, the block's row of each request and, with a
-    # cap, its row of squared gaps at each p
-    outputs = len(requests) + (width if T is not None else 0)
-    held = math.prod(_scratch_shape(rows, n, requests)) + rows * outputs
+    # one reducer call and, per chunk row, the squared gap at each p with
+    # a cap, the negative moment's value and from_batch's two temporaries
+    own = (width if T is not None else 0) + (negative is not None) + 2
+    held = _reducer_doubles(rows, n, requests) + rows * own
     _validate_mc_args(n, samples, streams, held, constants)
 
     count = width * (3 if T is not None else 1) + (negative is not None)
 
-    def reduce(block: _DrawnRows) -> np.ndarray:
-        return _reduce_rows(block, requests, cap)
+    def batches(block: _DrawnRows) -> list[MomentAccumulator]:
+        """The chunk's batch of each estimate; nothing of its size outlives the call."""
+        reduced = _reduce_rows(block, requests, cap)
+        norms = reduced[:width]
+        values = list(norms)
+        if T is not None:
+            capped_norms = reduced[width : 2 * width] if capped else norms
+            for norm, capped_norm in zip(norms, capped_norms):
+                gaps = norm - capped_norm
+                values += [capped_norm, np.multiply(gaps, gaps, out=gaps)]
+        if negative is not None:
+            moments = np.multiply(-L, reduced[-1])
+            values.append(np.exp(moments, out=moments))
+        return [MomentAccumulator.from_batch(batch) for batch in values]
 
     def stream(gen: np.random.Generator, quota: int) -> list[MomentAccumulator]:
         accs = [MomentAccumulator.empty()] * count
-        for reduced in _row_values(gen, quota, n, n, reduce):
-            norms = reduced[:width]
-            values = list(norms)
-            if T is not None:
-                capped_norms = reduced[width : 2 * width] if capped else norms
-                for norm, capped_norm in zip(norms, capped_norms):
-                    gaps = norm - capped_norm
-                    values += [capped_norm, gaps * gaps]
-            if negative is not None:
-                values.append(np.exp(-L * reduced[-1]))
-            accs = [
-                acc.merge(MomentAccumulator.from_batch(batch))
-                for acc, batch in zip(accs, values, strict=True)
-            ]
+        for chunk in _row_values(gen, quota, n, n, batches):
+            accs = [acc.merge(batch) for acc, batch in zip(accs, chunk, strict=True)]
         return accs
 
     def merge(
@@ -686,8 +695,10 @@ def mc_small_ball(
     width = min(n, _SEGMENT_ELEMS)
     rows = _block_rows(n, width)
     request = [(q, not math.isinf(T), True)]
-    # the reducer scratch and the block's row of log sums
-    held = math.prod(_scratch_shape(rows, width, request)) + rows
+    # one reducer call and, per block row, the log sums of the block
+    # before, which the block loop holds while the next is reduced, and
+    # the mask that counts them
+    held = _reducer_doubles(rows, width, request) + 2 * rows
     _validate_mc_args(n, samples, streams, held, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
     head = _head_length(n, q, T, log_threshold)

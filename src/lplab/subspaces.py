@@ -84,7 +84,7 @@ import numpy as np
 
 from .config import DEFAULT_CONSTANTS, Constants
 from .errors import DomainError
-from .gaussian import _reduce_rows, _scratch_shape, _tile_rows, _validate_p
+from .gaussian import _reduce_rows, _reducer_doubles, _validate_p
 from .montecarlo import RngStream, _strided_shares, gaussian_draws, wilson_interval
 
 _ORTHO_TOL = 1e-10
@@ -435,36 +435,46 @@ def sphere_net(k: int, resolution: float) -> tuple[np.ndarray, float]:
 
 
 def _held_bytes(n: int, k: int, cells: int) -> int:
-    """Bytes a trial holds: an n x k basis, its n-vectors and `cells` cells.
+    """Bytes a trial holds with arrays for `cells` cells: an n x k basis, its draw and its rounds.
 
-    The n-vectors are the reducer's scratch for the basis path, kept by
-    its thread (`_scratch_shape`: three tiles of n-rows, three rows from
-    n = 2^16), and the draw and temporary of `random_subspace`.  A cell
-    is k - 1 center angles, k - 1 half-widths, a value, a slope and a
-    radius.  `distortion`, given its basis, is checked as a trial too.
+    The basis, and the draw and temporary of `random_subspace`, two
+    n-vectors.  A cell is k - 1 center angles, k - 1 half-widths, a
+    value, a slope and a radius.  A round evaluates at most `cells`
+    points in one reducer call with the basis, which states its own
+    doubles (`gaussian._reducer_doubles`).  Its other temporaries come
+    to at most ten doubles a cell: `_bounds` holds at most ten vectors
+    of the live cells at once, and trisecting and evaluating the new
+    cells, at most two thirds of all, hold fewer doubles a cell.
+    `distortion`, given its basis, is checked as a trial too.
     """
-    scratch = math.prod(_scratch_shape(_tile_rows(n), n, [(1.0, False, False)], True))
-    return 8 * (k * n + 2 * n + scratch + (2 * k + 1) * cells)
+    evaluation = _reducer_doubles(cells, n, [(1.0, False, False)], k)
+    return 8 * (k * n + 2 * n + evaluation + (2 * k + 11) * cells)
 
 
 def _check_section_request(n: int, k: int, net_resolution: float, constants: Constants) -> int:
     """The cell tree's leaf count, if the request is certifiable and fits the memory guard.
 
     The one check of every section request, whatever its p: k and the
-    resolution, then a basis and the most cells a run can hold.  A
-    request whose basis and cells exceed the guard is refused, naming
-    the finest resolution net_resolution * 2^j < 1 whose cells fit.
-    Its callers check p first (`_validate_p`: below 1, ||.||_p is no
-    norm and the cell bounds fail).
+    resolution, then a trial's memory (`_held_bytes`) on the most cells a
+    run can hold.  A request whose trial does not fit the guard with one
+    cell is refused for its basis, and one whose cells do not fit is
+    refused naming the finest resolution net_resolution * 2^j < 1 whose
+    cells fit.  Its callers check p first (`_validate_p`: below 1,
+    ||.||_p is no norm and the cell bounds fail).
     """
     _check_net(k, net_resolution, n)
     guard = constants.memory_guard_bytes
-    if _held_bytes(n, k, 0) > guard:
+    if _held_bytes(n, k, 1) > guard:
         raise DomainError(
             f"a {n}x{k} basis and its n-vectors of scratch exceed the memory guard"
             f" ({guard} bytes)"
         )
-    limit = (guard - _held_bytes(n, k, 0)) // _held_bytes(0, k, 1)
+    # the most cells that fit, by bisection: _held_bytes grows with the
+    # cells, and a cell takes more than one byte
+    limit, over = 1, guard + 1
+    while over - limit > 1:
+        middle = (limit + over) // 2
+        limit, over = (middle, over) if _held_bytes(n, k, middle) <= guard else (limit, middle)
     refusal = f"the k={k} cells at resolution {net_resolution} and a {n}x{k} basis exceed"
     return _fitting_leaves(k, net_resolution, limit, f"{refusal} the memory guard ({guard} bytes)")
 
@@ -672,8 +682,8 @@ def _run_rows(
             counts[row][_trial(random_subspace(n, k, rng), p, rule, cells)] += 1
         return counts
 
-    limit = max(1, constants.memory_guard_bytes // _held_bytes(n, k, leaves))
-    shares = _strided_shares(share, len(rows) * trials, limit)
+    held = _held_bytes(n, k, leaves)
+    shares = _strided_shares(share, len(rows) * trials, held, constants.memory_guard_bytes)
     results = []
     for (p, epsilon, seed), *row_counts in zip(rows, *shares):
         successes, failures, ambiguous = map(sum, zip(*row_counts))

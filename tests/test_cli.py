@@ -508,11 +508,11 @@ class TestDvoretzkyCommand:
         "argv, message",
         [
             # at k = 4 the default resolution 0.004 gives 297,160,653 cells
-            # of 72 bytes, 0.008 gives 29,414,157
+            # of 232 bytes, 0.008 gives 29,414,157 and 0.016 3,556,581
             ("--n 100 --k 4", "memory guard"),
             (
                 "--n 10000 --k 4 --delta 0.5 --trials 2",
-                "memory guard (2147483648 bytes); the finest resolution that fits is 0.008",
+                "memory guard (2147483648 bytes); the finest resolution that fits is 0.016",
             ),
             ("--n 100 --k 5", "k <= min(n, 4)"),
             ("--n 100 --net-resolution 1.5", "resolution in (0, 1)"),

@@ -28,7 +28,7 @@ from lplab import (
     upper_quantile,
 )
 from lplab.errors import DomainError
-from lplab.gaussian import _TILE_ELEMS, _reduce_rows, _tile_rows
+from lplab.gaussian import _TILE_ELEMS, _reduce_rows, _reducer_doubles, _tile_rows
 
 
 def traced_peak(call):
@@ -370,6 +370,36 @@ class TestLpNorm:
         (expected, got, peak), _ = traced_peak(calls)
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
         assert peak < 8 * _TILE_ELEMS // 4
+
+    @pytest.mark.parametrize(
+        "rows, n, requests, columns",
+        [
+            # narrow rows, where the per-row vectors outweigh the scratch
+            (8192, 2, [(2.0, False, False)], 0),
+            (8192, 2, [(2.0, True, True)], 0),
+            (8192, 20, [(2.0, False, False), (12.0, True, False), (2.0, True, True)], 0),
+            # 65-row tiles, where numpy's iterator buffer is filled
+            (2097, 1000, [(2.0, False, False), (8.0, False, False), (2.0, True, False),
+                          (8.0, True, False), (6.9, True, True)], 0),
+            (2000, 1000, [(p, False, False) for p in range(2, 52)], 0),
+            # one-row tiles, a long small-ball segment and a section block
+            (3, 100_000, [(2.0, False, False), (2.0, True, False), (2.0, True, True)], 0),
+            (1, 1 << 15, [(2.0, False, True)], 0),
+            (20_000, 30, [(3.0, False, False)], 4),
+            (100, 10_000, [(3.0, False, False)], 2),
+        ],
+    )
+    def test_call_holds_what_it_states(self, rows, n, requests, columns):
+        # after a warm-up call, the traced peak of a call on a new thread,
+        # beside that of an empty call, is at most the doubles
+        # _reducer_doubles states and a few KiB of Python objects
+        rng = np.random.default_rng(9)
+        basis = np.linalg.qr(rng.standard_normal((n, columns)))[0] if columns else None
+        block = rng.standard_normal((rows, columns or n))
+        _reduce_rows(block, requests, 1.5, basis)
+        _, empty = traced_peak(lambda: None)
+        _, peak = traced_peak(lambda: _reduce_rows(block, requests, 1.5, basis))
+        assert peak - empty <= 8 * _reducer_doubles(rows, n, requests, columns) + 8192
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_gradients_leave_norms_and_match_direct_form(self):

@@ -272,10 +272,12 @@ class TestWorkers:
     def test_guard_admitting_one_block_runs_one_worker(self, monkeypatch, pool_sizes):
         # n = 3000 draws one 21-row reducer tile at a time into its
         # worker's reducer scratch, which keeps two such tiles (the drawn
-        # and scaled |x|, and the powers), 1,008,000 bytes, and reduces a
-        # 699-row chunk into one output row, 5,592 bytes
+        # and scaled |x|, and the powers), 1,008,000 bytes; over a 699-row
+        # chunk the reducer holds five rows (the output, two peaks, the
+        # logs and the finish) and the estimator two (from_batch's
+        # temporaries), and a tile two vectors and numpy's iterator buffer
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
-        held = (2 * 21 * 3000 + 699) * 8
+        held = (2 * 21 * 3000 + 7 * 699 + 2 * 21 + np.getbufsize()) * 8
         one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * held - 1)
         estimate = mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=one).norms[0]
         assert reprs(estimate) == GOLDEN[3][1]
@@ -286,9 +288,10 @@ class TestWorkers:
     def test_guard_counts_the_reducer_scratch(self, monkeypatch):
         # from n = 2^16 a reducer tile is one whole row, and a capped grid
         # keeps three of them (plain, capped, powers), the row drawn into
-        # the capped one: at n = 4·10^6 that is 96 MB (and 6 doubles of
-        # block outputs), refused by a 64 MiB guard before anything is
-        # drawn; at n = 2·10^6 it is 48 MB, admitted, and the call's
+        # the capped one: at n = 4·10^6 that is 96 MB (beside 13 doubles
+        # of the one-row chunk's rows, 2 of the tile's and numpy's 8192
+        # of iterator buffer), refused by a 64 MiB guard before anything
+        # is drawn; at n = 2·10^6 it is 48 MB, admitted, and the call's
         # traced peak is those three rows, with no fourth beside them
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
         guard = 64 << 20
@@ -299,7 +302,7 @@ class TestWorkers:
 
         with monkeypatch.context() as patched:
             patched.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
-            with pytest.raises(DomainError, match=r"\(12000006 doubles\) exceed the memory guard"):
+            with pytest.raises(DomainError, match=r"\(12008207 doubles\) exceed the memory guard"):
                 mc_grid_stats(4_000_000, [2.0, 8.0], 2, 0, 1, constants, T=3.0)
         tracemalloc.start()
         try:
@@ -312,15 +315,17 @@ class TestWorkers:
     def test_guard_counts_the_block_outputs(self, monkeypatch, pool_sizes):
         # 500 p values at n = 1000 reduce a chunk of up to 2097 rows into
         # 500 output rows, 8.4 MB beside the 1 MB of reducer scratch that
-        # the draws go into: a 16 MiB guard admits one such worker, not
-        # two, and the call's traced peak, which holds the outputs of a
-        # stream's 2000-row chunk, stays inside the guard; 1000 p values
-        # are 16.8 MB of output rows, refused before any draw
+        # the draws go into and six more rows (two peaks, the logs, the
+        # finish and from_batch's two temporaries): a 16 MiB guard admits
+        # one such worker, not two, and the call's traced peak, which
+        # holds the outputs of a stream's 2000-row chunk, stays inside
+        # the guard; 1000 p values are 16.8 MB of output rows, refused
+        # before any draw
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 2)
         guard = 16 << 20
         constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
         wide = list(np.linspace(2.0, 40.0, 500))
-        held = 2 * 65 * 1000 + 2097 * 500
+        held = 2 * 65 * 1000 + 2097 * (500 + 6) + 2 * 65 + np.getbufsize()
         assert 8 * held <= guard < 2 * 8 * held
         peak = traced_peak(lambda: mc_grid_stats(1000, wide, 4000, 0, 2, constants))
         assert pool_sizes == [1]
@@ -331,7 +336,7 @@ class TestWorkers:
 
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
         wider = list(np.linspace(2.0, 40.0, 1000))
-        with pytest.raises(DomainError, match=r"\(2227000 doubles\) exceed the memory guard"):
+        with pytest.raises(DomainError, match=r"\(2247904 doubles\) exceed the memory guard"):
             mc_grid_stats(1000, wider, 4000, 0, 2, constants)
 
     def test_threads_bounded_by_cores_and_streams(self, monkeypatch, capsys, pool_sizes):
@@ -422,6 +427,66 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestWorkerFigure:
+    # a worker is admitted by one figure: a reducer call's doubles, as
+    # gaussian._reducer_doubles states them, and the rows its estimator
+    # makes of a chunk; at n = 2 a chunk has 8192 rows, so its per-row
+    # vectors outweigh the reducer scratch, and before they were counted
+    # the first two calls below peaked at about 803 KB traced against a
+    # figure of 327,680 bytes, and the capped grid at 2,393,712 against
+    # 2,031,232
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda constants: mc_grid_stats(2, [2.0], 32768, 0, 2, constants),
+            lambda constants: mc_small_ball(2, 2.0, 0.3, 2.0, 32768, 0, 2, constants),
+            lambda constants: mc_grid_stats(
+                20, [2.0, 12.0], 20000, 0, 2, constants, T=2.0, negative=(2.0, 1.0)
+            ),
+        ],
+        ids=["grid", "small-ball", "capped-grid"],
+    )
+    def test_traced_peak_within_the_admitted_bytes(self, monkeypatch, pools, call):
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
+        held = []
+        validate = lplab.montecarlo._validate_mc_args
+
+        def recording(n, samples, streams, doubles, constants):
+            held.append(doubles)
+            return validate(n, samples, streams, doubles, constants)
+
+        monkeypatch.setattr(lplab.montecarlo, "_validate_mc_args", recording)
+        call(DEFAULT_CONSTANTS)
+        peak = traced_peak(lambda: call(DEFAULT_CONSTANTS))
+        assert pools.sizes[-1] == 1
+        assert peak <= 8 * held[-1]
+
+    def test_small_guard_runs_fewer_workers(self, monkeypatch, pools, fine_switching):
+        # a 1 MiB guard admitted both n = 2 calls on 2 workers, which
+        # together peaked at 1.27-1.46 MiB traced; it now admits one, and
+        # the call stays inside the guard with its estimates unchanged
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 2)
+        guard = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=1 << 20)
+        for call in (
+            lambda constants: mc_grid_stats(2, [2.0], 32768, 0, 2, constants),
+            lambda constants: mc_small_ball(2, 2.0, 0.3, 2.0, 32768, 0, 2, constants),
+        ):
+            assert call(guard) == call(DEFAULT_CONSTANTS)
+            assert traced_peak(lambda: call(guard)) <= 1 << 20
+        assert pools.sizes == [1, 2, 1, 1, 2, 1]
+
+    @pytest.mark.parametrize("cores", [3, 96])
+    def test_benchmark_shapes_keep_their_workers(self, monkeypatch, capsys, pools, cores):
+        # under the default guard the mc-grid argv and the tails small
+        # ball each run on one pool of min(cores, 4) workers, one per
+        # stream, so a larger worker figure cannot make them serial
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        assert main(BENCH_MC_ARGV) == 0
+        mc_small_ball(100_000, 2.0, 0.25, math.inf, 480, 0)
+        assert pools.sizes == [min(cores, 4)] * 2
 
 
 class TestTileDraws:
@@ -647,7 +712,8 @@ class TestSettledRows:
         # sum); mc_grid_stats draws a one-row tile into its 1.6 MB of
         # scratch at that n and into 6.4 MB at n = 4·10^5, which the guard
         # admits too, but it refuses before any draw the 9.6 MB of scratch
-        # at n = 6·10^5, beside the output row of its 3-row chunk
+        # at n = 6·10^5, beside the rows of its 3-row chunk and numpy's
+        # iterator buffer
         guard = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=8 << 20)
         args = (100_000, 2.0, 0.25, math.inf, 4, 0, 2)
         assert mc_small_ball(*args, constants=guard) == mc_small_ball(*args)
@@ -659,7 +725,7 @@ class TestSettledRows:
             raise AssertionError("drew before the guard")
 
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
-        with pytest.raises(DomainError, match=r"\(1200003 doubles\) exceed the memory guard"):
+        with pytest.raises(DomainError, match=r"\(1208215 doubles\) exceed the memory guard"):
             mc_grid_stats(600_000, [2.0], 4, 0, 2, constants=guard)
 
     def test_benchmark_shape_draws_a_third(self, monkeypatch):

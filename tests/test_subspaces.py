@@ -48,18 +48,32 @@ def _haar_basis(n, k, seed, stream=0):
     return random_subspace(n, k, RngStream(seed, stream).generator())
 
 
-def _vector_bytes(n):
-    """A trial's n-vectors beside its basis and cells.
+def _vector_bytes(n, k):
+    """A trial's n-vectors beside its basis and cells, when it can hold a reducer tile of cells.
 
-    The reducer's basis-path scratch, three tiles of n-rows, and
-    random_subspace's draw and temporary, two n-vectors.
+    random_subspace's draw and temporary, two n-vectors; the reducer's
+    basis-path scratch, three tiles of n-rows; per row of a tile, two
+    vectors, k gradients and a mask of n bytes; and numpy's iterator
+    buffer.
     """
-    return 8 * (3 * _tile_rows(n) * n + 2 * n)
+    tile = _tile_rows(n)
+    return 8 * (2 * n + 3 * tile * n + tile * (2 + k + -(-n // 8)) + np.getbufsize())
 
 
-def _room(n, room):
+def _cell_bytes(k):
+    """A cell's bytes beside its trial's n-vectors.
+
+    k - 1 center angles, k - 1 half-widths, a value, a slope and a
+    radius; ten doubles of a round's temporaries; and the reducer's rows
+    for its point: an output, two peaks, a log, the finish, k gradients
+    and their scale.
+    """
+    return 8 * ((2 * k + 1) + 10 + (6 + k))
+
+
+def _room(n, k, room):
     """Constants whose memory guard leaves `room` bytes beside a trial's n-vectors."""
-    return dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=room + _vector_bytes(n))
+    return dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=room + _vector_bytes(n, k))
 
 
 def _reference_bounds(values, slopes, radii, p):
@@ -331,25 +345,26 @@ class TestDistortion:
         for res in [0.0, -1.0, 1.0, math.nan]:
             with pytest.raises(DomainError, match="resolution in"):
                 distortion(b, 3.0, res)
-        # 824,790,897 cells of 56 bytes, 43.0 GiB, against the 2 GiB default
+        # 824,790,897 cells of 208 bytes, 160 GiB, against the 2 GiB default
         with pytest.raises(DomainError, match="resolution 0.0001 and a 20x3 basis exceed"):
             distortion(b, 3.0, 1e-4)
-        # 126,711 cells of 56 bytes are 7,095,816 bytes, against 1 MiB
+        # 126,711 cells of 208 bytes are 26,355,888 bytes, against 1 MiB
         # beside the n-vectors
         with pytest.raises(DomainError, match="resolution 0.008 and a 20x3 basis exceed"):
-            distortion(b, 3.0, 0.008, constants=_room(20, 1_048_576))
+            distortion(b, 3.0, 0.008, constants=_room(20, 3, 1_048_576))
         # nor does a guard that holds the basis and cells but not the
         # n-vectors of the reducer's scratch
-        size = 8 * (3 * 20 + 7 * sphere_net(3, 0.008)[0].shape[0])
+        size = 8 * 3 * 20 + _cell_bytes(3) * sphere_net(3, 0.008)[0].shape[0]
         bare = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=size)
         with pytest.raises(DomainError, match="memory guard"):
             distortion(b, 3.0, 0.008, constants=bare)
         monkeypatch.undo()
-        # the basis and the cells a run can hold, 8 (k n + (2k + 1) cells)
-        # bytes, beside the n-vectors
-        assert distortion(b, 3.0, 0.008, constants=_room(20, size)) == distortion(b, 3.0, 0.008)
+        # the basis and the cells a run can hold, 8 k n + 208 cells bytes,
+        # beside the n-vectors
+        exact = distortion(b, 3.0, 0.008)
+        assert distortion(b, 3.0, 0.008, constants=_room(20, 3, size)) == exact
         with pytest.raises(DomainError, match="memory guard"):
-            distortion(b, 3.0, 0.008, constants=_room(20, size - 1))
+            distortion(b, 3.0, 0.008, constants=_room(20, 3, size - 1))
 
     def test_ambient_blocks_within_tile_budget(self, monkeypatch, lp_norms):
         # the cell centers' images in R^n are formed and reduced a reducer
@@ -704,17 +719,19 @@ class TestSphericityExperiment:
 
         monkeypatch.setattr(lplab.subspaces, "random_subspace", no_basis)
         # 1 MiB beside the n-vectors: k = 3 at resolution 0.008 is 126,711
-        # cells of 56 bytes; a 50,000 x 3 basis is 1,200,000 bytes; the
+        # cells of 208 bytes; a 50,000 x 3 basis is 1,200,000 bytes; the
         # next two are refused by the lower bound on the cell count,
-        # without counting level by level; a 43,690 x 3 basis leaves 16
-        # bytes, less than one cell
+        # without counting level by level; a 43,674 x 3 basis leaves 400
+        # bytes, one cell but not the leaves at any resolution below 1
         for n, k, res in [(100, 3, 0.008), (50_000, 3, 0.1), (100, 3, 1e-300),
-                          (100, 2, 5e-324), (43_690, 3, 0.5)]:
+                          (100, 2, 5e-324), (43_674, 3, 0.5)]:
             with pytest.raises(DomainError, match="memory guard"):
-                sphericity_experiment(n, k, 5.0, 0.1, 2, res, seed=0, constants=_room(n, 1 << 20))
+                sphericity_experiment(
+                    n, k, 5.0, 0.1, 2, res, seed=0, constants=_room(n, k, 1 << 20)
+                )
         with pytest.raises(DomainError, match="the finest resolution that fits is none below 1"):
             sphericity_experiment(
-                43_690, 3, 5.0, 0.1, 2, 0.5, seed=0, constants=_room(43_690, 1 << 20)
+                43_674, 3, 5.0, 0.1, 2, 0.5, seed=0, constants=_room(43_674, 3, 1 << 20)
             )
         for n, k, res in [(10, 5, 0.1), (3, 4, 0.1), (10, 0, 0.1), (10, 2, 0.0),
                           (10, 2, 1.0), (10, 2, math.nan)]:
@@ -723,17 +740,17 @@ class TestSphericityExperiment:
 
     @pytest.mark.parametrize("k,res", [(2, 1e-6), (3, 0.002), (4, 0.004)])
     def test_refusal_names_finest_fitting_resolution(self, k, res):
-        tiny = _room(10, 1_048_576)
+        guard = 1 << 20
+        tiny = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
         with pytest.raises(DomainError, match="memory guard") as refused:
             sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=tiny)
         fitting = float(str(refused.value).rsplit(" ", 1)[-1])
-        # the finest res * 2^j whose cells fit beside the basis in the
-        # 1 MiB left beside the n-vectors: per cell, k - 1 center angles,
-        # k - 1 half-widths, a value, a slope and a radius
+        # the finest res * 2^j whose trial fits the 1 MiB guard on the
+        # leaves of the tree refined everywhere to it
         assert fitting in [res * 2.0**j for j in range(1, 30)]
-        held = [8 * (10 * k + (2 * k + 1) * _leaf_count(k, r, 1 << 40))
+        held = [lplab.subspaces._held_bytes(10, k, _leaf_count(k, r, 1 << 40))
                 for r in (fitting, fitting / 2)]
-        assert held[0] <= 1_048_576 < held[1]
+        assert held[0] <= guard < held[1]
         r = sphericity_experiment(10, k, 5.0, 0.1, 1, fitting, seed=0, constants=tiny)
         assert r.trials == 1
 
@@ -751,10 +768,10 @@ class TestSphericityExperiment:
     def test_guard_caps_workers(self, monkeypatch, pools):
         # a worker holds a 30,000 x 3 basis, its n-vectors and the leaves
         # of the cell tree refined everywhere to the resolution: 24 bytes
-        # per basis row and 56 per cell
+        # per basis row and 208 per cell
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
         n, res = 30_000, 0.1
-        held = 24 * n + _vector_bytes(n) + 56 * sphere_net(3, res)[0].shape[0]
+        held = 24 * n + _vector_bytes(n, 3) + _cell_bytes(3) * sphere_net(3, res)[0].shape[0]
         results = []
         for guard in (2 * held - 1, 2 * held, 3 * held):
             constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
@@ -770,7 +787,7 @@ class TestSphericityExperiment:
         # basis and one set of cell arrays per worker for the whole sweep
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
         n, res = 30_000, 0.1
-        held = 24 * n + _vector_bytes(n) + 56 * sphere_net(3, res)[0].shape[0]
+        held = 24 * n + _vector_bytes(n, 3) + _cell_bytes(3) * sphere_net(3, res)[0].shape[0]
         sweeps = []
         for guard in (2 * held, 3 * held):
             constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
@@ -780,13 +797,15 @@ class TestSphericityExperiment:
 
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
-        # the cells a trial can hold and a 10 x k basis, 8 (10 k + (2k + 1) cells)
-        # bytes, beside the n-vectors
-        size = 8 * (10 * k + (2 * k + 1) * _leaf_count(k, res, 1 << 40))
-        r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=_room(10, size))
+        # the cells a trial can hold and a 10 x k basis, 80 k + 8 (3k + 17)
+        # cells bytes, beside the n-vectors
+        size = 8 * 10 * k + _cell_bytes(k) * _leaf_count(k, res, 1 << 40)
+        r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=_room(10, k, size))
         assert r.trials == 1
         with pytest.raises(DomainError, match="memory guard"):
-            sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=_room(10, size - 1))
+            sphericity_experiment(
+                10, k, 5.0, 0.1, 1, res, seed=0, constants=_room(10, k, size - 1)
+            )
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000])
     def test_guard_counts_the_basis_n_vectors(self, monkeypatch, n):
@@ -818,6 +837,28 @@ class TestSphericityExperiment:
         assert peak <= guard
         # n = 10^6 is admitted and run; 4·10^6 is refused
         assert drawn == ([n] if n < 4_000_000 else [])
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_traced_peak_within_a_guard_at_its_figure(self, monkeypatch, seed):
+        # at k = 4 and n = 30 these trials run to about 5,000 of the
+        # tree's 21,639 leaves; beside the cell arrays and the reducer's
+        # scratch a round holds the reducer's rows for its new points and
+        # the temporaries of _bounds, the trisection and the slopes, and
+        # before those were counted the calls peaked at 4,404,930 and
+        # 4,704,776 traced bytes under a guard of 3,131,928
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
+        n, k, res = 30, 4, 0.1
+        guard = lplab.subspaces._held_bytes(n, k, _leaf_count(k, res, 1 << 40))
+        constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
+        args = (n, k, 1.5 * math.log(n), 0.5, 4, res, seed, constants)
+        expected = sphericity_experiment(*args)
+        tracemalloc.start()
+        try:
+            assert sphericity_experiment(*args) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= guard
 
 
 class TestTransitionSweep:
@@ -902,6 +943,15 @@ class TestTransitionSweep:
             result = row.result
             alone = sphericity_experiment(50, 2, result.p, result.epsilon, 1, 0.1, result.seed)
             assert alone == result
+
+    @pytest.mark.parametrize("cores", [3, 96])
+    def test_benchmark_k2_sweep_keeps_its_workers(self, monkeypatch, capsys, pools, cores):
+        # under the default guard the sections benchmark's k = 2 argv, 4
+        # rows of 20 trials, runs on one pool of min(cores, 80) workers
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", cores)
+        argv = "dvoretzky --n 10000 --k 2 --delta 0.25,0.5 --trials 20 --seed 0".split()
+        assert lplab.cli.main(argv) == 0
+        assert pools.sizes == [min(cores, 80)]
 
     def test_empty_grid_starts_no_pool(self, pools):
         assert transition_sweep(30, 2, [], trials=2, net_resolution=0.1, seed=0) == []
