@@ -52,7 +52,7 @@ def abs_tail_log(t: float) -> float:
     return _LOG_2 + float(log_ndtr(-t))
 
 
-def quantile_tail(tail: float | np.ndarray) -> float | np.ndarray:
+def quantile_tail(tail: float | np.ndarray, out: np.ndarray | None = None) -> float | np.ndarray:
     """The t >= 0 with P{|g| >= t} = tail, for tail in (0, 1].
 
     Parameterizing by the tail instead of the CDF value keeps full
@@ -63,14 +63,18 @@ def quantile_tail(tail: float | np.ndarray) -> float | np.ndarray:
     relative; above 1/2 the error grows with the condition number
     tail / (2 phi(t) t), which is about 9 at tail 0.9 and 1/(1 - tail)
     near 1.  Takes a float or an array: a float returns a float, an
-    array an array of the same shape, elementwise the same bits.
+    array an array of the same shape, elementwise the same bits.  Given
+    `out`, a float64 array of the tails' shape (the tails themselves
+    included), the quantiles are formed in it and it is returned, so an
+    array of tails costs no array beside it.
     """
     x = np.asarray(tail, dtype=float)
-    # one test rejects NaN together with the out-of-range values
-    if not ((x > 0.0) & (x <= 1.0)).all():
+    # NaN fails both tests; each builds one mask, and the second only if the first passes
+    if not ((x > 0.0).all() and (x <= 1.0).all()):
         raise DomainError("quantile_tail requires tail in (0, 1]")
+    t = ndtri_exp(np.subtract(np.log(x, out=out), _LOG_2, out=out), out=out)
     # 0.0 - (...) turns the -0.0 of tail = 1 into +0.0
-    t = 0.0 - ndtri_exp(np.log(x) - _LOG_2)
+    t = np.subtract(0.0, t, out=out)
     return float(t) if x.ndim == 0 else t
 
 
@@ -178,8 +182,9 @@ def _reducer_doubles(
 
     Every array of the call, its Python objects of a few KiB aside: its
     scratch (`_scratch_shape`), which its thread keeps; per row of the
-    block, one output per request, two peaks, one log per kind of
-    magnitude and the row that takes the gathered sums and the finish,
+    block, one output per request, the peaks of |x| and, if a request
+    is capped, of min(|x|, T), one log per kind of magnitude and the
+    row that takes the gathered sums and the finish,
     and with a k-column basis also k gradients and the sums that scale
     them; per row of a tile, two vectors, the indices of the rows over T
     and the masks of `_max_factored`, and with a basis also the tile's k
@@ -188,8 +193,9 @@ def _reducer_doubles(
     fills.
     """
     count, size = _scratch_shape(rows, n, requests, columns > 0)
-    kinds = len({capped for _, capped, _ in requests})
-    per_row = len(requests) + 2 + kinds + 1 + (columns + 1 if columns else 0)
+    kinds = {capped for _, capped, _ in requests}
+    peaks = 1 + (True in kinds)
+    per_row = len(requests) + peaks + len(kinds) + 1 + (columns + 1 if columns else 0)
     per_tile_row = 2 + (columns + -(-n // 8) if columns else 0)
     height = min(_tile_rows(n), rows)
     return count * size + rows * per_row + height * per_tile_row + np.getbufsize()
@@ -284,9 +290,10 @@ def _reduce_rows(
     slots = _scratch_tiles(*_scratch_shape(rows, n, requests, basis is not None))
     # with a basis, the points' images take the first slot
     images = None if basis is None else slots.pop(0)
-    # the row peaks of each kind and their logs, kept for the whole block,
-    # and a row that takes the gathered rows' sums and then the finish
-    peaks = {False: np.empty(rows), True: np.empty(rows)}
+    # the row peaks of |x| and, if a request is capped, of min(|x|, T),
+    # and each kind's logs, kept for the whole block, and a row that
+    # takes the gathered rows' sums and then the finish
+    peaks = {kind: np.empty(rows) for kind in kinds | {False}}
     logs = {kind: np.empty(rows) for kind in kinds}
     row = np.empty(rows)
     summed = [k for k, (p, _, log) in enumerate(requests) if log or not math.isinf(p)]

@@ -467,6 +467,8 @@ def _row_values(
                 _skip_uniforms(gen, start * n + stop, n - stop)
                 break
         yield values
+        # the next block is reduced without this one's values
+        del values, part
 
 
 @dataclass(frozen=True, slots=True)
@@ -663,8 +665,10 @@ def mc_small_ball(
     """Frequency of {sum_i min(|g_i|, T)^q <= tau * sum_i xi_{1-i/n}^q}.
 
     Requires tau in (0, 1/2), finite q >= 1 and a cap T > 0 (inf for none);
-    the threshold's n quantiles must fit constants.memory_guard_bytes
-    (`quantile_power_sum`).
+    the threshold's one array of n quantiles must fit
+    constants.memory_guard_bytes (`quantile_power_sum`), and so must a
+    worker's one reducer call: a block's log sums are counted and let go
+    before the next block is reduced.
 
     Every sample is drawn and reduced through `_row_values`: one of at
     most `_SEGMENT_ELEMS` coordinates in a chunk of samples, a longer
@@ -695,10 +699,7 @@ def mc_small_ball(
     width = min(n, _SEGMENT_ELEMS)
     rows = _block_rows(n, width)
     request = [(q, not math.isinf(T), True)]
-    # one reducer call and, per block row, the log sums of the block
-    # before, which the block loop holds while the next is reduced, and
-    # the mask that counts them
-    held = _reducer_doubles(rows, width, request) + 2 * rows
+    held = _reducer_doubles(rows, width, request)
     _validate_mc_args(n, samples, streams, held, constants)
     log_threshold = math.log(tau) + quantile_power_sum(n, q, constants).log
     head = _head_length(n, q, T, log_threshold)
@@ -706,9 +707,12 @@ def mc_small_ball(
     def log_sums(block: _DrawnRows) -> np.ndarray:
         return _reduce_rows(block, request, T)[0]
 
+    def count(values: np.ndarray) -> int:
+        return int(np.count_nonzero(values <= log_threshold))
+
     def stream(gen: np.random.Generator, quota: int) -> int:
-        blocks = _row_values(gen, quota, n, width, log_sums, log_threshold, head)
-        return sum(int(np.count_nonzero(values <= log_threshold)) for values in blocks)
+        # map, unlike a loop variable, holds no block while the next is drawn
+        return sum(map(count, _row_values(gen, quota, n, width, log_sums, log_threshold, head)))
 
     successes = _fold_streams(stream, operator.add, held, samples, seed, streams, constants)
     low, high = wilson_interval(successes, samples)

@@ -508,7 +508,7 @@ class TestDvoretzkyCommand:
         "argv, message",
         [
             # at k = 4 the default resolution 0.004 gives 297,160,653 cells
-            # of 232 bytes, 0.008 gives 29,414,157 and 0.016 3,556,581
+            # of 224 bytes, 0.008 gives 29,414,157 and 0.016 3,556,581
             ("--n 100 --k 4", "memory guard"),
             (
                 "--n 10000 --k 4 --delta 0.5 --trials 2",

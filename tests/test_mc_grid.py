@@ -273,11 +273,11 @@ class TestWorkers:
         # n = 3000 draws one 21-row reducer tile at a time into its
         # worker's reducer scratch, which keeps two such tiles (the drawn
         # and scaled |x|, and the powers), 1,008,000 bytes; over a 699-row
-        # chunk the reducer holds five rows (the output, two peaks, the
+        # chunk the reducer holds four rows (the output, the peaks, the
         # logs and the finish) and the estimator two (from_batch's
         # temporaries), and a tile two vectors and numpy's iterator buffer
         monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 3)
-        held = (2 * 21 * 3000 + 7 * 699 + 2 * 21 + np.getbufsize()) * 8
+        held = (2 * 21 * 3000 + 6 * 699 + 2 * 21 + np.getbufsize()) * 8
         one = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=2 * held - 1)
         estimate = mc_grid_stats(3000, [12.0], 1600, 5, 2, constants=one).norms[0]
         assert reprs(estimate) == GOLDEN[3][1]
@@ -315,7 +315,7 @@ class TestWorkers:
     def test_guard_counts_the_block_outputs(self, monkeypatch, pool_sizes):
         # 500 p values at n = 1000 reduce a chunk of up to 2097 rows into
         # 500 output rows, 8.4 MB beside the 1 MB of reducer scratch that
-        # the draws go into and six more rows (two peaks, the logs, the
+        # the draws go into and five more rows (the peaks, the logs, the
         # finish and from_batch's two temporaries): a 16 MiB guard admits
         # one such worker, not two, and the call's traced peak, which
         # holds the outputs of a stream's 2000-row chunk, stays inside
@@ -325,7 +325,7 @@ class TestWorkers:
         guard = 16 << 20
         constants = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
         wide = list(np.linspace(2.0, 40.0, 500))
-        held = 2 * 65 * 1000 + 2097 * (500 + 6) + 2 * 65 + np.getbufsize()
+        held = 2 * 65 * 1000 + 2097 * (500 + 5) + 2 * 65 + np.getbufsize()
         assert 8 * held <= guard < 2 * 8 * held
         peak = traced_peak(lambda: mc_grid_stats(1000, wide, 4000, 0, 2, constants))
         assert pool_sizes == [1]
@@ -336,7 +336,7 @@ class TestWorkers:
 
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
         wider = list(np.linspace(2.0, 40.0, 1000))
-        with pytest.raises(DomainError, match=r"\(2247904 doubles\) exceed the memory guard"):
+        with pytest.raises(DomainError, match=r"\(2245807 doubles\) exceed the memory guard"):
             mc_grid_stats(1000, wider, 4000, 0, 2, constants)
 
     def test_threads_bounded_by_cores_and_streams(self, monkeypatch, capsys, pool_sizes):
@@ -463,6 +463,23 @@ class TestWorkerFigure:
         peak = traced_peak(lambda: call(DEFAULT_CONSTANTS))
         assert pools.sizes[-1] == 1
         assert peak <= 8 * held[-1]
+
+    @pytest.mark.parametrize(
+        "n, T", [(2, 2.0), (2, math.inf), (50, 1.5), (3000, math.inf)], ids=str
+    )
+    def test_small_ball_lets_each_block_go(self, monkeypatch, n, T):
+        # a stream of three chunks peaks as one of a single chunk: the
+        # block loop and the count let a chunk's log sums go before the
+        # next chunk is reduced, so the small ball's figure is the
+        # reducer call's alone; holding them peaked a row higher (65.6 KB
+        # at 8192-row chunks, 5.6-5.9 KB at n = 3000's 699)
+        monkeypatch.setattr(lplab.montecarlo, "_USABLE_CORES", 1)
+        rows = lplab.montecarlo._block_rows(n, n)
+        peaks = []
+        for chunks in (1, 3):
+            mc_small_ball(n, 2.0, 0.3, T, chunks * rows, 0, 1)
+            peaks.append(traced_peak(lambda: mc_small_ball(n, 2.0, 0.3, T, chunks * rows, 0, 1)))
+        assert peaks[1] - peaks[0] < 4 * rows
 
     def test_small_guard_runs_fewer_workers(self, monkeypatch, pools, fine_switching):
         # a 1 MiB guard admitted both n = 2 calls on 2 workers, which
@@ -725,7 +742,7 @@ class TestSettledRows:
             raise AssertionError("drew before the guard")
 
         monkeypatch.setattr(lplab.montecarlo, "gaussian_draws", no_draws)
-        with pytest.raises(DomainError, match=r"\(1208215 doubles\) exceed the memory guard"):
+        with pytest.raises(DomainError, match=r"\(1208212 doubles\) exceed the memory guard"):
             mc_grid_stats(600_000, [2.0], 4, 0, 2, constants=guard)
 
     def test_benchmark_shape_draws_a_third(self, monkeypatch):

@@ -24,6 +24,7 @@ from lplab import (
 )
 from lplab.errors import DomainError
 from lplab.montecarlo import _skip_uniforms
+from lplab.variance import _POWER_SUM_BYTES_PER_TERM
 
 
 class TestRngStream:
@@ -340,9 +341,11 @@ class TestSmallBall:
         assert est.log_threshold == math.log(0.25) + quantile_power_sum(2, 2.0).log
 
     def test_threshold_refused_past_memory_guard(self):
-        # the threshold's quantile arrays peak at 57 bytes a term, 57 MB at
-        # n = 10^6, which a 16 MiB guard refuses before any is built
-        guard = 16 * 2**20
+        # the threshold's one array peaks at _POWER_SUM_BYTES_PER_TERM
+        # bytes a term, 10 MB at n = 10^6, which a 4 MiB guard refuses
+        # before it is built
+        guard = 4 * 2**20
+        assert _POWER_SUM_BYTES_PER_TERM * 10**6 > guard
         small = dataclasses.replace(DEFAULT_CONSTANTS, memory_guard_bytes=guard)
         message = f"a quantile sum of {10**6} terms exceeds the memory guard ({guard} bytes)"
         tracemalloc.start()
@@ -353,7 +356,7 @@ class TestSmallBall:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        fits = guard // 57
+        fits = guard // _POWER_SUM_BYTES_PER_TERM
         assert quantile_power_sum(fits, 2.0, small) == quantile_power_sum(fits, 2.0)
         with pytest.raises(DomainError, match="memory guard"):
             quantile_power_sum(fits + 1, 2.0, small)

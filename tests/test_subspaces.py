@@ -65,10 +65,10 @@ def _cell_bytes(k):
 
     k - 1 center angles, k - 1 half-widths, a value, a slope and a
     radius; ten doubles of a round's temporaries; and the reducer's rows
-    for its point: an output, two peaks, a log, the finish, k gradients
+    for its point: an output, a peak, a log, the finish, k gradients
     and their scale.
     """
-    return 8 * ((2 * k + 1) + 10 + (6 + k))
+    return 8 * ((2 * k + 1) + 10 + (5 + k))
 
 
 def _room(n, k, room):
@@ -345,10 +345,10 @@ class TestDistortion:
         for res in [0.0, -1.0, 1.0, math.nan]:
             with pytest.raises(DomainError, match="resolution in"):
                 distortion(b, 3.0, res)
-        # 824,790,897 cells of 208 bytes, 160 GiB, against the 2 GiB default
+        # 824,790,897 cells of 200 bytes, 154 GiB, against the 2 GiB default
         with pytest.raises(DomainError, match="resolution 0.0001 and a 20x3 basis exceed"):
             distortion(b, 3.0, 1e-4)
-        # 126,711 cells of 208 bytes are 26,355,888 bytes, against 1 MiB
+        # 126,711 cells of 200 bytes are 25,342,200 bytes, against 1 MiB
         # beside the n-vectors
         with pytest.raises(DomainError, match="resolution 0.008 and a 20x3 basis exceed"):
             distortion(b, 3.0, 0.008, constants=_room(20, 3, 1_048_576))
@@ -359,7 +359,7 @@ class TestDistortion:
         with pytest.raises(DomainError, match="memory guard"):
             distortion(b, 3.0, 0.008, constants=bare)
         monkeypatch.undo()
-        # the basis and the cells a run can hold, 8 k n + 208 cells bytes,
+        # the basis and the cells a run can hold, 8 k n + 200 cells bytes,
         # beside the n-vectors
         exact = distortion(b, 3.0, 0.008)
         assert distortion(b, 3.0, 0.008, constants=_room(20, 3, size)) == exact
@@ -719,10 +719,11 @@ class TestSphericityExperiment:
 
         monkeypatch.setattr(lplab.subspaces, "random_subspace", no_basis)
         # 1 MiB beside the n-vectors: k = 3 at resolution 0.008 is 126,711
-        # cells of 208 bytes; a 50,000 x 3 basis is 1,200,000 bytes; the
+        # cells of 200 bytes; a 50,000 x 3 basis is 1,200,000 bytes; the
         # next two are refused by the lower bound on the cell count,
         # without counting level by level; a 43,674 x 3 basis leaves 400
-        # bytes, one cell but not the leaves at any resolution below 1
+        # bytes, two cells but not the 9 or more leaves of any resolution
+        # below 1
         for n, k, res in [(100, 3, 0.008), (50_000, 3, 0.1), (100, 3, 1e-300),
                           (100, 2, 5e-324), (43_674, 3, 0.5)]:
             with pytest.raises(DomainError, match="memory guard"):
@@ -797,7 +798,7 @@ class TestSphericityExperiment:
 
     @pytest.mark.parametrize("k,res", [(2, 2e-5), (3, 0.008)])
     def test_guard_admits_net_at_its_size(self, k, res):
-        # the cells a trial can hold and a 10 x k basis, 80 k + 8 (3k + 17)
+        # the cells a trial can hold and a 10 x k basis, 80 k + 8 (3k + 16)
         # cells bytes, beside the n-vectors
         size = 8 * 10 * k + _cell_bytes(k) * _leaf_count(k, res, 1 << 40)
         r = sphericity_experiment(10, k, 5.0, 0.1, 1, res, seed=0, constants=_room(10, k, size))

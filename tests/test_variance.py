@@ -3,8 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from lplab import (
     DEFAULT_CONSTANTS,
@@ -25,7 +29,8 @@ from lplab import (
     TruncationSpec,
 )
 from lplab.errors import DomainError
-from lplab.variance import REGIME_HIGH, REGIME_LOW, REGIME_MID
+from lplab.gaussian import quantile_tail
+from lplab.variance import _POWER_SUM_BYTES_PER_TERM, REGIME_HIGH, REGIME_LOW, REGIME_MID
 
 
 class TestClassify:
@@ -346,7 +351,44 @@ class TestNegativeMoment:
             negative_moment_bound(1000, 2.0, math.nan)
 
 
+def _one_shot_power_sum(n, q):
+    """The sum as it was first formed: n-term temporaries and scipy's logsumexp."""
+    return float(logsumexp(q * np.log(quantile_tail(np.arange(1, n) / n))))
+
+
 class TestQuantilePowerSum:
+    # the in-place sum keeps every bit of the one-shot formula: chunk and
+    # segment edges (2^15), the small-ball shapes of the goldens and the
+    # benchmark, and q from 1 to the heavy tails of the settling goldens
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, 8, 9, 128, 129, 4097, 32768, 32769, 65538, 70003, 10**5, 100001, 10**6],
+    )
+    def test_bits_of_the_one_shot_formula(self, n):
+        for q in (1.0, 2.0, 6.9, 30.0, 40.0, 50.0):
+            assert quantile_power_sum(n, q).log == _one_shot_power_sum(n, q), q
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(2, 300_000), q=st.floats(1.0, 60.0))
+    def test_bits_of_the_one_shot_formula_drawn(self, n, q):
+        assert quantile_power_sum(n, q).log == _one_shot_power_sum(n, q)
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_traced_peak_within_its_bytes_a_term(self, n):
+        # the guard admits n terms at this figure, so the sum must hold
+        # no more; it holds one array of n - 1 doubles, turned into the
+        # terms in place, and the mask that checks its tails, where the
+        # one-shot formula held about six such arrays
+        quantile_power_sum(n, 2.0)
+        tracemalloc.start()
+        try:
+            quantile_power_sum(n, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _POWER_SUM_BYTES_PER_TERM * n
+        assert peak <= 1.5 * 8 * n
+
     def test_small_case_against_direct_sum(self):
         import mpmath as mp
 
